@@ -11,6 +11,8 @@ it.  The circulant Fourier transform (cft) block-diagonalizes the adjoint;
 its frontal blocks are exactly the unnormalized tube DFT values, so the
 matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
+TubeTransform generalizes the tube DFT to every t-SVD transform and is the
+one seam into the transform domain (hat, unhat) and the one slice-SVD kernel.
 """
 
 from __future__ import annotations
@@ -173,6 +175,211 @@ class SpectralMatrix:
         return self.blocks.shape[2]
 
 
+DFT = "dft"
+SKEW_DFT = "skew_dft"
+GROUP_DFT = "group_dft"
+
+
+def _dft_matrix(n):
+    # Exact entries for n <= 2 so Walsh-Hadamard factors are exactly +-1.
+    if n == 1:
+        return np.array([[1.0 + 0j]])
+    if n == 2:
+        return np.array([[1.0 + 0j, 1.0 + 0j], [1.0 + 0j, -1.0 + 0j]])
+    k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.exp(-2j * math.pi * k * i / n)
+
+
+class TubeTransform:
+    """Invertible tube transform defining a t-SVD algebra.
+
+    It is the one seam into the transform domain: hat and unhat move a
+    matrix of tubes to and from its (n, l, m) slice stack, and slice_svd
+    factors such a stack.
+    """
+
+    __slots__ = ("kind", "n", "factors")
+
+    # Transform names accepted by from_name, mapped to the constructor.
+    NAMES = {"dft": "dft", "skew-dft": "skew_dft", "skew_dft": "skew_dft",
+             "wht": "walsh_hadamard"}
+
+    # Class-wide call counters used by operation-count instrumentation tests.
+    forward_calls = 0
+    inverse_calls = 0
+
+    def __init__(self, kind, n, factors=None):
+        if kind not in (DFT, SKEW_DFT, GROUP_DFT):
+            raise ValueError(f"unknown transform kind {kind!r}")
+        if n < 1:
+            raise ValueError("transform length must be >= 1")
+        if kind == GROUP_DFT:
+            factors = tuple(int(f) for f in (factors or ()))
+            if not factors or any(f < 1 for f in factors) or math.prod(factors) != n:
+                raise ValueError(
+                    f"group_dft factors {factors} must be positive with product {n}"
+                )
+        elif factors is not None:
+            raise ValueError(f"{kind} takes no factors")
+        self.kind = kind
+        self.n = n
+        self.factors = factors
+
+    @classmethod
+    def dft(cls, n):
+        return cls(DFT, n)
+
+    @classmethod
+    def skew_dft(cls, n):
+        return cls(SKEW_DFT, n)
+
+    @classmethod
+    def group_dft(cls, factors):
+        factors = tuple(int(f) for f in factors)
+        return cls(GROUP_DFT, math.prod(factors), factors)
+
+    @classmethod
+    def walsh_hadamard(cls, n):
+        """group_dft with all factors 2; n must be a power of two."""
+        if n < 1 or n & (n - 1):
+            raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
+        return cls.group_dft((2,) * (n.bit_length() - 1)) if n > 1 else cls.group_dft((1,))
+
+    @classmethod
+    def from_name(cls, name, n):
+        """Resolve a CLI-style transform name (a key of NAMES)."""
+        if name not in cls.NAMES:
+            raise ValueError(f"unknown transform {name!r}")
+        return getattr(cls, cls.NAMES[name])(n)
+
+    def __repr__(self):
+        extra = f", factors={self.factors}" if self.factors else ""
+        return f"TubeTransform({self.kind!r}, n={self.n}{extra})"
+
+    def _skew_twiddle(self, ndim, axis):
+        shape = [1] * ndim
+        shape[axis] = self.n
+        return np.exp(-1j * math.pi * np.arange(self.n) / self.n).reshape(shape)
+
+    def forward(self, x, axis=-1):
+        """Apply the transform along ``axis`` (unnormalized values)."""
+        TubeTransform.forward_calls += 1
+        x = np.asarray(x)
+        if x.shape[axis] != self.n:
+            raise ValueError(f"axis length {x.shape[axis]} != transform length {self.n}")
+        if self.kind == DFT:
+            return np.fft.fft(x, axis=axis)
+        if self.kind == SKEW_DFT:
+            return np.fft.fft(x * self._skew_twiddle(x.ndim, axis), axis=axis)
+        return self._group_apply(x, axis, inverse=False)
+
+    def inverse(self, y, axis=-1):
+        """Exact inverse of forward."""
+        TubeTransform.inverse_calls += 1
+        y = np.asarray(y)
+        if y.shape[axis] != self.n:
+            raise ValueError(f"axis length {y.shape[axis]} != transform length {self.n}")
+        if self.kind == DFT:
+            return np.fft.ifft(y, axis=axis)
+        if self.kind == SKEW_DFT:
+            return np.fft.ifft(y, axis=axis) * np.conj(self._skew_twiddle(y.ndim, axis))
+        return self._group_apply(y, axis, inverse=True)
+
+    def _group_apply(self, x, axis, inverse):
+        moved = np.moveaxis(x, axis, -1)
+        lead = moved.shape[:-1]
+        reshaped = moved.reshape(lead + self.factors)
+        axes = tuple(range(len(lead), len(lead) + len(self.factors)))
+        if inverse:
+            out = np.fft.ifftn(reshaped, axes=axes)
+        else:
+            out = np.fft.fftn(reshaped, axes=axes)
+        return np.moveaxis(out.reshape(moved.shape), -1, axis)
+
+    def matrix(self, normalization=UNNORMALIZED):
+        """Dense transform matrix; "unitary" divides by sqrt(n)."""
+        n = self.n
+        if self.kind == DFT:
+            M = _dft_matrix(n)
+        elif self.kind == SKEW_DFT:
+            k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+            M = np.exp(-1j * math.pi * i * (2 * k + 1) / n)
+        else:
+            M = np.array([[1.0 + 0j]])
+            for f in self.factors:
+                M = np.kron(M, _dft_matrix(f))
+        if normalization == UNITARY:
+            return M / math.sqrt(n)
+        if normalization == UNNORMALIZED:
+            return M
+        raise ValueError(f"unknown normalization {normalization!r}")
+
+    def conjugate_pairing(self):
+        """Slice involution pi with spectrum[pi[b]] = conj(spectrum[b]) for
+        real-coefficient tubes."""
+        n = self.n
+        if self.kind == DFT:
+            return (-np.arange(n)) % n
+        if self.kind == SKEW_DFT:
+            return n - 1 - np.arange(n)
+        multi = np.unravel_index(np.arange(n), self.factors)
+        neg = tuple((-ix) % f for ix, f in zip(multi, self.factors))
+        return np.ravel_multi_index(neg, self.factors)
+
+    def hat(self, A):
+        """(n, l, m) transform-domain slice stack of a HyperMatrix."""
+        return np.moveaxis(self.forward(A.data, axis=2), 2, 0)
+
+    def unhat(self, blocks, field):
+        """HyperMatrix of the given field whose slice stack is blocks."""
+        data = self.inverse(np.moveaxis(blocks, 0, 2), axis=2)
+        return HyperMatrix(data.real if field == REAL else data, field)
+
+    def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
+        """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
+
+        real=True states that the stack is the hat of real-coefficient tubes,
+        so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
+        Only one slice of each pair is factored, the real part of a
+        self-paired one, and the partner gets the conjugated factors.
+        """
+        if not real:
+            return np.linalg.svd(blocks, full_matrices=full_matrices, compute_uv=compute_uv)
+        n, l, m = blocks.shape
+        k = min(l, m)
+        out = [np.empty((n, k))]
+        if compute_uv:
+            out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
+                   np.empty((n, m if full_matrices else k, m), np.complex128)]
+        pair = self.conjugate_pairing()
+        slots = np.arange(n)
+        own, first = pair == slots, pair > slots
+        for sel, part in ((own, blocks[own].real), (first, blocks[first])):
+            if len(part):
+                res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
+                for dst, src in zip(out, res if compute_uv else (res,)):
+                    dst[sel] = src
+        second = pair < slots
+        for dst in out:
+            dst[second] = np.conj(dst[pair[second]])
+        return tuple(out) if compute_uv else out[0]
+
+    def factored_slices(self, real):
+        """Number of slices slice_svd factors per stack."""
+        if not real:
+            return self.n
+        return int(np.count_nonzero(self.conjugate_pairing() >= np.arange(self.n)))
+
+    @classmethod
+    def reset_call_counts(cls):
+        cls.forward_calls = 0
+        cls.inverse_calls = 0
+
+    @classmethod
+    def call_counts(cls):
+        return cls.forward_calls, cls.inverse_calls
+
+
 def adjoint(A):
     """Dense ln x mn adjoint: block (i, k) is the circulant of entry A_ik."""
     l, m, n = A.data.shape
@@ -197,14 +404,13 @@ def stride_permutation(m, s):
 def cft(A, normalization=UNNORMALIZED):
     """Circulant Fourier transform: block-diagonalize the adjoint of A.
 
-    Implemented matrix-free as the n-point DFT of every tube followed by a
-    regrouping of frontal slices; block b entry (i, k) equals
+    Implemented matrix-free as the DFT hat of A; block b entry (i, k) equals
     fft(A.data[i, k, :])[b].  Under "unitary" the blocks are divided by
     sqrt(n).
     """
     if normalization not in (UNNORMALIZED, UNITARY):
         raise ValueError(f"unknown normalization {normalization!r}")
-    blocks = np.moveaxis(np.fft.fft(A.data, axis=2), 2, 0)
+    blocks = TubeTransform.dft(A.n).hat(A)
     if normalization == UNITARY:
         blocks = blocks / math.sqrt(A.n)
     return SpectralMatrix(blocks, normalization)
@@ -219,30 +425,27 @@ def icft(S):
     blocks = S.blocks
     if S.normalization == UNITARY:
         blocks = blocks * math.sqrt(S.n)
-    data = np.fft.ifft(np.moveaxis(blocks, 0, 2), axis=2)
-    scale = np.abs(data).max() if data.size else 0.0
-    if np.abs(data.imag).max(initial=0.0) <= _REAL_DETECT_RTOL * max(1.0, scale):
-        return HyperMatrix(data.real, REAL)
-    return HyperMatrix(data, COMPLEX)
+    out = TubeTransform.dft(S.n).unhat(blocks, COMPLEX)
+    scale = np.abs(out.data).max()
+    if np.abs(out.data.imag).max() <= _REAL_DETECT_RTOL * max(1.0, scale):
+        return HyperMatrix(out.data.real, REAL)
+    return out
 
 
-def matmul(A, B):
-    """Hypercomplex matrix product, computed blockwise in the spectral domain.
+def matmul(A, B, transform=None):
+    """Hypercomplex matrix product, computed blockwise in the transform domain.
 
-    Entry (i, k) equals sum_r A_ir * B_rk with the circular-convolution
-    scalar product; the spectral blocks multiply directly because they hold
-    the circulant eigenvalues.
+    Under the default DFT, entry (i, k) equals sum_r A_ir * B_rk with the
+    circular-convolution scalar product; another transform gives the product
+    of its algebra.  The slices multiply directly because the transform
+    diagonalizes the tube product.
     """
     if A.m != B.l or A.n != B.n:
         raise ValueError(
             f"dimension mismatch: ({A.l}x{A.m}, n={A.n}) @ ({B.l}x{B.m}, n={B.n})"
         )
-    Ah = np.moveaxis(np.fft.fft(A.data, axis=2), 2, 0)
-    Bh = np.moveaxis(np.fft.fft(B.data, axis=2), 2, 0)
-    Ch = np.matmul(Ah, Bh)
-    data = np.fft.ifft(np.moveaxis(Ch, 0, 2), axis=2)
-    field = promote_fields(A.field, B.field)
-    return HyperMatrix(data.real if field == REAL else data, field)
+    T = transform or TubeTransform.dft(A.n)
+    return T.unhat(T.hat(A) @ T.hat(B), promote_fields(A.field, B.field))
 
 
 def inv(A):
@@ -253,13 +456,12 @@ def inv(A):
     """
     if A.l != A.m:
         raise ValueError("matrix inverse requires a square matrix")
-    hat = np.moveaxis(np.fft.fft(A.data, axis=2), 2, 0)
-    svals = np.linalg.svd(hat, compute_uv=False)
+    T = TubeTransform.dft(A.n)
+    hat = T.hat(A)
+    svals = T.slice_svd(hat, A.field == REAL, compute_uv=False)
     if svals.min() <= 1e-12 * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
-    inv_blocks = np.linalg.inv(hat)
-    data = np.fft.ifft(np.moveaxis(inv_blocks, 0, 2), axis=2)
-    return HyperMatrix(data.real if A.field == REAL else data, A.field)
+    return T.unhat(np.linalg.inv(hat), A.field)
 
 
 def inner(A, B):
@@ -299,15 +501,17 @@ def spectral_norm(A, transform=None):
     With a non-default tube transform the blocks of that transform are used
     instead of the DFT blocks.
     """
-    if transform is None:
-        hat = np.moveaxis(np.fft.fft(A.data, axis=2), 2, 0)
-    else:
-        hat = np.moveaxis(transform.forward(A.data, axis=2), 2, 0)
-    svals = np.linalg.svd(hat, compute_uv=False)
-    return float(svals.max())
+    T = transform or TubeTransform.dft(A.n)
+    return float(T.slice_svd(T.hat(A), A.field == REAL, compute_uv=False).max())
 
 
 def max_modulus(A):
     """Largest entry modulus, the hypercomplex max-norm."""
     mods = np.sqrt((A.data.real**2 + A.data.imag**2).sum(axis=2))
     return float(mods.max())
+
+
+def check_finite(A, what):
+    """Raise ValueError when a coefficient of A is nan or infinite."""
+    if not np.all(np.isfinite(A.data.view(np.float64))):
+        raise ValueError(f"{what} contains non-finite values")

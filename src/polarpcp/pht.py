@@ -7,6 +7,8 @@ significant digits (lossless for float64).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .hyperalgebra import COMPLEX, REAL
@@ -35,7 +37,8 @@ def write_pht(A, path):
 def read_pht(path):
     """Read a PHT v1 file into a HyperMatrix."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+        first = fh.readline()
+        header = first.split()
         if len(header) != 6 or header[0] != "PHT" or header[1] != "1":
             raise PhtFormatError(f"bad PHT header in {path}")
         try:
@@ -47,6 +50,9 @@ def read_pht(path):
             raise PhtFormatError(f"bad PHT header in {path}")
         count = l * m * n
         width = 1 if field == REAL else 2
+        # k values need k digits and k - 1 separators; a forged header must not size values.
+        if 2 * count * width - 1 > os.fstat(fh.fileno()).st_size - len(first):
+            raise PhtFormatError(f"PHT header in {path} declares more values than the file holds")
         values = np.empty(count * width, dtype=np.float64)
         pos = 0
         for line in fh:

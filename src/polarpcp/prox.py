@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import REAL
-from .hypermatrix import HyperMatrix
-from .tsvd import TubeTransform
+from .hypermatrix import HyperMatrix, TubeTransform
 
 
 @dataclass
@@ -129,11 +128,6 @@ def prox_trace(Z, lam, transform=None):
     if lam < 0:
         raise ValueError("threshold must be nonnegative")
     T = transform or TubeTransform.dft(Z.n)
-    if T.n != Z.n:
-        raise ValueError(f"transform length {T.n} != tube length {Z.n}")
-    hat = np.moveaxis(T.forward(Z.data, axis=2), 2, 0)
-    U, s, Vh = np.linalg.svd(hat, full_matrices=False)
+    U, s, Vh = T.slice_svd(T.hat(Z), Z.field == REAL)
     s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
-    Lh = (U * s2[:, np.newaxis, :]) @ Vh
-    out = T.inverse(np.moveaxis(Lh, 0, 2), axis=2)
-    return HyperMatrix(out.real if Z.field == REAL else out, Z.field)
+    return T.unhat((U * s2[:, np.newaxis, :]) @ Vh, Z.field)

@@ -6,8 +6,9 @@ entry moduli.  Three variants:
 
 * "naive": alternates the coefficient-domain trace-norm and l1 proxes;
 * "frequency": keeps all state in the transform domain, so one iteration
-  costs n slice SVDs plus elementwise work and tubes are only transformed
-  on entry and exit;
+  costs one slice-SVD kernel call plus elementwise work and tubes are only
+  transformed on entry and exit.  The kernel factors n slices, or one per
+  conjugate pair for real tubes;
 * tensor RPCA: same loop but the low-rank step soft-thresholds each slice's
   singular values independently (slice-wise nuclear norm, no tube grouping).
 
@@ -26,9 +27,8 @@ import numpy as np
 
 from . import hypermatrix as hm
 from .hyperalgebra import REAL
-from .hypermatrix import HyperMatrix
+from .hypermatrix import HyperMatrix, TubeTransform
 from .prox import prox_l1, prox_trace, shrink_singular_values, tube_group_shrink
-from .tsvd import TubeTransform
 
 NAIVE = "naive"
 FREQUENCY = "frequency"
@@ -50,18 +50,18 @@ class SolverConfig:
     transform_factors: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        for name in ("c", "tol", "mu0", "mu0_scale"):
+            value = getattr(self, name)
+            if value is not None and (not (value > 0) or not math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rho_mu <= 1:
-            raise ValueError("rho_mu must exceed 1")
-        if self.mu0 is not None and self.mu0 <= 0:
-            raise ValueError("mu0 must be positive")
+        if not (self.rho_mu > 1) or not math.isfinite(self.rho_mu):
+            raise ValueError("rho_mu must be finite and exceed 1")
         if self.variant not in (NAIVE, FREQUENCY, TENSOR_RPCA):
             raise ValueError(f"unknown variant {self.variant!r}")
+        if self.transform not in TubeTransform.NAMES:
+            raise ValueError(f"unknown transform {self.transform!r}")
 
     def resolve_transform(self, n):
         if self.transform_factors is not None:
@@ -117,8 +117,7 @@ def _geometric(mu0, rho):
 def _check_input(X):
     if not isinstance(X, HyperMatrix):
         raise TypeError("solver input must be a HyperMatrix")
-    if not np.all(np.isfinite(X.data.view(np.float64))):
-        raise ValueError("solver input contains non-finite values")
+    hm.check_finite(X, "solver input")
 
 
 def _trivial_result(X, lam):
@@ -170,13 +169,13 @@ def _dual_scale(lam, specnorm, maxmod):
 
 def _ialm_frequency(X, cfg, grouped):
     T = cfg.resolve_transform(X.n)
-    n = X.n
+    real = X.field == REAL
     lam = cfg.lam(X)
-    sqrt_n = math.sqrt(n)
+    sqrt_n = math.sqrt(X.n)
     maxmod = hm.max_modulus(X)
 
-    Xhat = np.moveaxis(T.forward(X.data, axis=2), 2, 0)
-    specnorm = float(np.linalg.svd(Xhat, compute_uv=False).max())
+    Xhat = T.hat(X)
+    specnorm = float(T.slice_svd(Xhat, real, compute_uv=False).max())
     Yhat = Xhat / _dual_scale(lam, specnorm, maxmod)   # Y_1 is proportional to X
     Shat = np.zeros_like(Xhat)
     Lhat = np.zeros_like(Xhat)
@@ -192,7 +191,7 @@ def _ialm_frequency(X, cfg, grouped):
             break
         iterations += 1
         Zhat = Xhat - Shat + Yhat / mu
-        U, s, Vh = np.linalg.svd(Zhat, full_matrices=False)
+        U, s, Vh = T.slice_svd(Zhat, real)
         s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
         Lhat = (U * s[:, np.newaxis, :]) @ Vh
         Shat = tube_group_shrink(Xhat - Lhat + Yhat / mu, lam * sqrt_n / mu)
@@ -205,20 +204,18 @@ def _ialm_frequency(X, cfg, grouped):
             converged = True
             break
 
-    real = X.field == REAL
-    Ldata = T.inverse(np.moveaxis(Lhat, 0, 2), axis=2)
-    Sdata = T.inverse(np.moveaxis(Shat, 0, 2), axis=2)
+    slices = T.factored_slices(real)
     return PcpResult(
-        L=HyperMatrix(Ldata.real if real else Ldata, X.field),
-        S=HyperMatrix(Sdata.real if real else Sdata, X.field),
+        L=T.unhat(Lhat, X.field),
+        S=T.unhat(Shat, X.field),
         iterations=iterations,
         residual_history=np.array(history),
         converged=converged,
         lam=lam,
         mu_history=np.array(mu_hist),
         stats={
-            "slice_svds": n * iterations,
-            "setup_slice_svds": n,
+            "slice_svds": slices * iterations,
+            "setup_slice_svds": slices,
             "tube_transforms": 3,   # forward X, inverse L and S
         },
     )
@@ -253,6 +250,7 @@ def _ialm_naive(X, cfg):
             converged = True
             break
 
+    slices = T.factored_slices(X.field == REAL)
     return PcpResult(
         L=L,
         S=S,
@@ -262,8 +260,8 @@ def _ialm_naive(X, cfg):
         lam=lam,
         mu_history=np.array(mu_hist),
         stats={
-            "slice_svds": X.n * iterations,
-            "setup_slice_svds": X.n,
+            "slice_svds": slices * iterations,
+            "setup_slice_svds": slices,
             "tube_transforms": 2 * iterations + 1,  # per-iteration prox round trips
         },
     )

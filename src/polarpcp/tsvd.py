@@ -11,174 +11,20 @@ forward, exact inverse), which is the convention under which pointwise
 products of slices equal the algebra's tube product with no extra scaling.
 The unitary variant, the unnormalized matrix divided by sqrt(n), is exposed
 through ``matrix()`` for analysis and tests.
+
+``TubeTransform`` (the transform seam and slice-SVD kernel) and the blockwise
+product ``t_matmul`` live in ``hypermatrix`` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hyperalgebra import REAL, promote_fields
-from .hypermatrix import HyperMatrix
-
-DFT = "dft"
-SKEW_DFT = "skew_dft"
-GROUP_DFT = "group_dft"
-
-
-def _dft_matrix(n):
-    # Exact entries for n <= 2 so Walsh-Hadamard factors are exactly +-1.
-    if n == 1:
-        return np.array([[1.0 + 0j]])
-    if n == 2:
-        return np.array([[1.0 + 0j, 1.0 + 0j], [1.0 + 0j, -1.0 + 0j]])
-    k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * math.pi * k * i / n)
-
-
-class TubeTransform:
-    """Invertible tube transform defining a t-SVD algebra."""
-
-    __slots__ = ("kind", "n", "factors")
-
-    # Class-wide call counters used by operation-count instrumentation tests.
-    forward_calls = 0
-    inverse_calls = 0
-
-    def __init__(self, kind, n, factors=None):
-        if kind not in (DFT, SKEW_DFT, GROUP_DFT):
-            raise ValueError(f"unknown transform kind {kind!r}")
-        if n < 1:
-            raise ValueError("transform length must be >= 1")
-        if kind == GROUP_DFT:
-            factors = tuple(int(f) for f in (factors or ()))
-            if not factors or any(f < 1 for f in factors) or math.prod(factors) != n:
-                raise ValueError(
-                    f"group_dft factors {factors} must be positive with product {n}"
-                )
-        elif factors is not None:
-            raise ValueError(f"{kind} takes no factors")
-        self.kind = kind
-        self.n = n
-        self.factors = factors
-
-    @classmethod
-    def dft(cls, n):
-        return cls(DFT, n)
-
-    @classmethod
-    def skew_dft(cls, n):
-        return cls(SKEW_DFT, n)
-
-    @classmethod
-    def group_dft(cls, factors):
-        factors = tuple(int(f) for f in factors)
-        return cls(GROUP_DFT, math.prod(factors), factors)
-
-    @classmethod
-    def walsh_hadamard(cls, n):
-        """group_dft with all factors 2; n must be a power of two."""
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-        return cls.group_dft((2,) * (n.bit_length() - 1)) if n > 1 else cls.group_dft((1,))
-
-    @classmethod
-    def from_name(cls, name, n):
-        """Resolve a CLI-style transform name."""
-        table = {"dft": cls.dft, "skew-dft": cls.skew_dft, "skew_dft": cls.skew_dft,
-                 "wht": cls.walsh_hadamard}
-        if name not in table:
-            raise ValueError(f"unknown transform {name!r}")
-        return table[name](n)
-
-    def __repr__(self):
-        extra = f", factors={self.factors}" if self.factors else ""
-        return f"TubeTransform({self.kind!r}, n={self.n}{extra})"
-
-    def _skew_twiddle(self):
-        return np.exp(-1j * math.pi * np.arange(self.n) / self.n)
-
-    def forward(self, x, axis=-1):
-        """Apply the transform along ``axis`` (unnormalized values)."""
-        TubeTransform.forward_calls += 1
-        x = np.asarray(x)
-        if x.shape[axis] != self.n:
-            raise ValueError(f"axis length {x.shape[axis]} != transform length {self.n}")
-        if self.kind == DFT:
-            return np.fft.fft(x, axis=axis)
-        if self.kind == SKEW_DFT:
-            w = self._skew_twiddle()
-            shape = [1] * x.ndim
-            shape[axis] = self.n
-            return np.fft.fft(x * w.reshape(shape), axis=axis)
-        return self._group_apply(x, axis, inverse=False)
-
-    def inverse(self, y, axis=-1):
-        """Exact inverse of forward."""
-        TubeTransform.inverse_calls += 1
-        y = np.asarray(y)
-        if y.shape[axis] != self.n:
-            raise ValueError(f"axis length {y.shape[axis]} != transform length {self.n}")
-        if self.kind == DFT:
-            return np.fft.ifft(y, axis=axis)
-        if self.kind == SKEW_DFT:
-            w = self._skew_twiddle()
-            shape = [1] * y.ndim
-            shape[axis] = self.n
-            return np.fft.ifft(y, axis=axis) * np.conj(w).reshape(shape)
-        return self._group_apply(y, axis, inverse=True)
-
-    def _group_apply(self, x, axis, inverse):
-        moved = np.moveaxis(x, axis, -1)
-        lead = moved.shape[:-1]
-        reshaped = moved.reshape(lead + self.factors)
-        axes = tuple(range(len(lead), len(lead) + len(self.factors)))
-        if inverse:
-            out = np.fft.ifftn(reshaped, axes=axes)
-        else:
-            out = np.fft.fftn(reshaped, axes=axes)
-        return np.moveaxis(out.reshape(moved.shape), -1, axis)
-
-    def matrix(self, normalization="unnormalized"):
-        """Dense transform matrix; "unitary" divides by sqrt(n)."""
-        n = self.n
-        if self.kind == DFT:
-            M = _dft_matrix(n)
-        elif self.kind == SKEW_DFT:
-            k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            M = np.exp(-1j * math.pi * i * (2 * k + 1) / n)
-        else:
-            M = np.array([[1.0 + 0j]])
-            for f in self.factors:
-                M = np.kron(M, _dft_matrix(f))
-        if normalization == "unitary":
-            return M / math.sqrt(n)
-        if normalization == "unnormalized":
-            return M
-        raise ValueError(f"unknown normalization {normalization!r}")
-
-    def conjugate_pairing(self):
-        """Slice involution pi with spectrum[pi[b]] = conj(spectrum[b]) for
-        real-coefficient tubes."""
-        n = self.n
-        if self.kind == DFT:
-            return (-np.arange(n)) % n
-        if self.kind == SKEW_DFT:
-            return n - 1 - np.arange(n)
-        multi = np.unravel_index(np.arange(n), self.factors)
-        neg = tuple((-ix) % f for ix, f in zip(multi, self.factors))
-        return np.ravel_multi_index(neg, self.factors)
-
-    @classmethod
-    def reset_call_counts(cls):
-        cls.forward_calls = 0
-        cls.inverse_calls = 0
-
-    @classmethod
-    def call_counts(cls):
-        return cls.forward_calls, cls.inverse_calls
+from .hypermatrix import DFT, GROUP_DFT, SKEW_DFT, HyperMatrix, TubeTransform, check_finite  # noqa: F401
+from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 
 @dataclass
@@ -191,55 +37,22 @@ class TSVDFactors:
     transform: TubeTransform
 
 
-def _hat(A, transform):
-    return np.moveaxis(transform.forward(A.data, axis=2), 2, 0)
-
-
-def _unhat(blocks, transform, field):
-    data = transform.inverse(np.moveaxis(blocks, 0, 2), axis=2)
-    return HyperMatrix(data.real if field == REAL else data, field)
-
-
 def tsvd(A, transform=None):
     """Decompose A = U * S * V^* in the transform's algebra.
 
     Each transform-domain slice is SVD'd with descending singular values and
     the tubes are paired by index across slices.  For real-field input the
-    conjugate slice pairing is exploited so the factors come out real.
+    slice-SVD kernel's conjugate pairing makes the factors come out real.
     """
+    check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
-    if T.n != A.n:
-        raise ValueError(f"transform length {T.n} != tube length {A.n}")
     l, m, n = A.data.shape
-    hat = _hat(A, T)
-    Uh = np.empty((n, l, l), dtype=np.complex128)
+    Uh, s, Vh = T.slice_svd(T.hat(A), A.field == REAL, full_matrices=True)
     Sh = np.zeros((n, l, m), dtype=np.complex128)
-    Vh = np.empty((n, m, m), dtype=np.complex128)
-    r = min(l, m)
-    diag = np.arange(r)
-    if A.field == REAL:
-        pair = T.conjugate_pairing()
-        for b in range(n):
-            p = pair[b]
-            if p < b:
-                Uh[b] = np.conj(Uh[p])
-                Sh[b] = Sh[p]
-                Vh[b] = np.conj(Vh[p])
-                continue
-            block = hat[b].real if p == b else hat[b]
-            u, s, vh = np.linalg.svd(block, full_matrices=True)
-            Uh[b] = u
-            Sh[b, diag, diag] = s
-            Vh[b] = vh.conj().T
-    else:
-        u, s, vh = np.linalg.svd(hat, full_matrices=True)
-        Uh[:] = u
-        Sh[:, diag, diag] = s
-        Vh[:] = np.conj(np.transpose(vh, (0, 2, 1)))
-    U = _unhat(Uh, T, A.field)
-    S = _unhat(Sh, T, A.field)
-    V = _unhat(Vh, T, A.field)
-    return TSVDFactors(U, S, V, T)
+    diag = np.arange(min(l, m))
+    Sh[:, diag, diag] = s
+    V = T.unhat(np.conj(np.transpose(Vh, (0, 2, 1))), A.field)
+    return TSVDFactors(T.unhat(Uh, A.field), T.unhat(Sh, A.field), V, T)
 
 
 def singular_moduli(A, transform=None):
@@ -249,38 +62,22 @@ def singular_moduli(A, transform=None):
     modulus is sqrt(sum_b sigma_i(slice_b)^2 / n); the squares sum to the
     squared Frobenius norm.
     """
+    check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
-    if T.n != A.n:
-        raise ValueError(f"transform length {T.n} != tube length {A.n}")
-    svals = np.linalg.svd(_hat(A, T), compute_uv=False)
+    svals = T.slice_svd(T.hat(A), A.field == REAL, compute_uv=False)
     return np.sqrt((svals * svals).sum(axis=0) / T.n)
 
 
 def reconstruct(F):
     """Multiply the factors back: U * S * V^* in the transform's algebra."""
     T = F.transform
-    Uh = _hat(F.U, T)
-    Sh = _hat(F.S, T)
-    Vh = _hat(F.V, T)
-    Lh = Uh @ Sh @ np.conj(np.transpose(Vh, (0, 2, 1)))
+    Lh = T.hat(F.U) @ T.hat(F.S) @ np.conj(np.transpose(T.hat(F.V), (0, 2, 1)))
     field = promote_fields(promote_fields(F.U.field, F.S.field), F.V.field)
-    return _unhat(Lh, T, field)
-
-
-def t_matmul(A, B, transform=None):
-    """Matrix product in the transform's algebra (blockwise slice product)."""
-    if A.m != B.l or A.n != B.n:
-        raise ValueError(
-            f"dimension mismatch: ({A.l}x{A.m}, n={A.n}) @ ({B.l}x{B.m}, n={B.n})"
-        )
-    T = transform or TubeTransform.dft(A.n)
-    Ch = _hat(A, T) @ _hat(B, T)
-    return _unhat(Ch, T, promote_fields(A.field, B.field))
+    return T.unhat(Lh, field)
 
 
 def t_conj_transpose(A, transform=None):
     """Conjugate transpose in the transform's algebra: slices are
     conjugate-transposed in the transform domain."""
     T = transform or TubeTransform.dft(A.n)
-    hat = _hat(A, T)
-    return _unhat(np.conj(np.transpose(hat, (0, 2, 1))), T, A.field)
+    return T.unhat(np.conj(np.transpose(T.hat(A), (0, 2, 1))), A.field)

@@ -132,6 +132,15 @@ class TestTsvdCommand:
         assert mods == sorted(mods, reverse=True)
         assert len(mods) == 4
 
+    def test_non_finite_input_is_parameter_error(self, tmp_path, capsys):
+        A = HyperMatrix.zeros(3, 2, 2)
+        A.data[1, 0, 1] = np.nan
+        path = tmp_path / "a.pht"
+        write_pht(A, path)
+        code = main(["tsvd", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_skew_transform(self, tmp_path):
         rng = np.random.default_rng(3)
         A = random_hypermatrix(rng, 5, 5, 4, "real")

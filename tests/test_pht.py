@@ -46,6 +46,7 @@ def test_write_is_deterministic(tmp_path):
         "PHT 1 1 1 1 real\n0\n1\n",           # too many values
         "PHT 1 1 1 1 complex\n0\n",           # complex needs two columns
         "PHT 1 1 1 1 real\nx\n",
+        "PHT 1 100000 100000 100 real\n0\n",  # more values than the file can hold
     ],
 )
 def test_malformed_files(tmp_path, text):

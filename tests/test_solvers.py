@@ -75,6 +75,22 @@ class TestMuSchedule:
 
 
 class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c": math.nan}, {"c": math.inf}, {"c": -1.0},
+            {"tol": math.nan}, {"tol": math.inf},
+            {"mu0": math.nan}, {"mu0": math.inf}, {"mu0": 0.0},
+            {"mu0_scale": math.nan}, {"mu0_scale": 0.0}, {"mu0_scale": -1.25},
+            {"rho_mu": math.nan}, {"rho_mu": math.inf},
+            {"transform": "bogus"}, {"transform": "group_dft"},
+        ],
+        ids=repr,
+    )
+    def test_rejects_invalid_values(self, kwargs):
+        with pytest.raises(ValueError):
+            SolverConfig(**kwargs)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
@@ -224,7 +240,8 @@ class TestInstrumentation:
         assert res_long.iterations > res_short.iterations
         # tube transforms are a fixed entry/exit cost, independent of iterations
         assert short_calls == long_calls == 3
-        assert res_long.stats["slice_svds"] == 3 * res_long.iterations
+        # real n=3 under the DFT: slices 1 and 2 are a conjugate pair
+        assert res_long.stats["slice_svds"] == 2 * res_long.iterations
         assert res_long.stats["tube_transforms"] == 3
 
     def test_naive_transform_count_grows_with_iterations(self):

@@ -1,7 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarpcp.hypermatrix as hm
 from polarpcp import (
@@ -229,6 +232,9 @@ class TestAlgebraOps:
         A = random_hypermatrix(rng, 3, 4, 3, COMPLEX)
         B = random_hypermatrix(rng, 4, 2, 3, COMPLEX)
         assert np.allclose(t_matmul(A, B).data, (A @ B).data, atol=1e-12)
+        # one blockwise product and one transform class, re-exported by tsvd
+        assert t_matmul is hm.matmul
+        assert importlib.import_module("polarpcp.tsvd").TubeTransform is hm.TubeTransform
 
     def test_t_conj_transpose_dft_matches(self):
         rng = np.random.default_rng(14)
@@ -247,3 +253,39 @@ class TestAlgebraOps:
             lhs = hm.inner(A, B)
             rhs = float(np.sum(singular_moduli(A) * singular_moduli(B)))
             assert lhs <= rhs + 1e-9
+
+
+_GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3)}
+
+
+@st.composite
+def _slice_stacks(draw):
+    """(transform, stack, real): the hat of a random real or complex tube matrix."""
+    n = draw(st.integers(1, 6))
+    T = draw(st.sampled_from([
+        TubeTransform.dft(n), TubeTransform.skew_dft(n), TubeTransform.group_dft(_GROUP_FACTORS[n]),
+    ]))
+    real = draw(st.booleans())
+    l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = random_hypermatrix(rng, l, m, n, REAL if real else COMPLEX)
+    return T, T.hat(A), real
+
+
+class TestSliceSvd:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
+    def test_matches_unpaired_batched_svd(self, case, full_matrices, compute_uv):
+        T, stack, real = case
+        got = T.slice_svd(stack, real, full_matrices=full_matrices, compute_uv=compute_uv)
+        want = np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)
+        s, s_ref = (got[1], want[1]) if compute_uv else (got, want)
+        scale = s_ref.max()
+        assert s.shape == s_ref.shape
+        assert np.abs(s - s_ref).max() <= 1e-12 * scale
+        if compute_uv:
+            U, _, Vh = got
+            assert U.shape == want[0].shape and Vh.shape == want[2].shape
+            k = s.shape[1]
+            rebuilt = (U[:, :, :k] * s[:, np.newaxis, :]) @ Vh[:, :k, :]
+            assert np.abs(rebuilt - stack).max() <= 1e-12 * scale
