@@ -18,6 +18,7 @@ one seam into the transform domain (hat, unhat) and the one slice-SVD kernel.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,11 @@ def _dft_matrix(n):
     return np.exp(-2j * math.pi * k * i / n)
 
 
+class _CallCounts(threading.local):
+    forward = 0
+    inverse = 0
+
+
 class TubeTransform:
     """Invertible tube transform defining a t-SVD algebra.
 
@@ -204,9 +210,9 @@ class TubeTransform:
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "skew_dft": "skew_dft",
              "wht": "walsh_hadamard"}
 
-    # Class-wide call counters used by operation-count instrumentation tests.
-    forward_calls = 0
-    inverse_calls = 0
+    # Call counters used by operation-count instrumentation tests.  They are
+    # per thread, so a solve on one of run_grid's workers counts only its own.
+    _counts = _CallCounts()
 
     def __init__(self, kind, n, factors=None):
         if kind not in (DFT, SKEW_DFT, GROUP_DFT):
@@ -263,7 +269,7 @@ class TubeTransform:
 
     def forward(self, x, axis=-1):
         """Apply the transform along ``axis`` (unnormalized values)."""
-        TubeTransform.forward_calls += 1
+        TubeTransform._counts.forward += 1
         x = np.asarray(x)
         if x.shape[axis] != self.n:
             raise ValueError(f"axis length {x.shape[axis]} != transform length {self.n}")
@@ -275,7 +281,7 @@ class TubeTransform:
 
     def inverse(self, y, axis=-1):
         """Exact inverse of forward."""
-        TubeTransform.inverse_calls += 1
+        TubeTransform._counts.inverse += 1
         y = np.asarray(y)
         if y.shape[axis] != self.n:
             raise ValueError(f"axis length {y.shape[axis]} != transform length {self.n}")
@@ -372,12 +378,13 @@ class TubeTransform:
 
     @classmethod
     def reset_call_counts(cls):
-        cls.forward_calls = 0
-        cls.inverse_calls = 0
+        cls._counts.forward = 0
+        cls._counts.inverse = 0
 
     @classmethod
     def call_counts(cls):
-        return cls.forward_calls, cls.inverse_calls
+        """(forward, inverse) calls made on the calling thread since its reset."""
+        return cls._counts.forward, cls._counts.inverse
 
 
 def adjoint(A):

@@ -10,7 +10,17 @@ fractions as CSV.
 
 All randomness is derived from (base seed, embedding, rank, density, trial,
 instance) through counter-based Philox streams, so results are reproducible
-and independent of the worker-pool size (capped by POLARPCP_THREADS).
+and independent of the worker-pool size.  The pool has
+min(POLARPCP_THREADS, usable CPUs, trials in the grid) workers;
+POLARPCP_THREADS defaults to the usable CPUs and must be a positive integer.
+
+The pool owns the cores: run_grid runs its trials on single-threaded BLAS
+and restores the caller's BLAS thread count when it returns or raises.  The
+count is process-wide, so other threads of the caller's process also see
+single-threaded BLAS while a grid runs.  Single solves (pcp_ialm,
+tensor_rpca) keep the count they are given, e.g. by OPENBLAS_NUM_THREADS.
+Only OpenBLAS builds are pinned; on other BLAS builds the pinning does
+nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
 from .solvers import SolverConfig, pcp_ialm, tensor_rpca
@@ -222,26 +233,44 @@ class GridResult:
         return c.successes(epsilon, part) / len(c.outcomes)
 
 
-def _pool_size():
-    env = os.environ.get("POLARPCP_THREADS")
-    if env is not None:
-        size = int(env)
-        if size < 1:
-            raise ValueError("POLARPCP_THREADS must be >= 1")
-        return size
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _pool_size(jobs):
+    """min(POLARPCP_THREADS, usable CPUs, jobs); the variable defaults to the CPUs."""
+    cpus = _usable_cpus()
+    env = os.environ.get("POLARPCP_THREADS")
+    size = cpus
+    if env is not None:
+        try:
+            size = int(env)
+        except ValueError:
+            size = 0
+        if size < 1:
+            raise ValueError(f"POLARPCP_THREADS must be a positive integer, got {env!r}")
+    return max(1, min(size, cpus, jobs))
 
 
 def run_grid(spec):
     """Run every (embedding, rank, density) cell of the grid.
 
-    Trials execute on a thread pool; aggregation order is fixed by the cell
-    and trial indices, so the output is independent of scheduling.
+    Trials execute on a thread pool of min(POLARPCP_THREADS, usable CPUs,
+    trials in the grid) workers; aggregation order is fixed by the cell and
+    trial indices, so the output is independent of scheduling.  The pool
+    owns the cores, so the trials run on single-threaded BLAS and the
+    caller's BLAS thread count is restored when the grid returns or raises.
+    While a grid runs, other threads of the process also see single-threaded
+    BLAS.  Only OpenBLAS builds are pinned; other BLAS builds are left as
+    they are.
     """
     cells = [
         (emb, r, rho) for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos
     ]
     jobs = [(cell, t) for cell in cells for t in range(spec.trials)]
+    workers = _pool_size(len(jobs))
 
     def work(job):
         (emb, r, rho), t = job
@@ -249,12 +278,12 @@ def run_grid(spec):
         outcome = run_trial(spec, r, rho, emb, t)
         return job, outcome, time.perf_counter() - start
 
-    workers = min(_pool_size(), len(jobs))
-    if workers <= 1:
-        finished = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            finished = list(pool.map(work, jobs))
+    with single_threaded_blas():
+        if workers == 1:
+            finished = [work(job) for job in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                finished = list(pool.map(work, jobs))
     results = {}
     runtimes = {}
     for job, outcome, elapsed in finished:

@@ -44,6 +44,20 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_invalid_thread_count_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("POLARPCP_THREADS", "many")
+        code = main(
+            [
+                "simulate", "--m", "10", "--ranks", "1", "--rhos", "0.05",
+                "--epsilons", "0.1", "--trials", "1", "--out", str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == 2
+        assert "POLARPCP_THREADS must be a positive integer, got 'many'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.csv").exists()
+
     def test_io_error_exit_code(self, tmp_path):
         code = main(
             [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import polarpcp.hypermatrix as hm
+import polarpcp.simlab as simlab
 from polarpcp import (
     COMPLEX,
     REAL,
@@ -16,7 +17,7 @@ from polarpcp import (
     run_trial,
     write_csv,
 )
-from polarpcp.simlab import POLAR2BICOMPLEX, POLAR4COMPLEX
+from polarpcp.simlab import POLAR2BICOMPLEX, POLAR4COMPLEX, TrialOutcome
 
 
 class TestGenerator:
@@ -196,6 +197,47 @@ class TestRunGrid:
                 os.environ["POLARPCP_THREADS"] = old
         for a, b in zip(serial.cells, threaded.cells):
             assert a.embedding == b.embedding and a.outcomes == b.outcomes
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "", "0", "-2"])
+    def test_invalid_thread_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("POLARPCP_THREADS", value)
+        with pytest.raises(ValueError) as exc:
+            run_grid(_tiny_spec())
+        assert str(exc.value) == (
+            f"POLARPCP_THREADS must be a positive integer, got {value!r}"
+        )
+
+    def test_usable_cpus_follow_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert simlab._usable_cpus() == len(os.sched_getaffinity(0))
+        else:
+            assert simlab._usable_cpus() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 3)])
+    def test_pool_capped_by_cpus_and_jobs(self, monkeypatch, cpus, expected):
+        # Record the pool size instead of starting 100000 threads.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setenv("POLARPCP_THREADS", "100000")
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(simlab, "run_trial", lambda *args: TrialOutcome(0.0, 0.0))
+        grid = run_grid(_tiny_spec(embeddings=(POLAR4COMPLEX,), trials=3))
+        assert sizes == [expected]
+        assert len(grid.cells[0].outcomes) == 3
 
     def test_tensor_rpca_variant_runs(self):
         spec = _tiny_spec(variant="tensor-rpca", embeddings=(POLAR2BICOMPLEX,), trials=1)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -258,3 +260,40 @@ class TestInstrumentation:
 
         assert long_calls > short_calls
         assert long_calls == 2 * res.iterations + 1  # prox round trips + setup
+
+    def test_call_counts_are_per_thread(self):
+        rng = np.random.default_rng(15)
+        X, _, _ = _low_rank_plus_sparse(rng, 15, 12, 3, REAL, 2, 0.05)
+        configs = {"frequency": SolverConfig(), "naive": SolverConfig(variant="naive")}
+
+        def counted_solve(cfg):
+            TubeTransform.reset_call_counts()
+            pcp_ialm(X, cfg)
+            return TubeTransform.call_counts()
+
+        expected = {name: counted_solve(cfg) for name, cfg in configs.items()}
+        assert expected["frequency"] != expected["naive"]
+
+        barrier = threading.Barrier(len(configs), timeout=60)
+        seen = {name: [] for name in configs}
+
+        def worker(name):
+            for _ in range(3):
+                barrier.wait()
+                seen[name].append(counted_solve(configs[name]))
+
+        TubeTransform.reset_call_counts()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(name,)) for name in configs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        for name in configs:
+            assert seen[name] == [expected[name]] * 3
+        assert TubeTransform.call_counts() == (0, 0)  # the main thread ran nothing
