@@ -17,12 +17,14 @@ one seam into the transform domain (hat, unhat) and the one slice-SVD kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .hyperalgebra import COMPLEX, REAL, PolarScalar, _check_field, promote_fields
 
 UNNORMALIZED = "unnormalized"
@@ -200,8 +202,8 @@ class TubeTransform:
     """Invertible tube transform defining a t-SVD algebra.
 
     It is the one seam into the transform domain: hat and unhat move a
-    matrix of tubes to and from its (n, l, m) slice stack, and slice_svd
-    factors such a stack.
+    matrix of tubes to and from its (n, l, m) slice stack, slice_svd
+    factors such a stack and slice_compose multiplies the factors back.
     """
 
     __slots__ = ("kind", "n", "factors")
@@ -341,6 +343,20 @@ class TubeTransform:
         data = self.inverse(np.moveaxis(blocks, 0, 2), axis=2)
         return HyperMatrix(data.real if field == REAL else data, field)
 
+    def _split(self, real):
+        """(factored, partners, sources): the slices a stack computes, and the
+        slices filled with the conjugates of slices sources.
+
+        For real-coefficient tubes slice pair[b] is the conjugate of slice b
+        (conjugate_pairing()), so only one slice of each pair is computed.
+        """
+        slots = np.arange(self.n)
+        if not real:
+            return slots, slots[:0], slots[:0]
+        pair = self.conjugate_pairing()
+        partners = np.flatnonzero(pair < slots)
+        return np.flatnonzero(pair >= slots), partners, pair[partners]
+
     def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
         """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
 
@@ -348,33 +364,62 @@ class TubeTransform:
         so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
         Only one slice of each pair is factored, the real part of a
         self-paired one, and the partner gets the conjugated factors.
+
+        Slices of at least _blas.LANE_MIN_WORK multiply-adds are one task
+        each for _blas.run_lanes, complex slices first: the tasks run on
+        min(POLARPCP_THREADS, usable CPUs, tasks) lanes with BLAS on one
+        thread, or serially inside run_grid's trials.  Smaller slices are
+        factored on the calling thread in one batched call per kind, which
+        costs less than one call per slice.  A batched call gives each slice
+        the bits of a call of its own, so the result does not depend on the
+        lane count.
         """
-        if not real:
-            return np.linalg.svd(blocks, full_matrices=full_matrices, compute_uv=compute_uv)
         n, l, m = blocks.shape
         k = min(l, m)
         out = [np.empty((n, k))]
         if compute_uv:
             out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
                    np.empty((n, m if full_matrices else k, m), np.complex128)]
-        pair = self.conjugate_pairing()
-        slots = np.arange(n)
-        own, first = pair == slots, pair > slots
-        for sel, part in ((own, blocks[own].real), (first, blocks[first])):
-            if len(part):
-                res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
-                for dst, src in zip(out, res if compute_uv else (res,)):
-                    dst[sel] = src
-        second = pair < slots
+        factored, partners, sources = self._split(real)
+        self_paired = real & (self.conjugate_pairing() == np.arange(n))
+
+        def factor(group):
+            part = blocks[group].real if self_paired[group[0]] else blocks[group]
+            res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
+            for dst, src in zip(out, res if compute_uv else (res,)):
+                dst[group] = src
+
+        # A real slice costs about half a complex one, so complex ones go first.
+        groups = [g for g in (factored[~self_paired[factored]], factored[self_paired[factored]])
+                  if len(g)]
+        work = l * m * k
+        if work >= _blas.LANE_MIN_WORK:
+            groups = [g[i:i + 1] for g in groups for i in range(len(g))]
+        with _blas.owned_cores():
+            _blas.run_lanes([functools.partial(factor, g) for g in groups], work)
         for dst in out:
-            dst[second] = np.conj(dst[pair[second]])
+            dst[partners] = np.conj(dst[sources])
         return tuple(out) if compute_uv else out[0]
+
+    def slice_compose(self, U, s, Vh, real):
+        """Stack of U[b] diag(s[b]) Vh[b]: the inverse of slice_svd, after a
+        shrink of s.
+
+        Only the leading singular columns up to the last nonzero one enter
+        the products, and for real-coefficient tubes only the factored slices
+        are multiplied; their partners get the conjugates.
+        """
+        live = np.flatnonzero(s.any(axis=0))
+        k = live[-1] + 1 if live.size else 0
+        factored, partners, sources = self._split(real)
+        out = np.empty((s.shape[0], U.shape[1], Vh.shape[2]), np.result_type(U, Vh))
+        out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
+        out[partners] = np.conj(out[sources])
+        return out
 
     def factored_slices(self, real):
         """Number of slices slice_svd factors per stack."""
-        if not real:
-            return self.n
-        return int(np.count_nonzero(self.conjugate_pairing() >= np.arange(self.n)))
+        return len(self._split(real)[0])
 
     @classmethod
     def reset_call_counts(cls):

@@ -128,6 +128,7 @@ def prox_trace(Z, lam, transform=None):
     if lam < 0:
         raise ValueError("threshold must be nonnegative")
     T = transform or TubeTransform.dft(Z.n)
-    U, s, Vh = T.slice_svd(T.hat(Z), Z.field == REAL)
+    real = Z.field == REAL
+    U, s, Vh = T.slice_svd(T.hat(Z), real)
     s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
-    return T.unhat((U * s2[:, np.newaxis, :]) @ Vh, Z.field)
+    return T.unhat(T.slice_compose(U, s2, Vh, real), Z.field)

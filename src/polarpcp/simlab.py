@@ -17,24 +17,26 @@ POLARPCP_THREADS defaults to the usable CPUs and must be a positive integer.
 The pool owns the cores: run_grid runs its trials on single-threaded BLAS
 and restores the caller's BLAS thread count when it returns or raises.  The
 count is process-wide, so other threads of the caller's process also see
-single-threaded BLAS while a grid runs.  Single solves (pcp_ialm,
-tensor_rpca) keep the count they are given, e.g. by OPENBLAS_NUM_THREADS.
-Only OpenBLAS builds are pinned; on other BLAS builds the pinning does
-nothing.
+single-threaded BLAS while a grid runs.  Each trial runs its slice SVDs on
+its own thread, with no solve lanes.  Outside a grid, a single solve
+(pcp_ialm, tensor_rpca) owns the cores in the same way: one BLAS thread and
+min(POLARPCP_THREADS, usable CPUs, factored slices) lanes for its slice
+SVDs of 64x64 and up.  Only OpenBLAS builds are pinned; on other BLAS builds the pinning
+does nothing.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_threaded_blas
+from ._blas import serial_lanes, single_threaded_blas, worker_count
+from ._blas import usable_cpus as _usable_cpus
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
 from .solvers import SolverConfig, pcp_ialm, tensor_rpca
@@ -233,27 +235,6 @@ class GridResult:
         return c.successes(epsilon, part) / len(c.outcomes)
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pool_size(jobs):
-    """min(POLARPCP_THREADS, usable CPUs, jobs); the variable defaults to the CPUs."""
-    cpus = _usable_cpus()
-    env = os.environ.get("POLARPCP_THREADS")
-    size = cpus
-    if env is not None:
-        try:
-            size = int(env)
-        except ValueError:
-            size = 0
-        if size < 1:
-            raise ValueError(f"POLARPCP_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(size, cpus, jobs))
-
-
 def run_grid(spec):
     """Run every (embedding, rank, density) cell of the grid.
 
@@ -264,18 +245,20 @@ def run_grid(spec):
     caller's BLAS thread count is restored when the grid returns or raises.
     While a grid runs, other threads of the process also see single-threaded
     BLAS.  Only OpenBLAS builds are pinned; other BLAS builds are left as
-    they are.
+    they are.  Each trial runs inside _blas.serial_lanes(), so its slice
+    SVDs stay on the trial's thread instead of adding solve lanes.
     """
     cells = [
         (emb, r, rho) for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos
     ]
     jobs = [(cell, t) for cell in cells for t in range(spec.trials)]
-    workers = _pool_size(len(jobs))
+    workers = worker_count(len(jobs), _usable_cpus())
 
     def work(job):
         (emb, r, rho), t = job
         start = time.perf_counter()
-        outcome = run_trial(spec, r, rho, emb, t)
+        with serial_lanes():
+            outcome = run_trial(spec, r, rho, emb, t)
         return job, outcome, time.perf_counter() - start
 
     with single_threaded_blas():

@@ -8,7 +8,8 @@ entry moduli.  Three variants:
 * "frequency": keeps all state in the transform domain, so one iteration
   costs one slice-SVD kernel call plus elementwise work and tubes are only
   transformed on entry and exit.  The kernel factors n slices, or one per
-  conjugate pair for real tubes;
+  conjugate pair for real tubes, and the low-rank estimate is multiplied
+  back only from the singular columns that survive the shrink;
 * tensor RPCA: same loop but the low-rank step soft-thresholds each slice's
   singular values independently (slice-wise nuclear norm, no tube grouping).
 
@@ -16,6 +17,11 @@ lambda defaults to c/sqrt(max(l, m)) with c = 1; the dual variable starts at
 X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically from
 1.25 / ||X||_2, which keeps sum mu_{k+1}/mu_k^2 finite as the convergence
 theory requires.
+
+A solve owns the cores: it runs with BLAS on one thread (the caller's count
+is restored when it returns or raises), and its slice SVDs of 64x64 and
+up run on min(POLARPCP_THREADS, usable CPUs, factored slices) lanes, or
+serially inside run_grid's trials.  Results do not depend on either count.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hypermatrix as hm
+from ._blas import owned_cores
 from .hyperalgebra import REAL
 from .hypermatrix import HyperMatrix, TubeTransform
 from .prox import prox_l1, prox_trace, shrink_singular_values, tube_group_shrink
@@ -148,9 +155,10 @@ def pcp_ialm(X, cfg=None):
         return tensor_rpca(X, cfg)
     if not X.data.any():
         return _trivial_result(X, cfg.lam(X))
-    if cfg.variant == NAIVE:
-        return _ialm_naive(X, cfg)
-    return _ialm_frequency(X, cfg, grouped=True)
+    with owned_cores():
+        if cfg.variant == NAIVE:
+            return _ialm_naive(X, cfg)
+        return _ialm_frequency(X, cfg, grouped=True)
 
 
 def tensor_rpca(X, cfg=None):
@@ -160,7 +168,8 @@ def tensor_rpca(X, cfg=None):
     _check_input(X)
     if not X.data.any():
         return _trivial_result(X, cfg.lam(X))
-    return _ialm_frequency(X, cfg, grouped=False)
+    with owned_cores():
+        return _ialm_frequency(X, cfg, grouped=False)
 
 
 def _dual_scale(lam, specnorm, maxmod):
@@ -193,7 +202,7 @@ def _ialm_frequency(X, cfg, grouped):
         Zhat = Xhat - Shat + Yhat / mu
         U, s, Vh = T.slice_svd(Zhat, real)
         s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
-        Lhat = (U * s[:, np.newaxis, :]) @ Vh
+        Lhat = T.slice_compose(U, s, Vh, real)
         Shat = tube_group_shrink(Xhat - Lhat + Yhat / mu, lam * sqrt_n / mu)
         Rhat = Xhat - Lhat - Shat
         Yhat = Yhat + mu * Rhat

@@ -1,14 +1,32 @@
-"""Scope of single_threaded_blas and its use around run_grid's trials."""
+"""Scope of single_threaded_blas and its use around run_grid's trials and
+single solves, and the solve lanes of run_lanes."""
 
+import functools
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 import polarpcp._blas as blas
 import polarpcp.simlab as simlab
-from polarpcp import GridResult, TrialSpec, run_grid, run_trial, write_csv
-from polarpcp._blas import single_threaded_blas
-from polarpcp.simlab import CellResult, TrialOutcome
+from polarpcp import (
+    GridResult,
+    SolverConfig,
+    TrialSpec,
+    embed,
+    gen_low_rank_sparse,
+    pcp_ialm,
+    run_grid,
+    run_trial,
+    tensor_rpca,
+    tsvd,
+    write_csv,
+    write_pht,
+)
+from polarpcp._blas import owned_cores, run_lanes, single_threaded_blas
+from polarpcp.cli import main
+from polarpcp.simlab import EMBEDDINGS, POLAR4COMPLEX, CellResult, TrialOutcome
 
 # A caller's count that differs from the pinned one and from most defaults.
 CALLER_THREADS = 3
@@ -168,3 +186,237 @@ class TestBlasThreadsDoNotChangeResults:
         write_csv(grid, pooled)
         write_csv(GridResult(spec, tuple(direct_cells)), serial)
         assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Two lanes for slices of any size, even on one CPU."""
+    monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(blas, "LANE_MIN_WORK", 0)
+    monkeypatch.setenv("POLARPCP_THREADS", "2")
+
+
+def _runs_on_two_lanes():
+    """True when run_lanes gives two tasks two threads at once."""
+    barrier = threading.Barrier(2, timeout=10)
+    threads = []
+
+    def task():
+        threads.append(threading.get_ident())
+        barrier.wait()
+
+    with owned_cores():
+        try:
+            run_lanes([task, task], work=1)
+        except threading.BrokenBarrierError:
+            return False
+    return len(set(threads)) == 2
+
+
+def _mixed_matrix(embedding, m=24):
+    rng = np.random.default_rng(11)
+    (M1, _, _), (M2, _, _) = (gen_low_rank_sparse(m, 2, 0.05, rng) for _ in range(2))
+    return embed(M1, M2, embedding)
+
+
+SOLVES = {
+    "frequency": lambda X: pcp_ialm(X),
+    "naive": lambda X: pcp_ialm(X, SolverConfig(variant="naive")),
+    "tensor_rpca": lambda X: tensor_rpca(X),
+    "tsvd": lambda X: tsvd(X),
+}
+
+
+def _output_bytes(result):
+    if hasattr(result, "U"):
+        arrays = (result.U.data, result.S.data, result.V.data)
+    else:
+        arrays = (result.L.data, result.S.data, result.residual_history, result.mu_history)
+    return [a.tobytes() for a in arrays]
+
+
+class TestLanes:
+    def test_two_lanes_run_at_once(self, lanes):
+        assert _runs_on_two_lanes()
+
+    def test_one_lane_when_asked(self, lanes, monkeypatch):
+        monkeypatch.setenv("POLARPCP_THREADS", "1")
+        threads = set()
+        with owned_cores():
+            run_lanes([lambda: threads.add(threading.get_ident())] * 4, work=1)
+        assert threads == {threading.get_ident()}
+
+    def test_every_task_runs_once_on_more_lanes_than_cores(self, lanes, monkeypatch):
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 4)
+        monkeypatch.setenv("POLARPCP_THREADS", "4")
+        counts = [0] * 500
+
+        def task(i):
+            counts[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with owned_cores():
+                run_lanes([functools.partial(task, i) for i in range(len(counts))], work=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * len(counts)
+
+    def test_solve_rejects_invalid_thread_count(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("POLARPCP_THREADS", "0")
+        X = _mixed_matrix(POLAR4COMPLEX)
+        with pytest.raises(ValueError, match="POLARPCP_THREADS must be a positive integer"):
+            pcp_ialm(X)
+        write_pht(X, tmp_path / "x.pht")
+        assert main(["decompose", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 2
+        assert "POLARPCP_THREADS must be a positive integer, got '0'" in capsys.readouterr().err
+
+    def test_lane_error_propagates_and_threads_stop(self, lanes):
+        barrier = threading.Barrier(2, timeout=10)
+        before = threading.active_count()
+
+        def ok():
+            barrier.wait()
+
+        def failing():
+            barrier.wait()
+            raise RuntimeError("lane failed")
+
+        with pytest.raises(RuntimeError, match="lane failed"):
+            with owned_cores():
+                run_lanes([ok, failing], work=1)
+        assert threading.active_count() == before
+
+    def test_solve_uses_lanes_and_stops_them(self, lanes, monkeypatch):
+        X = _mixed_matrix(POLAR4COMPLEX, m=64)
+        threads = set()
+        svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return svd(*args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        pcp_ialm(X)
+        assert threading.get_ident() in threads and len(threads) == 2
+        assert threading.active_count() == before
+
+
+class TestSolveScope:
+    @pytest.mark.parametrize("solve", ["frequency", "naive", "tensor_rpca"])
+    def test_solve_pins_and_restores(self, controls, lanes, monkeypatch, solve):
+        get, _ = controls
+        seen = []
+        svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            seen.append(get())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        SOLVES[solve](_mixed_matrix(POLAR4COMPLEX))
+        assert seen and set(seen) == {1}
+        assert get() == CALLER_THREADS
+
+    @pytest.mark.parametrize("solve", ["frequency", "naive", "tensor_rpca"])
+    def test_count_restored_when_solve_raises(self, controls, lanes, monkeypatch, solve):
+        get, _ = controls
+        svd = np.linalg.svd
+        calls = []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 5:
+                raise RuntimeError("svd failed")
+            return svd(*args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(RuntimeError, match="svd failed"):
+            SOLVES[solve](_mixed_matrix(POLAR4COMPLEX))
+        assert get() == CALLER_THREADS
+        assert threading.active_count() == before
+
+
+class TestGridOwnsTheCores:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_svds_run_on_trial_threads(self, lanes, monkeypatch, threads):
+        trial_threads, svd_threads = set(), set()
+        trial, svd = simlab.run_trial, np.linalg.svd
+
+        def recording_trial(*args):
+            trial_threads.add(threading.get_ident())
+            return trial(*args)
+
+        def recording_svd(*args, **kwargs):
+            svd_threads.add(threading.get_ident())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setenv("POLARPCP_THREADS", threads)
+        monkeypatch.setattr(simlab, "run_trial", recording_trial)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        run_grid(_tiny_spec(m=24, embeddings=(POLAR4COMPLEX,), trials=3))
+        assert svd_threads and svd_threads <= trial_threads
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        assert _runs_on_two_lanes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_lanes_back_after_grid_raises(self, lanes, monkeypatch, threads):
+        def failing_trial(*args):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setenv("POLARPCP_THREADS", threads)
+        monkeypatch.setattr(simlab, "run_trial", failing_trial)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_grid(_tiny_spec())
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        assert _runs_on_two_lanes()
+
+
+class TestThreadCountsDoNotChangeResults:
+    @pytest.mark.parametrize("embedding", EMBEDDINGS)
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    def test_lane_count(self, lanes, monkeypatch, solve, embedding):
+        X = _mixed_matrix(embedding)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("POLARPCP_THREADS", threads)
+            outputs.append(_output_bytes(SOLVES[solve](X)))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("embedding", EMBEDDINGS)
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    def test_caller_blas_count(self, controls, lanes, solve, embedding):
+        _, set_ = controls
+        X = _mixed_matrix(embedding)
+        outputs = []
+        for count in (1, 2):
+            set_(count)
+            outputs.append(_output_bytes(SOLVES[solve](X)))
+        assert outputs[0] == outputs[1]
+
+    def test_decompose_files(self, lanes, monkeypatch, tmp_path):
+        source = tmp_path / "x.pht"
+        write_pht(_mixed_matrix(POLAR4COMPLEX), source)
+        found = blas._controls()
+        before = found[0]() if found is not None else None
+        settings = [("1", None), ("2", None)]
+        if found is not None:
+            settings += [("2", 1), ("2", 2)]
+        parts = []
+        try:
+            for threads, count in settings:
+                monkeypatch.setenv("POLARPCP_THREADS", threads)
+                if count is not None:
+                    found[1](count)
+                out = tmp_path / f"out-{threads}-{count}"
+                out.mkdir()
+                assert main(["decompose", str(source), "--out-dir", str(out)]) == 0
+                parts.append([(out / name).read_bytes() for name in ("L.pht", "S.pht")])
+        finally:
+            if before is not None:
+                found[1](before)
+        assert all(p == parts[0] for p in parts)

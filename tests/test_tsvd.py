@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarpcp._blas as _blas
 import polarpcp.hypermatrix as hm
 from polarpcp import (
     COMPLEX,
@@ -19,6 +20,7 @@ from polarpcp import (
     t_matmul,
     tsvd,
 )
+from polarpcp.prox import shrink_singular_values
 
 from helpers import random_hypermatrix
 
@@ -289,3 +291,32 @@ class TestSliceSvd:
             k = s.shape[1]
             rebuilt = (U[:, :, :k] * s[:, np.newaxis, :]) @ Vh[:, :k, :]
             assert np.abs(rebuilt - stack).max() <= 1e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
+    def test_one_call_per_slice_matches_batched_calls(self, case, full_matrices, compute_uv):
+        # Large slices get one np.linalg.svd call each, small ones one call
+        # per kind; lowering the size limit must not change a bit.
+        T, stack, real = case
+        kw = dict(full_matrices=full_matrices, compute_uv=compute_uv)
+        batched = T.slice_svd(stack, real, **kw)
+        limit = _blas.LANE_MIN_WORK
+        _blas.LANE_MIN_WORK = 0
+        try:
+            single = T.slice_svd(stack, real, **kw)
+        finally:
+            _blas.LANE_MIN_WORK = limit
+        pairs = zip(batched, single) if compute_uv else [(batched, single)]
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_slice_stacks(), grouped=st.booleans(), cut=st.floats(0.0, 1.5))
+    def test_compose_matches_full_product(self, case, grouped, cut):
+        # cut >= 1 shrinks every group to zero; cut = 0 keeps them all.
+        T, stack, real = case
+        U, s, Vh = T.slice_svd(stack, real)
+        s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped)
+        want = (U * s[:, np.newaxis, :]) @ Vh
+        got = T.slice_compose(U, s, Vh, real)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
