@@ -206,7 +206,7 @@ class TubeTransform:
     factors such a stack and slice_compose multiplies the factors back.
     """
 
-    __slots__ = ("kind", "n", "factors")
+    __slots__ = ("kind", "n", "factors", "_splits")
 
     # Transform names accepted by from_name, mapped to the constructor.
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "skew_dft": "skew_dft",
@@ -232,6 +232,7 @@ class TubeTransform:
         self.kind = kind
         self.n = n
         self.factors = factors
+        self._splits = None
 
     @classmethod
     def dft(cls, n):
@@ -344,18 +345,24 @@ class TubeTransform:
         return HyperMatrix(data.real if field == REAL else data, field)
 
     def _split(self, real):
-        """(factored, partners, sources): the slices a stack computes, and the
-        slices filled with the conjugates of slices sources.
+        """(factored, partners, sources, self_paired): the slices a stack
+        computes, the slices filled with the conjugates of slices sources,
+        and the mask of the slices that are their own partner.
 
         For real-coefficient tubes slice pair[b] is the conjugate of slice b
         (conjugate_pairing()), so only one slice of each pair is computed.
+        Both splits are built on first use and kept read-only.
         """
-        slots = np.arange(self.n)
-        if not real:
-            return slots, slots[:0], slots[:0]
-        pair = self.conjugate_pairing()
-        partners = np.flatnonzero(pair < slots)
-        return np.flatnonzero(pair >= slots), partners, pair[partners]
+        if self._splits is None:
+            slots = np.arange(self.n)
+            pair = self.conjugate_pairing()
+            partners = np.flatnonzero(pair < slots)
+            splits = ((slots, slots[:0], slots[:0], np.zeros(self.n, bool)),
+                      (np.flatnonzero(pair >= slots), partners, pair[partners], pair == slots))
+            for part in splits[0] + splits[1]:
+                part.flags.writeable = False
+            self._splits = splits
+        return self._splits[bool(real)]
 
     def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
         """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
@@ -380,8 +387,7 @@ class TubeTransform:
         if compute_uv:
             out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
                    np.empty((n, m if full_matrices else k, m), np.complex128)]
-        factored, partners, sources = self._split(real)
-        self_paired = real & (self.conjugate_pairing() == np.arange(n))
+        factored, partners, sources, self_paired = self._split(real)
 
         def factor(group):
             part = blocks[group].real if self_paired[group[0]] else blocks[group]
@@ -411,7 +417,7 @@ class TubeTransform:
         """
         live = np.flatnonzero(s.any(axis=0))
         k = live[-1] + 1 if live.size else 0
-        factored, partners, sources = self._split(real)
+        factored, partners, sources, _ = self._split(real)
         out = np.empty((s.shape[0], U.shape[1], Vh.shape[2]), np.result_type(U, Vh))
         out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
         out[partners] = np.conj(out[sources])

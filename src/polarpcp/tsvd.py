@@ -29,12 +29,17 @@ from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 @dataclass
 class TSVDFactors:
-    """t-SVD factor triple with an f-diagonal middle factor."""
+    """t-SVD factor triple with an f-diagonal middle factor.
+
+    moduli holds singular_moduli of the factored tensor when tsvd built the
+    factors, from the slice singular values it computed; None otherwise.
+    """
 
     U: HyperMatrix
     S: HyperMatrix
     V: HyperMatrix
     transform: TubeTransform
+    moduli: np.ndarray | None = None
 
 
 def tsvd(A, transform=None):
@@ -52,20 +57,22 @@ def tsvd(A, transform=None):
     diag = np.arange(min(l, m))
     Sh[:, diag, diag] = s
     V = T.unhat(np.conj(np.transpose(Vh, (0, 2, 1))), A.field)
-    return TSVDFactors(T.unhat(Uh, A.field), T.unhat(Sh, A.field), V, T)
+    return TSVDFactors(T.unhat(Uh, A.field), T.unhat(Sh, A.field), V, T, _tube_moduli(s, n))
 
 
 def singular_moduli(A, transform=None):
-    """Moduli of the singular tubes, sorted descending.
-
-    The i-th singular tube collects the i-th slice singular values, so its
-    modulus is sqrt(sum_b sigma_i(slice_b)^2 / n); the squares sum to the
-    squared Frobenius norm.
-    """
+    """Moduli of the singular tubes, sorted descending (tsvd(A).moduli
+    without the singular vectors)."""
     check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
-    svals = T.slice_svd(T.hat(A), A.field == REAL, compute_uv=False)
-    return np.sqrt((svals * svals).sum(axis=0) / T.n)
+    return _tube_moduli(T.slice_svd(T.hat(A), A.field == REAL, compute_uv=False), T.n)
+
+
+def _tube_moduli(svals, n):
+    """The i-th singular tube collects the i-th slice singular values of the
+    (n, k) array svals, so its modulus is sqrt(sum_b sigma_i(slice_b)^2 / n);
+    the squares sum to the squared Frobenius norm."""
+    return np.sqrt((svals * svals).sum(axis=0) / n)
 
 
 def reconstruct(F):

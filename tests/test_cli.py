@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polarpcp.hypermatrix as hm
-from polarpcp import HyperMatrix, read_pht, write_pht
+from polarpcp import HyperMatrix, TubeTransform, read_pht, singular_moduli, write_pht
 from polarpcp.cli import main
 
 from helpers import random_hypermatrix
@@ -145,6 +145,42 @@ class TestTsvdCommand:
         mods = summary["singular_moduli"]
         assert mods == sorted(mods, reverse=True)
         assert len(mods) == 4
+
+    @pytest.mark.parametrize("transform", ["dft", "skew-dft", "wht"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_summary_moduli_match_singular_moduli(self, tmp_path, transform, field):
+        A = random_hypermatrix(np.random.default_rng(4), 6, 5, 4, field)
+        path = tmp_path / "a.pht"
+        write_pht(A, path)
+        assert main(["tsvd", str(path), "--transform", transform, "--out-dir", str(tmp_path)]) == 0
+        mods = np.array(json.loads((tmp_path / "summary.json").read_text())["singular_moduli"])
+        want = singular_moduli(read_pht(path), TubeTransform.from_name(transform, 4))
+        assert np.abs(mods - want).max() <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize(
+        "field, n, calls",
+        [
+            # DFT of real 4-tubes: slices 0 and 2 are real (one batched call),
+            # slice 1 is complex (one call) and slice 3 is its conjugate.
+            ("real", 4, 2),
+            # Complex tubes have no pairing: one batched call for all 3 slices.
+            ("complex", 3, 1),
+        ],
+    )
+    def test_one_svd_per_factored_slice_group(self, tmp_path, monkeypatch, field, n, calls):
+        A = random_hypermatrix(np.random.default_rng(5), 6, 5, n, field)
+        path = tmp_path / "a.pht"
+        write_pht(A, path)
+        seen = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            seen.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert main(["tsvd", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert len(seen) == calls, seen
 
     def test_non_finite_input_is_parameter_error(self, tmp_path, capsys):
         A = HyperMatrix.zeros(3, 2, 2)

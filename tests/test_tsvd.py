@@ -257,7 +257,7 @@ class TestAlgebraOps:
             assert lhs <= rhs + 1e-9
 
 
-_GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3)}
+_GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,), 8: (2, 4)}
 
 
 @st.composite
@@ -320,3 +320,28 @@ class TestSliceSvd:
         got = T.slice_compose(U, s, Vh, real)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+class TestSplitCache:
+    @staticmethod
+    def _fresh_split(T, real):
+        pair = T.conjugate_pairing()
+        slots = list(range(T.n))
+        if not real:
+            return slots, [], [], [False] * T.n
+        partners = [b for b in slots if pair[b] < b]
+        return ([b for b in slots if pair[b] >= b], partners, [pair[b] for b in partners],
+                [pair[b] == b for b in slots])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("kind", ["dft", "skew_dft", "group_dft"])
+    def test_cached_split_is_fresh_and_read_only(self, kind, n):
+        T = TubeTransform.group_dft(_GROUP_FACTORS[n]) if kind == "group_dft" else TubeTransform(kind, n)
+        for real in (False, True):
+            cached = T._split(real)
+            assert T._split(real) is cached
+            for got, want in zip(cached, self._fresh_split(T, real), strict=True):
+                assert np.array_equal(got, np.asarray(want, dtype=got.dtype))
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0
