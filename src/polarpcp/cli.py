@@ -16,8 +16,8 @@ import numpy as np
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
 from .pht import PhtFormatError, read_pht, write_pht
-from .simlab import EMBEDDINGS, TrialSpec, run_grid, write_csv
-from .solvers import SolverConfig, pcp_ialm, tensor_rpca
+from .simlab import EMBEDDINGS, SOLVER_VARIANTS, TrialSpec, run_grid, write_csv
+from .solvers import SolverConfig, pcp_ialm
 # singular_moduli stays a cli name: perfbench/tracer.py wraps it there.
 from .tsvd import TubeTransform, singular_moduli, tsvd  # noqa: F401
 
@@ -93,9 +93,9 @@ def _cmd_decompose(args):
         tol=args.tol,
         max_iters=args.max_iters,
         transform=args.transform,
+        variant=SOLVER_VARIANTS[args.variant],
     )
-    solve = tensor_rpca if args.variant == "tensor-rpca" else pcp_ialm
-    result = solve(X, cfg)
+    result = pcp_ialm(X, cfg)
     out = Path(args.out_dir)
     write_pht(result.L, out / "L.pht")
     write_pht(result.S, out / "S.pht")

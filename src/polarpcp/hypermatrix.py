@@ -538,14 +538,9 @@ def frobenius(A):
 def unfold(A):
     """Slab isomorphism xi: real field gives [I_0 | I_1 | ... | I_{n-1}]
     (l x mn); complex field interleaves real and imaginary slabs per
-    coefficient (l x 2mn)."""
-    if A.field == REAL:
-        return np.concatenate([A.data[:, :, t] for t in range(A.n)], axis=1)
-    slabs = []
-    for t in range(A.n):
-        slabs.append(A.data[:, :, t].real)
-        slabs.append(A.data[:, :, t].imag)
-    return np.concatenate(slabs, axis=1)
+    coefficient (l x 2mn).  The result never shares memory with A."""
+    coeffs = A.data if A.field == REAL else A.data.view(np.float64)
+    return np.transpose(coeffs, (0, 2, 1)).copy().reshape(A.l, -1)
 
 
 def vec(A):

@@ -106,12 +106,11 @@ def shrink_singular_values(svals, tau, grouped=True):
     """
     if not grouped or svals.shape[0] == 1:
         return np.maximum(svals - tau, 0.0)
-    factors = _shrink_factors(np.sqrt((svals * svals).sum(axis=0)), tau)
-    return svals * factors[np.newaxis, :]
+    return tube_group_shrink(svals, tau)
 
 
 def tube_group_shrink(stack, tau):
-    """Grouped shrink of an (n, l, m) transform-domain stack where each tube
+    """Grouped shrink of an (n, ...) transform-domain stack where each tube
     (the fiber across the leading axis) is one group."""
     norms = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=0))
     return stack * _shrink_factors(norms, tau)[np.newaxis]

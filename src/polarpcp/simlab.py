@@ -39,13 +39,15 @@ from ._blas import serial_lanes, single_threaded_blas, worker_count
 from ._blas import usable_cpus as _usable_cpus
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
-from .solvers import SolverConfig, pcp_ialm, tensor_rpca
+from .solvers import FREQUENCY, TENSOR_RPCA, SolverConfig, pcp_ialm
 
 POLAR4COMPLEX = "polar4complex"
 POLAR2BICOMPLEX = "polar2bicomplex"
 EMBEDDINGS = (POLAR4COMPLEX, POLAR2BICOMPLEX)
 PARTS = ("M1", "M2")
-VARIANTS = ("polar", "tensor-rpca")
+# Grid and CLI variant names, and the solver variant each one runs.
+SOLVER_VARIANTS = {"polar": FREQUENCY, "tensor-rpca": TENSOR_RPCA}
+VARIANTS = tuple(SOLVER_VARIANTS)
 
 _GRID_FRACTIONS = tuple(round(0.02 * i, 2) for i in range(1, 11))
 
@@ -99,9 +101,11 @@ class TrialSpec:
             raise ValueError("trials must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        self.solver_config()   # a bad c, tol or max_iters raises here, not in a worker
 
     def solver_config(self):
-        return SolverConfig(c=self.c, tol=self.tol, max_iters=self.max_iters)
+        return SolverConfig(c=self.c, tol=self.tol, max_iters=self.max_iters,
+                            variant=SOLVER_VARIANTS[self.variant])
 
 
 def _instance_rng(seed, embedding, r, rho, trial, instance):
@@ -197,8 +201,7 @@ def run_trial(spec, r, rho, embedding, trial):
     ]
     (M1, L01, _), (M2, L02, _) = gens
     H = embed(M1, M2, embedding)
-    solve = tensor_rpca if spec.variant == "tensor-rpca" else pcp_ialm
-    result = solve(H, spec.solver_config())
+    result = pcp_ialm(H, spec.solver_config())
     L1, L2 = extract(result.L, embedding)
     e1 = np.linalg.norm(L1 - L01) / np.linalg.norm(L01)
     e2 = np.linalg.norm(L2 - L02) / np.linalg.norm(L02)

@@ -2,16 +2,21 @@
 
 Solves min ||L||_* + lambda ||S||_1 s.t. X = L + S over a hypercomplex
 matrix, where the trace norm sums singular-tube moduli and the l1 norm sums
-entry moduli.  Three variants:
+entry moduli.  One IALM driver (Lin, Chen & Ma, arXiv:1009.5055) runs all
+three variants; they differ only in the state the loop iterates on and in
+the pair of steps that state takes:
 
-* "naive": alternates the coefficient-domain trace-norm and l1 proxes;
-* "frequency": keeps all state in the transform domain, so one iteration
-  costs one slice-SVD kernel call plus elementwise work and tubes are only
-  transformed on entry and exit.  The kernel factors n slices, or one per
-  conjugate pair for real tubes, and the low-rank estimate is multiplied
-  back only from the singular columns that survive the shrink;
-* tensor RPCA: same loop but the low-rank step soft-thresholds each slice's
-  singular values independently (slice-wise nuclear norm, no tube grouping).
+* "frequency": the state is the transform-domain slice stack T.hat(X), so
+  tubes are transformed only on entry and exit.  The low-rank step is one
+  slice-SVD kernel call, a grouped shrink of the singular tubes and a
+  product back from the singular columns that survive it; the sparse step
+  shrinks each tube as one group.  The kernel factors n slices, or one per
+  conjugate pair for real tubes;
+* tensor RPCA: the same state and sparse step, but the low-rank step
+  soft-thresholds each slice's singular values independently (slice-wise
+  nuclear norm, no tube grouping; Lu et al., arXiv:1804.03728);
+* "naive": the state is the coefficient tensor X.data and the steps are the
+  coefficient-domain proxes prox_trace and prox_l1.
 
 lambda defaults to c/sqrt(max(l, m)) with c = 1; the dual variable starts at
 X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically from
@@ -26,8 +31,10 @@ serially inside run_grid's trials.  Results do not depend on either count.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,8 +68,9 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and (not (value > 0) or not math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer >= 1")
         if not (self.rho_mu > 1) or not math.isfinite(self.rho_mu):
             raise ValueError("rho_mu must be finite and exceed 1")
         if self.variant not in (NAIVE, FREQUENCY, TENSOR_RPCA):
@@ -104,41 +112,20 @@ def residual(X, L, S):
 def mu_schedule(X, cfg=None):
     """Geometric penalty sequence mu_0, mu_0*rho, mu_0*rho^2, ..."""
     cfg = cfg or SolverConfig()
-    if cfg.mu0 is not None:
-        mu0 = cfg.mu0
-    else:
-        sn = hm.spectral_norm(X, cfg.resolve_transform(X.n))
-        if sn <= 0:
+    specnorm = None
+    if cfg.mu0 is None:
+        specnorm = hm.spectral_norm(X, cfg.resolve_transform(X.n))
+        if specnorm <= 0:
             raise ValueError("mu schedule undefined for a zero matrix")
-        mu0 = cfg.mu0_scale / sn
-    return _geometric(mu0, cfg.rho_mu)
+    return _geometric(cfg, specnorm)
 
 
-def _geometric(mu0, rho):
-    mu = mu0
+def _geometric(cfg, specnorm):
+    """mu_k = mu_0 rho_mu^k with mu_0 = cfg.mu0, or mu0_scale / ||X||_2."""
+    mu = cfg.mu0 if cfg.mu0 is not None else cfg.mu0_scale / specnorm
     while True:
         yield mu
-        mu *= rho
-
-
-def _check_input(X):
-    if not isinstance(X, HyperMatrix):
-        raise TypeError("solver input must be a HyperMatrix")
-    hm.check_finite(X, "solver input")
-
-
-def _trivial_result(X, lam):
-    zero = HyperMatrix.zeros(X.l, X.m, X.n, X.field)
-    return PcpResult(
-        L=zero,
-        S=zero.copy(),
-        iterations=1,
-        residual_history=np.array([0.0]),
-        converged=True,
-        lam=lam,
-        mu_history=np.array([]),
-        stats={"slice_svds": 0, "setup_slice_svds": 0, "tube_transforms": 0},
-    )
+        mu *= cfg.rho_mu
 
 
 def pcp_ialm(X, cfg=None):
@@ -146,131 +133,85 @@ def pcp_ialm(X, cfg=None):
 
     Iterates L <- prox_trace(X - S + Y/mu, 1/mu), S <- prox_l1(X - L + Y/mu,
     lam/mu), Y <- Y + mu (X - L - S) with geometric mu, stopping when the
-    relative residual drops below cfg.tol.  Non-convergence is reported via
-    the converged flag, not an exception.
+    relative residual drops below cfg.tol.  cfg.variant picks the state and
+    the pair of steps (see the module docstring).  Non-convergence is
+    reported via the converged flag, not an exception.
     """
     cfg = cfg or SolverConfig()
-    _check_input(X)
-    if cfg.variant == TENSOR_RPCA:
-        return tensor_rpca(X, cfg)
+    if not isinstance(X, HyperMatrix):
+        raise TypeError("solver input must be a HyperMatrix")
+    hm.check_finite(X, "solver input")
+    lam = cfg.lam(X)
     if not X.data.any():
-        return _trivial_result(X, cfg.lam(X))
+        zero = HyperMatrix.zeros(X.l, X.m, X.n, X.field)
+        return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
+                         {"slice_svds": 0, "setup_slice_svds": 0, "tube_transforms": 0})
+    T = cfg.resolve_transform(X.n)
+    real = X.field == REAL
+
+    if cfg.variant == NAIVE:
+        def low_rank(Z, mu):
+            return prox_trace(HyperMatrix(Z, X.field), 1.0 / mu, T).data
+
+        def sparse(Z, mu):
+            return prox_l1(HyperMatrix(Z, X.field), lam / mu).data
+
+        def leave(A):
+            return HyperMatrix(A, X.field)
+    else:
+        grouped = cfg.variant == FREQUENCY
+        sqrt_n = math.sqrt(X.n)
+
+        def low_rank(Z, mu):
+            U, s, Vh = T.slice_svd(Z, real)
+            s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
+            return T.slice_compose(U, s, Vh, real)
+
+        def sparse(Z, mu):
+            return tube_group_shrink(Z, lam * sqrt_n / mu)
+
+        def leave(A):
+            return T.unhat(A, X.field)
+
+    transforms = sum(TubeTransform.call_counts())
+    history, mu_hist = [], []
     with owned_cores():
+        D = T.hat(X)
+        specnorm = float(T.slice_svd(D, real, compute_uv=False).max())
         if cfg.variant == NAIVE:
-            return _ialm_naive(X, cfg)
-        return _ialm_frequency(X, cfg, grouped=True)
+            D = X.data
+        Y = D / max(specnorm, hm.max_modulus(X) / lam)   # Y_1 is proportional to X
+        S = np.zeros_like(D)
+        Dnorm = np.linalg.norm(D)
+        for mu in itertools.islice(_geometric(cfg, specnorm), cfg.max_iters):
+            L = low_rank(D - S + Y / mu, mu)
+            S = sparse(D - L + Y / mu, mu)
+            R = D - L - S
+            Y = Y + mu * R
+            history.append(float(np.linalg.norm(R) / Dnorm))
+            mu_hist.append(mu)
+            if history[-1] < cfg.tol:
+                break
+        L, S = leave(L), leave(S)
+
+    slices = T.factored_slices(real)
+    return PcpResult(
+        L=L,
+        S=S,
+        iterations=len(history),
+        residual_history=np.array(history),
+        converged=history[-1] < cfg.tol,
+        lam=lam,
+        mu_history=np.array(mu_hist),
+        stats={
+            "slice_svds": slices * len(history),
+            "setup_slice_svds": slices,
+            "tube_transforms": sum(TubeTransform.call_counts()) - transforms,
+        },
+    )
 
 
 def tensor_rpca(X, cfg=None):
     """Tensor RPCA baseline: slice-wise singular value thresholding for the
     low-rank step, identical sparse step."""
-    cfg = cfg or SolverConfig()
-    _check_input(X)
-    if not X.data.any():
-        return _trivial_result(X, cfg.lam(X))
-    with owned_cores():
-        return _ialm_frequency(X, cfg, grouped=False)
-
-
-def _dual_scale(lam, specnorm, maxmod):
-    return max(specnorm, maxmod / lam)
-
-
-def _ialm_frequency(X, cfg, grouped):
-    T = cfg.resolve_transform(X.n)
-    real = X.field == REAL
-    lam = cfg.lam(X)
-    sqrt_n = math.sqrt(X.n)
-    maxmod = hm.max_modulus(X)
-
-    Xhat = T.hat(X)
-    specnorm = float(T.slice_svd(Xhat, real, compute_uv=False).max())
-    Yhat = Xhat / _dual_scale(lam, specnorm, maxmod)   # Y_1 is proportional to X
-    Shat = np.zeros_like(Xhat)
-    Lhat = np.zeros_like(Xhat)
-    Xnorm = np.linalg.norm(Xhat)
-
-    mus = _geometric(cfg.mu0 if cfg.mu0 is not None else cfg.mu0_scale / specnorm,
-                     cfg.rho_mu)
-    history, mu_hist = [], []
-    converged = False
-    iterations = 0
-    for mu in mus:
-        if iterations >= cfg.max_iters:
-            break
-        iterations += 1
-        Zhat = Xhat - Shat + Yhat / mu
-        U, s, Vh = T.slice_svd(Zhat, real)
-        s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
-        Lhat = T.slice_compose(U, s, Vh, real)
-        Shat = tube_group_shrink(Xhat - Lhat + Yhat / mu, lam * sqrt_n / mu)
-        Rhat = Xhat - Lhat - Shat
-        Yhat = Yhat + mu * Rhat
-        r = float(np.linalg.norm(Rhat) / Xnorm)
-        history.append(r)
-        mu_hist.append(mu)
-        if r < cfg.tol:
-            converged = True
-            break
-
-    slices = T.factored_slices(real)
-    return PcpResult(
-        L=T.unhat(Lhat, X.field),
-        S=T.unhat(Shat, X.field),
-        iterations=iterations,
-        residual_history=np.array(history),
-        converged=converged,
-        lam=lam,
-        mu_history=np.array(mu_hist),
-        stats={
-            "slice_svds": slices * iterations,
-            "setup_slice_svds": slices,
-            "tube_transforms": 3,   # forward X, inverse L and S
-        },
-    )
-
-
-def _ialm_naive(X, cfg):
-    T = cfg.resolve_transform(X.n)
-    lam = cfg.lam(X)
-    specnorm = hm.spectral_norm(X, T)
-    Y = X / _dual_scale(lam, specnorm, hm.max_modulus(X))
-    S = HyperMatrix.zeros(X.l, X.m, X.n, X.field)
-    L = S.copy()
-    Xnorm = hm.frobenius(X)
-
-    mus = _geometric(cfg.mu0 if cfg.mu0 is not None else cfg.mu0_scale / specnorm,
-                     cfg.rho_mu)
-    history, mu_hist = [], []
-    converged = False
-    iterations = 0
-    for mu in mus:
-        if iterations >= cfg.max_iters:
-            break
-        iterations += 1
-        L = prox_trace(X - S + Y / mu, 1.0 / mu, T)
-        S = prox_l1(X - L + Y / mu, lam / mu)
-        R = X - L - S
-        Y = Y + R * mu
-        r = hm.frobenius(R) / Xnorm
-        history.append(r)
-        mu_hist.append(mu)
-        if r < cfg.tol:
-            converged = True
-            break
-
-    slices = T.factored_slices(X.field == REAL)
-    return PcpResult(
-        L=L,
-        S=S,
-        iterations=iterations,
-        residual_history=np.array(history),
-        converged=converged,
-        lam=lam,
-        mu_history=np.array(mu_hist),
-        stats={
-            "slice_svds": slices * iterations,
-            "setup_slice_svds": slices,
-            "tube_transforms": 2 * iterations + 1,  # per-iteration prox round trips
-        },
-    )
+    return pcp_ialm(X, replace(cfg or SolverConfig(), variant=TENSOR_RPCA))

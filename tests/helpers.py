@@ -4,14 +4,19 @@ Everything here is deliberately independent of the package's fast paths:
 convolutions are direct double loops, adjoints are assembled blockwise,
 reference solvers are plain-numpy IALM, and the PHT codec formats and parses
 one value at a time, so the library is checked against code that cannot
-share its bugs.
+share its bugs.  ialm_frequency_reference is the transform-domain IALM loop
+as it stood before the solver variants shared one driver; the driver must
+reproduce it bit for bit.
 """
 
+import math
 import os
 
 import numpy as np
 
-from polarpcp import COMPLEX, REAL, HyperMatrix, PhtFormatError, PolarScalar
+import polarpcp.hypermatrix as hm
+from polarpcp import COMPLEX, REAL, HyperMatrix, PcpResult, PhtFormatError, PolarScalar
+from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 
 def random_tube(rng, n, field):
@@ -90,6 +95,73 @@ def reference_pcp(X, lam, tol=1e-7, max_iters=1000, rho=1.5):
             break
         mu *= rho
     return L, S, history
+
+
+def _dual_scale(lam, specnorm, maxmod):
+    return max(specnorm, maxmod / lam)
+
+
+def _geometric(mu0, rho):
+    mu = mu0
+    while True:
+        yield mu
+        mu *= rho
+
+
+def ialm_frequency_reference(X, cfg, grouped):
+    """Transform-domain IALM with its own loop: grouped=True is polar PCP,
+    grouped=False is tensor RPCA."""
+    T = cfg.resolve_transform(X.n)
+    real = X.field == REAL
+    lam = cfg.lam(X)
+    sqrt_n = math.sqrt(X.n)
+    maxmod = hm.max_modulus(X)
+
+    Xhat = T.hat(X)
+    specnorm = float(T.slice_svd(Xhat, real, compute_uv=False).max())
+    Yhat = Xhat / _dual_scale(lam, specnorm, maxmod)   # Y_1 is proportional to X
+    Shat = np.zeros_like(Xhat)
+    Lhat = np.zeros_like(Xhat)
+    Xnorm = np.linalg.norm(Xhat)
+
+    mus = _geometric(cfg.mu0 if cfg.mu0 is not None else cfg.mu0_scale / specnorm,
+                     cfg.rho_mu)
+    history, mu_hist = [], []
+    converged = False
+    iterations = 0
+    for mu in mus:
+        if iterations >= cfg.max_iters:
+            break
+        iterations += 1
+        Zhat = Xhat - Shat + Yhat / mu
+        U, s, Vh = T.slice_svd(Zhat, real)
+        s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
+        Lhat = T.slice_compose(U, s, Vh, real)
+        Shat = tube_group_shrink(Xhat - Lhat + Yhat / mu, lam * sqrt_n / mu)
+        Rhat = Xhat - Lhat - Shat
+        Yhat = Yhat + mu * Rhat
+        r = float(np.linalg.norm(Rhat) / Xnorm)
+        history.append(r)
+        mu_hist.append(mu)
+        if r < cfg.tol:
+            converged = True
+            break
+
+    slices = T.factored_slices(real)
+    return PcpResult(
+        L=T.unhat(Lhat, X.field),
+        S=T.unhat(Shat, X.field),
+        iterations=iterations,
+        residual_history=np.array(history),
+        converged=converged,
+        lam=lam,
+        mu_history=np.array(mu_hist),
+        stats={
+            "slice_svds": slices * iterations,
+            "setup_slice_svds": slices,
+            "tube_transforms": 3,   # forward X, inverse L and S
+        },
+    )
 
 
 def write_pht_per_value(A, path):

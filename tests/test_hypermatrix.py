@@ -266,6 +266,27 @@ class TestNormsAndIsomorphisms:
         A, (a0, a1, b0, b1, c0, c1, d0, d1) = table_matrix()
         expected = np.array([[a0, c0, a1, c1], [b0, d0, b1, d1]])
         assert np.array_equal(hm.unfold(A), expected)
+        # complex coefficients: real and imaginary slab of each index in turn
+        B = HyperMatrix(A.data + 1j * (A.data + 10.0))
+        expected = np.array(
+            [
+                [a0, c0, a0 + 10, c0 + 10, a1, c1, a1 + 10, c1 + 10],
+                [b0, d0, b0 + 10, d0 + 10, b1, d1, b1 + 10, d1 + 10],
+            ]
+        )
+        assert np.array_equal(hm.unfold(B), expected)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_unfold_matches_slab_concatenation(self, field):
+        rng = np.random.default_rng(18)
+        for l, m, n in ((1, 1, 1), (3, 4, 1), (2, 5, 3), (4, 1, 4)):
+            A = random_hypermatrix(rng, l, m, n, field)
+            slabs = [A.data[:, :, t] for t in range(n)]
+            if field == COMPLEX:
+                slabs = [part for slab in slabs for part in (slab.real, slab.imag)]
+            out = hm.unfold(A)
+            assert np.array_equal(out, np.concatenate(slabs, axis=1))
+            assert out.flags.c_contiguous and not np.shares_memory(out, A.data)
 
     def test_spectral_norm_identity(self):
         assert hm.spectral_norm(HyperMatrix.identity(4, 3)) == pytest.approx(1.0)

@@ -16,6 +16,7 @@ from polarpcp import (
     singular_moduli,
     soft_threshold_real,
 )
+from polarpcp.prox import shrink_singular_values
 
 from helpers import random_hypermatrix
 
@@ -136,6 +137,32 @@ class TestProxL1:
     def test_negative_threshold(self):
         with pytest.raises(ValueError):
             prox_l1(HyperMatrix.zeros(1, 1, 2), -1.0)
+
+
+class TestShrinkSingularValues:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_grouped_bitwise_equals_group_formula(self, n):
+        rng = np.random.default_rng(40 + n)
+        s = np.abs(rng.standard_normal((n, 9)))
+        s[:, 4] = 0.0                      # a zero group maps to zero
+        s[:, 6] *= 1e-3                    # a group below the threshold
+        tau = 0.9
+        norms = np.sqrt((s * s).sum(axis=0))
+        safe = np.where(norms > 0, norms, 1.0)
+        expected = s * np.where(norms > 0, np.maximum(1.0 - tau / safe, 0.0), 0.0)
+        got = shrink_singular_values(s, tau)
+        assert got.tobytes() == expected.tobytes()
+        assert not got[:, 4].any() and not got[:, 6].any()
+
+    def test_single_slice_is_plain_soft_threshold(self):
+        s = np.array([[3.0, 1.0, 0.25, 0.0]])
+        for grouped in (True, False):
+            assert shrink_singular_values(s, 0.5, grouped).tolist() == [[2.5, 0.5, 0.0, 0.0]]
+
+    def test_ungrouped_thresholds_each_value(self):
+        s = np.array([[3.0, 0.2], [0.4, 2.0]])
+        out = shrink_singular_values(s, 0.5, grouped=False)
+        assert out.tolist() == [[2.5, 0.0], [0.0, 1.5]]
 
 
 class TestProxTrace:

@@ -130,6 +130,25 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(variant="exact-alm")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tol": -1.0, "max_iters": 0}, {"tol": -1.0}, {"tol": math.nan},
+            {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
+            {"c": 0.0}, {"c": math.inf},
+        ],
+        ids=repr,
+    )
+    def test_solver_parameters_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            TrialSpec(**kwargs)
+
+    @pytest.mark.parametrize("variant,solver", [("polar", "frequency"),
+                                                ("tensor-rpca", "tensor_rpca")])
+    def test_solver_config_carries_the_variant(self, variant, solver):
+        cfg = TrialSpec(variant=variant, c=0.5, tol=1e-6, max_iters=40).solver_config()
+        assert (cfg.variant, cfg.c, cfg.tol, cfg.max_iters) == (solver, 0.5, 1e-6, 40)
+
 
 class TestRunTrial:
     def test_easy_regime_succeeds(self):

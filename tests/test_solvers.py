@@ -19,7 +19,7 @@ from polarpcp import (
     tensor_rpca,
 )
 
-from helpers import random_hypermatrix, reference_pcp
+from helpers import ialm_frequency_reference, random_hypermatrix, reference_pcp
 
 
 class TestResidual:
@@ -85,6 +85,8 @@ class TestSolverConfig:
             {"mu0": math.nan}, {"mu0": math.inf}, {"mu0": 0.0},
             {"mu0_scale": math.nan}, {"mu0_scale": 0.0}, {"mu0_scale": -1.25},
             {"rho_mu": math.nan}, {"rho_mu": math.inf},
+            {"max_iters": math.nan}, {"max_iters": math.inf}, {"max_iters": 2.5},
+            {"max_iters": 10.0}, {"max_iters": True}, {"max_iters": -3},
             {"transform": "bogus"}, {"transform": "group_dft"},
         ],
         ids=repr,
@@ -92,6 +94,9 @@ class TestSolverConfig:
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_accepts_numpy_integer_max_iters(self):
+        assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -226,6 +231,40 @@ class TestTensorRpca:
         assert np.array_equal(via_cfg.L.data, direct.L.data)
 
 
+_ORACLE_CASES = [
+    (transform, n, field)
+    for transform, sizes in (("dft", (1, 2, 3, 4)), ("skew-dft", (1, 2, 3, 4)), ("wht", (1, 2, 4)))
+    for n in sizes
+    for field in (REAL, COMPLEX)
+]
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor_rpca"])
+    @pytest.mark.parametrize("transform,n,field", _ORACLE_CASES)
+    def test_bitwise_equal_to_frequency_reference(self, transform, n, field, grouped):
+        rng = np.random.default_rng(_ORACLE_CASES.index((transform, n, field)))
+        X, _, _ = _low_rank_plus_sparse(rng, 12, 10, n, field, 2, 0.05)
+        cfg = SolverConfig(transform=transform)
+        res = pcp_ialm(X, cfg) if grouped else tensor_rpca(X, cfg)
+        ref = ialm_frequency_reference(X, cfg, grouped)
+        assert res.iterations == ref.iterations
+        assert res.converged == ref.converged
+        assert np.array_equal(res.L.data, ref.L.data)
+        assert np.array_equal(res.S.data, ref.S.data)
+        assert np.array_equal(res.residual_history, ref.residual_history)
+        assert np.array_equal(res.mu_history, ref.mu_history)
+        assert res.stats == ref.stats
+
+    def test_max_iters_stops_the_reference_too(self):
+        rng = np.random.default_rng(16)
+        X, _, _ = _low_rank_plus_sparse(rng, 12, 10, 2, COMPLEX, 2, 0.05)
+        cfg = SolverConfig(max_iters=3)
+        res, ref = pcp_ialm(X, cfg), ialm_frequency_reference(X, cfg, True)
+        assert res.iterations == ref.iterations == 3 and not res.converged
+        assert np.array_equal(res.L.data, ref.L.data)
+
+
 class TestInstrumentation:
     def test_frequency_state_stays_in_transform_domain(self):
         rng = np.random.default_rng(13)
@@ -260,6 +299,7 @@ class TestInstrumentation:
 
         assert long_calls > short_calls
         assert long_calls == 2 * res.iterations + 1  # prox round trips + setup
+        assert res.stats["tube_transforms"] == long_calls
 
     def test_call_counts_are_per_thread(self):
         rng = np.random.default_rng(15)
