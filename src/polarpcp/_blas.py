@@ -1,4 +1,4 @@
-"""One owner for CPU parallelism: scoped single-threaded BLAS and solve lanes.
+"""One owner for CPU parallelism: scoped single-threaded BLAS and lanes.
 
 numpy's OpenBLAS keeps one thread count for the whole process: even its
 "local" setter changes what the other threads see.  So the BLAS scope below
@@ -7,12 +7,11 @@ and sets it to 1; the last one to leave restores the saved count, on
 exception too.  Builds without OpenBLAS thread controls (MKL, Accelerate,
 reference BLAS, Windows) leave the count alone.
 
-Parallelism comes from the program instead of from BLAS.  run_grid runs its
-trials on a pool, and a single solve runs its independent slice SVDs on
-lanes (run_lanes): the calling thread plus pool threads that live as long as
-the solve's owned_cores() scope.  Both are sized by worker_count, the one
-reader of POLARPCP_THREADS.  Inside serial_lanes() (run_grid's trials, which
-already own a core each) every lane task runs on the calling thread.
+Parallelism comes from the program instead of from BLAS, through one lane
+pool: owned_cores() reads POLARPCP_THREADS once and run_lanes runs tasks on
+the calling thread plus pool threads that live as long as the scope.  A
+grid's trials and a solve's slice SVDs use the same lanes, and work started
+by a task on a lane stays on that lane.
 """
 
 from __future__ import annotations
@@ -37,14 +36,14 @@ _lock = threading.Lock()
 _holders = 0
 _restore = None  # (setter, saved count) while the scope is held
 
-# Lane tasks smaller than this many multiply-adds run on the calling thread:
-# handing them to a pool thread costs more than it saves.  Measured on 2
-# cores, two lanes break even on a real 4-tube's slice SVDs at about 32x32
-# slices and win reliably from 64x64 (a third less time at 100x100).
+# slice_svd factors slices smaller than this many multiply-adds on the
+# calling thread: handing them to a lane costs more than it saves.  Measured
+# on 2 cores, two lanes break even on a real 4-tube's slice SVDs at about
+# 32x32 slices and win reliably from 64x64 (a third less time at 100x100).
 LANE_MIN_WORK = 64**3
 
 # Per thread: .lanes, the _Lanes of the enclosing owned_cores() scope, and
-# .serial, set inside serial_lanes().
+# .on_lane, set while the thread runs run_lanes tasks.
 _local = threading.local()
 
 
@@ -111,36 +110,39 @@ def usable_cpus():
     return os.cpu_count() or 1
 
 
-def worker_count(jobs, cpus):
-    """min(POLARPCP_THREADS, cpus, jobs), at least 1; the variable defaults to cpus."""
+def _lane_count():
+    """min(POLARPCP_THREADS, usable CPUs); the variable defaults to the CPUs."""
+    cpus = usable_cpus()
     env = os.environ.get("POLARPCP_THREADS")
-    size = cpus
-    if env is not None:
-        try:
-            size = int(env)
-        except ValueError:
-            size = 0
-        if size < 1:
-            raise ValueError(f"POLARPCP_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(size, cpus, jobs))
+    if env is None:
+        return cpus
+    try:
+        size = int(env)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise ValueError(f"POLARPCP_THREADS must be a positive integer, got {env!r}")
+    return min(size, cpus)
 
 
 class _Lanes:
-    """The pool threads of one owned_cores() scope, started on first use."""
+    """The lane count of one owned_cores() scope and its pool threads,
+    started on first use."""
 
     def __init__(self):
+        self.count = _lane_count()
         self.pool = None
 
     def executor(self):
         if self.pool is None:
-            self.pool = ThreadPoolExecutor(max_workers=usable_cpus())
+            self.pool = ThreadPoolExecutor(max_workers=self.count - 1)
         return self.pool
 
     def close(self):
         if self.pool is not None:
             self.pool.shutdown()
             # A lane thread's malloc arena keeps the blocks it freed; hand
-            # them back so that successive solves do not stack them up.
+            # them back so that successive scopes do not stack them up.
             trim = _malloc_trim()
             if trim is not None:
                 trim(0)
@@ -148,13 +150,13 @@ class _Lanes:
 
 @contextmanager
 def owned_cores():
-    """Scope of one solve on the calling thread.
+    """Scope in which the calling thread owns the cores.
 
     BLAS runs on one thread, and run_lanes may add pool threads that stop
-    when the outermost scope on this thread ends.  Inner scopes share the
-    outer one's lanes.
+    when the outermost scope on this thread ends.  Inner scopes, and scopes
+    opened by a task running on a lane, share the outer one's lanes.
     """
-    if getattr(_local, "lanes", None) is not None:
+    if getattr(_local, "lanes", None) is not None or getattr(_local, "on_lane", False):
         yield
         return
     lanes = _local.lanes = _Lanes()
@@ -166,43 +168,34 @@ def owned_cores():
         lanes.close()
 
 
-@contextmanager
-def serial_lanes():
-    """Run every run_lanes task on the calling thread, for workers that
-    already own a core each."""
-    previous = getattr(_local, "serial", False)
-    _local.serial = True
-    try:
-        yield
-    finally:
-        _local.serial = previous
-
-
-def run_lanes(tasks, work):
-    """Call every task on min(POLARPCP_THREADS, usable CPUs, tasks) lanes;
-    the caller must be inside owned_cores().
+def run_lanes(tasks):
+    """Call every task on min(scope lanes, tasks) lanes; the caller must be
+    inside owned_cores().
 
     The calling thread is one lane and the scope's pool threads are the
     others.  Each lane takes the next task in list order, so callers put
-    the largest first.  Tasks must not depend on which lane runs them.
-    work estimates the largest task's multiply-adds; small tasks, and all
-    tasks inside serial_lanes(), run on the calling thread alone.
+    the largest first.  Tasks must not depend on which lane runs them.  A
+    task running on a lane runs its own nested run_lanes on its thread.
     """
-    lanes = worker_count(len(tasks), usable_cpus())
-    if lanes == 1 or work < LANE_MIN_WORK or getattr(_local, "serial", False):
+    if getattr(_local, "on_lane", False):
         for task in tasks:
             task()
         return
+    lanes = min(_local.lanes.count, len(tasks))
     pending = iter(tasks)
     take = threading.Lock()
 
     def lane():
-        while True:
-            with take:
-                task = next(pending, None)
-            if task is None:
-                return
-            task()
+        _local.on_lane = True
+        try:
+            while True:
+                with take:
+                    task = next(pending, None)
+                if task is None:
+                    return
+                task()
+        finally:
+            _local.on_lane = False
 
     futures = [_local.lanes.executor().submit(lane) for _ in range(lanes - 1)]
     try:

@@ -373,9 +373,7 @@ class TubeTransform:
         self-paired one, and the partner gets the conjugated factors.
 
         Slices of at least _blas.LANE_MIN_WORK multiply-adds are one task
-        each for _blas.run_lanes, complex slices first: the tasks run on
-        min(POLARPCP_THREADS, usable CPUs, tasks) lanes with BLAS on one
-        thread, or serially inside run_grid's trials.  Smaller slices are
+        each for _blas.run_lanes, complex slices first.  Smaller slices are
         factored on the calling thread in one batched call per kind, which
         costs less than one call per slice.  A batched call gives each slice
         the bits of a call of its own, so the result does not depend on the
@@ -398,11 +396,13 @@ class TubeTransform:
         # A real slice costs about half a complex one, so complex ones go first.
         groups = [g for g in (factored[~self_paired[factored]], factored[self_paired[factored]])
                   if len(g)]
-        work = l * m * k
-        if work >= _blas.LANE_MIN_WORK:
-            groups = [g[i:i + 1] for g in groups for i in range(len(g))]
         with _blas.owned_cores():
-            _blas.run_lanes([functools.partial(factor, g) for g in groups], work)
+            if l * m * k < _blas.LANE_MIN_WORK:
+                for g in groups:
+                    factor(g)
+            else:
+                _blas.run_lanes([functools.partial(factor, g[i:i + 1])
+                                 for g in groups for i in range(len(g))])
         for dst in out:
             dst[partners] = np.conj(dst[sources])
         return tuple(out) if compute_uv else out[0]

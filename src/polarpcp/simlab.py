@@ -10,36 +10,28 @@ fractions as CSV.
 
 All randomness is derived from (base seed, embedding, rank, density, trial,
 instance) through counter-based Philox streams, so results are reproducible
-and independent of the worker-pool size.  The pool has
-min(POLARPCP_THREADS, usable CPUs, trials in the grid) workers;
-POLARPCP_THREADS defaults to the usable CPUs and must be a positive integer.
-
-The pool owns the cores: run_grid runs its trials on single-threaded BLAS
-and restores the caller's BLAS thread count when it returns or raises.  The
-count is process-wide, so other threads of the caller's process also see
-single-threaded BLAS while a grid runs.  Each trial runs its slice SVDs on
-its own thread, with no solve lanes.  Outside a grid, a single solve
-(pcp_ialm, tensor_rpca) owns the cores in the same way: one BLAS thread and
-min(POLARPCP_THREADS, usable CPUs, factored slices) lanes for its slice
-SVDs of 64x64 and up.  Only OpenBLAS builds are pinned; on other BLAS builds the pinning
-does nothing.
+and independent of the lane count.  run_grid runs its trials on the lanes
+of _blas.owned_cores(): min(POLARPCP_THREADS, usable CPUs, trials) threads
+with BLAS on one thread, the caller's count restored when it returns or
+raises.  The count is process-wide, so other threads of the process also
+see single-threaded BLAS while a grid runs.  Each trial's slice SVDs stay
+on the trial's lane.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import serial_lanes, single_threaded_blas, worker_count
-from ._blas import usable_cpus as _usable_cpus
+from ._blas import owned_cores, run_lanes
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
-from .solvers import FREQUENCY, TENSOR_RPCA, SolverConfig, pcp_ialm
+from .solvers import FREQUENCY, TENSOR_RPCA, SolverConfig, _is_int, pcp_ialm
 
 POLAR4COMPLEX = "polar4complex"
 POLAR2BICOMPLEX = "polar2bicomplex"
@@ -69,21 +61,23 @@ class TrialSpec:
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        if not _is_int(self.m) or self.m < 1:
+            raise ValueError("m must be an integer >= 1")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
         if self.ranks is None:
             object.__setattr__(
                 self, "ranks", tuple(max(1, round(f * self.m)) for f in _GRID_FRACTIONS)
             )
         if self.rhos is None:
             object.__setattr__(self, "rhos", _GRID_FRACTIONS)
+        for r in self.ranks:
+            if not _is_int(r) or not 0 < r <= self.m:
+                raise ValueError(f"rank {r!r} is not an integer in (0, m={self.m}]")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        for r in self.ranks:
-            if not 0 < r <= self.m:
-                raise ValueError(f"rank {r} outside (0, m={self.m}]")
         for rho in self.rhos:
             if not 0.0 <= rho <= 1.0:
                 raise ValueError(f"density {rho} outside [0, 1]")
@@ -97,11 +91,9 @@ class TrialSpec:
                 raise ValueError(f"unknown embedding {emb!r}")
         if not self.embeddings:
             raise ValueError("at least one embedding is required")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        self.solver_config()   # a bad c, tol or max_iters raises here, not in a worker
+        self.solver_config()   # a bad c, tol or max_iters raises here, not in a trial
 
     def solver_config(self):
         return SolverConfig(c=self.c, tol=self.tol, max_iters=self.max_iters,
@@ -241,47 +233,28 @@ class GridResult:
 def run_grid(spec):
     """Run every (embedding, rank, density) cell of the grid.
 
-    Trials execute on a thread pool of min(POLARPCP_THREADS, usable CPUs,
-    trials in the grid) workers; aggregation order is fixed by the cell and
-    trial indices, so the output is independent of scheduling.  The pool
-    owns the cores, so the trials run on single-threaded BLAS and the
-    caller's BLAS thread count is restored when the grid returns or raises.
-    While a grid runs, other threads of the process also see single-threaded
-    BLAS.  Only OpenBLAS builds are pinned; other BLAS builds are left as
-    they are.  Each trial runs inside _blas.serial_lanes(), so its slice
-    SVDs stay on the trial's thread instead of adding solve lanes.
+    Each trial is one task for _blas.run_lanes.  Outcomes are stored and
+    aggregated by cell and trial index, so the output does not depend on
+    which lane ran which trial.
     """
     cells = [
         (emb, r, rho) for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos
     ]
     jobs = [(cell, t) for cell in cells for t in range(spec.trials)]
-    workers = worker_count(len(jobs), _usable_cpus())
+    finished = [None] * len(jobs)
 
-    def work(job):
-        (emb, r, rho), t = job
+    def work(index):
+        (emb, r, rho), t = jobs[index]
         start = time.perf_counter()
-        with serial_lanes():
-            outcome = run_trial(spec, r, rho, emb, t)
-        return job, outcome, time.perf_counter() - start
+        outcome = run_trial(spec, r, rho, emb, t)
+        finished[index] = (outcome, time.perf_counter() - start)
 
-    with single_threaded_blas():
-        if workers == 1:
-            finished = [work(job) for job in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                finished = list(pool.map(work, jobs))
-    results = {}
-    runtimes = {}
-    for job, outcome, elapsed in finished:
-        cell, t = job
-        results[(cell, t)] = outcome
-        runtimes[cell] = runtimes.get(cell, 0.0) + elapsed
-
+    with owned_cores():
+        run_lanes([functools.partial(work, i) for i in range(len(jobs))])
     out = []
-    for cell in cells:
-        emb, r, rho = cell
-        outcomes = tuple(results[(cell, t)] for t in range(spec.trials))
-        out.append(CellResult(emb, r, rho, outcomes, runtimes[cell]))
+    for i, (emb, r, rho) in enumerate(cells):
+        done = finished[i * spec.trials:(i + 1) * spec.trials]
+        out.append(CellResult(emb, r, rho, tuple(o for o, _ in done), sum(e for _, e in done)))
     return GridResult(spec, tuple(out))
 
 

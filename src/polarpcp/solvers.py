@@ -25,8 +25,8 @@ theory requires.
 
 A solve owns the cores: it runs with BLAS on one thread (the caller's count
 is restored when it returns or raises), and its slice SVDs of 64x64 and
-up run on min(POLARPCP_THREADS, usable CPUs, factored slices) lanes, or
-serially inside run_grid's trials.  Results do not depend on either count.
+up run on min(POLARPCP_THREADS, usable CPUs, factored slices) lanes, or on
+the trial's lane inside run_grid.  Results do not depend on either count.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ FREQUENCY = "frequency"
 TENSOR_RPCA = "tensor_rpca"
 
 
+def _is_int(value):
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverConfig:
     """Parameters shared by all solver variants."""
@@ -68,8 +73,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and (not (value > 0) or not math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
+        if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
         if not (self.rho_mu > 1) or not math.isfinite(self.rho_mu):
             raise ValueError("rho_mu must be finite and exceed 1")
@@ -77,11 +81,19 @@ class SolverConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.transform not in TubeTransform.NAMES:
             raise ValueError(f"unknown transform {self.transform!r}")
+        factors = self.transform_factors
+        if factors is not None and (not isinstance(factors, tuple) or not factors
+                                    or not all(_is_int(f) and f >= 1 for f in factors)):
+            raise ValueError("transform_factors must be a non-empty tuple of integers >= 1")
 
     def resolve_transform(self, n):
-        if self.transform_factors is not None:
-            return TubeTransform.group_dft(self.transform_factors)
-        return TubeTransform.from_name(self.transform, n)
+        if self.transform_factors is None:
+            return TubeTransform.from_name(self.transform, n)
+        product = math.prod(self.transform_factors)
+        if product != n:
+            raise ValueError(f"transform_factors {self.transform_factors} have product "
+                             f"{product}, not the tube length {n}")
+        return TubeTransform.group_dft(self.transform_factors)
 
     def lam(self, X):
         return self.c / math.sqrt(max(X.l, X.m))

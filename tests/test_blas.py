@@ -1,5 +1,5 @@
 """Scope of single_threaded_blas and its use around run_grid's trials and
-single solves, and the solve lanes of run_lanes."""
+single solves, and the lanes of run_lanes that both share."""
 
 import functools
 import sys
@@ -11,9 +11,12 @@ import pytest
 import polarpcp._blas as blas
 import polarpcp.simlab as simlab
 from polarpcp import (
+    REAL,
     GridResult,
+    HyperMatrix,
     SolverConfig,
     TrialSpec,
+    TubeTransform,
     embed,
     gen_low_rank_sparse,
     pcp_ialm,
@@ -125,7 +128,7 @@ class TestRunGridScope:
             return TrialOutcome(0.0, 0.0)
 
         monkeypatch.setenv("POLARPCP_THREADS", threads)
-        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
         monkeypatch.setattr(simlab, "run_trial", recording_trial)
         run_grid(_tiny_spec(trials=3))
         assert seen == [1] * 6
@@ -139,7 +142,7 @@ class TestRunGridScope:
             raise RuntimeError("trial failed")
 
         monkeypatch.setenv("POLARPCP_THREADS", threads)
-        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
         monkeypatch.setattr(simlab, "run_trial", failing_trial)
         with pytest.raises(RuntimeError, match="trial failed"):
             run_grid(_tiny_spec())
@@ -192,7 +195,6 @@ class TestBlasThreadsDoNotChangeResults:
 def lanes(monkeypatch):
     """Two lanes for slices of any size, even on one CPU."""
     monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(blas, "LANE_MIN_WORK", 0)
     monkeypatch.setenv("POLARPCP_THREADS", "2")
 
@@ -208,7 +210,7 @@ def _runs_on_two_lanes():
 
     with owned_cores():
         try:
-            run_lanes([task, task], work=1)
+            run_lanes([task, task])
         except threading.BrokenBarrierError:
             return False
     return len(set(threads)) == 2
@@ -244,7 +246,7 @@ class TestLanes:
         monkeypatch.setenv("POLARPCP_THREADS", "1")
         threads = set()
         with owned_cores():
-            run_lanes([lambda: threads.add(threading.get_ident())] * 4, work=1)
+            run_lanes([lambda: threads.add(threading.get_ident())] * 4)
         assert threads == {threading.get_ident()}
 
     def test_every_task_runs_once_on_more_lanes_than_cores(self, lanes, monkeypatch):
@@ -259,7 +261,7 @@ class TestLanes:
         sys.setswitchinterval(1e-6)
         try:
             with owned_cores():
-                run_lanes([functools.partial(task, i) for i in range(len(counts))], work=1)
+                run_lanes([functools.partial(task, i) for i in range(len(counts))])
         finally:
             sys.setswitchinterval(interval)
         assert counts == [1] * len(counts)
@@ -272,6 +274,69 @@ class TestLanes:
         write_pht(X, tmp_path / "x.pht")
         assert main(["decompose", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 2
         assert "POLARPCP_THREADS must be a positive integer, got '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run", ["grid", "tsvd"])
+    def test_grid_and_small_tsvd_reject_invalid_thread_count(self, monkeypatch, run):
+        monkeypatch.setenv("POLARPCP_THREADS", "0")
+        with pytest.raises(ValueError, match="POLARPCP_THREADS must be a positive integer, got '0'"):
+            if run == "grid":
+                run_grid(_tiny_spec())
+            else:
+                tsvd(_mixed_matrix(POLAR4COMPLEX))
+
+    def test_nested_lanes_stay_on_the_task_thread(self, lanes, monkeypatch):
+        pools, reads = [], []
+        pool_class, lane_count = blas.ThreadPoolExecutor, blas._lane_count
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        def recording_lane_count():
+            reads.append(threading.get_ident())
+            return lane_count()
+
+        monkeypatch.setattr(blas, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(blas, "_lane_count", recording_lane_count)
+        barrier = threading.Barrier(2, timeout=10)
+        seen = []
+
+        def outer():
+            barrier.wait()
+            inner = []
+            with owned_cores():
+                run_lanes([lambda: inner.append(threading.get_ident())] * 4)
+            seen.append((threading.get_ident(), inner))
+
+        before = threading.active_count()
+        with owned_cores():
+            run_lanes([outer, outer])
+        assert pools == [1]   # the outer scope's pool, of one thread
+        assert reads == [threading.get_ident()]   # POLARPCP_THREADS read once
+        assert len({thread for thread, _ in seen}) == 2
+        assert all(inner == [thread] * 4 for thread, inner in seen)
+        assert threading.active_count() == before
+
+    def test_small_slices_stay_on_the_caller(self, monkeypatch):
+        def no_lanes(tasks):
+            raise AssertionError("run_lanes called for small slices")
+
+        calls = []
+        svd = np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        monkeypatch.setattr(blas, "run_lanes", no_lanes)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        T = TubeTransform.dft(4)
+        blocks = T.hat(HyperMatrix(np.random.default_rng(2).standard_normal((20, 20, 4)), REAL))
+        U, s, Vh = T.slice_svd(blocks, real=True)
+        assert calls == [threading.get_ident()] * 2   # one complex slice, two self-paired
+        assert np.allclose(T.slice_compose(U, s, Vh, real=True), blocks)
 
     def test_lane_error_propagates_and_threads_stop(self, lanes):
         barrier = threading.Barrier(2, timeout=10)
@@ -286,7 +351,7 @@ class TestLanes:
 
         with pytest.raises(RuntimeError, match="lane failed"):
             with owned_cores():
-                run_lanes([ok, failing], work=1)
+                run_lanes([ok, failing])
         assert threading.active_count() == before
 
     def test_solve_uses_lanes_and_stops_them(self, lanes, monkeypatch):

@@ -1,9 +1,12 @@
 import math
 import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import polarpcp._blas as blas
 import polarpcp.hypermatrix as hm
 import polarpcp.simlab as simlab
 from polarpcp import (
@@ -133,6 +136,23 @@ class TestTrialSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            {"m": 10.0}, {"m": True}, {"m": 2.5},
+            {"trials": 1.5}, {"trials": True}, {"trials": 2.0},
+            {"ranks": (2.7,)}, {"ranks": (2.0,)}, {"ranks": (True,)}, {"ranks": (1, "2")},
+        ],
+        ids=repr,
+    )
+    def test_integer_fields_rejected_unless_integral(self, kwargs):
+        with pytest.raises(ValueError):
+            TrialSpec(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        spec = TrialSpec(m=np.int64(10), ranks=(np.int64(2),), trials=np.int32(3))
+        assert spec.ranks == (2,) and type(spec.ranks[0]) is int
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
             {"tol": -1.0, "max_iters": 0}, {"tol": -1.0}, {"tol": math.nan},
             {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True},
             {"c": 0.0}, {"c": math.inf},
@@ -228,34 +248,38 @@ class TestRunGrid:
 
     def test_usable_cpus_follow_affinity(self):
         if hasattr(os, "sched_getaffinity"):
-            assert simlab._usable_cpus() == len(os.sched_getaffinity(0))
+            assert blas.usable_cpus() == len(os.sched_getaffinity(0))
         else:
-            assert simlab._usable_cpus() == (os.cpu_count() or 1)
+            assert blas.usable_cpus() == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 3)])
     def test_pool_capped_by_cpus_and_jobs(self, monkeypatch, cpus, expected):
-        # Record the pool size instead of starting 100000 threads.
-        sizes = []
+        # Count the lanes through a pool that runs each lane inline instead
+        # of starting up to 100000 threads.
+        sizes, submitted = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn):
+                submitted.append(fn)
+                future = Future()
+                future.set_result(fn())
+                return future
 
-            def __exit__(self, *exc_info):
-                return False
+            def shutdown(self):
+                pass
 
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
+        before = threading.active_count()
         monkeypatch.setenv("POLARPCP_THREADS", "100000")
-        monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(simlab, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(blas, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(simlab, "run_trial", lambda *args: TrialOutcome(0.0, 0.0))
         grid = run_grid(_tiny_spec(embeddings=(POLAR4COMPLEX,), trials=3))
-        assert sizes == [expected]
+        assert 1 + len(submitted) == expected   # the calling thread is a lane too
+        assert sizes == [cpus - 1]
+        assert threading.active_count() == before
         assert len(grid.cells[0].outcomes) == 3
 
     def test_tensor_rpca_variant_runs(self):

@@ -88,6 +88,10 @@ class TestSolverConfig:
             {"max_iters": math.nan}, {"max_iters": math.inf}, {"max_iters": 2.5},
             {"max_iters": 10.0}, {"max_iters": True}, {"max_iters": -3},
             {"transform": "bogus"}, {"transform": "group_dft"},
+            {"transform_factors": (2, 0)}, {"transform_factors": ()},
+            {"transform_factors": (-2, -2)}, {"transform_factors": (2.0, 2)},
+            {"transform_factors": (True, 4)}, {"transform_factors": [2, 2]},
+            {"transform_factors": 4},
         ],
         ids=repr,
     )
@@ -97,6 +101,15 @@ class TestSolverConfig:
 
     def test_accepts_numpy_integer_max_iters(self):
         assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
+
+    def test_transform_factors_must_match_the_tube(self):
+        X = random_hypermatrix(np.random.default_rng(4), 3, 3, 4, REAL)
+        cfg = SolverConfig(transform_factors=(3,))
+        with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
+            cfg.resolve_transform(4)
+        with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
+            pcp_ialm(X, cfg)
+        assert pcp_ialm(X, SolverConfig(transform_factors=(2, 2))).converged
 
     def test_invariants(self):
         with pytest.raises(ValueError):
