@@ -176,6 +176,8 @@ def run_lanes(tasks):
     others.  Each lane takes the next task in list order, so callers put
     the largest first.  Tasks must not depend on which lane runs them.  A
     task running on a lane runs its own nested run_lanes on its thread.
+    Once a task raises, no lane starts another, and the first exception is
+    raised when the running tasks have ended.
     """
     if getattr(_local, "on_lane", False):
         for task in tasks:
@@ -184,22 +186,27 @@ def run_lanes(tasks):
     lanes = min(_local.lanes.count, len(tasks))
     pending = iter(tasks)
     take = threading.Lock()
+    failures = []  # shared stop flag: nonempty once a task has raised
 
     def lane():
         _local.on_lane = True
         try:
             while True:
                 with take:
-                    task = next(pending, None)
+                    task = None if failures else next(pending, None)
                 if task is None:
                     return
-                task()
+                try:
+                    task()
+                except BaseException as exc:  # re-raised on the calling thread
+                    with take:
+                        failures.append(exc)
         finally:
             _local.on_lane = False
 
     futures = [_local.lanes.executor().submit(lane) for _ in range(lanes - 1)]
-    try:
-        lane()
-    finally:
-        for future in futures:
-            future.result()
+    lane()
+    for future in futures:
+        future.result()
+    if failures:
+        raise failures[0]

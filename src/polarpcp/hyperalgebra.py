@@ -3,16 +3,10 @@
 A polar n-complex number is a tube of n real coefficients attached to the
 cyclic units e_i e_k = e_{(i+k) mod n}; allowing complex coefficients gives
 the polar n-bicomplex algebra.  Multiplication is circular convolution of
-coefficient tubes, so every scalar is isomorphic to an n x n circulant
-matrix and all spectral work reduces to the DFT of the tube.
-
-Two DFT conventions appear side by side:
-
-* arithmetic (multiplication, inversion) uses the unnormalized forward DFT
-  ``spectrum_k = sum_i a_i exp(-2j pi i k / n)`` with a 1/n inverse, i.e.
-  numpy's ``fft``/``ifft`` pair, whose values are the circulant eigenvalues;
-* the angle decomposition uses the unitary DFT, which is the unnormalized
-  one divided by sqrt(n).
+coefficient tubes, so every scalar is an n x n circulant, that is, a 1 x 1
+hypercomplex matrix: PolarScalar is that matrix and uses the algebra of
+hypermatrix, whose TubeTransform owns the DFT convention.  The angle
+decomposition alone uses the unitary DFT, the tube DFT divided by sqrt(n).
 """
 
 from __future__ import annotations
@@ -25,7 +19,8 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-# Relative threshold below which a spectrum value is treated as a zero divisor.
+# Relative threshold below which a spectrum value, or a singular value of
+# hypermatrix.inv's block spectrum, is treated as a zero divisor.
 SINGULAR_RTOL = 1e-12
 
 
@@ -60,34 +55,26 @@ class AngleSet:
 
 
 class PolarScalar:
-    """One element of K_n (real coefficients) or CK_n (complex coefficients)."""
+    """One element of K_n (real coefficients) or CK_n (complex coefficients).
 
-    __slots__ = ("coeffs", "field")
+    It is the 1 x 1 HyperMatrix of its coefficient tube and uses that
+    matrix's algebra.  The coefficients are always a copy of those given.
+    """
+
+    __slots__ = ("_matrix",)
 
     def __init__(self, coeffs, field=None):
-        arr = np.asarray(coeffs)
+        arr = np.array(coeffs)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a one-dimensional sequence with n >= 1 entries")
-        if field is None:
-            field = COMPLEX if np.iscomplexobj(arr) else REAL
-        _check_field(field)
-        if field == REAL:
-            if np.iscomplexobj(arr):
-                if np.any(arr.imag != 0):
-                    raise ValueError("real field requires coefficients with zero imaginary part")
-                arr = arr.real
-            arr = arr.astype(np.float64)
-        else:
-            arr = arr.astype(np.complex128)
-        self.coeffs = arr
-        self.field = field
+        self._matrix = hm.HyperMatrix(arr[np.newaxis, np.newaxis], field)
 
     @classmethod
     def unit(cls, n, k=0, field=REAL):
         """The basis element e_k of K_n or CK_n (e_0 is the identity)."""
         if not 0 <= k < n:
             raise ValueError(f"unit index {k} out of range for n={n}")
-        coeffs = np.zeros(n, dtype=np.float64 if field == REAL else np.complex128)
+        coeffs = np.zeros(n)
         coeffs[k] = 1.0
         return cls(coeffs, field)
 
@@ -96,63 +83,48 @@ class PolarScalar:
         return cls.unit(n, 0, field)
 
     @property
+    def coeffs(self):
+        return self._matrix.data[0, 0]
+
+    @property
+    def field(self):
+        return self._matrix.field
+
+    @property
     def n(self):
-        return self.coeffs.size
+        return self._matrix.n
 
     @property
     def spectrum(self):
         """Unnormalized DFT of the coefficient tube (circulant eigenvalues)."""
-        return np.fft.fft(self.coeffs)
+        return hm.TubeTransform.dft(self.n).forward(self.coeffs)
 
     def __repr__(self):
         return f"PolarScalar(n={self.n}, field={self.field!r}, coeffs={self.coeffs!r})"
 
-    def _coerce(self, other):
-        """Lift a plain number to this algebra, or return None."""
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return PolarScalar.unit(self.n, 0, self.field) * float(other)
-        if isinstance(other, (complex, np.complexfloating)):
-            coeffs = np.zeros(self.n, dtype=np.complex128)
-            coeffs[0] = other
-            return PolarScalar(coeffs, COMPLEX)
-        return None
-
     def __add__(self, other):
-        if not isinstance(other, PolarScalar):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        if other.n != self.n:
-            raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
-        return PolarScalar(self.coeffs + other.coeffs, promote_fields(self.field, other.field))
+        if isinstance(other, PolarScalar):
+            return _scalar(self._matrix + other._matrix)
+        # A plain number lifts to that multiple of the identity.
+        lifted = hm.HyperMatrix.identity(1, self.n, self.field).__mul__(other)
+        return lifted if lifted is NotImplemented else _scalar(self._matrix + lifted)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, PolarScalar):
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
         return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return PolarScalar(-self.coeffs, self.field)
+        return _scalar(-self._matrix)
 
     def __mul__(self, other):
         if isinstance(other, PolarScalar):
-            if other.n != self.n:
-                raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
-            field = promote_fields(self.field, other.field)
-            prod = np.fft.ifft(np.fft.fft(self.coeffs) * np.fft.fft(other.coeffs))
-            return PolarScalar(prod.real if field == REAL else prod, field)
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return PolarScalar(self.coeffs * float(other), self.field)
-        if isinstance(other, (complex, np.complexfloating)):
-            return PolarScalar(self.coeffs.astype(np.complex128) * other, COMPLEX)
-        return NotImplemented
+            return _scalar(hm.matmul(self._matrix, other._matrix))
+        product = self._matrix.__mul__(other)
+        return product if product is NotImplemented else _scalar(product)
 
     __rmul__ = __mul__
 
@@ -160,41 +132,36 @@ class PolarScalar:
         """Algebra conjugation: the circulant representation of the result is
         the conjugate transpose of this scalar's representation, i.e.
         coefficient i maps to conj(a_{(n-i) mod n})."""
-        flipped = np.roll(self.coeffs[::-1], 1)
-        return PolarScalar(np.conj(flipped), self.field)
+        return _scalar(self._matrix.H)
 
     def modulus(self):
         """Euclidean norm of the coefficient tube."""
-        return float(np.linalg.norm(self.coeffs))
+        return hm.frobenius(self._matrix)
 
     __abs__ = modulus
 
     def inverse(self):
-        """Multiplicative inverse via the reciprocal spectrum.
+        """Multiplicative inverse, the inverse of the 1 x 1 matrix.
 
         Raises SingularScalarError when any spectrum value has modulus at or
         below SINGULAR_RTOL times the largest one (zero divisors exist, e.g.
         1 + e_1 in K_2).
         """
-        spec = np.fft.fft(self.coeffs)
-        mags = np.abs(spec)
-        if mags.min() <= SINGULAR_RTOL * mags.max():
+        try:
+            return _scalar(hm.inv(self._matrix))
+        except np.linalg.LinAlgError:
             raise SingularScalarError(
                 "scalar is singular: spectrum contains a (near-)zero value"
-            )
-        inv = np.fft.ifft(1.0 / spec)
-        return PolarScalar(inv.real if self.field == REAL else inv, self.field)
+            ) from None
 
     def to_circulant(self):
         """The n x n circulant matrix with entry (i, k) = a_{(i-k) mod n}."""
-        n = self.n
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        return self.coeffs[idx]
+        return hm.adjoint(self._matrix)
 
     def angles(self):
         """Angular decomposition of a real-field scalar.
 
-        Uses the unitary DFT A = fft(coeffs)/sqrt(n).  Azimuthal angles come
+        Uses the unitary DFT A = spectrum/sqrt(n).  Azimuthal angles come
         from A_k = |A_k| exp(-j phi_k); planar angles are atan2(|A_1|, |A_k|);
         the polar angles are atan2(sqrt(2)|A_1|, A_0) and, for even n,
         atan2(sqrt(2)|A_1|, A_{n/2}).  Degenerate spectra fall back to the
@@ -203,7 +170,7 @@ class PolarScalar:
         if self.field != REAL:
             raise ValueError("angles are defined for real-field scalars only")
         n = self.n
-        A = np.fft.fft(self.coeffs) / math.sqrt(n)
+        A = self.spectrum / math.sqrt(n)
         mags = np.abs(A)
         half = (n + 1) // 2
         a1 = mags[1] if n > 1 else 0.0
@@ -220,6 +187,11 @@ class PolarScalar:
         return AngleSet(azimuthal, planar, polar_plus, polar_minus)
 
 
+def _scalar(matrix):
+    """The PolarScalar of a 1 x 1 HyperMatrix."""
+    return PolarScalar(matrix.data[0, 0], matrix.field)
+
+
 def inner(p, q):
     """Scalar product Re(p conj(q)) = sum_i Re(a_i conj(b_i)).
 
@@ -228,6 +200,8 @@ def inner(p, q):
     """
     if not isinstance(p, PolarScalar) or not isinstance(q, PolarScalar):
         raise TypeError("inner expects two PolarScalar operands")
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: n={p.n} vs n={q.n}")
-    return float(np.real(np.sum(p.coeffs * np.conj(q.coeffs))))
+    return hm.inner(p._matrix, q._matrix)
+
+
+# hypermatrix imports this module's names, so it is imported last.
+from . import hypermatrix as hm  # noqa: E402

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
-from .hyperalgebra import COMPLEX, REAL, PolarScalar, _check_field, promote_fields
+from .hyperalgebra import COMPLEX, REAL, SINGULAR_RTOL, PolarScalar, _check_field, promote_fields
 
 UNNORMALIZED = "unnormalized"
 UNITARY = "unitary"
@@ -517,7 +517,7 @@ def inv(A):
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
     svals = T.slice_svd(hat, A.field == REAL, compute_uv=False)
-    if svals.min() <= 1e-12 * svals.max():
+    if svals.min() <= SINGULAR_RTOL * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
     return T.unhat(np.linalg.inv(hat), A.field)
 

@@ -6,7 +6,8 @@ reference solvers are plain-numpy IALM, and the PHT codec formats and parses
 one value at a time, so the library is checked against code that cannot
 share its bugs.  ialm_frequency_reference is the transform-domain IALM loop
 as it stood before the solver variants shared one driver; the driver must
-reproduce it bit for bit.
+reproduce it bit for bit.  ReferenceScalar is the standalone scalar
+arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
 """
 
 import math
@@ -16,6 +17,13 @@ import numpy as np
 
 import polarpcp.hypermatrix as hm
 from polarpcp import COMPLEX, REAL, HyperMatrix, PcpResult, PhtFormatError, PolarScalar
+from polarpcp.hyperalgebra import (
+    SINGULAR_RTOL,
+    AngleSet,
+    SingularScalarError,
+    _check_field,
+    promote_fields,
+)
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 
@@ -45,6 +53,27 @@ def circ_conv(a, b):
     for i in range(n):
         for k in range(n):
             out[(i + k) % n] += a[i] * b[k]
+    return out
+
+
+def tube_product_direct(T, a, b):
+    """Product of two tubes in the algebra that TubeTransform T
+    diagonalizes, as a direct double loop: cyclic convolution for the DFT,
+    negacyclic (e_i e_k = -e_{i+k-n} when i + k >= n) for the skew DFT, and
+    convolution over the group Z_{f_1} x ... x Z_{f_r} for a group DFT."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = T.n
+    out = np.zeros(n, dtype=np.result_type(a, b))
+    for i in range(n):
+        for k in range(n):
+            if T.kind == "group_dft":
+                digits = np.add(np.unravel_index(i, T.factors), np.unravel_index(k, T.factors))
+                out[np.ravel_multi_index(tuple(digits % T.factors), T.factors)] += a[i] * b[k]
+            elif T.kind == "skew_dft" and i + k >= n:
+                out[i + k - n] -= a[i] * b[k]
+            else:
+                out[(i + k) % n] += a[i] * b[k]
     return out
 
 
@@ -220,3 +249,178 @@ def read_pht_per_value(path):
     else:
         data = values.view(np.complex128).reshape(l, m, n)
     return HyperMatrix(data, field)
+
+
+class ReferenceScalar:
+    """PolarScalar with its own field coercion, FFT product and inverse,
+    conjugation flip and circulant index."""
+
+    __slots__ = ("coeffs", "field")
+
+    def __init__(self, coeffs, field=None):
+        arr = np.asarray(coeffs)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError("coeffs must be a one-dimensional sequence with n >= 1 entries")
+        if field is None:
+            field = COMPLEX if np.iscomplexobj(arr) else REAL
+        _check_field(field)
+        if field == REAL:
+            if np.iscomplexobj(arr):
+                if np.any(arr.imag != 0):
+                    raise ValueError("real field requires coefficients with zero imaginary part")
+                arr = arr.real
+            arr = arr.astype(np.float64)
+        else:
+            arr = arr.astype(np.complex128)
+        self.coeffs = arr
+        self.field = field
+
+    @classmethod
+    def unit(cls, n, k=0, field=REAL):
+        """The basis element e_k of K_n or CK_n (e_0 is the identity)."""
+        if not 0 <= k < n:
+            raise ValueError(f"unit index {k} out of range for n={n}")
+        coeffs = np.zeros(n, dtype=np.float64 if field == REAL else np.complex128)
+        coeffs[k] = 1.0
+        return cls(coeffs, field)
+
+    @classmethod
+    def one(cls, n, field=REAL):
+        return cls.unit(n, 0, field)
+
+    @property
+    def n(self):
+        return self.coeffs.size
+
+    @property
+    def spectrum(self):
+        """Unnormalized DFT of the coefficient tube (circulant eigenvalues)."""
+        return np.fft.fft(self.coeffs)
+
+    def __repr__(self):
+        return f"ReferenceScalar(n={self.n}, field={self.field!r}, coeffs={self.coeffs!r})"
+
+    def _coerce(self, other):
+        """Lift a plain number to this algebra, or return None."""
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return ReferenceScalar.unit(self.n, 0, self.field) * float(other)
+        if isinstance(other, (complex, np.complexfloating)):
+            coeffs = np.zeros(self.n, dtype=np.complex128)
+            coeffs[0] = other
+            return ReferenceScalar(coeffs, COMPLEX)
+        return None
+
+    def __add__(self, other):
+        if not isinstance(other, ReferenceScalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
+        return ReferenceScalar(self.coeffs + other.coeffs, promote_fields(self.field, other.field))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, ReferenceScalar):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __neg__(self):
+        return ReferenceScalar(-self.coeffs, self.field)
+
+    def __mul__(self, other):
+        if isinstance(other, ReferenceScalar):
+            if other.n != self.n:
+                raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
+            field = promote_fields(self.field, other.field)
+            prod = np.fft.ifft(np.fft.fft(self.coeffs) * np.fft.fft(other.coeffs))
+            return ReferenceScalar(prod.real if field == REAL else prod, field)
+        if isinstance(other, (int, float, np.integer, np.floating)):
+            return ReferenceScalar(self.coeffs * float(other), self.field)
+        if isinstance(other, (complex, np.complexfloating)):
+            return ReferenceScalar(self.coeffs.astype(np.complex128) * other, COMPLEX)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        """Algebra conjugation: the circulant representation of the result is
+        the conjugate transpose of this scalar's representation, i.e.
+        coefficient i maps to conj(a_{(n-i) mod n})."""
+        flipped = np.roll(self.coeffs[::-1], 1)
+        return ReferenceScalar(np.conj(flipped), self.field)
+
+    def modulus(self):
+        """Euclidean norm of the coefficient tube."""
+        return float(np.linalg.norm(self.coeffs))
+
+    __abs__ = modulus
+
+    def inverse(self):
+        """Multiplicative inverse via the reciprocal spectrum.
+
+        Raises SingularScalarError when any spectrum value has modulus at or
+        below SINGULAR_RTOL times the largest one (zero divisors exist, e.g.
+        1 + e_1 in K_2).
+        """
+        spec = np.fft.fft(self.coeffs)
+        mags = np.abs(spec)
+        if mags.min() <= SINGULAR_RTOL * mags.max():
+            raise SingularScalarError(
+                "scalar is singular: spectrum contains a (near-)zero value"
+            )
+        inv = np.fft.ifft(1.0 / spec)
+        return ReferenceScalar(inv.real if self.field == REAL else inv, self.field)
+
+    def to_circulant(self):
+        """The n x n circulant matrix with entry (i, k) = a_{(i-k) mod n}."""
+        n = self.n
+        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+        return self.coeffs[idx]
+
+    def angles(self):
+        """Angular decomposition of a real-field scalar.
+
+        Uses the unitary DFT A = fft(coeffs)/sqrt(n).  Azimuthal angles come
+        from A_k = |A_k| exp(-j phi_k); planar angles are atan2(|A_1|, |A_k|);
+        the polar angles are atan2(sqrt(2)|A_1|, A_0) and, for even n,
+        atan2(sqrt(2)|A_1|, A_{n/2}).  Degenerate spectra fall back to the
+        atan2 conventions (zero A_k gives phi_k = 0).
+        """
+        if self.field != REAL:
+            raise ValueError("angles are defined for real-field scalars only")
+        n = self.n
+        A = np.fft.fft(self.coeffs) / math.sqrt(n)
+        mags = np.abs(A)
+        half = (n + 1) // 2
+        a1 = mags[1] if n > 1 else 0.0
+        azimuthal = np.array(
+            [(-np.angle(A[k])) % (2 * math.pi) for k in range(1, half)], dtype=np.float64
+        )
+        planar = np.array(
+            [math.atan2(a1, mags[k]) for k in range(2, half)], dtype=np.float64
+        )
+        polar_plus = math.atan2(math.sqrt(2) * a1, A[0].real)
+        polar_minus = None
+        if n % 2 == 0:
+            polar_minus = math.atan2(math.sqrt(2) * a1, A[n // 2].real)
+        return AngleSet(azimuthal, planar, polar_plus, polar_minus)
+
+
+def reference_inner(p, q):
+    """Scalar product Re(p conj(q)) = sum_i Re(a_i conj(b_i)).
+
+    Real, symmetric, and bilinear over the reals; satisfies
+    inner(p, p) == modulus(p)**2.
+    """
+    if not isinstance(p, ReferenceScalar) or not isinstance(q, ReferenceScalar):
+        raise TypeError("inner expects two ReferenceScalar operands")
+    if p.n != q.n:
+        raise ValueError(f"dimension mismatch: n={p.n} vs n={q.n}")
+    return float(np.real(np.sum(p.coeffs * np.conj(q.coeffs))))

@@ -441,6 +441,28 @@ class TestGridOwnsTheCores:
         assert _runs_on_two_lanes()
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_stops_after_a_trial_raises(self, lanes, monkeypatch, threads):
+        calls, lock = [], threading.Lock()
+        trial = simlab.run_trial
+
+        def failing_first_trial(*args):
+            with lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("trial failed")
+            return trial(*args)
+
+        before = threading.active_count()
+        monkeypatch.setenv("POLARPCP_THREADS", str(threads))
+        monkeypatch.setattr(simlab, "run_trial", failing_first_trial)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_grid(_tiny_spec(trials=50))
+        assert len(calls) <= threads + 1
+        assert threading.active_count() == before
+
+
 class TestThreadCountsDoNotChangeResults:
     @pytest.mark.parametrize("embedding", EMBEDDINGS)
     @pytest.mark.parametrize("solve", sorted(SOLVES))

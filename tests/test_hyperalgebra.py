@@ -2,11 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarpcp import COMPLEX, REAL, PolarScalar, SingularScalarError
-from polarpcp.hyperalgebra import inner
+from polarpcp.hyperalgebra import SINGULAR_RTOL, inner
 
-from helpers import circ_conv, random_scalar
+from helpers import (
+    ReferenceScalar,
+    circ_conv,
+    random_hypermatrix,
+    random_scalar,
+    random_tube,
+    reference_inner,
+)
+
+FIELDS = (REAL, COMPLEX)
 
 
 def test_mul_unit_rule():
@@ -242,3 +253,126 @@ def test_n1_degenerates_to_plain_numbers():
     assert a.inverse().coeffs[0] == pytest.approx(1 / 3)
     z = PolarScalar(np.array([1 + 1j]))
     assert (z * z.conj()).coeffs[0] == pytest.approx(2.0)
+
+
+def _bits(p):
+    return p.field, p.coeffs.tobytes()
+
+
+def _angle_bits(a):
+    return a.azimuthal.tobytes(), a.planar.tobytes(), a.polar_plus, a.polar_minus
+
+
+class TestMatchesReferenceScalar:
+    """The delegating scalar against the standalone arithmetic it replaced."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_operations_are_bit_equal(self, n, field):
+        rng = np.random.default_rng(20 + n)
+        for other_field in FIELDS:
+            for _ in range(10):
+                a, b = random_tube(rng, n, field), random_tube(rng, n, other_field)
+                p, q = PolarScalar(a, field), PolarScalar(b, other_field)
+                p0, q0 = ReferenceScalar(a, field), ReferenceScalar(b, other_field)
+                x, z = float(rng.standard_normal()), complex(*rng.standard_normal(2))
+                pairs = [
+                    (p + q, p0 + q0), (p - q, p0 - q0), (-p, -p0), (p.conj(), p0.conj()),
+                    (p + x, p0 + x), (x + p, x + p0), (p - x, p0 - x), (x - p, x - p0),
+                    (p + z, p0 + z), (z + p, z + p0), (p - z, p0 - z), (z - p, z - p0),
+                    (3 + p, 3 + p0), (p * x, p0 * x), (z * p, z * p0),
+                ]
+                for got, want in pairs:
+                    assert _bits(got) == _bits(want)
+                assert p.to_circulant().tobytes() == p0.to_circulant().tobytes()
+                assert p.modulus() == p0.modulus()
+                assert inner(p, q) == reference_inner(p0, q0)
+                assert p.spectrum.tobytes() == p0.spectrum.tobytes()
+                if field == REAL:
+                    assert _angle_bits(p.angles()) == _angle_bits(p0.angles())
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_product_and_inverse_agree(self, n, field):
+        rng = np.random.default_rng(40 + n)
+        for other_field in FIELDS:
+            for _ in range(10):
+                a, b = random_tube(rng, n, field), random_tube(rng, n, other_field)
+                p, q = PolarScalar(a, field), PolarScalar(b, other_field)
+                p0, q0 = ReferenceScalar(a, field), ReferenceScalar(b, other_field)
+                for got, want in ((p * q, p0 * q0), (p.inverse(), p0.inverse())):
+                    assert got.field == want.field
+                    err = np.abs(got.coeffs - want.coeffs).max()
+                    assert err <= 1e-15 * np.abs(want.coeffs).max()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_zero_divisors_raise_in_both(self, n):
+        rng = np.random.default_rng(60 + n)
+        for divisor in (np.ones(n), np.r_[1.0, -1.0, np.zeros(n - 2)]):
+            for field in FIELDS:
+                coeffs = (random_scalar(rng, n, field) * PolarScalar(divisor)).coeffs
+                for cls in (PolarScalar, ReferenceScalar):
+                    with pytest.raises(SingularScalarError):
+                        cls(coeffs).inverse()
+
+
+class TestCoefficientsAreCopies:
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_scalar_does_not_alias_its_input(self, field):
+        x = random_tube(np.random.default_rng(0), 5, field)
+        p = PolarScalar(x, field)
+        assert not np.shares_memory(p.coeffs, x)
+        x[0] = 100.0
+        assert p.coeffs[0] != 100.0
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_entry_does_not_alias_the_matrix(self, field):
+        A = random_hypermatrix(np.random.default_rng(1), 2, 3, 4, field)
+        assert not np.shares_memory(A.entry(1, 2).coeffs, A.data)
+
+
+@st.composite
+def _scalars(draw, count):
+    """count random scalars of one length n in 1..8, each real or complex."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [random_scalar(rng, n, draw(st.sampled_from(FIELDS))) for _ in range(count)]
+
+
+def _close(got, want, rtol=1e-12):
+    scale = max(np.abs(want.coeffs).max(), 1.0)
+    return got.field == want.field and np.abs(got.coeffs - want.coeffs).max() <= rtol * scale
+
+
+class TestAlgebraLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(scalars=_scalars(3))
+    def test_product_is_associative_commutative_and_distributive(self, scalars):
+        p, q, r = scalars
+        assert _close((p * q) * r, p * (q * r))
+        assert _close(p * q, q * p)
+        assert _close(p * (q + r), p * q + p * r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scalars=_scalars(1))
+    def test_conj_is_an_involution_and_the_circulant_adjoint(self, scalars):
+        (p,) = scalars
+        assert _bits(p.conj().conj()) == _bits(p)
+        assert np.array_equal(p.conj().to_circulant(), p.to_circulant().conj().T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scalars=_scalars(2))
+    def test_inverse_of_a_non_zero_divisor(self, scalars):
+        p, q = scalars
+        # q times (1 - e_1) is a zero divisor for n >= 2: its spectrum is 0 at k = 0.
+        if p.n > 1:
+            with pytest.raises(SingularScalarError):
+                (q * (1 - PolarScalar.unit(q.n, 1))).inverse()
+        mags = np.abs(p.spectrum)
+        cond = mags.max() / mags.min()
+        if cond >= 1 / SINGULAR_RTOL:
+            with pytest.raises(SingularScalarError):
+                p.inverse()
+            return
+        one = PolarScalar.one(p.n, p.field)
+        assert _close(p * p.inverse(), one, rtol=1e-14 * cond)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarpcp.hypermatrix as hm
 from polarpcp import (
@@ -18,7 +20,13 @@ from polarpcp import (
 from polarpcp.hypermatrix import UNITARY, UNNORMALIZED
 from polarpcp.tsvd import TubeTransform
 
-from helpers import dense_permutation, hyper_matmul_direct, random_hypermatrix
+from helpers import (
+    dense_permutation,
+    hyper_matmul_direct,
+    random_hypermatrix,
+    random_tube,
+    tube_product_direct,
+)
 
 
 def table_matrix():
@@ -323,3 +331,49 @@ class TestConstruction:
         assert np.allclose((A * 2.0 - A).data, A.data)
         assert (A * 1j).field == COMPLEX
         assert np.allclose((A / 2.0).data, A.data / 2.0)
+
+
+FIELDS = (REAL, COMPLEX)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """A (l x m) and B (m x k), l, m, k in 1..3, sharing n in 1..8; each real
+    or complex."""
+    n = draw(st.integers(1, 8))
+    l, m, k = (draw(st.integers(1, 3)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (random_hypermatrix(rng, l, m, n, draw(st.sampled_from(FIELDS))),
+            random_hypermatrix(rng, m, k, n, draw(st.sampled_from(FIELDS))))
+
+
+@st.composite
+def _transform_tubes(draw):
+    """(T, a, b): a DFT, skew-DFT or (for n a power of two) Walsh-Hadamard
+    transform of length n in 1..8 and two random tubes of that length."""
+    n = draw(st.integers(1, 8))
+    kinds = [TubeTransform.dft, TubeTransform.skew_dft]
+    if n & (n - 1) == 0:
+        kinds.append(TubeTransform.walsh_hadamard)
+    T = draw(st.sampled_from(kinds))(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (random_tube(rng, n, draw(st.sampled_from(FIELDS))) for _ in range(2))
+    return T, a, b
+
+
+class TestAlgebraLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=_matrix_pairs())
+    def test_matmul_matches_adjoint_product(self, pair):
+        A, B = pair
+        want = adjoint(A) @ adjoint(B)
+        got = adjoint(hm.matmul(A, B))
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_transform_tubes())
+    def test_transform_diagonalizes_the_tube_product(self, case):
+        T, a, b = case
+        want = T.forward(a) * T.forward(b)
+        got = T.forward(tube_product_direct(T, a, b))
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
