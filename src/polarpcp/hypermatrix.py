@@ -12,13 +12,16 @@ its frontal blocks are exactly the unnormalized tube DFT values, so the
 matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
 TubeTransform generalizes the tube DFT to every t-SVD transform and is the
-one seam into the transform domain (hat, unhat) and the one slice-SVD kernel.
+one seam into the transform domain (hat, unhat), the owner of a solver's
+packed state of real tubes (pack, unpack) and the one slice-SVD kernel.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -202,8 +205,10 @@ class TubeTransform:
     """Invertible tube transform defining a t-SVD algebra.
 
     It is the one seam into the transform domain: hat and unhat move a
-    matrix of tubes to and from its (n, l, m) slice stack, slice_svd
-    factors such a stack and slice_compose multiplies the factors back.
+    matrix of tubes to and from its (n, l, m) slice stack, pack and unpack
+    move a slice stack to and from a solver's state, and one slice-SVD
+    kernel factors either.  The named constructors return one shared
+    instance per transform, built complete, so lanes may share it.
     """
 
     __slots__ = ("kind", "n", "factors", "_splits")
@@ -216,11 +221,14 @@ class TubeTransform:
     # per thread, so a solve on one of run_grid's workers counts only its own.
     _counts = _CallCounts()
 
+    # The shared instances of the named constructors, by (kind, n, factors).
+    _shared = {}
+    _shared_lock = threading.Lock()
+
     def __init__(self, kind, n, factors=None):
         if kind not in (DFT, SKEW_DFT, GROUP_DFT):
             raise ValueError(f"unknown transform kind {kind!r}")
-        if n < 1:
-            raise ValueError("transform length must be >= 1")
+        n = self._length(n)
         if kind == GROUP_DFT:
             factors = tuple(int(f) for f in (factors or ()))
             if not factors or any(f < 1 for f in factors) or math.prod(factors) != n:
@@ -232,20 +240,34 @@ class TubeTransform:
         self.kind = kind
         self.n = n
         self.factors = factors
-        self._splits = None
+        self._splits = self._build_splits()
+
+    @staticmethod
+    def _length(n):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"transform length must be an integer >= 1, got {n!r}")
+        return int(n)
+
+    @classmethod
+    def _shared_instance(cls, kind, n, factors=None):
+        key = (kind, cls._length(n), factors)
+        with cls._shared_lock:
+            if key not in cls._shared:
+                cls._shared[key] = cls(kind, n, factors)
+            return cls._shared[key]
 
     @classmethod
     def dft(cls, n):
-        return cls(DFT, n)
+        return cls._shared_instance(DFT, n)
 
     @classmethod
     def skew_dft(cls, n):
-        return cls(SKEW_DFT, n)
+        return cls._shared_instance(SKEW_DFT, n)
 
     @classmethod
     def group_dft(cls, factors):
         factors = tuple(int(f) for f in factors)
-        return cls(GROUP_DFT, math.prod(factors), factors)
+        return cls._shared_instance(GROUP_DFT, math.prod(factors), factors)
 
     @classmethod
     def walsh_hadamard(cls, n):
@@ -344,6 +366,16 @@ class TubeTransform:
         data = self.inverse(np.moveaxis(blocks, 0, 2), axis=2)
         return HyperMatrix(data.real if field == REAL else data, field)
 
+    def _build_splits(self):
+        slots = np.arange(self.n)
+        pair = self.conjugate_pairing()
+        partners = np.flatnonzero(pair < slots)
+        splits = ((slots, slots[:0], slots[:0], np.zeros(self.n, bool)),
+                  (np.flatnonzero(pair >= slots), partners, pair[partners], pair == slots))
+        for part in splits[0] + splits[1]:
+            part.flags.writeable = False
+        return splits
+
     def _split(self, real):
         """(factored, partners, sources, self_paired): the slices a stack
         computes, the slices filled with the conjugates of slices sources,
@@ -351,61 +383,160 @@ class TubeTransform:
 
         For real-coefficient tubes slice pair[b] is the conjugate of slice b
         (conjugate_pairing()), so only one slice of each pair is computed.
-        Both splits are built on first use and kept read-only.
+        Both splits are built with the transform and are read-only.
         """
-        if self._splits is None:
-            slots = np.arange(self.n)
-            pair = self.conjugate_pairing()
-            partners = np.flatnonzero(pair < slots)
-            splits = ((slots, slots[:0], slots[:0], np.zeros(self.n, bool)),
-                      (np.flatnonzero(pair >= slots), partners, pair[partners], pair == slots))
-            for part in splits[0] + splits[1]:
-                part.flags.writeable = False
-            self._splits = splits
         return self._splits[bool(real)]
+
+    def pack(self, blocks, real):
+        """A solver's state for an (n, l, m) slice stack.
+
+        For complex tubes the state is the stack itself.  For real tubes it
+        is n float64 planes, as many as the coefficients: a self-paired
+        slice is real and is one plane, and a slice with a partner keeps
+        its real part in its own plane and its imaginary part in its
+        partner's (under the DFT, the values of rfft).  Norms of the state
+        take the Parseval weights of weights(real).
+        """
+        return self._scatter(self._stack_parts(blocks, True)) if real else blocks
+
+    def unpack(self, state, real):
+        """The slice stack of a state: the inverse of pack."""
+        return self._expand(self._parts(state, real), real)
+
+    def weights(self, real):
+        """Parseval weights of a state's planes and of the rows of its
+        singular values, or (None, None) for complex tubes.  A plane or row
+        of a slice with a partner stands for the partner too, so it counts
+        twice in a squared norm."""
+        if not real:
+            return None, None
+        _, _, sources, self_paired = self._split(True)
+        return 2.0 - self_paired, np.repeat([2.0, 1.0], [len(sources), self_paired.sum()])
+
+    def _stack_parts(self, blocks, real):
+        """The slices of a full stack that the kernel factors, complex ones
+        first: for real tubes one slice of each pair, then the real parts of
+        the self-paired slices."""
+        if not real:
+            return [blocks]
+        _, _, sources, self_paired = self._split(True)
+        return [blocks[sources], blocks[self_paired].real]
+
+    def _parts(self, state, real):
+        """The matrices of a state, in _stack_parts' order: for real tubes
+        the slices with a partner, rebuilt bit for bit from their two
+        planes, then the self-paired planes."""
+        if not real:
+            return [state]
+        _, partners, sources, self_paired = self._split(True)
+        paired = np.empty((len(sources),) + state.shape[1:], np.complex128)
+        paired.real, paired.imag = state[sources], state[partners]
+        return [paired, state[self_paired]]
+
+    def _scatter(self, parts):
+        """The real-tube state of _parts-ordered slices: the inverse of _parts."""
+        _, partners, sources, self_paired = self._split(True)
+        paired, planes = parts
+        state = np.empty((self.n,) + planes.shape[1:])
+        state[sources], state[partners] = paired.real, paired.imag
+        state[self_paired] = planes
+        return state
+
+    def _expand(self, parts, real):
+        """The full stack of _parts-ordered slices, or of their factors.  For
+        real tubes this is the one place a partner slice is filled, with the
+        conjugate of its source."""
+        if not real:
+            return parts[0]
+        _, partners, sources, self_paired = self._split(True)
+        paired, planes = parts
+        out = np.empty((self.n,) + planes.shape[1:], np.result_type(paired, planes))
+        out[sources], out[self_paired] = paired, planes
+        out[partners] = np.conj(paired)
+        return out
+
+    def _svd(self, parts, full_matrices, compute_uv):
+        """The one slice-SVD kernel: the SVD of every matrix of the stacks
+        in parts, complex stacks first.  Returns s, the (matrices, k)
+        singular values in parts order, and with compute_uv the lists of
+        the stacks' U and Vh before and after it.
+
+        Matrices of at least _blas.LANE_MIN_WORK multiply-adds are one task
+        each for _blas.run_lanes, complex ones first: a real matrix costs
+        about half a complex one.  Smaller ones are factored on the calling
+        thread in one batched call per stack, which costs less than one call
+        per matrix.  A batched call gives each matrix the bits of a call of
+        its own, so the result does not depend on the lane count.
+        """
+        l, m = parts[0].shape[1:]
+        k = min(l, m)
+        s = np.empty((sum(len(p) for p in parts), k))
+        rows = _row_blocks(s, parts)
+        outs = [(r,) for r in rows]
+        if compute_uv:
+            outs = [(np.empty((len(p), l, l if full_matrices else k), p.dtype), r,
+                     np.empty((len(p), m if full_matrices else k, m), p.dtype))
+                    for p, r in zip(parts, rows)]
+
+        def factor(j, lo, hi):
+            res = np.linalg.svd(parts[j][lo:hi], full_matrices=full_matrices,
+                                compute_uv=compute_uv)
+            for dst, src in zip(outs[j], res if compute_uv else (res,)):
+                dst[lo:hi] = src
+
+        with _blas.owned_cores():
+            if l * m * k < _blas.LANE_MIN_WORK:
+                for j, p in enumerate(parts):
+                    if len(p):
+                        factor(j, 0, len(p))
+            else:
+                _blas.run_lanes([functools.partial(factor, j, i, i + 1)
+                                 for j, p in enumerate(parts) for i in range(len(p))])
+        if not compute_uv:
+            return s
+        return [out[0] for out in outs], s, [out[2] for out in outs]
+
+    @staticmethod
+    def _products(U, s, Vh):
+        """U[b] diag(s[b]) Vh[b] for every matrix b of the stacks in U and
+        Vh, whose singular values are s's rows in order.  Only the leading
+        singular columns up to the last nonzero one enter the products."""
+        live = np.flatnonzero(s.any(axis=0))
+        k = live[-1] + 1 if live.size else 0
+        rows = _row_blocks(s[:, np.newaxis, :k], U)
+        return [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
+
+    def svd_state(self, state, real, compute_uv=True):
+        """Thin SVD of the matrices of a state (see pack).
+
+        For real tubes the self-paired planes are factored as real matrices
+        and each slice with a partner as one complex matrix.  U and Vh are
+        lists of stacks, one per kind of matrix, and s has a row per matrix,
+        whose Parseval weights are weights(real)[1].
+        """
+        return self._svd(self._parts(state, real), False, compute_uv)
+
+    def compose_state(self, U, s, Vh, real):
+        """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
+        svd_state, after a shrink of s.  Real planes multiply as real
+        matrices."""
+        products = self._products(U, s, Vh)
+        return self._scatter(products) if real else products[0]
 
     def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
         """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
 
         real=True states that the stack is the hat of real-coefficient tubes,
         so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
-        Only one slice of each pair is factored, the real part of a
-        self-paired one, and the partner gets the conjugated factors.
-
-        Slices of at least _blas.LANE_MIN_WORK multiply-adds are one task
-        each for _blas.run_lanes, complex slices first.  Smaller slices are
-        factored on the calling thread in one batched call per kind, which
-        costs less than one call per slice.  A batched call gives each slice
-        the bits of a call of its own, so the result does not depend on the
-        lane count.
+        The kernel factors one slice of each pair, and the real part of a
+        self-paired one, as svd_state does for a packed state (see pack).
+        The partner gets the conjugated factors.
         """
-        n, l, m = blocks.shape
-        k = min(l, m)
-        out = [np.empty((n, k))]
-        if compute_uv:
-            out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
-                   np.empty((n, m if full_matrices else k, m), np.complex128)]
-        factored, partners, sources, self_paired = self._split(real)
-
-        def factor(group):
-            part = blocks[group].real if self_paired[group[0]] else blocks[group]
-            res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
-            for dst, src in zip(out, res if compute_uv else (res,)):
-                dst[group] = src
-
-        # A real slice costs about half a complex one, so complex ones go first.
-        groups = [g for g in (factored[~self_paired[factored]], factored[self_paired[factored]])
-                  if len(g)]
-        with _blas.owned_cores():
-            if l * m * k < _blas.LANE_MIN_WORK:
-                for g in groups:
-                    factor(g)
-            else:
-                _blas.run_lanes([functools.partial(factor, g[i:i + 1])
-                                 for g in groups for i in range(len(g))])
-        for dst in out:
-            dst[partners] = np.conj(dst[sources])
-        return tuple(out) if compute_uv else out[0]
+        parts = self._stack_parts(blocks, real)
+        res = self._svd(parts, full_matrices, compute_uv)
+        U, s, Vh = res if compute_uv else (None, res, None)
+        s = self._expand(_row_blocks(s, parts), real)
+        return (self._expand(U, real), s, self._expand(Vh, real)) if compute_uv else s
 
     def slice_compose(self, U, s, Vh, real):
         """Stack of U[b] diag(s[b]) Vh[b]: the inverse of slice_svd, after a
@@ -413,15 +544,13 @@ class TubeTransform:
 
         Only the leading singular columns up to the last nonzero one enter
         the products, and for real-coefficient tubes only the factored slices
-        are multiplied; their partners get the conjugates.
+        are multiplied, as complex matrices; their partners get the
+        conjugates.
         """
-        live = np.flatnonzero(s.any(axis=0))
-        k = live[-1] + 1 if live.size else 0
-        factored, partners, sources, _ = self._split(real)
-        out = np.empty((s.shape[0], U.shape[1], Vh.shape[2]), np.result_type(U, Vh))
-        out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
-        out[partners] = np.conj(out[sources])
-        return out
+        groups = [self._split(True)[2], self._split(True)[3]] if real else [slice(None)]
+        products = self._products([U[g] for g in groups], np.concatenate([s[g] for g in groups]),
+                                  [Vh[g] for g in groups])
+        return self._expand(products, real)
 
     def factored_slices(self, real):
         """Number of slices slice_svd factors per stack."""
@@ -436,6 +565,12 @@ class TubeTransform:
     def call_counts(cls):
         """(forward, inverse) calls made on the calling thread since its reset."""
         return cls._counts.forward, cls._counts.inverse
+
+
+def _row_blocks(x, stacks):
+    """x's rows in consecutive blocks, one as long as each of the stacks."""
+    ends = itertools.accumulate(len(a) for a in stacks)
+    return [x[end - len(a):end] for a, end in zip(stacks, ends)]
 
 
 def adjoint(A):

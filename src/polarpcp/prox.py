@@ -96,23 +96,31 @@ def prox_l1(Z, lam):
     return HyperMatrix(out.reshape(Z.data.shape), Z.field)
 
 
-def shrink_singular_values(svals, tau, grouped=True):
+def shrink_singular_values(svals, tau, grouped=True, weights=None):
     """Shrink an (n_slices, r) array of per-slice singular values.
 
-    grouped=True applies (1 - tau/||s_i||)_+ to the i-th cross-slice group;
+    grouped=True applies (1 - tau/||s_i||)_+ to the i-th cross-slice group,
+    whose squared norm takes the optional per-slice weights;
     grouped=False soft-thresholds each value independently.  A single slice
     degenerates to the plain soft threshold exactly, so both modes coincide
-    there.
+    there; a row stands for as many slices as its weight.
     """
-    if not grouped or svals.shape[0] == 1:
+    slices = svals.shape[0] if weights is None else weights.sum()
+    if not grouped or slices == 1:
         return np.maximum(svals - tau, 0.0)
-    return tube_group_shrink(svals, tau)
+    return tube_group_shrink(svals, tau, weights)
 
 
-def tube_group_shrink(stack, tau):
+def tube_group_shrink(stack, tau, weights=None):
     """Grouped shrink of an (n, ...) transform-domain stack where each tube
-    (the fiber across the leading axis) is one group."""
-    norms = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=0))
+    (the fiber across the leading axis) is one group.  weights, one per
+    slice, scale the slices' squares in the group norms: the Parseval
+    weights of a real-tube solver state (TubeTransform.pack)."""
+    if weights is None:
+        norms = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=0))
+    else:
+        squares = (stack * stack).reshape(len(weights), -1)
+        norms = np.sqrt(weights @ squares).reshape(stack.shape[1:])
     return stack * _shrink_factors(norms, tau)[np.newaxis]
 
 

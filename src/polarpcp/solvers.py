@@ -6,12 +6,16 @@ entry moduli.  One IALM driver (Lin, Chen & Ma, arXiv:1009.5055) runs all
 three variants; they differ only in the state the loop iterates on and in
 the pair of steps that state takes:
 
-* "frequency": the state is the transform-domain slice stack T.hat(X), so
-  tubes are transformed only on entry and exit.  The low-rank step is one
-  slice-SVD kernel call, a grouped shrink of the singular tubes and a
-  product back from the singular columns that survive it; the sparse step
-  shrinks each tube as one group.  The kernel factors n slices, or one per
-  conjugate pair for real tubes;
+* "frequency": the state is the packed slice stack T.pack(T.hat(X)), so
+  tubes are transformed only on entry and exit.  For complex tubes that is
+  the (n, l, m) complex stack.  For real tubes it is n float64 planes, as
+  many as X has coefficients: a self-paired slice is one real plane, and
+  one slice of each conjugate pair is two, its real and imaginary parts.
+  Its norms take Parseval weights: a plane of a paired slice counts twice.
+  The low-rank step is one slice-SVD kernel call (real planes as real
+  matrices, paired slices as complex ones), a grouped shrink of the
+  singular tubes and a product back from the singular columns that survive
+  it; the sparse step shrinks each tube as one group;
 * tensor RPCA: the same state and sparse step, but the low-rank step
   soft-thresholds each slice's singular values independently (slice-wise
   nuclear norm, no tube grouping; Lu et al., arXiv:1804.03728);
@@ -170,37 +174,47 @@ def pcp_ialm(X, cfg=None):
 
         def leave(A):
             return HyperMatrix(A, X.field)
+
+        norm = np.linalg.norm
     else:
         grouped = cfg.variant == FREQUENCY
         sqrt_n = math.sqrt(X.n)
+        plane_weights, row_weights = T.weights(real)
 
         def low_rank(Z, mu):
-            U, s, Vh = T.slice_svd(Z, real)
-            s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
-            return T.slice_compose(U, s, Vh, real)
+            U, s, Vh = T.svd_state(Z, real)
+            s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped,
+                                       row_weights)
+            return T.compose_state(U, s, Vh, real)
 
         def sparse(Z, mu):
-            return tube_group_shrink(Z, lam * sqrt_n / mu)
+            return tube_group_shrink(Z, lam * sqrt_n / mu, plane_weights)
 
         def leave(A):
-            return T.unhat(A, X.field)
+            return T.unhat(T.unpack(A, real), X.field)
+
+        def norm(A):
+            if plane_weights is None:
+                return np.linalg.norm(A)
+            return math.sqrt(plane_weights @ np.einsum("bij,bij->b", A, A))
 
     transforms = sum(TubeTransform.call_counts())
     history, mu_hist = [], []
     with owned_cores():
-        D = T.hat(X)
-        specnorm = float(T.slice_svd(D, real, compute_uv=False).max())
+        D = T.pack(T.hat(X), real)
+        specnorm = float(T.svd_state(D, real, compute_uv=False).max())
         if cfg.variant == NAIVE:
             D = X.data
         Y = D / max(specnorm, hm.max_modulus(X) / lam)   # Y_1 is proportional to X
         S = np.zeros_like(D)
-        Dnorm = np.linalg.norm(D)
+        Dnorm = norm(D)
         for mu in itertools.islice(_geometric(cfg, specnorm), cfg.max_iters):
-            L = low_rank(D - S + Y / mu, mu)
-            S = sparse(D - L + Y / mu, mu)
+            Y_mu = Y / mu
+            L = low_rank(D - S + Y_mu, mu)
+            S = sparse(D - L + Y_mu, mu)
             R = D - L - S
             Y = Y + mu * R
-            history.append(float(np.linalg.norm(R) / Dnorm))
+            history.append(float(norm(R) / Dnorm))
             mu_hist.append(mu)
             if history[-1] < cfg.tol:
                 break

@@ -5,18 +5,22 @@ convolutions are direct double loops, adjoints are assembled blockwise,
 reference solvers are plain-numpy IALM, and the PHT codec formats and parses
 one value at a time, so the library is checked against code that cannot
 share its bugs.  ialm_frequency_reference is the transform-domain IALM loop
-as it stood before the solver variants shared one driver; the driver must
-reproduce it bit for bit.  ReferenceScalar is the standalone scalar
+as it stood before the solver variants shared one driver, on the full
+complex slice stack; reference_slice_svd and reference_slice_compose are
+the full-stack slice kernels it ran, as they stood before real tubes got a
+packed state.  The driver must reproduce the loop bit for bit on complex
+tubes and to 1e-12 relative on real ones.  ReferenceScalar is the standalone scalar
 arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
 """
 
+import functools
 import math
 import os
 
 import numpy as np
 
 import polarpcp.hypermatrix as hm
-from polarpcp import COMPLEX, REAL, HyperMatrix, PcpResult, PhtFormatError, PolarScalar
+from polarpcp import COMPLEX, REAL, HyperMatrix, PcpResult, PhtFormatError, PolarScalar, _blas
 from polarpcp.hyperalgebra import (
     SINGULAR_RTOL,
     AngleSet,
@@ -137,6 +141,67 @@ def _geometric(mu0, rho):
         mu *= rho
 
 
+def reference_slice_svd(T, blocks, real, full_matrices=False, compute_uv=True):
+    """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
+
+    real=True states that the stack is the hat of real-coefficient tubes,
+    so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
+    Only one slice of each pair is factored, the real part of a
+    self-paired one, and the partner gets the conjugated factors.
+
+    Slices of at least _blas.LANE_MIN_WORK multiply-adds are one task
+    each for _blas.run_lanes, complex slices first.  Smaller slices are
+    factored on the calling thread in one batched call per kind, which
+    costs less than one call per slice.  A batched call gives each slice
+    the bits of a call of its own, so the result does not depend on the
+    lane count.
+    """
+    n, l, m = blocks.shape
+    k = min(l, m)
+    out = [np.empty((n, k))]
+    if compute_uv:
+        out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
+               np.empty((n, m if full_matrices else k, m), np.complex128)]
+    factored, partners, sources, self_paired = T._split(real)
+
+    def factor(group):
+        part = blocks[group].real if self_paired[group[0]] else blocks[group]
+        res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
+        for dst, src in zip(out, res if compute_uv else (res,)):
+            dst[group] = src
+
+    # A real slice costs about half a complex one, so complex ones go first.
+    groups = [g for g in (factored[~self_paired[factored]], factored[self_paired[factored]])
+              if len(g)]
+    with _blas.owned_cores():
+        if l * m * k < _blas.LANE_MIN_WORK:
+            for g in groups:
+                factor(g)
+        else:
+            _blas.run_lanes([functools.partial(factor, g[i:i + 1])
+                             for g in groups for i in range(len(g))])
+    for dst in out:
+        dst[partners] = np.conj(dst[sources])
+    return tuple(out) if compute_uv else out[0]
+
+
+def reference_slice_compose(T, U, s, Vh, real):
+    """Stack of U[b] diag(s[b]) Vh[b]: the inverse of slice_svd, after a
+    shrink of s.
+
+    Only the leading singular columns up to the last nonzero one enter
+    the products, and for real-coefficient tubes only the factored slices
+    are multiplied; their partners get the conjugates.
+    """
+    live = np.flatnonzero(s.any(axis=0))
+    k = live[-1] + 1 if live.size else 0
+    factored, partners, sources, _ = T._split(real)
+    out = np.empty((s.shape[0], U.shape[1], Vh.shape[2]), np.result_type(U, Vh))
+    out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
+    out[partners] = np.conj(out[sources])
+    return out
+
+
 def ialm_frequency_reference(X, cfg, grouped):
     """Transform-domain IALM with its own loop: grouped=True is polar PCP,
     grouped=False is tensor RPCA."""
@@ -147,7 +212,7 @@ def ialm_frequency_reference(X, cfg, grouped):
     maxmod = hm.max_modulus(X)
 
     Xhat = T.hat(X)
-    specnorm = float(T.slice_svd(Xhat, real, compute_uv=False).max())
+    specnorm = float(reference_slice_svd(T, Xhat, real, compute_uv=False).max())
     Yhat = Xhat / _dual_scale(lam, specnorm, maxmod)   # Y_1 is proportional to X
     Shat = np.zeros_like(Xhat)
     Lhat = np.zeros_like(Xhat)
@@ -163,9 +228,9 @@ def ialm_frequency_reference(X, cfg, grouped):
             break
         iterations += 1
         Zhat = Xhat - Shat + Yhat / mu
-        U, s, Vh = T.slice_svd(Zhat, real)
+        U, s, Vh = reference_slice_svd(T, Zhat, real)
         s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped)
-        Lhat = T.slice_compose(U, s, Vh, real)
+        Lhat = reference_slice_compose(T, U, s, Vh, real)
         Shat = tube_group_shrink(Xhat - Lhat + Yhat / mu, lam * sqrt_n / mu)
         Rhat = Xhat - Lhat - Shat
         Yhat = Yhat + mu * Rhat

@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from polarpcp import (
     COMPLEX,
     REAL,
     HyperMatrix,
+    PolarScalar,
     TubeTransform,
     adjoint,
     reconstruct,
@@ -20,9 +23,9 @@ from polarpcp import (
     t_matmul,
     tsvd,
 )
-from polarpcp.prox import shrink_singular_values
+from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
-from helpers import random_hypermatrix
+from helpers import random_hypermatrix, reference_slice_compose, reference_slice_svd
 
 ALL_TRANSFORMS = [
     TubeTransform.dft(6),
@@ -78,6 +81,14 @@ class TestTubeTransform:
             TubeTransform("dft", 4, (2, 2))
         with pytest.raises(ValueError):
             TubeTransform("whatever", 4)
+
+    @pytest.mark.parametrize("n", [0, -2, 4.0, 2.5, True, "4"])
+    def test_length_must_be_a_positive_integer(self, n):
+        TubeTransform.dft(4)   # a shared length-4 transform must not answer for 4.0
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TubeTransform.dft(n)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TubeTransform("skew_dft", n)
 
     def test_group_dft_with_single_factor_is_dft(self):
         rng = np.random.default_rng(2)
@@ -345,3 +356,165 @@ class TestSplitCache:
                 assert not got.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     got[...] = 0
+
+
+class TestFullStackWrappers:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
+    def test_slice_svd_bitwise_equal_to_reference(self, case, full_matrices, compute_uv):
+        T, stack, real = case
+        kw = dict(full_matrices=full_matrices, compute_uv=compute_uv)
+        got = T.slice_svd(stack, real, **kw)
+        want = reference_slice_svd(T, stack, real, **kw)
+        pairs = zip(got, want) if compute_uv else [(got, want)]
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_slice_stacks(), grouped=st.booleans(), cut=st.floats(0.0, 1.5))
+    def test_slice_compose_bitwise_equal_to_reference(self, case, grouped, cut):
+        T, stack, real = case
+        U, s, Vh = T.slice_svd(stack, real)
+        s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped)
+        got = T.slice_compose(U, s, Vh, real)
+        want = reference_slice_compose(T, U, s, Vh, real)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _real_hats(draw):
+    """(transform, hat stack) of a random real tube matrix, n = 1..8, under
+    the DFT, the skew DFT, a group DFT (a mixed (2, 3) one for n = 6) and,
+    for powers of two, the Walsh-Hadamard transform."""
+    n = draw(st.integers(1, 8))
+    transforms = [TubeTransform.dft(n), TubeTransform.skew_dft(n),
+                  TubeTransform.group_dft(_GROUP_FACTORS[n])]
+    if n & (n - 1) == 0:
+        transforms.append(TubeTransform.walsh_hadamard(n))
+    T = draw(st.sampled_from(transforms))
+    l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return T, T.hat(random_hypermatrix(rng, l, m, n, REAL))
+
+
+class TestPackedState:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_real_hats())
+    def test_pack_then_unpack_is_exact(self, case):
+        T, hat = case
+        planes = T.pack(hat, True)
+        assert planes.shape == hat.shape and planes.dtype == np.float64
+        full = T.unpack(planes, True)
+        factored, partners, sources, self_paired = T._split(True)
+        # The kept slices come back bit for bit, and a partner is the exact
+        # conjugate of its source.
+        paired = factored[~self_paired[factored]]
+        assert full[paired].tobytes() == hat[paired].tobytes()
+        assert full[self_paired].real.tobytes() == hat[self_paired].real.tobytes()
+        assert not full[self_paired].imag.any()
+        assert full[partners].tobytes() == np.conj(full[sources]).tobytes()
+        # The hat of real tubes is conjugate-symmetric only up to rounding
+        # (skew twiddles, n = 6), so it is exact once symmetric.
+        assert np.abs(full - hat).max() <= 1e-14 * np.abs(hat).max()
+        assert T.unpack(T.pack(full, True), True).tobytes() == full.tobytes()
+        assert T.pack(full, True).tobytes() == planes.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_real_hats())
+    def test_weighted_planes_keep_the_frobenius_norm(self, case):
+        T, hat = case
+        planes = T.pack(hat, True)
+        plane_weights, row_weights = T.weights(True)
+        assert plane_weights.shape == (T.n,) and row_weights.shape == (T.factored_slices(True),)
+        got = plane_weights @ np.einsum("bij,bij->b", planes, planes)
+        want = np.linalg.norm(hat) ** 2
+        assert abs(got - want) <= 1e-13 * want
+        s = T.svd_state(planes, True, compute_uv=False)
+        assert abs(row_weights @ (s * s).sum(axis=1) - want) <= 1e-13 * want
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_real_hats(), cut=st.floats(0.0, 1.5))
+    def test_state_kernel_matches_full_stack_kernel(self, case, cut):
+        T, hat = case
+        planes = T.pack(hat, True)
+        U, s, Vh = T.svd_state(planes, True)
+        # Self-paired planes are factored as real matrices.
+        assert [u.dtype for u in U] == [v.dtype for v in Vh] == [np.complex128, np.float64]
+        _, _, sources, self_paired = T._split(True)
+        U_full, s_full, Vh_full = T.slice_svd(hat, True)
+        assert s.tobytes() == np.concatenate([s_full[sources], s_full[self_paired]]).tobytes()
+        tau = cut * np.sqrt(T.n) * s.max()
+        shrunk = shrink_singular_values(s, tau, True, T.weights(True)[1])
+        shrunk_full = shrink_singular_values(s_full, tau, True)
+        got = T.compose_state(U, shrunk, Vh, True)
+        want = T.pack(T.slice_compose(U_full, shrunk_full, Vh_full, True), True)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(hat).max(), 1e-300)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_real_hats(), cut=st.floats(0.0, 1.5))
+    def test_weighted_tube_shrink_matches_full_stack_shrink(self, case, cut):
+        T, hat = case
+        planes = T.pack(hat, True)
+        full = T.unpack(planes, True)
+        tau = cut * np.abs(hat).max() * np.sqrt(T.n)
+        got = tube_group_shrink(planes, tau, T.weights(True)[0])
+        want = T.pack(tube_group_shrink(full, tau), True)
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(hat).max(), 1e-300)
+
+    def test_complex_state_is_the_stack(self):
+        T = TubeTransform.dft(4)
+        hat = T.hat(random_hypermatrix(np.random.default_rng(3), 3, 2, 4, COMPLEX))
+        assert T.pack(hat, False) is hat and T.unpack(hat, False) is hat
+        assert T.weights(False) == (None, None)
+
+
+class TestSharedTransforms:
+    def test_named_constructors_share_one_instance(self):
+        assert TubeTransform.dft(4) is TubeTransform.dft(4)
+        assert TubeTransform.skew_dft(4) is TubeTransform.from_name("skew-dft", 4)
+        assert TubeTransform.group_dft([2, 3]) is TubeTransform.group_dft((2, 3))
+        assert TubeTransform.walsh_hadamard(4) is TubeTransform.from_name("wht", 4)
+        assert TubeTransform.dft(4) is not TubeTransform.skew_dft(4)
+
+    def test_scalar_inverses_build_one_split(self, monkeypatch):
+        calls = []
+        pairing = TubeTransform.conjugate_pairing
+
+        def counting_pairing(self):
+            calls.append(self)
+            return pairing(self)
+
+        monkeypatch.setattr(TubeTransform, "_shared", {})
+        monkeypatch.setattr(TubeTransform, "conjugate_pairing", counting_pairing)
+        p = PolarScalar(np.array([3.0, 1.0, -0.5, 0.25]))
+        for _ in range(2000):
+            p.inverse()
+        assert len(calls) == 1
+
+    def test_first_use_from_many_threads(self, monkeypatch):
+        # More threads than cores race to build the same transforms.
+        monkeypatch.setattr(TubeTransform, "_shared", {})
+        workers = 8
+        barrier = threading.Barrier(workers, timeout=10)
+        A = random_hypermatrix(np.random.default_rng(4), 3, 3, 6, REAL)
+        hat = TubeTransform("dft", 6).hat(A)
+        seen = []
+
+        def first_use():
+            barrier.wait()
+            T = TubeTransform.dft(6)
+            seen.append((T, TubeTransform.group_dft((2, 3)),
+                         T.slice_svd(hat, True, compute_uv=False).tobytes()))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == workers
+        assert all(T is seen[0][0] and G is seen[0][1] and s == seen[0][2] for T, G, s in seen)
