@@ -12,8 +12,11 @@ its frontal blocks are exactly the unnormalized tube DFT values, so the
 matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
 TubeTransform generalizes the tube DFT to every t-SVD transform and is the
-one seam into the transform domain (hat, unhat), the owner of a solver's
-packed state of real tubes (pack, unpack) and the one slice-SVD kernel.
+one seam into the transform domain (hat, unhat), the owner of the packed
+state of real tubes (pack, unpack) and the one slice-SVD kernel.  Every
+singular-tube shrink, in the solvers and in prox_trace, factors and
+rebuilds a packed state (svd_state, compose_state); slice_svd factors a
+full stack through the same state for the t-SVD, inverses and norms.
 """
 
 from __future__ import annotations
@@ -206,9 +209,10 @@ class TubeTransform:
 
     It is the one seam into the transform domain: hat and unhat move a
     matrix of tubes to and from its (n, l, m) slice stack, pack and unpack
-    move a slice stack to and from a solver's state, and one slice-SVD
-    kernel factors either.  The named constructors return one shared
-    instance per transform, built complete, so lanes may share it.
+    move a slice stack to and from its packed state, and one slice-SVD
+    kernel factors the matrices of that state.  The named constructors
+    return one shared instance per transform, built complete, so lanes may
+    share it.
     """
 
     __slots__ = ("kind", "n", "factors", "_splits")
@@ -388,16 +392,21 @@ class TubeTransform:
         return self._splits[bool(real)]
 
     def pack(self, blocks, real):
-        """A solver's state for an (n, l, m) slice stack.
+        """The packed state of an (n, l, m) slice stack: what a solve
+        iterates on and what the slice-SVD kernel factors.
 
         For complex tubes the state is the stack itself.  For real tubes it
         is n float64 planes, as many as the coefficients: a self-paired
         slice is real and is one plane, and a slice with a partner keeps
         its real part in its own plane and its imaginary part in its
-        partner's (under the DFT, the values of rfft).  Norms of the state
-        take the Parseval weights of weights(real).
+        partner's (under the DFT, the values of rfft).  The partner slices
+        are dropped.  Norms of the state take the Parseval weights of
+        weights(real).
         """
-        return self._scatter(self._stack_parts(blocks, True)) if real else blocks
+        if not real:
+            return blocks
+        _, _, sources, self_paired = self._split(True)
+        return self._scatter([blocks[sources], blocks[self_paired].real])
 
     def unpack(self, state, real):
         """The slice stack of a state: the inverse of pack."""
@@ -413,19 +422,10 @@ class TubeTransform:
         _, _, sources, self_paired = self._split(True)
         return 2.0 - self_paired, np.repeat([2.0, 1.0], [len(sources), self_paired.sum()])
 
-    def _stack_parts(self, blocks, real):
-        """The slices of a full stack that the kernel factors, complex ones
-        first: for real tubes one slice of each pair, then the real parts of
-        the self-paired slices."""
-        if not real:
-            return [blocks]
-        _, _, sources, self_paired = self._split(True)
-        return [blocks[sources], blocks[self_paired].real]
-
     def _parts(self, state, real):
-        """The matrices of a state, in _stack_parts' order: for real tubes
-        the slices with a partner, rebuilt bit for bit from their two
-        planes, then the self-paired planes."""
+        """The matrices of a state that the slice-SVD kernel factors,
+        complex ones first: for real tubes the slices with a partner, rebuilt
+        bit for bit from their two planes, then the self-paired planes."""
         if not real:
             return [state]
         _, partners, sources, self_paired = self._split(True)
@@ -496,16 +496,6 @@ class TubeTransform:
             return s
         return [out[0] for out in outs], s, [out[2] for out in outs]
 
-    @staticmethod
-    def _products(U, s, Vh):
-        """U[b] diag(s[b]) Vh[b] for every matrix b of the stacks in U and
-        Vh, whose singular values are s's rows in order.  Only the leading
-        singular columns up to the last nonzero one enter the products."""
-        live = np.flatnonzero(s.any(axis=0))
-        k = live[-1] + 1 if live.size else 0
-        rows = _row_blocks(s[:, np.newaxis, :k], U)
-        return [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
-
     def svd_state(self, state, real, compute_uv=True):
         """Thin SVD of the matrices of a state (see pack).
 
@@ -518,42 +508,35 @@ class TubeTransform:
 
     def compose_state(self, U, s, Vh, real):
         """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
-        svd_state, after a shrink of s.  Real planes multiply as real
-        matrices."""
-        products = self._products(U, s, Vh)
+        svd_state, after a shrink of s.  Only the leading singular columns
+        up to the last nonzero one enter the products, and real planes
+        multiply as real matrices."""
+        live = np.flatnonzero(s.any(axis=0))
+        k = live[-1] + 1 if live.size else 0
+        rows = _row_blocks(s[:, np.newaxis, :k], U)
+        products = [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
         return self._scatter(products) if real else products[0]
 
     def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
-        """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
+        """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's:
+        the full-stack SVD, with full_matrices if asked, of tsvd,
+        singular_moduli, inv and spectral_norm.
 
         real=True states that the stack is the hat of real-coefficient tubes,
         so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
-        The kernel factors one slice of each pair, and the real part of a
-        self-paired one, as svd_state does for a packed state (see pack).
-        The partner gets the conjugated factors.
+        The kernel factors the matrices of the stack's packed state (see
+        pack): one slice of each pair, and the real part of a self-paired
+        one.  The partner gets the conjugated factors.
         """
-        parts = self._stack_parts(blocks, real)
+        parts = self._parts(self.pack(blocks, real), real)
         res = self._svd(parts, full_matrices, compute_uv)
         U, s, Vh = res if compute_uv else (None, res, None)
         s = self._expand(_row_blocks(s, parts), real)
         return (self._expand(U, real), s, self._expand(Vh, real)) if compute_uv else s
 
-    def slice_compose(self, U, s, Vh, real):
-        """Stack of U[b] diag(s[b]) Vh[b]: the inverse of slice_svd, after a
-        shrink of s.
-
-        Only the leading singular columns up to the last nonzero one enter
-        the products, and for real-coefficient tubes only the factored slices
-        are multiplied, as complex matrices; their partners get the
-        conjugates.
-        """
-        groups = [self._split(True)[2], self._split(True)[3]] if real else [slice(None)]
-        products = self._products([U[g] for g in groups], np.concatenate([s[g] for g in groups]),
-                                  [Vh[g] for g in groups])
-        return self._expand(products, real)
-
     def factored_slices(self, real):
-        """Number of slices slice_svd factors per stack."""
+        """Number of matrices the slice-SVD kernel factors per stack or
+        state: one per slice pair for real tubes, one per slice otherwise."""
         return len(self._split(real)[0])
 
     @classmethod

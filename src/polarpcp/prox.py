@@ -128,14 +128,17 @@ def prox_trace(Z, lam, transform=None):
     """Hypercomplex trace-norm prox: shrink every singular tube's modulus by
     lam and reconstruct.
 
-    In the transform domain the tube modulus is the cross-slice Euclidean
-    norm divided by sqrt(n), so the grouped threshold carries a sqrt(n)
-    factor; this is the only place the unnormalized-transform scaling enters.
+    It is the frequency solve's low-rank step in a round trip from the
+    coefficients: pack the slice stack (TubeTransform.pack), factor it,
+    shrink the singular tubes with the Parseval row weights of a real-tube
+    state, and unpack the products.  The tube modulus is the cross-slice
+    Euclidean norm of the unnormalized transform divided by sqrt(n), so the
+    grouped threshold carries a sqrt(n) factor.
     """
     if lam < 0:
         raise ValueError("threshold must be nonnegative")
     T = transform or TubeTransform.dft(Z.n)
     real = Z.field == REAL
-    U, s, Vh = T.slice_svd(T.hat(Z), real)
-    s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
-    return T.unhat(T.slice_compose(U, s2, Vh, real), Z.field)
+    U, s, Vh = T.svd_state(T.pack(T.hat(Z), real), real)
+    s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, T.weights(real)[1])
+    return T.unhat(T.unpack(T.compose_state(U, s, Vh, real), real), Z.field)

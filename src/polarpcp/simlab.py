@@ -65,6 +65,8 @@ class TrialSpec:
             raise ValueError("m must be an integer >= 1")
         if not _is_int(self.trials) or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if self.ranks is None:
             object.__setattr__(
                 self, "ranks", tuple(max(1, round(f * self.m)) for f in _GRID_FRACTIONS)

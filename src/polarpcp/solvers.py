@@ -89,6 +89,9 @@ class SolverConfig:
         if factors is not None and (not isinstance(factors, tuple) or not factors
                                     or not all(_is_int(f) and f >= 1 for f in factors)):
             raise ValueError("transform_factors must be a non-empty tuple of integers >= 1")
+        if factors is not None and self.transform != "dft":
+            raise ValueError(f"transform_factors name a group DFT, so transform must be "
+                             f"left at 'dft', not {self.transform!r}")
 
     def resolve_transform(self, n):
         if self.transform_factors is None:

@@ -9,7 +9,9 @@ as it stood before the solver variants shared one driver, on the full
 complex slice stack; reference_slice_svd and reference_slice_compose are
 the full-stack slice kernels it ran, as they stood before real tubes got a
 packed state.  The driver must reproduce the loop bit for bit on complex
-tubes and to 1e-12 relative on real ones.  ReferenceScalar is the standalone scalar
+tubes and to 1e-12 relative on real ones.  reference_prox_trace is the
+trace-norm prox on those full-stack kernels, as it stood before it ran on
+the packed state, held to the same bars.  ReferenceScalar is the standalone scalar
 arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
 """
 
@@ -29,6 +31,11 @@ from polarpcp.hyperalgebra import (
     promote_fields,
 )
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
+
+
+# Group-DFT factorizations of the differential tests: Walsh-Hadamard for the
+# powers of two, a mixed (2, 3) group for n = 6.
+GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,), 8: (2, 2, 2)}
 
 
 def random_tube(rng, n, field):
@@ -200,6 +207,18 @@ def reference_slice_compose(T, U, s, Vh, real):
     out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
     out[partners] = np.conj(out[sources])
     return out
+
+
+def reference_prox_trace(Z, lam, transform=None):
+    """Trace-norm prox on the full complex slice stack: grouped shrink of
+    the singular tubes with the sqrt(n) factor of unnormalized transforms."""
+    if lam < 0:
+        raise ValueError("threshold must be nonnegative")
+    T = transform or hm.TubeTransform.dft(Z.n)
+    real = Z.field == REAL
+    U, s, Vh = reference_slice_svd(T, T.hat(Z), real)
+    s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
+    return T.unhat(reference_slice_compose(T, U, s2, Vh, real), Z.field)
 
 
 def ialm_frequency_reference(X, cfg, grouped):

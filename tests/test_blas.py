@@ -31,6 +31,8 @@ from polarpcp._blas import owned_cores, run_lanes, single_threaded_blas
 from polarpcp.cli import main
 from polarpcp.simlab import EMBEDDINGS, POLAR4COMPLEX, CellResult, TrialOutcome
 
+from helpers import reference_slice_compose
+
 # A caller's count that differs from the pinned one and from most defaults.
 CALLER_THREADS = 3
 
@@ -336,7 +338,7 @@ class TestLanes:
         blocks = T.hat(HyperMatrix(np.random.default_rng(2).standard_normal((20, 20, 4)), REAL))
         U, s, Vh = T.slice_svd(blocks, real=True)
         assert calls == [threading.get_ident()] * 2   # one complex slice, two self-paired
-        assert np.allclose(T.slice_compose(U, s, Vh, real=True), blocks)
+        assert np.allclose(reference_slice_compose(T, U, s, Vh, real=True), blocks)
 
     def test_lane_error_propagates_and_threads_stop(self, lanes):
         barrier = threading.Barrier(2, timeout=10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarpcp.hypermatrix as hm
 from polarpcp import (
@@ -18,7 +20,7 @@ from polarpcp import (
 )
 from polarpcp.prox import shrink_singular_values
 
-from helpers import random_hypermatrix
+from helpers import GROUP_FACTORS, random_hypermatrix, reference_prox_trace
 
 
 class TestSoftThresholdReal:
@@ -235,3 +237,33 @@ class TestProxTrace:
         a = prox_trace(Z, lam)
         b = prox_l1(Z, lam)
         assert np.abs(a.data - b.data).max() <= 1e-12
+
+
+@st.composite
+def _prox_cases(draw):
+    """(Z, lam, transform): a random real or complex tube matrix, n = 1..8,
+    under the DFT, the skew DFT or a group DFT, and a threshold from zero to
+    1.5 times its spectral norm."""
+    n = draw(st.integers(1, 8))
+    T = draw(st.sampled_from([TubeTransform.dft(n), TubeTransform.skew_dft(n),
+                              TubeTransform.group_dft(GROUP_FACTORS[n])]))
+    field = draw(st.sampled_from([REAL, COMPLEX]))
+    l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = random_hypermatrix(rng, l, m, n, field)
+    return Z, draw(st.floats(0.0, 1.5)) * hm.spectral_norm(Z, T), T
+
+
+class TestProxTraceOnPackedState:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_prox_cases())
+    def test_matches_full_stack_reference(self, case):
+        # Bitwise on complex tubes, whose packed state is the stack; real
+        # tubes multiply self-paired planes as real matrices.
+        Z, lam, T = case
+        got, want = prox_trace(Z, lam, T), reference_prox_trace(Z, lam, T)
+        assert got.field == want.field and got.data.dtype == want.data.dtype
+        if Z.field == COMPLEX:
+            assert got.data.tobytes() == want.data.tobytes()
+        else:
+            assert np.linalg.norm(got.data - want.data) <= 1e-12 * np.linalg.norm(want.data)

@@ -146,6 +146,13 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=repr)
+    def test_seed_rejected_before_any_trial(self, seed):
+        # SeedSequence would reject -1 and 1.5 only inside the first trial,
+        # and would run True as seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            TrialSpec(seed=seed)
+
     def test_accepts_numpy_integers(self):
         spec = TrialSpec(m=np.int64(10), ranks=(np.int64(2),), trials=np.int32(3))
         assert spec.ranks == (2,) and type(spec.ranks[0]) is int

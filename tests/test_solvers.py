@@ -2,11 +2,13 @@ import itertools
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import polarpcp.hypermatrix as hm
+import polarpcp.solvers as solvers
 from polarpcp import (
     COMPLEX,
     REAL,
@@ -19,7 +21,13 @@ from polarpcp import (
     tensor_rpca,
 )
 
-from helpers import ialm_frequency_reference, random_hypermatrix, reference_pcp
+from helpers import (
+    GROUP_FACTORS,
+    ialm_frequency_reference,
+    random_hypermatrix,
+    reference_pcp,
+    reference_prox_trace,
+)
 
 
 class TestResidual:
@@ -110,6 +118,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
             pcp_ialm(X, cfg)
         assert pcp_ialm(X, SolverConfig(transform_factors=(2, 2))).converged
+
+    @pytest.mark.parametrize("transform", ["skew-dft", "skew_dft", "wht"])
+    def test_transform_factors_require_the_default_transform(self, transform):
+        # The factors name a group DFT; any other transform would be ignored.
+        with pytest.raises(ValueError, match="transform must be left at 'dft'"):
+            SolverConfig(transform=transform, transform_factors=(2, 2))
+        T = SolverConfig(transform_factors=(2, 2)).resolve_transform(4)
+        assert T is TubeTransform.group_dft((2, 2))
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -252,11 +268,6 @@ _ORACLE_CASES = [
 ]
 
 
-# Group-DFT factorizations of the differential test: Walsh-Hadamard for the
-# powers of two, a mixed (2, 3) group for n = 6.
-_GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,), 8: (2, 2, 2)}
-
-
 def _assert_matches_reference(res, ref, bitwise):
     """Complex tubes run the reference's full-stack loop bit for bit.  Real
     tubes iterate on the packed state, so L, S and the residual history
@@ -292,10 +303,24 @@ class TestOneDriver:
     def test_packed_real_state_matches_reference(self, n, kind, grouped):
         rng = np.random.default_rng(100 + n)
         X, _, _ = _low_rank_plus_sparse(rng, 14, 11, n, REAL, 2, 0.05)
-        cfg = (SolverConfig(transform_factors=_GROUP_FACTORS[n]) if kind == "group"
+        cfg = (SolverConfig(transform_factors=GROUP_FACTORS[n]) if kind == "group"
                else SolverConfig(transform=kind))
         res = pcp_ialm(X, cfg) if grouped else tensor_rpca(X, cfg)
         _assert_matches_reference(res, ialm_frequency_reference(X, cfg, grouped), bitwise=False)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("kind", ["dft", "skew-dft", "group"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_naive_matches_full_stack_prox(self, n, kind, field, monkeypatch):
+        # The naive low-rank step is prox_trace on the packed state; the
+        # reference prox runs on the full slice stack.
+        rng = np.random.default_rng(200 + n)
+        X, _, _ = _low_rank_plus_sparse(rng, 14, 11, n, field, 2, 0.05)
+        cfg = replace(SolverConfig(transform_factors=GROUP_FACTORS[n]) if kind == "group"
+                      else SolverConfig(transform=kind), variant="naive")
+        res = pcp_ialm(X, cfg)
+        monkeypatch.setattr(solvers, "prox_trace", reference_prox_trace)
+        _assert_matches_reference(res, pcp_ialm(X, cfg), bitwise=field == COMPLEX)
 
     def test_max_iters_stops_the_reference_too(self):
         rng = np.random.default_rng(16)

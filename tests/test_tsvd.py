@@ -325,10 +325,11 @@ class TestSliceSvd:
     def test_compose_matches_full_product(self, case, grouped, cut):
         # cut >= 1 shrinks every group to zero; cut = 0 keeps them all.
         T, stack, real = case
-        U, s, Vh = T.slice_svd(stack, real)
-        s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped)
+        U, s, Vh = T.svd_state(T.pack(stack, real), real)
+        s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped, T.weights(real)[1])
+        got = T.unpack(T.compose_state(U, s, Vh, real), real)
+        U, s, Vh = (T._expand(x, real) for x in (U, hm._row_blocks(s, U), Vh))
         want = (U * s[:, np.newaxis, :]) @ Vh
-        got = T.slice_compose(U, s, Vh, real)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
@@ -368,16 +369,6 @@ class TestFullStackWrappers:
         want = reference_slice_svd(T, stack, real, **kw)
         pairs = zip(got, want) if compute_uv else [(got, want)]
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=_slice_stacks(), grouped=st.booleans(), cut=st.floats(0.0, 1.5))
-    def test_slice_compose_bitwise_equal_to_reference(self, case, grouped, cut):
-        T, stack, real = case
-        U, s, Vh = T.slice_svd(stack, real)
-        s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped)
-        got = T.slice_compose(U, s, Vh, real)
-        want = reference_slice_compose(T, U, s, Vh, real)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -446,7 +437,7 @@ class TestPackedState:
         shrunk = shrink_singular_values(s, tau, True, T.weights(True)[1])
         shrunk_full = shrink_singular_values(s_full, tau, True)
         got = T.compose_state(U, shrunk, Vh, True)
-        want = T.pack(T.slice_compose(U_full, shrunk_full, Vh_full, True), True)
+        want = T.pack(reference_slice_compose(T, U_full, shrunk_full, Vh_full, True), True)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(hat).max(), 1e-300)
 
     @settings(max_examples=150, deadline=None)
