@@ -36,10 +36,12 @@ _lock = threading.Lock()
 _holders = 0
 _restore = None  # (setter, saved count) while the scope is held
 
-# slice_svd factors slices smaller than this many multiply-adds on the
-# calling thread: handing them to a lane costs more than it saves.  Measured
-# on 2 cores, two lanes break even on a real 4-tube's slice SVDs at about
-# 32x32 slices and win reliably from 64x64 (a third less time at 100x100).
+# The slice-SVD kernel factors slices smaller than this many multiply-adds on
+# the calling thread: handing them to a lane costs more than it saves.
+# Measured on 2 cores, two lanes break even on a real 4-tube's slice SVDs at
+# about 32x32 slices and win reliably from 64x64 (a third less time at
+# 100x100).  Only slices this large run gesdd's stages (_lapack): at 48x48
+# and 64x64 they cost about what np.linalg.svd does.
 LANE_MIN_WORK = 64**3
 
 # Per thread: .lanes, the _Lanes of the enclosing owned_cores() scope, and
@@ -48,15 +50,25 @@ _local = threading.local()
 
 
 @functools.cache
-def _controls():
-    """Return numpy's BLAS (get, set) thread-count functions, or None."""
+def library():
+    """Return a handle on numpy.linalg's extension module, or None.
+
+    dlsym on this handle also searches the libraries it links, which is
+    where numpy's own BLAS and LAPACK live.
+    """
     import numpy.linalg._umath_linalg as umath_linalg
 
     try:
-        # dlsym on this handle also searches the libraries it links,
-        # which is where numpy's own BLAS lives.
-        lib = ctypes.CDLL(umath_linalg.__file__)
+        return ctypes.CDLL(umath_linalg.__file__)
     except OSError:
+        return None
+
+
+@functools.cache
+def _controls():
+    """Return numpy's BLAS (get, set) thread-count functions, or None."""
+    lib = library()
+    if lib is None:
         return None
     for get_name, set_name in _CONTROL_NAMES:
         try:

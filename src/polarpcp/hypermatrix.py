@@ -15,8 +15,15 @@ TubeTransform generalizes the tube DFT to every t-SVD transform and is the
 one seam into the transform domain (hat, unhat), the owner of the packed
 state of real tubes (pack, unpack) and the one slice-SVD kernel.  Every
 singular-tube shrink, in the solvers and in prox_trace, factors and
-rebuilds a packed state (svd_state, compose_state); slice_svd factors a
-full stack through the same state for the t-SVD, inverses and norms.
+rebuilds a packed state (svd_state, compose_state).  Matrices of at least
+_blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
+they are run gesdd's own stages (_lapack): numpy's singular values bit for
+bit, and a back-transform of only the singular vectors a shrink keeps.
+Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
+and numpy builds without the ILP64 routines use np.linalg.svd.  inv and
+spectral_norm read the singular values of the packed state; slice_svd
+factors a full stack through the same kernel for the t-SVD and the
+singular-tube moduli.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
+from . import _blas, _lapack
 from .hyperalgebra import COMPLEX, REAL, SINGULAR_RTOL, PolarScalar, _check_field, promote_fields
 
 UNNORMALIZED = "unnormalized"
@@ -455,7 +462,7 @@ class TubeTransform:
         out[partners] = np.conj(paired)
         return out
 
-    def _svd(self, parts, full_matrices, compute_uv):
+    def _svd(self, parts, full_matrices, compute_uv, staged=False):
         """The one slice-SVD kernel: the SVD of every matrix of the stacks
         in parts, complex stacks first.  Returns s, the (matrices, k)
         singular values in parts order, and with compute_uv the lists of
@@ -467,25 +474,38 @@ class TubeTransform:
         thread in one batched call per stack, which costs less than one call
         per matrix.  A batched call gives each matrix the bits of a call of
         its own, so the result does not depend on the lane count.
+
+        With staged, a stack of such large matrices that gesdd factors
+        without a QR step or scaling (_lapack.direct) runs only gesdd's
+        first two stages (_lapack.factor): its U entry lists the matrices'
+        factored forms and its Vh entry is None.  Its singular values are
+        np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
         s = np.empty((sum(len(p) for p in parts), k))
         rows = _row_blocks(s, parts)
+        large = l * m * k >= _blas.LANE_MIN_WORK
+        stages = [staged and compute_uv and large and len(p) > 0 and _lapack.direct(p)
+                  for p in parts]
         outs = [(r,) for r in rows]
         if compute_uv:
-            outs = [(np.empty((len(p), l, l if full_matrices else k), p.dtype), r,
-                     np.empty((len(p), m if full_matrices else k, m), p.dtype))
-                    for p, r in zip(parts, rows)]
+            outs = [([None] * len(p), r, None) if in_stages
+                    else (np.empty((len(p), l, l if full_matrices else k), p.dtype), r,
+                          np.empty((len(p), m if full_matrices else k, m), p.dtype))
+                    for p, r, in_stages in zip(parts, rows, stages)]
 
         def factor(j, lo, hi):
+            if stages[j]:
+                rows[j][lo], outs[j][0][lo] = _lapack.factor(parts[j][lo])
+                return
             res = np.linalg.svd(parts[j][lo:hi], full_matrices=full_matrices,
                                 compute_uv=compute_uv)
             for dst, src in zip(outs[j], res if compute_uv else (res,)):
                 dst[lo:hi] = src
 
         with _blas.owned_cores():
-            if l * m * k < _blas.LANE_MIN_WORK:
+            if not large:
                 for j, p in enumerate(parts):
                     if len(p):
                         factor(j, 0, len(p))
@@ -501,26 +521,42 @@ class TubeTransform:
 
         For real tubes the self-paired planes are factored as real matrices
         and each slice with a partner as one complex matrix.  U and Vh are
-        lists of stacks, one per kind of matrix, and s has a row per matrix,
-        whose Parseval weights are weights(real)[1].
+        lists with an entry per kind of matrix, and s has a row per matrix,
+        whose Parseval weights are weights(real)[1].  An entry is a stack
+        of np.linalg.svd's factors, or, for large matrices that _svd
+        factors in stages, the list of their factored forms in U and None
+        in Vh: compose_state then builds only the singular vectors that a
+        shrink keeps.
         """
-        return self._svd(self._parts(state, real), False, compute_uv)
+        return self._svd(self._parts(state, real), False, compute_uv, staged=True)
 
     def compose_state(self, U, s, Vh, real):
         """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
         svd_state, after a shrink of s.  Only the leading singular columns
         up to the last nonzero one enter the products, and real planes
-        multiply as real matrices."""
+        multiply as real matrices.  A matrix factored in stages is
+        rebuilt by _lapack.product from the singular vectors up to its own
+        last nonzero value, one task per matrix on the lanes."""
         live = np.flatnonzero(s.any(axis=0))
         k = live[-1] + 1 if live.size else 0
         rows = _row_blocks(s[:, np.newaxis, :k], U)
-        products = [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
+        products = [np.empty((len(u),) + u[0].a.shape, u[0].a.dtype) if vh is None
+                    else (u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
+
+        def rebuild(j, i):
+            products[j][i] = _lapack.product(U[j][i], np.trim_zeros(rows[j][i, 0], "b"))
+
+        staged = [functools.partial(rebuild, j, i)
+                  for j, vh in enumerate(Vh) if vh is None for i in range(len(U[j]))]
+        if staged:
+            with _blas.owned_cores():
+                _blas.run_lanes(staged)
         return self._scatter(products) if real else products[0]
 
     def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
         """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's:
-        the full-stack SVD, with full_matrices if asked, of tsvd,
-        singular_moduli, inv and spectral_norm.
+        the full-stack SVD, with full_matrices if asked, of tsvd and
+        singular_moduli.
 
         real=True states that the stack is the hat of real-coefficient tubes,
         so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
@@ -634,7 +670,8 @@ def inv(A):
         raise ValueError("matrix inverse requires a square matrix")
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
-    svals = T.slice_svd(hat, A.field == REAL, compute_uv=False)
+    real = A.field == REAL
+    svals = T.svd_state(T.pack(hat, real), real, compute_uv=False)
     if svals.min() <= SINGULAR_RTOL * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
     return T.unhat(np.linalg.inv(hat), A.field)
@@ -673,7 +710,8 @@ def spectral_norm(A, transform=None):
     instead of the DFT blocks.
     """
     T = transform or TubeTransform.dft(A.n)
-    return float(T.slice_svd(T.hat(A), A.field == REAL, compute_uv=False).max())
+    real = A.field == REAL
+    return float(T.svd_state(T.pack(T.hat(A), real), real, compute_uv=False).max())
 
 
 def max_modulus(A):

@@ -54,19 +54,23 @@ def _shrink_factors(norms, lam):
     return factors
 
 
+def _check_threshold(lam):
+    """Reject a threshold that is not >= 0, NaN included; inf is allowed."""
+    if not lam >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {lam!r}")
+
+
 def group_soft_threshold(z, lam):
     """Group lasso prox: scale each group by (1 - lam/||z_g||)_+ with zero
     groups mapping to zero."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(lam)
     factors = _shrink_factors(z.group_norms(), lam)
     return GroupedVector(z.values * np.repeat(factors, z.sizes), z.offsets.copy())
 
 
 def soft_threshold_real(x, lam):
     """Scalar soft threshold sign(x) * max(|x| - lam, 0), vectorized."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(lam)
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
@@ -85,8 +89,7 @@ def prox_l1(Z, lam):
     """Entrywise hypercomplex l1 prox: z -> (1 - lam/|z|)_+ z with |z| the
     entry modulus.  Delegates to group_soft_threshold with one group per
     entry, so the two agree bit for bit."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(lam)
     comps = _entry_components(Z)
     lm, width = comps.shape
     gv = GroupedVector(comps.ravel(), np.arange(lm, dtype=np.intp) * width)
@@ -135,8 +138,7 @@ def prox_trace(Z, lam, transform=None):
     Euclidean norm of the unnormalized transform divided by sqrt(n), so the
     grouped threshold carries a sqrt(n) factor.
     """
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(lam)
     T = transform or TubeTransform.dft(Z.n)
     real = Z.field == REAL
     U, s, Vh = T.svd_state(T.pack(T.hat(Z), real), real)

@@ -76,8 +76,12 @@ class TrialSpec:
         for r in self.ranks:
             if not _is_int(r) or not 0 < r <= self.m:
                 raise ValueError(f"rank {r!r} is not an integer in (0, m={self.m}]")
+        if not self.ranks:
+            raise ValueError("at least one rank is required")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
+        if not self.rhos:
+            raise ValueError("at least one density is required")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         object.__setattr__(self, "embeddings", tuple(self.embeddings))
         for rho in self.rhos:

@@ -15,7 +15,10 @@ the pair of steps that state takes:
   The low-rank step is one slice-SVD kernel call (real planes as real
   matrices, paired slices as complex ones), a grouped shrink of the
   singular tubes and a product back from the singular columns that survive
-  it; the sparse step shrinks each tube as one group;
+  it; the sparse step shrinks each tube as one group.  Large slices that
+  gesdd bidiagonalizes directly are factored in gesdd's stages, whose
+  back-transform then builds only the surviving singular vectors; the rest
+  keep np.linalg.svd (see hypermatrix);
 * tensor RPCA: the same state and sparse step, but the low-rank step
   soft-thresholds each slice's singular values independently (slice-wise
   nuclear norm, no tube grouping; Lu et al., arXiv:1804.03728);
@@ -28,9 +31,10 @@ X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically from
 theory requires.
 
 A solve owns the cores: it runs with BLAS on one thread (the caller's count
-is restored when it returns or raises), and its slice SVDs of 64x64 and
-up run on min(POLARPCP_THREADS, usable CPUs, factored slices) lanes, or on
-the trial's lane inside run_grid.  Results do not depend on either count.
+is restored when it returns or raises), and its slice SVDs and staged
+back-transforms of 64x64 and up run on min(POLARPCP_THREADS, usable CPUs,
+factored slices) lanes, or on the trial's lane inside run_grid.  Results do
+not depend on either count.
 """
 
 from __future__ import annotations

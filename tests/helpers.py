@@ -11,7 +11,10 @@ the full-stack slice kernels it ran, as they stood before real tubes got a
 packed state.  The driver must reproduce the loop bit for bit on complex
 tubes and to 1e-12 relative on real ones.  reference_prox_trace is the
 trace-norm prox on those full-stack kernels, as it stood before it ran on
-the packed state, held to the same bars.  ReferenceScalar is the standalone scalar
+the packed state, held to the same bars.  reference_svd_state and
+reference_compose_state are the packed-state kernels as they stood before
+large matrices were factored in stages; with the staged routines missing
+the package must reproduce them bit for bit.  ReferenceScalar is the standalone scalar
 arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
 """
 
@@ -207,6 +210,59 @@ def reference_slice_compose(T, U, s, Vh, real):
     out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
     out[partners] = np.conj(out[sources])
     return out
+
+
+def reference_svd_state(T, state, real, compute_uv=True):
+    """TubeTransform.svd_state as it stood before large matrices were
+    factored in stages: np.linalg.svd on every matrix of the state."""
+    parts = T._parts(state, real)
+    l, m = parts[0].shape[1:]
+    k = min(l, m)
+    s = np.empty((sum(len(p) for p in parts), k))
+    rows = hm._row_blocks(s, parts)
+    outs = [(r,) for r in rows]
+    if compute_uv:
+        outs = [(np.empty((len(p), l, k), p.dtype), r, np.empty((len(p), k, m), p.dtype))
+                for p, r in zip(parts, rows)]
+
+    def factor(j, lo, hi):
+        res = np.linalg.svd(parts[j][lo:hi], full_matrices=False, compute_uv=compute_uv)
+        for dst, src in zip(outs[j], res if compute_uv else (res,)):
+            dst[lo:hi] = src
+
+    with _blas.owned_cores():
+        if l * m * k < _blas.LANE_MIN_WORK:
+            for j, p in enumerate(parts):
+                if len(p):
+                    factor(j, 0, len(p))
+        else:
+            _blas.run_lanes([functools.partial(factor, j, i, i + 1)
+                             for j, p in enumerate(parts) for i in range(len(p))])
+    if not compute_uv:
+        return s
+    return [out[0] for out in outs], s, [out[2] for out in outs]
+
+
+def reference_compose_state(T, U, s, Vh, real):
+    """TubeTransform.compose_state as it stood before large matrices were
+    factored in stages: one batched product per stack of factors."""
+    live = np.flatnonzero(s.any(axis=0))
+    k = live[-1] + 1 if live.size else 0
+    rows = hm._row_blocks(s[:, np.newaxis, :k], U)
+    products = [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
+    return T._scatter(products) if real else products[0]
+
+
+def low_rank_plus_sparse(rng, l, m, n, field, rank, density):
+    """X = L + S with L of tube rank at most rank and S supported on about
+    density of the entries."""
+    U = random_hypermatrix(rng, l, rank, n, field)
+    V = random_hypermatrix(rng, m, rank, n, field)
+    L = U @ V.conj_transpose() * (1.0 / math.sqrt(l * m))
+    mask = rng.random((l, m)) < density
+    noise = random_hypermatrix(rng, l, m, n, field)
+    S = HyperMatrix(noise.data * mask[:, :, None], field)
+    return L + S, L, S
 
 
 def reference_prox_trace(Z, lam, transform=None):

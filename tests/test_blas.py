@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polarpcp._blas as blas
+import polarpcp._lapack as _lapack
 import polarpcp.simlab as simlab
 from polarpcp import (
     REAL,
@@ -218,6 +219,19 @@ def _runs_on_two_lanes():
     return len(set(threads)) == 2
 
 
+def _watch_svds(monkeypatch, hook):
+    """Call hook() before every SVD a solve runs: np.linalg.svd, and the
+    staged kernel's factor and product."""
+    def watching(fn):
+        def watched(*args, **kwargs):
+            hook()
+            return fn(*args, **kwargs)
+        return watched
+
+    for owner, name in ((np.linalg, "svd"), (_lapack, "factor"), (_lapack, "product")):
+        monkeypatch.setattr(owner, name, watching(getattr(owner, name)))
+
+
 def _mixed_matrix(embedding, m=24):
     rng = np.random.default_rng(11)
     (M1, _, _), (M2, _, _) = (gen_low_rank_sparse(m, 2, 0.05, rng) for _ in range(2))
@@ -359,14 +373,8 @@ class TestLanes:
     def test_solve_uses_lanes_and_stops_them(self, lanes, monkeypatch):
         X = _mixed_matrix(POLAR4COMPLEX, m=64)
         threads = set()
-        svd = np.linalg.svd
-
-        def recording_svd(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return svd(*args, **kwargs)
-
         before = threading.active_count()
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        _watch_svds(monkeypatch, lambda: threads.add(threading.get_ident()))
         pcp_ialm(X)
         assert threading.get_ident() in threads and len(threads) == 2
         assert threading.active_count() == before
@@ -377,13 +385,7 @@ class TestSolveScope:
     def test_solve_pins_and_restores(self, controls, lanes, monkeypatch, solve):
         get, _ = controls
         seen = []
-        svd = np.linalg.svd
-
-        def recording_svd(*args, **kwargs):
-            seen.append(get())
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        _watch_svds(monkeypatch, lambda: seen.append(get()))
         SOLVES[solve](_mixed_matrix(POLAR4COMPLEX))
         assert seen and set(seen) == {1}
         assert get() == CALLER_THREADS
@@ -391,17 +393,15 @@ class TestSolveScope:
     @pytest.mark.parametrize("solve", ["frequency", "naive", "tensor_rpca"])
     def test_count_restored_when_solve_raises(self, controls, lanes, monkeypatch, solve):
         get, _ = controls
-        svd = np.linalg.svd
         calls = []
 
-        def failing_svd(*args, **kwargs):
+        def failing_svd():
             calls.append(None)
             if len(calls) > 5:
                 raise RuntimeError("svd failed")
-            return svd(*args, **kwargs)
 
         before = threading.active_count()
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        _watch_svds(monkeypatch, failing_svd)
         with pytest.raises(RuntimeError, match="svd failed"):
             SOLVES[solve](_mixed_matrix(POLAR4COMPLEX))
         assert get() == CALLER_THREADS
@@ -412,19 +412,15 @@ class TestGridOwnsTheCores:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_svds_run_on_trial_threads(self, lanes, monkeypatch, threads):
         trial_threads, svd_threads = set(), set()
-        trial, svd = simlab.run_trial, np.linalg.svd
+        trial = simlab.run_trial
 
         def recording_trial(*args):
             trial_threads.add(threading.get_ident())
             return trial(*args)
 
-        def recording_svd(*args, **kwargs):
-            svd_threads.add(threading.get_ident())
-            return svd(*args, **kwargs)
-
         monkeypatch.setenv("POLARPCP_THREADS", threads)
         monkeypatch.setattr(simlab, "run_trial", recording_trial)
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        _watch_svds(monkeypatch, lambda: svd_threads.add(threading.get_ident()))
         run_grid(_tiny_spec(m=24, embeddings=(POLAR4COMPLEX,), trials=3))
         assert svd_threads and svd_threads <= trial_threads
         monkeypatch.setenv("POLARPCP_THREADS", "2")

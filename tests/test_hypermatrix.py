@@ -377,3 +377,39 @@ class TestAlgebraLaws:
         want = T.forward(a) * T.forward(b)
         got = T.forward(tube_product_direct(T, a, b))
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+@st.composite
+def _spectral_cases(draw):
+    """(T, A, B): a DFT or skew-DFT of length n in 1..8, a random real or
+    complex 7x5 matrix A and a square 1..5 matrix B of the same field, with
+    two equal rows half the time (a singular matrix)."""
+    n = draw(st.integers(1, 8))
+    T = draw(st.sampled_from([TubeTransform.dft, TubeTransform.skew_dft]))(n)
+    field = draw(st.sampled_from(FIELDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = random_hypermatrix(rng, 7, 5, n, field)
+    m = draw(st.integers(1, 5))
+    B = random_hypermatrix(rng, m, m, n, field)
+    if m > 1 and draw(st.booleans()):
+        B.data[1] = B.data[0]
+    return T, A, B
+
+
+class TestSingularValuesFromTheState:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_spectral_cases())
+    def test_bitwise_equal_to_full_stack_formula(self, case):
+        # spectral_norm and inv read the singular values of the packed
+        # state; the full-stack slice_svd gives the same max and min.
+        T, A, B = case
+        real = A.field == REAL
+        want = float(T.slice_svd(T.hat(A), real, compute_uv=False).max())
+        assert np.float64(hm.spectral_norm(A, T)).tobytes() == np.float64(want).tobytes()
+        D = TubeTransform.dft(B.n)
+        svals = D.slice_svd(D.hat(B), real, compute_uv=False)
+        if svals.min() <= hm.SINGULAR_RTOL * svals.max():
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                hm.inv(B)
+        else:
+            assert hm.inv(B).data.tobytes() == D.unhat(np.linalg.inv(D.hat(B)), B.field).data.tobytes()

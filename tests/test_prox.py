@@ -37,6 +37,11 @@ class TestSoftThresholdReal:
         with pytest.raises(ValueError):
             soft_threshold_real(1.0, -0.1)
 
+    def test_nan_threshold_rejected_inf_allowed(self):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            soft_threshold_real(np.ones(3), math.nan)
+        assert np.array_equal(soft_threshold_real(np.array([-2.0, 3.0]), math.inf), [0.0, 0.0])
+
 
 class TestGroupSoftThreshold:
     def test_small_group_zeroed(self):
@@ -66,6 +71,12 @@ class TestGroupSoftThreshold:
         gv = GroupedVector(np.ones(2), np.array([0]))
         with pytest.raises(ValueError):
             group_soft_threshold(gv, -1.0)
+
+    def test_nan_threshold_rejected_inf_allowed(self):
+        gv = GroupedVector(np.arange(1.0, 5.0), np.array([0, 2]))
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            group_soft_threshold(gv, math.nan)
+        assert not group_soft_threshold(gv, math.inf).values.any()
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
@@ -139,6 +150,13 @@ class TestProxL1:
     def test_negative_threshold(self):
         with pytest.raises(ValueError):
             prox_l1(HyperMatrix.zeros(1, 1, 2), -1.0)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_nan_threshold_rejected_inf_allowed(self, field):
+        Z = random_hypermatrix(np.random.default_rng(5), 4, 3, 4, field)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            prox_l1(Z, math.nan)
+        assert not prox_l1(Z, math.inf).data.any()
 
 
 class TestShrinkSingularValues:
@@ -227,6 +245,13 @@ class TestProxTrace:
     def test_negative_threshold(self):
         with pytest.raises(ValueError):
             prox_trace(HyperMatrix.zeros(2, 2, 2), -0.5)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_nan_threshold_rejected_inf_allowed(self, field):
+        Z = random_hypermatrix(np.random.default_rng(6), 4, 3, 4, field)
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            prox_trace(Z, math.nan)
+        assert not prox_trace(Z, math.inf).data.any()
 
     def test_matches_prox_l1_on_1x1(self):
         # A 1x1 matrix has a single singular tube whose modulus equals the

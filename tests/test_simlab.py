@@ -146,6 +146,14 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,what", [({"ranks": ()}, "rank"), ({"rhos": ()}, "density"),
+                                             ({"epsilons": ()}, "threshold"),
+                                             ({"embeddings": ()}, "embedding")], ids=repr)
+    def test_empty_axis_rejected(self, kwargs, what):
+        # An empty axis would run a grid of no cells and write a bare header.
+        with pytest.raises(ValueError, match=f"at least one {what} is required"):
+            TrialSpec(m=10, **kwargs)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=repr)
     def test_seed_rejected_before_any_trial(self, seed):
         # SeedSequence would reject -1 and 1.5 only inside the first trial,

@@ -24,6 +24,7 @@ from polarpcp import (
 from helpers import (
     GROUP_FACTORS,
     ialm_frequency_reference,
+    low_rank_plus_sparse as _low_rank_plus_sparse,
     random_hypermatrix,
     reference_pcp,
     reference_prox_trace,
@@ -138,16 +139,6 @@ class TestSolverConfig:
             SolverConfig(variant="admm")
         with pytest.raises(ValueError):
             SolverConfig(c=0.0)
-
-
-def _low_rank_plus_sparse(rng, l, m, n, field, rank, density):
-    U = random_hypermatrix(rng, l, rank, n, field)
-    V = random_hypermatrix(rng, m, rank, n, field)
-    L = U @ V.conj_transpose() * (1.0 / math.sqrt(l * m))
-    mask = rng.random((l, m)) < density
-    noise = random_hypermatrix(rng, l, m, n, field)
-    S = HyperMatrix(noise.data * mask[:, :, None], field)
-    return L + S, L, S
 
 
 class TestPcpIalm:

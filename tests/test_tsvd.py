@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import math
 import sys
@@ -25,7 +26,12 @@ from polarpcp import (
 )
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
-from helpers import random_hypermatrix, reference_slice_compose, reference_slice_svd
+from helpers import (
+    random_hypermatrix,
+    reference_slice_compose,
+    reference_slice_svd,
+    reference_svd_state,
+)
 
 ALL_TRANSFORMS = [
     TubeTransform.dft(6),
@@ -285,6 +291,19 @@ def _slice_stacks(draw):
     return T, T.hat(A), real
 
 
+@contextlib.contextmanager
+def _staged_if(staged):
+    """With staged, treat every matrix as large, so those on gesdd's direct
+    path are factored in stages (_lapack)."""
+    limit = _blas.LANE_MIN_WORK
+    if staged:
+        _blas.LANE_MIN_WORK = 0
+    try:
+        yield
+    finally:
+        _blas.LANE_MIN_WORK = limit
+
+
 class TestSliceSvd:
     @settings(max_examples=150, deadline=None)
     @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
@@ -321,14 +340,22 @@ class TestSliceSvd:
         assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_slice_stacks(), grouped=st.booleans(), cut=st.floats(0.0, 1.5))
-    def test_compose_matches_full_product(self, case, grouped, cut):
+    @given(case=_slice_stacks(), grouped=st.booleans(), cut=st.floats(0.0, 1.5),
+           staged=st.booleans())
+    def test_compose_matches_full_product(self, case, grouped, cut, staged):
         # cut >= 1 shrinks every group to zero; cut = 0 keeps them all.
+        # staged factors the matrices on gesdd's direct path in stages; the
+        # product is checked against np.linalg.svd's factors either way.
         T, stack, real = case
-        U, s, Vh = T.svd_state(T.pack(stack, real), real)
-        s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped, T.weights(real)[1])
-        got = T.unpack(T.compose_state(U, s, Vh, real), real)
-        U, s, Vh = (T._expand(x, real) for x in (U, hm._row_blocks(s, U), Vh))
+        state = T.pack(stack, real)
+        with _staged_if(staged):
+            U, s, Vh = T.svd_state(state, real)
+            U_ref, s_ref, Vh_ref = reference_svd_state(T, state, real)
+            assert s.tobytes() == s_ref.tobytes()
+            s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped,
+                                       T.weights(real)[1])
+            got = T.unpack(T.compose_state(U, s, Vh, real), real)
+        U, s, Vh = (T._expand(x, real) for x in (U_ref, hm._row_blocks(s, U_ref), Vh_ref))
         want = (U * s[:, np.newaxis, :]) @ Vh
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
@@ -423,20 +450,25 @@ class TestPackedState:
         assert abs(row_weights @ (s * s).sum(axis=1) - want) <= 1e-13 * want
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_real_hats(), cut=st.floats(0.0, 1.5))
-    def test_state_kernel_matches_full_stack_kernel(self, case, cut):
+    @given(case=_real_hats(), cut=st.floats(0.0, 1.5), staged=st.booleans())
+    def test_state_kernel_matches_full_stack_kernel(self, case, cut, staged):
         T, hat = case
         planes = T.pack(hat, True)
-        U, s, Vh = T.svd_state(planes, True)
-        # Self-paired planes are factored as real matrices.
-        assert [u.dtype for u in U] == [v.dtype for v in Vh] == [np.complex128, np.float64]
+        with _staged_if(staged):
+            U, s, Vh = T.svd_state(planes, True)
+        # Self-paired planes are factored as real matrices, as a stack of
+        # np.linalg.svd's factors or one factored form each.
+        assert [u.dtype if vh is not None else u[0].a.dtype for u, vh in zip(U, Vh)] \
+            == [np.complex128, np.float64]
+        assert all(vh is None or vh.dtype == u.dtype for u, vh in zip(U, Vh))
         _, _, sources, self_paired = T._split(True)
         U_full, s_full, Vh_full = T.slice_svd(hat, True)
         assert s.tobytes() == np.concatenate([s_full[sources], s_full[self_paired]]).tobytes()
         tau = cut * np.sqrt(T.n) * s.max()
         shrunk = shrink_singular_values(s, tau, True, T.weights(True)[1])
         shrunk_full = shrink_singular_values(s_full, tau, True)
-        got = T.compose_state(U, shrunk, Vh, True)
+        with _staged_if(staged):
+            got = T.compose_state(U, shrunk, Vh, True)
         want = T.pack(reference_slice_compose(T, U_full, shrunk_full, Vh_full, True), True)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(hat).max(), 1e-300)
 
