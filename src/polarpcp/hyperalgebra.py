@@ -145,7 +145,7 @@ class PolarScalar:
 
         Raises SingularScalarError when any spectrum value has modulus at or
         below SINGULAR_RTOL times the largest one (zero divisors exist, e.g.
-        1 + e_1 in K_2).
+        1 + e_1 in K_2), and ValueError when a coefficient is nan or infinite.
         """
         try:
             return _scalar(hm.inv(self._matrix))

@@ -11,19 +11,21 @@ it.  The circulant Fourier transform (cft) block-diagonalizes the adjoint;
 its frontal blocks are exactly the unnormalized tube DFT values, so the
 matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
-TubeTransform generalizes the tube DFT to every t-SVD transform and is the
-one seam into the transform domain (hat, unhat), the owner of the packed
-state of real tubes (pack, unpack) and the one slice-SVD kernel.  Every
-singular-tube shrink, in the solvers and in prox_trace, factors and
-rebuilds a packed state (svd_state, compose_state).  Matrices of at least
+TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every
+t-SVD transform: the skew DFT and the group DFTs.  It transforms the last
+axis, where the tubes are, and is the one seam into the transform domain
+(hat, unhat), the owner of the packed state of real tubes (pack, unpack)
+and the one slice-SVD kernel.  Every singular-tube shrink, in the solvers
+and in prox_trace, factors and rebuilds a packed state (svd_state,
+compose_state).  Matrices of at least
 _blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
 they are run gesdd's own stages (_lapack): numpy's singular values bit for
 bit, and a back-transform of only the singular vectors a shrink keeps.
 Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
 and numpy builds without the ILP64 routines use np.linalg.svd.  inv and
 spectral_norm read the singular values of the packed state; slice_svd
-factors a full stack through the same kernel for the t-SVD and the
-singular-tube moduli.
+factors a full stack, with full factors, through the same kernel for the
+t-SVD and the singular-tube moduli.
 """
 
 from __future__ import annotations
@@ -191,7 +193,6 @@ class SpectralMatrix:
         return self.blocks.shape[2]
 
 
-DFT = "dft"
 SKEW_DFT = "skew_dft"
 GROUP_DFT = "group_dft"
 
@@ -212,14 +213,16 @@ class _CallCounts(threading.local):
 
 
 class TubeTransform:
-    """Invertible tube transform defining a t-SVD algebra.
+    """Invertible tube transform defining a t-SVD algebra: the skew DFT, or
+    the DFT of the group Z_f1 x ... x Z_fr, the Kronecker product of the
+    factors' DFTs.  The tube DFT is the one-factor group DFT of Z_n.
 
     It is the one seam into the transform domain: hat and unhat move a
     matrix of tubes to and from its (n, l, m) slice stack, pack and unpack
     move a slice stack to and from its packed state, and one slice-SVD
-    kernel factors the matrices of that state.  The named constructors
-    return one shared instance per transform, built complete, so lanes may
-    share it.
+    kernel factors the matrices of that state.  The tubes are on the last
+    axis of every array it transforms.  The named constructors return one
+    shared instance per transform, built complete, so lanes may share it.
     """
 
     __slots__ = ("kind", "n", "factors", "_splits")
@@ -237,15 +240,13 @@ class TubeTransform:
     _shared_lock = threading.Lock()
 
     def __init__(self, kind, n, factors=None):
-        if kind not in (DFT, SKEW_DFT, GROUP_DFT):
+        if kind not in (SKEW_DFT, GROUP_DFT):
             raise ValueError(f"unknown transform kind {kind!r}")
         n = self._length(n)
         if kind == GROUP_DFT:
-            factors = tuple(int(f) for f in (factors or ()))
-            if not factors or any(f < 1 for f in factors) or math.prod(factors) != n:
-                raise ValueError(
-                    f"group_dft factors {factors} must be positive with product {n}"
-                )
+            factors = tuple(map(self._length, factors or ()))
+            if not factors or math.prod(factors) != n:
+                raise ValueError(f"group_dft factors {factors} must have product {n}")
         elif factors is not None:
             raise ValueError(f"{kind} takes no factors")
         self.kind = kind
@@ -261,7 +262,7 @@ class TubeTransform:
 
     @classmethod
     def _shared_instance(cls, kind, n, factors=None):
-        key = (kind, cls._length(n), factors)
+        key = (kind, n, factors)   # of _length-checked ints
         with cls._shared_lock:
             if key not in cls._shared:
                 cls._shared[key] = cls(kind, n, factors)
@@ -269,23 +270,26 @@ class TubeTransform:
 
     @classmethod
     def dft(cls, n):
-        return cls._shared_instance(DFT, n)
+        """The tube DFT: the shared group_dft((n,))."""
+        n = cls._length(n)
+        return cls._shared_instance(GROUP_DFT, n, (n,))
 
     @classmethod
     def skew_dft(cls, n):
-        return cls._shared_instance(SKEW_DFT, n)
+        return cls._shared_instance(SKEW_DFT, cls._length(n))
 
     @classmethod
     def group_dft(cls, factors):
-        factors = tuple(int(f) for f in factors)
+        factors = tuple(map(cls._length, factors))
         return cls._shared_instance(GROUP_DFT, math.prod(factors), factors)
 
     @classmethod
     def walsh_hadamard(cls, n):
         """group_dft with all factors 2; n must be a power of two."""
-        if n < 1 or n & (n - 1):
+        n = cls._length(n)
+        if n & (n - 1):
             raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-        return cls.group_dft((2,) * (n.bit_length() - 1)) if n > 1 else cls.group_dft((1,))
+        return cls.group_dft((2,) * (n.bit_length() - 1) or (1,))
 
     @classmethod
     def from_name(cls, name, n):
@@ -298,58 +302,48 @@ class TubeTransform:
         extra = f", factors={self.factors}" if self.factors else ""
         return f"TubeTransform({self.kind!r}, n={self.n}{extra})"
 
-    def _skew_twiddle(self, ndim, axis):
-        shape = [1] * ndim
-        shape[axis] = self.n
-        return np.exp(-1j * math.pi * np.arange(self.n) / self.n).reshape(shape)
+    def _skew_twiddle(self):
+        return np.exp(-1j * math.pi * np.arange(self.n) / self.n)
 
-    def forward(self, x, axis=-1):
-        """Apply the transform along ``axis`` (unnormalized values)."""
+    def forward(self, x):
+        """Apply the transform along the last axis (unnormalized values)."""
         TubeTransform._counts.forward += 1
         x = np.asarray(x)
-        if x.shape[axis] != self.n:
-            raise ValueError(f"axis length {x.shape[axis]} != transform length {self.n}")
-        if self.kind == DFT:
-            return np.fft.fft(x, axis=axis)
+        if x.shape[-1] != self.n:
+            raise ValueError(f"axis length {x.shape[-1]} != transform length {self.n}")
         if self.kind == SKEW_DFT:
-            return np.fft.fft(x * self._skew_twiddle(x.ndim, axis), axis=axis)
-        return self._group_apply(x, axis, inverse=False)
+            return np.fft.fft(x * self._skew_twiddle())
+        return self._group_apply(x, np.fft.fft)
 
-    def inverse(self, y, axis=-1):
+    def inverse(self, y):
         """Exact inverse of forward."""
         TubeTransform._counts.inverse += 1
         y = np.asarray(y)
-        if y.shape[axis] != self.n:
-            raise ValueError(f"axis length {y.shape[axis]} != transform length {self.n}")
-        if self.kind == DFT:
-            return np.fft.ifft(y, axis=axis)
+        if y.shape[-1] != self.n:
+            raise ValueError(f"axis length {y.shape[-1]} != transform length {self.n}")
         if self.kind == SKEW_DFT:
-            return np.fft.ifft(y, axis=axis) * np.conj(self._skew_twiddle(y.ndim, axis))
-        return self._group_apply(y, axis, inverse=True)
+            return np.fft.ifft(y) * np.conj(self._skew_twiddle())
+        return self._group_apply(y, np.fft.ifft)
 
-    def _group_apply(self, x, axis, inverse):
-        moved = np.moveaxis(x, axis, -1)
-        lead = moved.shape[:-1]
-        reshaped = moved.reshape(lead + self.factors)
-        axes = tuple(range(len(lead), len(lead) + len(self.factors)))
-        if inverse:
-            out = np.fft.ifftn(reshaped, axes=axes)
-        else:
-            out = np.fft.fftn(reshaped, axes=axes)
-        return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    def _group_apply(self, x, fft):
+        """fft (np.fft.fft or ifft) along every factor axis of the tubes,
+        last factor first: the calls of np.fft.fftn, without its argument
+        handling.  One factor, the DFT, is one call on the tubes as they are."""
+        if len(self.factors) == 1:
+            return fft(x)
+        out = x.reshape(x.shape[:-1] + self.factors)
+        for axis in range(-1, -len(self.factors) - 1, -1):
+            out = fft(out, axis=axis)
+        return out.reshape(x.shape)
 
     def matrix(self, normalization=UNNORMALIZED):
         """Dense transform matrix; "unitary" divides by sqrt(n)."""
         n = self.n
-        if self.kind == DFT:
-            M = _dft_matrix(n)
-        elif self.kind == SKEW_DFT:
+        if self.kind == SKEW_DFT:
             k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
             M = np.exp(-1j * math.pi * i * (2 * k + 1) / n)
         else:
-            M = np.array([[1.0 + 0j]])
-            for f in self.factors:
-                M = np.kron(M, _dft_matrix(f))
+            M = functools.reduce(np.kron, map(_dft_matrix, self.factors))
         if normalization == UNITARY:
             return M / math.sqrt(n)
         if normalization == UNNORMALIZED:
@@ -360,8 +354,6 @@ class TubeTransform:
         """Slice involution pi with spectrum[pi[b]] = conj(spectrum[b]) for
         real-coefficient tubes."""
         n = self.n
-        if self.kind == DFT:
-            return (-np.arange(n)) % n
         if self.kind == SKEW_DFT:
             return n - 1 - np.arange(n)
         multi = np.unravel_index(np.arange(n), self.factors)
@@ -370,11 +362,11 @@ class TubeTransform:
 
     def hat(self, A):
         """(n, l, m) transform-domain slice stack of a HyperMatrix."""
-        return np.moveaxis(self.forward(A.data, axis=2), 2, 0)
+        return np.moveaxis(self.forward(A.data), 2, 0)
 
     def unhat(self, blocks, field):
         """HyperMatrix of the given field whose slice stack is blocks."""
-        data = self.inverse(np.moveaxis(blocks, 0, 2), axis=2)
+        data = self.inverse(np.moveaxis(blocks, 0, 2))
         return HyperMatrix(data.real if field == REAL else data, field)
 
     def _build_splits(self):
@@ -462,7 +454,7 @@ class TubeTransform:
         out[partners] = np.conj(paired)
         return out
 
-    def _svd(self, parts, full_matrices, compute_uv, staged=False):
+    def _svd(self, parts, compute_uv, full_matrices=False):
         """The one slice-SVD kernel: the SVD of every matrix of the stacks
         in parts, complex stacks first.  Returns s, the (matrices, k)
         singular values in parts order, and with compute_uv the lists of
@@ -475,18 +467,18 @@ class TubeTransform:
         per matrix.  A batched call gives each matrix the bits of a call of
         its own, so the result does not depend on the lane count.
 
-        With staged, a stack of such large matrices that gesdd factors
-        without a QR step or scaling (_lapack.direct) runs only gesdd's
-        first two stages (_lapack.factor): its U entry lists the matrices'
-        factored forms and its Vh entry is None.  Its singular values are
-        np.linalg.svd's bit for bit.
+        With thin factors asked for, a stack of such large matrices that
+        gesdd factors without a QR step or scaling (_lapack.direct) runs
+        only gesdd's first two stages (_lapack.factor): its U entry lists
+        the matrices' factored forms and its Vh entry is None.  Its
+        singular values are np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
         s = np.empty((sum(len(p) for p in parts), k))
         rows = _row_blocks(s, parts)
         large = l * m * k >= _blas.LANE_MIN_WORK
-        stages = [staged and compute_uv and large and len(p) > 0 and _lapack.direct(p)
+        stages = [compute_uv and not full_matrices and large and len(p) > 0 and _lapack.direct(p)
                   for p in parts]
         outs = [(r,) for r in rows]
         if compute_uv:
@@ -528,7 +520,7 @@ class TubeTransform:
         in Vh: compose_state then builds only the singular vectors that a
         shrink keeps.
         """
-        return self._svd(self._parts(state, real), False, compute_uv, staged=True)
+        return self._svd(self._parts(state, real), compute_uv)
 
     def compose_state(self, U, s, Vh, real):
         """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
@@ -553,10 +545,9 @@ class TubeTransform:
                 _blas.run_lanes(staged)
         return self._scatter(products) if real else products[0]
 
-    def slice_svd(self, blocks, real, full_matrices=False, compute_uv=True):
-        """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's:
-        the full-stack SVD, with full_matrices if asked, of tsvd and
-        singular_moduli.
+    def slice_svd(self, blocks, real, compute_uv=True):
+        """SVD of every slice of an (n, l, m) stack, with full factors, shaped
+        as np.linalg.svd's: the full-stack SVD of tsvd and singular_moduli.
 
         real=True states that the stack is the hat of real-coefficient tubes,
         so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
@@ -565,7 +556,7 @@ class TubeTransform:
         one.  The partner gets the conjugated factors.
         """
         parts = self._parts(self.pack(blocks, real), real)
-        res = self._svd(parts, full_matrices, compute_uv)
+        res = self._svd(parts, compute_uv, full_matrices=True)
         U, s, Vh = res if compute_uv else (None, res, None)
         s = self._expand(_row_blocks(s, parts), real)
         return (self._expand(U, real), s, self._expand(Vh, real)) if compute_uv else s
@@ -664,10 +655,12 @@ def inv(A):
     """Inverse of a square hypercomplex matrix, blockwise in the spectral domain.
 
     Raises numpy.linalg.LinAlgError when the pooled block spectrum is
-    singular relative to its largest singular value.
+    singular relative to its largest singular value, and ValueError when a
+    coefficient is nan or infinite.
     """
     if A.l != A.m:
         raise ValueError("matrix inverse requires a square matrix")
+    check_finite(A, "matrix inverse input")
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
     real = A.field == REAL
@@ -707,8 +700,9 @@ def spectral_norm(A, transform=None):
     """Operator norm of the adjoint: the largest block singular value.
 
     With a non-default tube transform the blocks of that transform are used
-    instead of the DFT blocks.
+    instead of the DFT blocks.  Raises ValueError on non-finite input.
     """
+    check_finite(A, "spectral_norm input")
     T = transform or TubeTransform.dft(A.n)
     real = A.field == REAL
     return float(T.svd_state(T.pack(T.hat(A), real), real, compute_uv=False).max())
@@ -722,5 +716,5 @@ def max_modulus(A):
 
 def check_finite(A, what):
     """Raise ValueError when a coefficient of A is nan or infinite."""
-    if not np.all(np.isfinite(A.data.view(np.float64))):
+    if not np.isfinite(A.data).all():
         raise ValueError(f"{what} contains non-finite values")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import REAL
-from .hypermatrix import HyperMatrix, TubeTransform
+from .hypermatrix import HyperMatrix, TubeTransform, check_finite
 
 
 @dataclass
@@ -136,9 +136,11 @@ def prox_trace(Z, lam, transform=None):
     shrink the singular tubes with the Parseval row weights of a real-tube
     state, and unpack the products.  The tube modulus is the cross-slice
     Euclidean norm of the unnormalized transform divided by sqrt(n), so the
-    grouped threshold carries a sqrt(n) factor.
+    grouped threshold carries a sqrt(n) factor.  Raises ValueError on
+    non-finite input.
     """
     _check_threshold(lam)
+    check_finite(Z, "prox_trace input")
     T = transform or TubeTransform.dft(Z.n)
     real = Z.field == REAL
     U, s, Vh = T.svd_state(T.pack(T.hat(Z), real), real)

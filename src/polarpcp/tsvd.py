@@ -1,10 +1,12 @@
 """Transform-parameterized tensor singular value decomposition.
 
 The t-SVD transforms every tube, SVDs each frontal slice, and inverse
-transforms the factors.  The transform determines the algebra: the DFT gives
-the circulant (polar n-complex) product, the skew DFT the skew-circulant
-(planar) product, and Kronecker products of DFT matrices the commutative
-group algebras (the Walsh-Hadamard transform when every factor is 2).
+transforms the factors.  The transform determines the algebra: the skew DFT
+gives the skew-circulant (planar) product, and the DFT of a finite abelian
+group Z_f1 x ... x Z_fr, the Kronecker product of the factors' DFT
+matrices, gives that group's algebra.  The tube DFT is the group DFT of Z_n
+and gives the circulant (polar n-complex) product; the Walsh-Hadamard
+transform has every factor 2.
 
 Every transform is applied in the eigenvalue convention (unnormalized
 forward, exact inverse), which is the convention under which pointwise
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import REAL, promote_fields
-from .hypermatrix import DFT, GROUP_DFT, SKEW_DFT, HyperMatrix, TubeTransform, check_finite  # noqa: F401
+from .hypermatrix import GROUP_DFT, SKEW_DFT, HyperMatrix, TubeTransform, check_finite  # noqa: F401
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 
@@ -52,7 +54,7 @@ def tsvd(A, transform=None):
     check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
     l, m, n = A.data.shape
-    Uh, s, Vh = T.slice_svd(T.hat(A), A.field == REAL, full_matrices=True)
+    Uh, s, Vh = T.slice_svd(T.hat(A), A.field == REAL)
     Sh = np.zeros((n, l, m), dtype=np.complex128)
     diag = np.arange(min(l, m))
     Sh[:, diag, diag] = s

@@ -178,6 +178,15 @@ def test_inverse_zero_divisor_raises():
         p.inverse()
 
 
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_inverse_of_non_finite_raises_value_error(field, bad):
+    # inf used to invert to zeros, and nan to pass for a zero divisor.
+    p = PolarScalar([bad if field == REAL else complex(1.0, bad), 1.0], field)
+    with pytest.raises(ValueError, match="non-finite"):
+        p.inverse()
+
+
 def test_inverse_roundtrip():
     rng = np.random.default_rng(11)
     one = PolarScalar.unit(5, 0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,3 +414,33 @@ class TestSingularValuesFromTheState:
                 hm.inv(B)
         else:
             assert hm.inv(B).data.tobytes() == D.unhat(np.linalg.inv(D.hat(B)), B.field).data.tobytes()
+
+
+def _with_non_finite(A, bad):
+    A.data[A.l // 2, A.m // 2, 0] = bad if A.field == REAL else complex(1.0, bad)
+    return A
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_inverse_raises_value_error(self, field, bad, size):
+        # A 1 x 1 inf used to invert to zeros, and nan to pass for singular.
+        A = random_hypermatrix(np.random.default_rng(17), size, size, 2, field)
+        A = _with_non_finite(A, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            hm.inv(A)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("shape", [(3, 4, 3), (70, 70, 2)])
+    def test_spectral_norm_raises_warns_and_prints_nothing(self, capfd, field, bad, shape):
+        # nan used to fail in the SVD, and inf to warn in the fft first.
+        A = _with_non_finite(random_hypermatrix(np.random.default_rng(18), *shape, field), bad)
+        for T in (None, TubeTransform.skew_dft(A.n)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="non-finite"):
+                    hm.spectral_norm(A, T)
+        assert capfd.readouterr() == ("", "")

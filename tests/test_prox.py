@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,19 @@ class TestShrinkSingularValues:
 
 
 class TestProxTrace:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("shape", [(3, 4, 3), (70, 70, 2)])
+    def test_non_finite_raises_warns_and_prints_nothing(self, capfd, field, bad, shape):
+        # nan used to fail in the SVD, and inf to warn in the fft first.
+        Z = random_hypermatrix(np.random.default_rng(19), *shape, field)
+        Z.data[1, 2, 0] = bad if field == REAL else complex(1.0, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                prox_trace(Z, 0.5)
+        assert capfd.readouterr() == ("", "")
+
     def test_zero_threshold_identity(self):
         rng = np.random.default_rng(5)
         Z = random_hypermatrix(rng, 4, 3, 3, COMPLEX)

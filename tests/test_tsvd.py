@@ -34,27 +34,27 @@ from helpers import (
 )
 
 ALL_TRANSFORMS = [
-    TubeTransform.dft(6),
-    TubeTransform.skew_dft(6),
-    TubeTransform.group_dft((2, 3)),
+    pytest.param(TubeTransform.dft(6), id="dft"),
+    pytest.param(TubeTransform.skew_dft(6), id="skew_dft"),
+    pytest.param(TubeTransform.group_dft((2, 3)), id="group_dft"),
 ]
 
 
 class TestTubeTransform:
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS, ids=lambda t: t.kind)
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
     def test_forward_inverse_roundtrip(self, T):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        back = T.inverse(T.forward(x, axis=1), axis=1)
+        back = T.inverse(T.forward(x))
         assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
 
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS, ids=lambda t: t.kind)
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
     def test_matrix_matches_forward(self, T):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(6)
         assert np.allclose(T.matrix() @ x, T.forward(x), atol=1e-12)
 
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS, ids=lambda t: t.kind)
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
     def test_unitary_matrix(self, T):
         M = T.matrix("unitary")
         assert np.abs(M @ M.conj().T - np.eye(6)).max() <= 1e-12
@@ -84,7 +84,7 @@ class TestTubeTransform:
         with pytest.raises(ValueError):
             TubeTransform("group_dft", 6, (2, 2))
         with pytest.raises(ValueError):
-            TubeTransform("dft", 4, (2, 2))
+            TubeTransform("skew_dft", 4, (2, 2))
         with pytest.raises(ValueError):
             TubeTransform("whatever", 4)
 
@@ -95,6 +95,16 @@ class TestTubeTransform:
             TubeTransform.dft(n)
         with pytest.raises(ValueError, match="integer >= 1"):
             TubeTransform("skew_dft", n)
+        # Factors are checked alike: 2.5 and True used to pass as 2 and 1.
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TubeTransform.group_dft((n, 2))
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TubeTransform.walsh_hadamard(n)
+
+    def test_integer_factors_of_any_type_share_one_instance(self):
+        assert TubeTransform.group_dft((np.int64(2), 3)) is TubeTransform.group_dft((2, 3))
+        assert TubeTransform.walsh_hadamard(np.int64(4)) is TubeTransform.walsh_hadamard(4)
+        assert TubeTransform.dft(np.int64(5)) is TubeTransform.dft(5)
 
     def test_group_dft_with_single_factor_is_dft(self):
         rng = np.random.default_rng(2)
@@ -103,7 +113,7 @@ class TestTubeTransform:
         D = TubeTransform.dft(5)
         assert np.allclose(G.forward(x), D.forward(x), atol=1e-13)
 
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS, ids=lambda t: t.kind)
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
     def test_conjugate_pairing(self, T):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(6)
@@ -114,7 +124,7 @@ class TestTubeTransform:
         assert np.allclose(hat[pair], np.conj(hat), atol=1e-12)
 
     def test_from_name(self):
-        assert TubeTransform.from_name("dft", 3).kind == "dft"
+        assert TubeTransform.from_name("dft", 3) is TubeTransform.group_dft((3,))
         assert TubeTransform.from_name("skew-dft", 3).kind == "skew_dft"
         assert TubeTransform.from_name("wht", 4).factors == (2, 2)
         with pytest.raises(ValueError):
@@ -306,11 +316,11 @@ def _staged_if(staged):
 
 class TestSliceSvd:
     @settings(max_examples=150, deadline=None)
-    @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
-    def test_matches_unpaired_batched_svd(self, case, full_matrices, compute_uv):
+    @given(case=_slice_stacks(), compute_uv=st.booleans())
+    def test_matches_unpaired_batched_svd(self, case, compute_uv):
         T, stack, real = case
-        got = T.slice_svd(stack, real, full_matrices=full_matrices, compute_uv=compute_uv)
-        want = np.linalg.svd(stack, full_matrices=full_matrices, compute_uv=compute_uv)
+        got = T.slice_svd(stack, real, compute_uv=compute_uv)
+        want = np.linalg.svd(stack, full_matrices=True, compute_uv=compute_uv)
         s, s_ref = (got[1], want[1]) if compute_uv else (got, want)
         scale = s_ref.max()
         assert s.shape == s_ref.shape
@@ -323,17 +333,16 @@ class TestSliceSvd:
             assert np.abs(rebuilt - stack).max() <= 1e-12 * scale
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
-    def test_one_call_per_slice_matches_batched_calls(self, case, full_matrices, compute_uv):
+    @given(case=_slice_stacks(), compute_uv=st.booleans())
+    def test_one_call_per_slice_matches_batched_calls(self, case, compute_uv):
         # Large slices get one np.linalg.svd call each, small ones one call
         # per kind; lowering the size limit must not change a bit.
         T, stack, real = case
-        kw = dict(full_matrices=full_matrices, compute_uv=compute_uv)
-        batched = T.slice_svd(stack, real, **kw)
+        batched = T.slice_svd(stack, real, compute_uv=compute_uv)
         limit = _blas.LANE_MIN_WORK
         _blas.LANE_MIN_WORK = 0
         try:
-            single = T.slice_svd(stack, real, **kw)
+            single = T.slice_svd(stack, real, compute_uv=compute_uv)
         finally:
             _blas.LANE_MIN_WORK = limit
         pairs = zip(batched, single) if compute_uv else [(batched, single)]
@@ -361,6 +370,46 @@ class TestSliceSvd:
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
 
+@st.composite
+def _tube_arrays(draw):
+    """(factors, x): an ordered factorization of n = 1..16, factors of 1
+    included, and a 1-3-D real or complex array of n-tubes."""
+    n = rest = draw(st.integers(1, 16))
+    factors = []
+    while len(factors) < 2 and draw(st.booleans()):
+        factors.append(draw(st.sampled_from([d for d in range(1, rest + 1) if rest % d == 0])))
+        rest //= factors[-1]
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(lead + (n,))
+    if draw(st.booleans()):
+        x = x + 1j * rng.standard_normal(x.shape)
+    return tuple(factors) + (rest,), x
+
+
+class TestOneFftPath:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_tube_arrays())
+    def test_transforms_are_numpys_ffts_bit_for_bit(self, case):
+        # The DFT is the one-factor group DFT, and a group DFT is fftn over
+        # its factor axes.
+        factors, x = case
+        n, lead = x.shape[-1], x.shape[:-1]
+        D, G = TubeTransform.dft(n), TubeTransform.group_dft(factors)
+        assert D is TubeTransform.group_dft((n,))
+        grid = x.reshape(lead + factors)
+        axes = tuple(range(len(lead), grid.ndim))
+        for got, want in ((D.forward(x), np.fft.fft(x)), (D.inverse(x), np.fft.ifft(x)),
+                          (G.forward(x), np.fft.fftn(grid, axes=axes).reshape(x.shape)),
+                          (G.inverse(x), np.fft.ifftn(grid, axes=axes).reshape(x.shape))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        wrong = np.ones(lead + (n + 1,), x.dtype)
+        for apply in (D.forward, D.inverse, G.forward, G.inverse):
+            with pytest.raises(ValueError, match="transform length"):
+                apply(wrong)
+
+
 class TestSplitCache:
     @staticmethod
     def _fresh_split(T, real):
@@ -375,7 +424,8 @@ class TestSplitCache:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("kind", ["dft", "skew_dft", "group_dft"])
     def test_cached_split_is_fresh_and_read_only(self, kind, n):
-        T = TubeTransform.group_dft(_GROUP_FACTORS[n]) if kind == "group_dft" else TubeTransform(kind, n)
+        T = (TubeTransform.group_dft(_GROUP_FACTORS[n]) if kind == "group_dft"
+             else getattr(TubeTransform, kind)(n))
         for real in (False, True):
             cached = T._split(real)
             assert T._split(real) is cached
@@ -388,12 +438,11 @@ class TestSplitCache:
 
 class TestFullStackWrappers:
     @settings(max_examples=150, deadline=None)
-    @given(case=_slice_stacks(), full_matrices=st.booleans(), compute_uv=st.booleans())
-    def test_slice_svd_bitwise_equal_to_reference(self, case, full_matrices, compute_uv):
+    @given(case=_slice_stacks(), compute_uv=st.booleans())
+    def test_slice_svd_bitwise_equal_to_reference(self, case, compute_uv):
         T, stack, real = case
-        kw = dict(full_matrices=full_matrices, compute_uv=compute_uv)
-        got = T.slice_svd(stack, real, **kw)
-        want = reference_slice_svd(T, stack, real, **kw)
+        got = T.slice_svd(stack, real, compute_uv=compute_uv)
+        want = reference_slice_svd(T, stack, real, full_matrices=True, compute_uv=compute_uv)
         pairs = zip(got, want) if compute_uv else [(got, want)]
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
 
@@ -519,7 +568,7 @@ class TestSharedTransforms:
         workers = 8
         barrier = threading.Barrier(workers, timeout=10)
         A = random_hypermatrix(np.random.default_rng(4), 3, 3, 6, REAL)
-        hat = TubeTransform("dft", 6).hat(A)
+        hat = TubeTransform("group_dft", 6, (6,)).hat(A)
         seen = []
 
         def first_use():
