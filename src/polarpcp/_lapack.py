@@ -8,8 +8,9 @@ of the real bidiagonal (dbdsdc; Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
 16, 1995), and the back-transform of all min(l, m) singular vectors by the
 reflectors (?ormbr, ?unmbr).  factor makes gesdd's first two calls, with
 workspace that gives the same blocking, so its singular values are
-np.linalg.svd's bit for bit; product makes the third on the k leading
-singular vectors only and returns U_k diag(s_k) Vh_k.
+np.linalg.svd's bit for bit: on a copy of its matrix, or, as _factor, on a
+Fortran-ordered matrix that its reflectors overwrite.  product makes the
+third on the k leading singular vectors only and returns U_k diag(s_k) Vh_k.
 
 The routines are the ILP64 ones of the LAPACK that numpy.linalg loads
 (_blas.library()).  Where they are missing (Accelerate, for example),
@@ -119,11 +120,19 @@ def _mbr_lwork(dtype, l, m):
 def factor(a):
     """(s, f) of an l x m matrix on gesdd's direct path (see direct): its
     singular values, bit for bit those of np.linalg.svd(a), and its
-    factored form for product.  Raises numpy.linalg.LinAlgError when a is
-    not finite, where LAPACK would print an error."""
-    if not np.isfinite(a).all():
+    factored form for product.  a is left as it is.  Raises
+    numpy.linalg.LinAlgError when a is not finite, where LAPACK would print
+    an error."""
+    return _factor(np.array(a, np.result_type(a, np.float64), order="F"))
+
+
+def _factor(x):
+    """factor on a Fortran-ordered float64 or complex128 matrix x, which
+    the reflectors overwrite and the factored form keeps."""
+    if x.dtype not in (np.float64, np.complex128) or not x.flags.f_contiguous:
+        raise ValueError("_factor needs a Fortran-ordered float64 or complex128 matrix")
+    if not np.isfinite(x).all():
         raise np.linalg.LinAlgError("SVD did not converge")
-    x = np.array(a, np.result_type(a, np.float64), order="F")   # overwritten by the reflectors
     l, m = x.shape
     r = min(l, m)
     s, e = np.empty(r), np.empty(max(r - 1, 1))

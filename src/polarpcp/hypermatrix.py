@@ -23,7 +23,8 @@ they are run gesdd's own stages (_lapack): numpy's singular values bit for
 bit, and a back-transform of only the singular vectors a shrink keeps.
 Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
 and numpy builds without the ILP64 routines use np.linalg.svd.  inv and
-spectral_norm read the singular values of the packed state; slice_svd
+spectral_norm read the singular values of the packed state (those of a
+1 x 1 matrix's blocks are the moduli of its spectrum); slice_svd
 factors a full stack, with full factors, through the same kernel for the
 t-SVD and the singular-tube moduli.
 """
@@ -409,7 +410,7 @@ class TubeTransform:
 
     def unpack(self, state, real):
         """The slice stack of a state: the inverse of pack."""
-        return self._expand(self._parts(state, real), real)
+        return self._expand(self._parts(state, real), real) if real else state
 
     def weights(self, real):
         """Parseval weights of a state's planes and of the rows of its
@@ -423,14 +424,21 @@ class TubeTransform:
 
     def _parts(self, state, real):
         """The matrices of a state that the slice-SVD kernel factors,
-        complex ones first: for real tubes the slices with a partner, rebuilt
-        bit for bit from their two planes, then the self-paired planes."""
+        complex ones first, copied into stacks of Fortran-ordered matrices
+        that the kernel may overwrite: for complex tubes the slices, for
+        real tubes the slices with a partner, rebuilt bit for bit from their
+        two planes, then the self-paired planes."""
+        shape = state.shape[1:]
         if not real:
-            return [state]
+            slices = _fortran_stack(len(state), shape, np.complex128)
+            slices[...] = state
+            return [slices]
         _, partners, sources, self_paired = self._split(True)
-        paired = np.empty((len(sources),) + state.shape[1:], np.complex128)
+        paired = _fortran_stack(len(sources), shape, np.complex128)
         paired.real, paired.imag = state[sources], state[partners]
-        return [paired, state[self_paired]]
+        planes = _fortran_stack(self_paired.sum(), shape, np.float64)
+        planes[...] = state[self_paired]
+        return [paired, planes]
 
     def _scatter(self, parts):
         """The real-tube state of _parts-ordered slices: the inverse of _parts."""
@@ -469,9 +477,10 @@ class TubeTransform:
 
         With thin factors asked for, a stack of such large matrices that
         gesdd factors without a QR step or scaling (_lapack.direct) runs
-        only gesdd's first two stages (_lapack.factor): its U entry lists
-        the matrices' factored forms and its Vh entry is None.  Its
-        singular values are np.linalg.svd's bit for bit.
+        only gesdd's first two stages (_lapack.factor), in the matrices of
+        parts, which _parts made for it: its U entry lists the matrices'
+        factored forms and its Vh entry is None.  Its singular values are
+        np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
@@ -489,7 +498,7 @@ class TubeTransform:
 
         def factor(j, lo, hi):
             if stages[j]:
-                rows[j][lo], outs[j][0][lo] = _lapack.factor(parts[j][lo])
+                rows[j][lo], outs[j][0][lo] = _lapack._factor(parts[j][lo])
                 return
             res = np.linalg.svd(parts[j][lo:hi], full_matrices=full_matrices,
                                 compute_uv=compute_uv)
@@ -575,6 +584,11 @@ class TubeTransform:
     def call_counts(cls):
         """(forward, inverse) calls made on the calling thread since its reset."""
         return cls._counts.forward, cls._counts.inverse
+
+
+def _fortran_stack(count, shape, dtype):
+    """An empty (count,) + shape stack of Fortran-ordered matrices."""
+    return np.empty((count,) + shape[::-1], dtype).transpose(0, 2, 1)
 
 
 def _row_blocks(x, stacks):
@@ -664,7 +678,10 @@ def inv(A):
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
     real = A.field == REAL
-    svals = T.svd_state(T.pack(hat, real), real, compute_uv=False)
+    if A.l == 1:   # 1 x 1 blocks: their singular values are their moduli
+        svals = np.abs(hat)
+    else:
+        svals = T.svd_state(T.pack(hat, real), real, compute_uv=False)
     if svals.min() <= SINGULAR_RTOL * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
     return T.unhat(np.linalg.inv(hat), A.field)

@@ -68,9 +68,9 @@ class TrialSpec:
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
         if self.ranks is None:
-            object.__setattr__(
-                self, "ranks", tuple(max(1, round(f * self.m)) for f in _GRID_FRACTIONS)
-            )
+            # Below m = 48 some fractions round to the same rank: keep one.
+            object.__setattr__(self, "ranks", tuple(
+                dict.fromkeys(max(1, round(f * self.m)) for f in _GRID_FRACTIONS)))
         if self.rhos is None:
             object.__setattr__(self, "rhos", _GRID_FRACTIONS)
         for r in self.ranks:
@@ -97,6 +97,11 @@ class TrialSpec:
                 raise ValueError(f"unknown embedding {emb!r}")
         if not self.embeddings:
             raise ValueError("at least one embedding is required")
+        for what, values in (("rank", self.ranks), ("density", self.rhos),
+                             ("threshold", self.epsilons), ("embedding", self.embeddings)):
+            if len(set(values)) < len(values):
+                # A repeated value would solve its cells again and repeat their rows.
+                raise ValueError(f"the {what} axis repeats a value: {values}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         self.solver_config()   # a bad c, tol or max_iters raises here, not in a trial

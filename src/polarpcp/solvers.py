@@ -25,6 +25,14 @@ the pair of steps that state takes:
 * "naive": the state is the coefficient tensor X.data and the steps are the
   coefficient-domain proxes prox_trace and prox_l1.
 
+Besides the L a low-rank step returns, the loop holds four state-sized
+arrays: the data term D, S, the dual Y and one scratch array, which takes
+D - S + Y/mu, D - L + Y/mu and the residual in turn and, like Y, is updated
+in place.  The old L and S are freed before the low-rank step, whose
+factored matrices (see hypermatrix) are then the rest of its working set,
+and D, Y and the scratch array are freed before the state is unpacked.  D
+and every returned L are only read: for "naive", D is the caller's X.data.
+
 lambda defaults to c/sqrt(max(l, m)) with c = 1; the dual variable starts at
 X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically from
 1.25 / ||X||_2, which keeps sum mu_{k+1}/mu_k^2 finite as the convergence
@@ -214,18 +222,29 @@ def pcp_ialm(X, cfg=None):
             D = X.data
         Y = D / max(specnorm, hm.max_modulus(X) / lam)   # Y_1 is proportional to X
         S = np.zeros_like(D)
+        # C order even where D has hat's strides: norm reduces in memory
+        # order, so the residual's bits depend on the scratch array's layout.
+        Z = np.empty(D.shape, D.dtype)
         Dnorm = norm(D)
         for mu in itertools.islice(_geometric(cfg, specnorm), cfg.max_iters):
-            Y_mu = Y / mu
-            L = low_rank(D - S + Y_mu, mu)
-            S = sparse(D - L + Y_mu, mu)
-            R = D - L - S
-            Y = Y + mu * R
-            history.append(float(norm(R) / Dnorm))
+            np.subtract(D, S, out=Z)
+            Z += Y / mu
+            L = S = None   # the steps replace both: free them for the SVD
+            L = low_rank(Z, mu)
+            np.subtract(D, L, out=Z)
+            Z += Y / mu
+            S = sparse(Z, mu)
+            np.subtract(D, L, out=Z)
+            Z -= S
+            history.append(float(norm(Z) / Dnorm))
+            Z *= mu
+            Y += Z
             mu_hist.append(mu)
             if history[-1] < cfg.tol:
                 break
-        L, S = leave(L), leave(S)
+        del D, Y, Z
+        L = leave(L)
+        S = leave(S)
 
     slices = T.factored_slices(real)
     return PcpResult(

@@ -44,6 +44,14 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_repeated_rank_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(["simulate", "--m", "12", "--ranks", "1", "1", "--rhos", "0.05",
+                     "--trials", "1", "--out", str(out)])
+        assert code == 2
+        assert "the rank axis repeats a value: (1, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_thread_count_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("POLARPCP_THREADS", "many")
         code = main(

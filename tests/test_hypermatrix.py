@@ -415,6 +415,29 @@ class TestSingularValuesFromTheState:
         else:
             assert hm.inv(B).data.tobytes() == D.unhat(np.linalg.inv(D.hat(B)), B.field).data.tobytes()
 
+    @pytest.mark.parametrize("field,coeffs,singular", [
+        (REAL, [1.0, 1.0], True),                 # 1 + e_1 is a zero divisor of K_2
+        (REAL, [1.0, 1.0 - 1e-13], True),         # spectrum (2, 1e-13)
+        (REAL, [1.0, 0.5], False),
+        (REAL, [1.0, 1.0, 1.0, 1.0], True),       # spectrum (4, 0, 0, 0)
+        (REAL, [2.0, 1.0, 0.0, 0.0], False),
+        (REAL, [3.0], False),
+        (COMPLEX, [1j, 1j], True),
+        (COMPLEX, [1.0, 1j, -1.0, -1j], True),    # spectrum (0, 0, 0, 4)
+        (COMPLEX, [1.0 + 2j, 1j, 0.5, 0.0], False),
+    ], ids=repr)
+    def test_one_by_one_matches_full_stack_formula(self, field, coeffs, singular):
+        # A 1 x 1 inverse reads the moduli of the spectrum instead of an SVD.
+        B = HyperMatrix(np.array(coeffs).reshape(1, 1, -1), field)
+        D = TubeTransform.dft(B.n)
+        svals = D.slice_svd(D.hat(B), field == REAL, compute_uv=False)
+        assert (svals.min() <= hm.SINGULAR_RTOL * svals.max()) == singular
+        if singular:
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                hm.inv(B)
+        else:
+            assert hm.inv(B).data.tobytes() == D.unhat(np.linalg.inv(D.hat(B)), field).data.tobytes()
+
 
 def _with_non_finite(A, bad):
     A.data[A.l // 2, A.m // 2, 0] = bad if A.field == REAL else complex(1.0, bad)

@@ -85,6 +85,17 @@ class TestKernel:
             _lapack.factor(a)
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_in_place_step_overwrites_only_fortran_matrices(self, complex_):
+        a = _random(np.random.default_rng(2), 9, 8, complex_)
+        for bad in (a.copy(), a.astype(np.complex64 if complex_ else np.float32, order="F")):
+            with pytest.raises(ValueError, match="Fortran-ordered"):
+                _lapack._factor(bad)
+        x = np.asfortranarray(a)
+        s, f = _lapack._factor(x)
+        assert f.a is x and x.tobytes() != np.asfortranarray(a).tobytes()
+        assert s.tobytes() == _lapack.factor(a)[0].tobytes()
+
     # Past 128 columns ?gebrd reduces blocks of 32 with ?labrd, so the
     # largest cases check that its workspace gives gesdd's blocking.
     @pytest.mark.parametrize("complex_,short", [(False, 6), (False, 30), (False, 140),

@@ -117,6 +117,10 @@ class TestTrialSpec:
         assert spec.rhos[0] == pytest.approx(0.02)
         assert len(spec.rhos) == 10
 
+    def test_default_ranks_do_not_repeat(self):
+        assert TrialSpec(m=10).ranks == (1, 2)
+        assert TrialSpec(m=1).ranks == (1,)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrialSpec(m=10, ranks=(0,))
@@ -152,6 +156,18 @@ class TestTrialSpec:
     def test_empty_axis_rejected(self, kwargs, what):
         # An empty axis would run a grid of no cells and write a bare header.
         with pytest.raises(ValueError, match=f"at least one {what} is required"):
+            TrialSpec(m=10, **kwargs)
+
+    @pytest.mark.parametrize("kwargs,what", [({"ranks": (1, 2, 1)}, "rank"),
+                                             ({"rhos": (0.05, 0.05)}, "density"),
+                                             ({"rhos": (0.0, -0.0)}, "density"),
+                                             ({"epsilons": (0.1, 0.1)}, "threshold"),
+                                             ({"embeddings": (POLAR4COMPLEX,) * 2},
+                                              "embedding")], ids=repr)
+    def test_repeated_axis_value_rejected(self, kwargs, what):
+        # A repeated value would solve identical cells again and write_csv
+        # would repeat their rows.
+        with pytest.raises(ValueError, match=f"the {what} axis repeats a value"):
             TrialSpec(m=10, **kwargs)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=repr)
