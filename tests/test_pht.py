@@ -143,3 +143,124 @@ def test_accepts_blank_lines_tabs_crlf_and_special_values(tmp_path):
     assert A.field == COMPLEX
     assert _same_values(A.data, expected)
     assert _same_values(A.data, read_pht_per_value(path).data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"PHT 1 1 1 1 r\xe9al\n1\n", b"PHT 1 1 1 1 real\n1\xe9\n"],
+    ids=["header", "body"],
+)
+def test_non_ascii_byte_raises_format_error(tmp_path, data):
+    path = tmp_path / "bad.pht"
+    path.write_bytes(data)
+    with pytest.raises(PhtFormatError, match="non-ASCII"):
+        read_pht(path)
+
+
+@pytest.mark.parametrize(
+    "A", [np.zeros((2, 2, 2)), [[[0.0]]], None], ids=["ndarray", "list", "None"]
+)
+def test_write_takes_only_hypermatrices(tmp_path, A):
+    path = tmp_path / "a.pht"
+    with pytest.raises(TypeError, match="HyperMatrix"):
+        write_pht(A, path)
+    assert not path.exists()
+
+
+def _check_against_per_value(values, directory, field=REAL):
+    """The per-value codec check, with warnings as errors, on values as one
+    1 x k x 1 matrix; the per-value writer's f"{v:.17g}" is CPython's '%.17g'."""
+    values = np.asarray(values, dtype=np.float64)
+    data = values if field == REAL else values.view(np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_against_per_value_codec(HyperMatrix(data.reshape(1, -1, 1), field), directory)
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+_POWERS_OF_TEN = _with_neighbours([float(f"1e{k}") for k in range(-323, 309)])
+
+
+class TestFastWriterMatchesPercentG:
+    """write_pht's numpy formatter against CPython's '%.17g', byte for byte."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_ten_and_neighbours(self, tmp_path, sign):
+        _check_against_per_value(sign * _POWERS_OF_TEN, tmp_path)
+
+    def test_form_switches(self, tmp_path):
+        # %g switches between fixed and exponent form at 1e-4 and 1e17.
+        switches = np.array([1e-5, 1e-4, 1e16, 1e17])
+        values = [switches]
+        for direction in (0.0, np.inf):
+            step = switches
+            for _ in range(3):
+                step = np.nextafter(step, direction)
+                values.append(step)
+        values = np.concatenate(values)
+        _check_against_per_value(np.concatenate([values, -values]), tmp_path)
+
+    def test_rounding_up_across_a_decade(self, tmp_path):
+        # double(1e-185) is 9.99999999999999992e-186: scaled for e = -185 it
+        # rounds to 10**16, but its 17 digits are those of e = -186.
+        assert "%.17g" % 1e-185 == "9.9999999999999999e-186"
+        values = [1e-185, 9.9999999999999999e-186, 0.99999999999999999, 99999999999999999.0,
+                  9.9999999999999999e-5, 9.9999999999999999e-6]
+        _check_against_per_value(_with_neighbours(values), tmp_path)
+
+    def test_special_values(self, tmp_path):
+        negative_nan = np.copysign(np.nan, -1.0)
+        assert np.signbit(negative_nan) and "%.17g" % negative_nan == "nan"
+        subnormals = [5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0.0)]
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, negative_nan, *subnormals,
+                  *(-v for v in subnormals), 2.2250738585072014e-308, 1.7976931348623157e308,
+                  2.0**53, 2.0**53 + 2, 1000.0, 1.0, 0.5, 123.456]
+        _check_against_per_value(values, tmp_path)
+
+    def test_exact_ties_are_left_to_percent(self, tmp_path):
+        # 1e15 + 0.25 lies midway between two 17-digit decimals; '%' rounds it half to even.
+        assert "%.17g" % (1e15 + 0.25) == "1000000000000000.2"
+        values = 1e15 + np.arange(1, 200) * 0.25
+        _check_against_per_value(np.concatenate([values, -values]), tmp_path)
+
+    def test_zero_heavy_complex_chunk_straddling_write_chunk(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(2 * (WRITE_CHUNK + 3))
+        values[rng.random(values.size) < 0.9] = 0.0
+        values[rng.random(values.size) < 0.1] *= -0.0
+        _check_against_per_value(values, tmp_path, COMPLEX)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, np.nan, np.inf, 1e-300])
+    def test_chunks_without_an_exact_value(self, tmp_path, value):
+        _check_against_per_value(np.full(WRITE_CHUNK + 1, value), tmp_path)
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(20181)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+        _check_against_per_value(bits.view(np.float64), tmp_path)
+
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf], ids=["low", "high"])
+    def test_result_does_not_depend_on_the_last_bit_of_log10(self, tmp_path, monkeypatch,
+                                                             direction):
+        # The decimal exponent starts from np.log10.  One ulp off, low, it is
+        # a decade low at exact powers of ten; high, a decade high just below
+        # them.  Both must give '%.17g' through the exponent steps and the
+        # decade rules.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+        _check_against_per_value(_POWERS_OF_TEN, tmp_path)
+        rng = np.random.default_rng(11)
+        scales = 10.0 ** rng.integers(-30, 30, 5000)
+        _check_against_per_value(rng.standard_normal(5000) * scales, tmp_path)
+
+
+def test_line_ends_are_newlines_in_binary(tmp_path):
+    A = random_hypermatrix(np.random.default_rng(3), 2, 2, 2, COMPLEX)
+    path = tmp_path / "a.pht"
+    write_pht(A, path)
+    data = path.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") == 1 + 8 and data.endswith(b"\n")
