@@ -87,7 +87,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_decompose(args):
-    X = _coerce_field(read_pht(args.input), args.field)
     cfg = SolverConfig(
         c=args.c,
         tol=args.tol,
@@ -95,15 +94,17 @@ def _cmd_decompose(args):
         transform=args.transform,
         variant=SOLVER_VARIANTS[args.variant],
     )
-    result = pcp_ialm(X, cfg)
+    # The tensor is handed over: the solver holds the only reference to it
+    # and frees it after its set-up.
+    result = pcp_ialm(_coerce_field(read_pht(args.input), args.field), cfg)
     out = Path(args.out_dir)
     write_pht(result.L, out / "L.pht")
     write_pht(result.S, out / "S.pht")
     report = {
         "variant": args.variant,
         "transform": args.transform,
-        "field": X.field,
-        "shape": [X.l, X.m, X.n],
+        "field": result.L.field,
+        "shape": [result.L.l, result.L.m, result.L.n],
         "lambda": result.lam,
         "iterations": result.iterations,
         "converged": result.converged,

@@ -17,7 +17,12 @@ axis, where the tubes are, and is the one seam into the transform domain
 (hat, unhat), the owner of the packed state of real tubes (pack, unpack)
 and the one slice-SVD kernel.  Every singular-tube shrink, in the solvers
 and in prox_trace, factors and rebuilds a packed state (svd_state,
-compose_state).  Matrices of at least
+compose_state).  A solve keeps its state's matrices in a KernelBuffer, one
+allocation whose bytes are both the kernel's stacks of Fortran-ordered
+matrices and a C-ordered scratch state, so the kernel factors them where
+the solve wrote them; compose_state writes each product straight into the
+state it returns, and unhat_state leaves the transform domain a block of
+rows at a time.  Matrices of at least
 _blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
 they are run gesdd's own stages (_lapack): numpy's singular values bit for
 bit, and a back-transform of only the singular vectors a shrink keeps.
@@ -31,6 +36,7 @@ t-SVD and the singular-tube moduli.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -45,6 +51,13 @@ from .hyperalgebra import COMPLEX, REAL, SINGULAR_RTOL, PolarScalar, _check_fiel
 
 UNNORMALIZED = "unnormalized"
 UNITARY = "unitary"
+
+# Rows of a slice stack that unhat_state takes at a time.
+EXIT_ROWS = 32
+
+# Magnitudes whose squares, and sums of many of them, neither overflow nor
+# underflow.
+SAFE_RANGE = (2.0**-400, 2.0**400)
 
 # Relative imaginary-part threshold under which an inverse transform is
 # considered real-valued.
@@ -232,8 +245,10 @@ class TubeTransform:
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "skew_dft": "skew_dft",
              "wht": "walsh_hadamard"}
 
-    # Call counters used by operation-count instrumentation tests.  They are
-    # per thread, so a solve on one of run_grid's workers counts only its own.
+    # Counts of the matrices moved into (hat) and out of (unhat,
+    # unhat_state) the transform domain, for a solve's stats and the
+    # instrumentation tests.  They are per thread, so a solve on one of
+    # run_grid's workers counts only its own.
     _counts = _CallCounts()
 
     # The shared instances of the named constructors, by (kind, n, factors).
@@ -308,7 +323,6 @@ class TubeTransform:
 
     def forward(self, x):
         """Apply the transform along the last axis (unnormalized values)."""
-        TubeTransform._counts.forward += 1
         x = np.asarray(x)
         if x.shape[-1] != self.n:
             raise ValueError(f"axis length {x.shape[-1]} != transform length {self.n}")
@@ -318,7 +332,6 @@ class TubeTransform:
 
     def inverse(self, y):
         """Exact inverse of forward."""
-        TubeTransform._counts.inverse += 1
         y = np.asarray(y)
         if y.shape[-1] != self.n:
             raise ValueError(f"axis length {y.shape[-1]} != transform length {self.n}")
@@ -363,12 +376,27 @@ class TubeTransform:
 
     def hat(self, A):
         """(n, l, m) transform-domain slice stack of a HyperMatrix."""
+        TubeTransform._counts.forward += 1
         return np.moveaxis(self.forward(A.data), 2, 0)
 
     def unhat(self, blocks, field):
         """HyperMatrix of the given field whose slice stack is blocks."""
-        data = self.inverse(np.moveaxis(blocks, 0, 2))
-        return HyperMatrix(data.real if field == REAL else data, field)
+        return self.unhat_state(blocks, False, field)
+
+    def unhat_state(self, state, real, field):
+        """unhat(unpack(state, real), field), EXIT_ROWS rows at a time, so
+        that neither the slice stack of a real-tube state nor the inverse
+        transform of a stack is ever built whole.  Each row's tubes are
+        transformed as in one call on the whole stack, so the bits do not
+        depend on the block size; it counts as one inverse transform."""
+        TubeTransform._counts.inverse += 1
+        l, m = state.shape[1:]
+        out = np.empty((l, m, self.n), np.float64 if field == REAL else np.complex128)
+        for lo in range(0, l, EXIT_ROWS):
+            rows = slice(lo, lo + EXIT_ROWS)
+            data = self.inverse(np.moveaxis(self.unpack(state[:, rows], real), 0, 2))
+            out[rows] = data.real if field == REAL else data
+        return HyperMatrix(out, field)
 
     def _build_splits(self):
         slots = np.arange(self.n)
@@ -391,6 +419,16 @@ class TubeTransform:
         """
         return self._splits[bool(real)]
 
+    def _slots(self, real):
+        """The planes of a state that each matrix of the kernel's stacks
+        holds, per stack (see _parts): (b,) for complex slice b or a
+        self-paired plane b, (b, p) for a slice b with partner p, whose real
+        part is plane b and whose imaginary part is plane p."""
+        factored, partners, sources, self_paired = self._split(real)
+        if not real:
+            return [[(b,) for b in factored]]
+        return [list(zip(sources, partners)), [(b,) for b in np.flatnonzero(self_paired)]]
+
     def pack(self, blocks, real):
         """The packed state of an (n, l, m) slice stack: what a solve
         iterates on and what the slice-SVD kernel factors.
@@ -405,8 +443,11 @@ class TubeTransform:
         """
         if not real:
             return blocks
-        _, _, sources, self_paired = self._split(True)
-        return self._scatter([blocks[sources], blocks[self_paired].real])
+        state = np.empty((self.n,) + blocks.shape[1:])
+        for slot in itertools.chain(*self._slots(True)):
+            for b, plane in _planes_of(blocks[slot[0]], slot):
+                state[b] = plane.real
+        return state
 
     def unpack(self, state, real):
         """The slice stack of a state: the inverse of pack."""
@@ -422,32 +463,36 @@ class TubeTransform:
         _, _, sources, self_paired = self._split(True)
         return 2.0 - self_paired, np.repeat([2.0, 1.0], [len(sources), self_paired.sum()])
 
+    def kernel_buffer(self, shape, real, state=None):
+        """A KernelBuffer for states of shape (n, l, m), holding a copy of
+        state if one is given."""
+        n, l, m = shape
+        slots = self._slots(real)
+        if not real:
+            flat = np.empty(n * l * m, np.complex128)
+            parts = [flat.reshape(n, m, l).transpose(0, 2, 1)]
+        else:
+            flat = np.empty(n * l * m)
+            cut = 2 * len(slots[0]) * l * m
+            parts = [flat[:cut].view(np.complex128).reshape(-1, m, l).transpose(0, 2, 1),
+                     flat[cut:].reshape(-1, m, l).transpose(0, 2, 1)]
+        planes = [None] * n
+        for stack, stack_slots in zip(parts, slots):
+            for matrix, slot in zip(stack, stack_slots):
+                for b, plane in _planes_of(matrix, slot):
+                    planes[b] = plane
+                    if state is not None:
+                        plane[...] = state[b]
+        return KernelBuffer(parts, planes, flat.reshape(shape))
+
     def _parts(self, state, real):
         """The matrices of a state that the slice-SVD kernel factors,
         complex ones first, copied into stacks of Fortran-ordered matrices
-        that the kernel may overwrite: for complex tubes the slices, for
-        real tubes the slices with a partner, rebuilt bit for bit from their
-        two planes, then the self-paired planes."""
-        shape = state.shape[1:]
-        if not real:
-            slices = _fortran_stack(len(state), shape, np.complex128)
-            slices[...] = state
-            return [slices]
-        _, partners, sources, self_paired = self._split(True)
-        paired = _fortran_stack(len(sources), shape, np.complex128)
-        paired.real, paired.imag = state[sources], state[partners]
-        planes = _fortran_stack(self_paired.sum(), shape, np.float64)
-        planes[...] = state[self_paired]
-        return [paired, planes]
-
-    def _scatter(self, parts):
-        """The real-tube state of _parts-ordered slices: the inverse of _parts."""
-        _, partners, sources, self_paired = self._split(True)
-        paired, planes = parts
-        state = np.empty((self.n,) + planes.shape[1:])
-        state[sources], state[partners] = paired.real, paired.imag
-        state[self_paired] = planes
-        return state
+        that the kernel may overwrite (those of a new KernelBuffer): for
+        complex tubes the slices, for real tubes the slices with a partner,
+        rebuilt bit for bit from their two planes, then the self-paired
+        planes."""
+        return self.kernel_buffer(state.shape, real, state).parts
 
     def _expand(self, parts, real):
         """The full stack of _parts-ordered slices, or of their factors.  For
@@ -478,9 +523,9 @@ class TubeTransform:
         With thin factors asked for, a stack of such large matrices that
         gesdd factors without a QR step or scaling (_lapack.direct) runs
         only gesdd's first two stages (_lapack.factor), in the matrices of
-        parts, which _parts made for it: its U entry lists the matrices'
-        factored forms and its Vh entry is None.  Its singular values are
-        np.linalg.svd's bit for bit.
+        parts, which a KernelBuffer holds for it: its U entry lists the
+        matrices' factored forms and its Vh entry is None.  Its singular
+        values are np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
@@ -518,7 +563,10 @@ class TubeTransform:
         return [out[0] for out in outs], s, [out[2] for out in outs]
 
     def svd_state(self, state, real, compute_uv=True):
-        """Thin SVD of the matrices of a state (see pack).
+        """Thin SVD of the matrices of a state (see pack): an array, whose
+        matrices are copied for the kernel, or a KernelBuffer that holds the
+        state in its stacks, which are factored where they are and may be
+        overwritten.
 
         For real tubes the self-paired planes are factored as real matrices
         and each slice with a partner as one complex matrix.  U and Vh are
@@ -529,30 +577,41 @@ class TubeTransform:
         in Vh: compose_state then builds only the singular vectors that a
         shrink keeps.
         """
-        return self._svd(self._parts(state, real), compute_uv)
+        parts = state.parts if isinstance(state, KernelBuffer) else self._parts(state, real)
+        return self._svd(parts, compute_uv)
 
     def compose_state(self, U, s, Vh, real):
         """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
-        svd_state, after a shrink of s.  Only the leading singular columns
-        up to the last nonzero one enter the products, and real planes
+        svd_state, after a shrink of s.  Each product is written straight
+        into its planes of the state.  Only the leading singular columns up
+        to the last nonzero one enter the products, and real planes
         multiply as real matrices.  A matrix factored in stages is
         rebuilt by _lapack.product from the singular vectors up to its own
         last nonzero value, one task per matrix on the lanes."""
         live = np.flatnonzero(s.any(axis=0))
         k = live[-1] + 1 if live.size else 0
         rows = _row_blocks(s[:, np.newaxis, :k], U)
-        products = [np.empty((len(u),) + u[0].a.shape, u[0].a.dtype) if vh is None
-                    else (u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
+        shape = U[0][0].a.shape if Vh[0] is None else (U[0].shape[1], Vh[0].shape[2])
+        state = np.empty((self.n,) + shape, np.float64 if real else np.complex128)
+        slots = self._slots(real)
+
+        def put(j, i, product):
+            for b, plane in _planes_of(product, slots[j][i]):
+                state[b] = plane
 
         def rebuild(j, i):
-            products[j][i] = _lapack.product(U[j][i], np.trim_zeros(rows[j][i, 0], "b"))
+            put(j, i, _lapack.product(U[j][i], np.trim_zeros(rows[j][i, 0], "b")))
 
+        for j, (u, r, vh) in enumerate(zip(U, rows, Vh)):
+            if vh is not None:
+                for i in range(len(u)):
+                    put(j, i, (u[i, :, :k] * r[i]) @ vh[i, :k, :])
         staged = [functools.partial(rebuild, j, i)
                   for j, vh in enumerate(Vh) if vh is None for i in range(len(U[j]))]
         if staged:
             with _blas.owned_cores():
                 _blas.run_lanes(staged)
-        return self._scatter(products) if real else products[0]
+        return state
 
     def slice_svd(self, blocks, real, compute_uv=True):
         """SVD of every slice of an (n, l, m) stack, with full factors, shaped
@@ -582,13 +641,25 @@ class TubeTransform:
 
     @classmethod
     def call_counts(cls):
-        """(forward, inverse) calls made on the calling thread since its reset."""
+        """(hat, unhat) calls made on the calling thread since its reset;
+        unhat_state counts as an unhat."""
         return cls._counts.forward, cls._counts.inverse
 
 
-def _fortran_stack(count, shape, dtype):
-    """An empty (count,) + shape stack of Fortran-ordered matrices."""
-    return np.empty((count,) + shape[::-1], dtype).transpose(0, 2, 1)
+# One allocation that holds a packed state (see TubeTransform.pack) in two
+# layouts over the same bytes: parts, the slice-SVD kernel's stacks of
+# Fortran-ordered matrices, complex stack first (the layout of _parts), and
+# scratch, a C-ordered (n, l, m) array.  planes[b] is the view of state
+# plane b in parts, so a state is written into the stacks plane by plane and
+# factored there by svd_state.  Writing through one layout garbles the
+# other, and the kernel may overwrite parts.
+KernelBuffer = collections.namedtuple("KernelBuffer", "parts planes scratch")
+
+
+def _planes_of(matrix, slot):
+    """(plane, view) pairs of a matrix that holds the state planes slot
+    (see TubeTransform._slots)."""
+    return zip(slot, (matrix.real, matrix.imag)) if len(slot) == 2 else [(slot[0], matrix)]
 
 
 def _row_blocks(x, stacks):
@@ -726,9 +797,15 @@ def spectral_norm(A, transform=None):
 
 
 def max_modulus(A):
-    """Largest entry modulus, the hypercomplex max-norm."""
-    mods = np.sqrt((A.data.real**2 + A.data.imag**2).sum(axis=2))
-    return float(mods.max())
+    """Largest entry modulus, the hypercomplex max-norm.  Where the largest
+    coefficient is outside SAFE_RANGE, so that a square could overflow or
+    underflow, it is measured on a copy scaled by a power of two."""
+    coeffs = A.data.view(np.float64)
+    top = max(coeffs.max(), -coeffs.min())
+    e = 0 if top == 0 or SAFE_RANGE[0] <= top <= SAFE_RANGE[1] else math.frexp(top)[1]
+    data = A.data if e == 0 else A.data * math.ldexp(1.0, -e)
+    mods = np.sqrt((data.real**2 + data.imag**2).sum(axis=2))
+    return math.ldexp(float(mods.max()), e)
 
 
 def check_finite(A, what):

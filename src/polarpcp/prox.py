@@ -48,10 +48,12 @@ class GroupedVector:
 
 
 def _shrink_factors(norms, lam):
-    factors = np.zeros_like(norms)
+    """(1 - lam/norm)_+ for every norm, and 0 for a zero norm, computed in
+    the array norms."""
     nz = norms > 0
-    factors[nz] = np.maximum(1.0 - lam / norms[nz], 0.0)
-    return factors
+    np.divide(lam, norms, out=norms, where=nz)
+    np.subtract(1.0, norms, out=norms, where=nz)
+    return np.maximum(norms, 0.0, out=norms)
 
 
 def _check_threshold(lam):
@@ -118,13 +120,23 @@ def tube_group_shrink(stack, tau, weights=None):
     """Grouped shrink of an (n, ...) transform-domain stack where each tube
     (the fiber across the leading axis) is one group.  weights, one per
     slice, scale the slices' squares in the group norms: the Parseval
-    weights of a real-tube solver state (TubeTransform.pack)."""
+    weights of a real-tube solver state (TubeTransform.pack).  The squares
+    are computed in the output array, the only stack-sized allocation."""
+    out = np.empty(stack.shape, stack.dtype)
     if weights is None:
-        norms = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=0))
+        # The squares of the real and of the imaginary parts fill the two
+        # halves of a complex output's bytes.
+        size = stack.size
+        squares = out.view(np.float64).reshape(-1)
+        real_sq = np.square(stack.real, out=squares[:size].reshape(stack.shape))
+        if np.iscomplexobj(stack):
+            real_sq += np.square(stack.imag, out=squares[size:].reshape(stack.shape))
+        norms = real_sq.sum(axis=0)
     else:
-        squares = (stack * stack).reshape(len(weights), -1)
-        norms = np.sqrt(weights @ squares).reshape(stack.shape[1:])
-    return stack * _shrink_factors(norms, tau)[np.newaxis]
+        squares = np.multiply(stack, stack, out=out).reshape(len(weights), -1)
+        norms = (weights @ squares).reshape(stack.shape[1:])
+    np.sqrt(norms, out=norms)
+    return np.multiply(stack, _shrink_factors(norms, tau)[np.newaxis], out=out)
 
 
 def prox_trace(Z, lam, transform=None):
@@ -145,4 +157,4 @@ def prox_trace(Z, lam, transform=None):
     real = Z.field == REAL
     U, s, Vh = T.svd_state(T.pack(T.hat(Z), real), real)
     s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, T.weights(real)[1])
-    return T.unhat(T.unpack(T.compose_state(U, s, Vh, real), real), Z.field)
+    return T.unhat_state(T.compose_state(U, s, Vh, real), real, Z.field)

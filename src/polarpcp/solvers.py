@@ -25,13 +25,26 @@ the pair of steps that state takes:
 * "naive": the state is the coefficient tensor X.data and the steps are the
   coefficient-domain proxes prox_trace and prox_l1.
 
-Besides the L a low-rank step returns, the loop holds four state-sized
-arrays: the data term D, S, the dual Y and one scratch array, which takes
-D - S + Y/mu, D - L + Y/mu and the residual in turn and, like Y, is updated
-in place.  The old L and S are freed before the low-rank step, whose
-factored matrices (see hypermatrix) are then the rest of its working set,
-and D, Y and the scratch array are freed before the state is unpacked.  D
-and every returned L are only read: for "naive", D is the caller's X.data.
+A frequency or tensor-RPCA solve holds the data term D, the dual Y, one
+kernel buffer (hypermatrix.KernelBuffer) and L or S.  The buffer's bytes
+are both the slice-SVD kernel's stacks of Fortran-ordered matrices and a
+C-ordered scratch state.  Each iteration writes D - S + Y/mu into the
+stacks plane by plane and frees S; the kernel factors the stacks in place,
+and compose_state writes L straight into a new state.  The scratch array
+then takes D - L + Y/mu, from which the sparse step computes S (its squares
+in S's own array), and the residual, which is scaled and added to Y in
+place.  So the low-rank step holds D, Y, the buffer's factored forms and L,
+and the sparse step D, Y, the buffer, L and S.  The input is read only, and
+a caller that keeps no reference to it hands it over: the solve frees it
+once D is built, as `polarpcp decompose` does.  D, Y and the buffer are
+freed before L and S leave the transform domain, a block of rows at a time
+(TubeTransform.unhat_state).  "naive" iterates on the coefficients with a
+plain scratch array, and its D is the caller's X.data.
+
+An input whose largest modulus lies outside [2^-400, 2^400], where the
+squares in the loop's norms would overflow or underflow, is solved as a
+copy scaled by a power of two; L, S and the mu history are scaled back
+exactly.  Inputs in the range keep their bits.
 
 lambda defaults to c/sqrt(max(l, m)) with c = 1; the dual variable starts at
 X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically from
@@ -166,29 +179,35 @@ def pcp_ialm(X, cfg=None):
     lam/mu), Y <- Y + mu (X - L - S) with geometric mu, stopping when the
     relative residual drops below cfg.tol.  cfg.variant picks the state and
     the pair of steps (see the module docstring).  Non-convergence is
-    reported via the converged flag, not an exception.
+    reported via the converged flag, not an exception.  X is only read; a
+    caller that holds no other reference to it hands it over, and a
+    frequency or tensor-RPCA solve frees it after its set-up.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(X, HyperMatrix):
         raise TypeError("solver input must be a HyperMatrix")
     hm.check_finite(X, "solver input")
     lam = cfg.lam(X)
+    field = X.field
     if not X.data.any():
-        zero = HyperMatrix.zeros(X.l, X.m, X.n, X.field)
+        zero = HyperMatrix.zeros(X.l, X.m, X.n, field)
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
                          {"slice_svds": 0, "setup_slice_svds": 0, "tube_transforms": 0})
+    maxmod = hm.max_modulus(X)
+    if not hm.SAFE_RANGE[0] <= maxmod <= hm.SAFE_RANGE[1]:
+        return _rescaled_solve(X, cfg, maxmod)
     T = cfg.resolve_transform(X.n)
-    real = X.field == REAL
+    real = field == REAL
 
     if cfg.variant == NAIVE:
         def low_rank(Z, mu):
-            return prox_trace(HyperMatrix(Z, X.field), 1.0 / mu, T).data
+            return prox_trace(HyperMatrix(Z, field), 1.0 / mu, T).data
 
         def sparse(Z, mu):
-            return prox_l1(HyperMatrix(Z, X.field), lam / mu).data
+            return prox_l1(HyperMatrix(Z, field), lam / mu).data
 
         def leave(A):
-            return HyperMatrix(A, X.field)
+            return HyperMatrix(A, field)
 
         norm = np.linalg.norm
     else:
@@ -196,8 +215,8 @@ def pcp_ialm(X, cfg=None):
         sqrt_n = math.sqrt(X.n)
         plane_weights, row_weights = T.weights(real)
 
-        def low_rank(Z, mu):
-            U, s, Vh = T.svd_state(Z, real)
+        def low_rank(buf, mu):
+            U, s, Vh = T.svd_state(buf, real)
             s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped,
                                        row_weights)
             return T.compose_state(U, s, Vh, real)
@@ -206,7 +225,7 @@ def pcp_ialm(X, cfg=None):
             return tube_group_shrink(Z, lam * sqrt_n / mu, plane_weights)
 
         def leave(A):
-            return T.unhat(T.unpack(A, real), X.field)
+            return T.unhat_state(A, real, field)
 
         def norm(A):
             if plane_weights is None:
@@ -217,22 +236,24 @@ def pcp_ialm(X, cfg=None):
     history, mu_hist = [], []
     with owned_cores():
         D = T.pack(T.hat(X), real)
-        specnorm = float(T.svd_state(D, real, compute_uv=False).max())
+        buf = T.kernel_buffer(D.shape, real, D)
+        specnorm = float(T.svd_state(buf, real, compute_uv=False).max())
         if cfg.variant == NAIVE:
             D = X.data
-        Y = D / max(specnorm, hm.max_modulus(X) / lam)   # Y_1 is proportional to X
+            # C order: norm reduces in memory order, so the residual's bits
+            # depend on the scratch array's layout.
+            buf = Z = planes = np.empty(D.shape, D.dtype)
+        else:
+            Z, planes = buf.scratch, buf.planes
+        X = None   # the loop reads D: a handed-over input is freed here
+        Y = D / max(specnorm, maxmod / lam)   # Y_1 is proportional to X
         S = np.zeros_like(D)
-        # C order even where D has hat's strides: norm reduces in memory
-        # order, so the residual's bits depend on the scratch array's layout.
-        Z = np.empty(D.shape, D.dtype)
         Dnorm = norm(D)
         for mu in itertools.islice(_geometric(cfg, specnorm), cfg.max_iters):
-            np.subtract(D, S, out=Z)
-            Z += Y / mu
+            _fill(planes, D, S, Y, mu)
             L = S = None   # the steps replace both: free them for the SVD
-            L = low_rank(Z, mu)
-            np.subtract(D, L, out=Z)
-            Z += Y / mu
+            L = low_rank(buf, mu)
+            _fill(Z, D, L, Y, mu)
             S = sparse(Z, mu)
             np.subtract(D, L, out=Z)
             Z -= S
@@ -242,7 +263,7 @@ def pcp_ialm(X, cfg=None):
             mu_hist.append(mu)
             if history[-1] < cfg.tol:
                 break
-        del D, Y, Z
+        del D, Y, Z, buf, planes
         L = leave(L)
         S = leave(S)
 
@@ -261,6 +282,38 @@ def pcp_ialm(X, cfg=None):
             "tube_transforms": sum(TubeTransform.call_counts()) - transforms,
         },
     )
+
+
+def _fill(planes, A, B, Y, mu):
+    """planes[b] = A[b] - B[b] + Y[b] / mu, plane by plane: the temporaries
+    are planes, and a plane is computed in C order before it is written
+    into a Fortran-ordered kernel stack."""
+    for plane, a, b, y in zip(planes, A, B, Y):
+        values = a - b
+        values += y / mu
+        plane[...] = values
+
+
+def _rescaled_solve(X, cfg, maxmod):
+    """pcp_ialm(X, cfg) for an X whose largest modulus is outside
+    hypermatrix.SAFE_RANGE, where the loop's squares would overflow or
+    underflow: the solve of X * 2^-e, with mu_0 * 2^e for a given mu_0,
+    whose largest modulus is in [1/2, 1).  Every step commutes with a
+    power-of-two scale, so L and S are scaled back by 2^e and mu by 2^-e,
+    exactly."""
+    e = math.frexp(maxmod)[1]
+    scaled = HyperMatrix(_ldexp(X.data.copy(), -e), X.field)
+    res = pcp_ialm(scaled, cfg if cfg.mu0 is None else replace(cfg, mu0=math.ldexp(cfg.mu0, e)))
+    _ldexp(res.L.data, e)
+    _ldexp(res.S.data, e)
+    return replace(res, mu_history=np.ldexp(res.mu_history, -e))
+
+
+def _ldexp(a, e):
+    """a * 2^e in place, for float64 and complex128 arrays; returns a."""
+    flat = a.view(np.float64)
+    np.ldexp(flat, e, out=flat)
+    return a
 
 
 def tensor_rpca(X, cfg=None):

@@ -14,8 +14,12 @@ trace-norm prox on those full-stack kernels, as it stood before it ran on
 the packed state, held to the same bars.  reference_svd_state and
 reference_compose_state are the packed-state kernels as they stood before
 large matrices were factored in stages; with the staged routines missing
-the package must reproduce them bit for bit.  ReferenceScalar is the standalone scalar
-arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
+the package must reproduce them bit for bit.  reference_parts,
+reference_scatter and reference_unhat move a state between its layouts as
+the package did before a solve kept its state in one kernel buffer and
+left the transform domain a block of rows at a time.  ReferenceScalar is
+the standalone scalar arithmetic that PolarScalar had before it became the
+1 x 1 HyperMatrix.
 """
 
 import functools
@@ -212,10 +216,40 @@ def reference_slice_compose(T, U, s, Vh, real):
     return out
 
 
+def reference_parts(T, state, real):
+    """The kernel's stacks of a state, as TubeTransform._parts made them
+    before they shared their bytes with a scratch state: complex matrices
+    first, each stack of Fortran-ordered matrices."""
+    def fortran_stack(count, dtype):
+        return np.empty((count,) + state.shape[:0:-1], dtype).transpose(0, 2, 1)
+
+    if not real:
+        slices = fortran_stack(len(state), np.complex128)
+        slices[...] = state
+        return [slices]
+    _, partners, sources, self_paired = T._split(True)
+    paired = fortran_stack(len(sources), np.complex128)
+    paired.real, paired.imag = state[sources], state[partners]
+    planes = fortran_stack(self_paired.sum(), np.float64)
+    planes[...] = state[self_paired]
+    return [paired, planes]
+
+
+def reference_scatter(T, parts):
+    """The real-tube state of reference_parts-ordered matrices."""
+    _, partners, sources, self_paired = T._split(True)
+    paired, planes = parts
+    state = np.empty((T.n,) + planes.shape[1:])
+    state[sources], state[partners] = paired.real, paired.imag
+    state[self_paired] = planes
+    return state
+
+
 def reference_svd_state(T, state, real, compute_uv=True):
     """TubeTransform.svd_state as it stood before large matrices were
-    factored in stages: np.linalg.svd on every matrix of the state."""
-    parts = T._parts(state, real)
+    factored in stages: np.linalg.svd on every matrix of the state, or of
+    the stacks of a solve's KernelBuffer, which it leaves as they are."""
+    parts = state.parts if isinstance(state, hm.KernelBuffer) else reference_parts(T, state, real)
     l, m = parts[0].shape[1:]
     k = min(l, m)
     s = np.empty((sum(len(p) for p in parts), k))
@@ -250,7 +284,7 @@ def reference_compose_state(T, U, s, Vh, real):
     k = live[-1] + 1 if live.size else 0
     rows = hm._row_blocks(s[:, np.newaxis, :k], U)
     products = [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
-    return T._scatter(products) if real else products[0]
+    return reference_scatter(T, products) if real else products[0]
 
 
 def low_rank_plus_sparse(rng, l, m, n, field, rank, density):
@@ -265,6 +299,14 @@ def low_rank_plus_sparse(rng, l, m, n, field, rank, density):
     return L + S, L, S
 
 
+def reference_unhat(T, blocks, field):
+    """TubeTransform.unhat as it stood before it took blocks of rows: one
+    inverse transform of the whole stack, counted as one unhat."""
+    hm.TubeTransform._counts.inverse += 1
+    data = T.inverse(np.moveaxis(blocks, 0, 2))
+    return HyperMatrix(data.real if field == REAL else data, field)
+
+
 def reference_prox_trace(Z, lam, transform=None):
     """Trace-norm prox on the full complex slice stack: grouped shrink of
     the singular tubes with the sqrt(n) factor of unnormalized transforms."""
@@ -274,7 +316,7 @@ def reference_prox_trace(Z, lam, transform=None):
     real = Z.field == REAL
     U, s, Vh = reference_slice_svd(T, T.hat(Z), real)
     s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
-    return T.unhat(reference_slice_compose(T, U, s2, Vh, real), Z.field)
+    return reference_unhat(T, reference_slice_compose(T, U, s2, Vh, real), Z.field)
 
 
 def ialm_frequency_reference(X, cfg, grouped):
@@ -318,8 +360,8 @@ def ialm_frequency_reference(X, cfg, grouped):
 
     slices = T.factored_slices(real)
     return PcpResult(
-        L=T.unhat(Lhat, X.field),
-        S=T.unhat(Shat, X.field),
+        L=reference_unhat(T, Lhat, X.field),
+        S=reference_unhat(T, Shat, X.field),
         iterations=iterations,
         residual_history=np.array(history),
         converged=converged,

@@ -311,6 +311,20 @@ class TestNormsAndIsomorphisms:
         mods = [math.hypot(coeffs[i], coeffs[i + 1]) for i in range(0, 8, 2)]
         assert hm.max_modulus(A) == pytest.approx(max(mods), rel=1e-15)
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_max_modulus_at_extreme_scales(self, field):
+        # Squares of moduli past 2^+-511 would overflow or underflow; the
+        # largest modulus is then measured on a power-of-two scaled copy.
+        A = random_hypermatrix(np.random.default_rng(20), 3, 4, 3, field)
+        mod = hm.max_modulus(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in (-1000, -600, -450, 450, 600, 1020):
+                assert hm.max_modulus(A * math.ldexp(1.0, e)) == math.ldexp(mod, e)
+            for c in (1e-200, 1e-160, 1e155, 1e200, 1e300):
+                assert hm.max_modulus(A * c) == pytest.approx(mod * c, rel=1e-15)
+        assert hm.max_modulus(HyperMatrix.zeros(2, 2, 3, field)) == 0.0
+
 
 class TestConstruction:
     def test_entry_roundtrip(self):

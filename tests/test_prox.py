@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from polarpcp import (
     singular_moduli,
     soft_threshold_real,
 )
-from polarpcp.prox import shrink_singular_values
+from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 from helpers import GROUP_FACTORS, random_hypermatrix, reference_prox_trace
 
@@ -184,6 +185,58 @@ class TestShrinkSingularValues:
         s = np.array([[3.0, 0.2], [0.4, 2.0]])
         out = shrink_singular_values(s, 0.5, grouped=False)
         assert out.tolist() == [[2.5, 0.0], [0.0, 1.5]]
+
+
+def _formula_tube_shrink(stack, tau, weights=None):
+    """The grouped tube shrink written out with fresh arrays: squares,
+    norms and factors each in their own array."""
+    if weights is None:
+        norms = np.sqrt((stack.real**2 + stack.imag**2).sum(axis=0))
+    else:
+        squares = (stack * stack).reshape(len(weights), -1)
+        norms = np.sqrt(weights @ squares).reshape(stack.shape[1:])
+    factors = np.zeros_like(norms)
+    nz = norms > 0
+    factors[nz] = np.maximum(1.0 - tau / norms[nz], 0.0)
+    return stack * factors[np.newaxis]
+
+
+class TestTubeGroupShrink:
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    @pytest.mark.parametrize("tau", [0.0, 0.7, math.inf])
+    def test_bitwise_equals_the_formula(self, dtype, weighted, tau):
+        rng = np.random.default_rng(60)
+        stack = rng.standard_normal((5, 7, 6))
+        if dtype == np.complex128:
+            stack = stack + 1j * rng.standard_normal(stack.shape)
+        stack[:, 2, 3] = 0.0              # a zero tube maps to zero
+        stack[:, 4, 1] *= 1e-3            # a tube below the threshold
+        stack[0, 1, 1] = -0.0
+        weights = np.array([1.0, 2.0, 2.0, 1.0, 2.0]) if weighted else None
+        if weighted and dtype == np.complex128:
+            return   # weights belong to the real planes of a packed state
+        before = stack.tobytes()
+        got = tube_group_shrink(stack, tau, weights)
+        want = _formula_tube_shrink(stack, tau, weights)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert stack.tobytes() == before
+
+    def test_allocates_one_stack(self):
+        stack = np.random.default_rng(61).standard_normal((4, 200, 150))
+        weights = np.array([1.0, 2.0, 1.0, 2.0])
+        tube_group_shrink(stack, 0.5, weights)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = tube_group_shrink(stack, 0.5, weights)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The output, the norms and a ufunc buffer of 64 KiB; the formula's
+        # squares and product add a stack each, its factors more planes.
+        assert out.nbytes <= peak < out.nbytes + 2 * out[0].nbytes
 
 
 class TestProxTrace:

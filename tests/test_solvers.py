@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,9 @@ from polarpcp import (
     residual,
     tensor_rpca,
 )
+from polarpcp.cli import main
+from polarpcp.pht import write_pht
+from polarpcp.simlab import embed, gen_low_rank_sparse
 
 from helpers import (
     GROUP_FACTORS,
@@ -431,3 +435,112 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert res.converged
         assert peak < 9.0 * state_bytes
+
+    @pytest.mark.skipif(_lapack.routines() is None,
+                        reason="numpy's LAPACK lacks the ILP64 gebrd/bdsdc/ormbr")
+    def test_handed_over_solve_peak_in_states(self, monkeypatch):
+        # Handed its input, a staged real 4-tube solve on one lane frees it
+        # after the set-up.  Its loop then holds D, Y, the kernel buffer and
+        # L or S, and peaks in the product back from the factored forms:
+        # 6.55 states with the input counted until it is freed.  A solve
+        # that keeps the input measures 7.55, and one that also copies the
+        # kernel's matrices out of a scratch array and gathers the products
+        # in a list before scattering them into L measures 8.67.
+        monkeypatch.setenv("POLARPCP_THREADS", "1")
+
+        def instance():
+            return _low_rank_plus_sparse(np.random.default_rng(22), 64, 64, 4, REAL, 3, 0.05)[0]
+
+        state_bytes = 64 * 64 * 4 * 8
+        pcp_ialm(instance())   # fills the workspace-size caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            inputs = [instance()]
+            tracemalloc.reset_peak()
+            res = pcp_ialm(inputs.pop())   # the only reference goes to the solver
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 7.0 * state_bytes
+
+    def test_decompose_peak_in_states(self, tmp_path, monkeypatch):
+        # `polarpcp decompose` hands the tensor it reads to the solver.  At
+        # 64x64x4 the traced peak of main is the write of L: 16.8 states,
+        # against 17.7 when the command keeps the tensor to the end.
+        monkeypatch.setenv("POLARPCP_THREADS", "1")
+        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(23), 64, 64, 4, REAL, 3, 0.05)
+        state_bytes = X.data.nbytes
+        write_pht(X, tmp_path / "X.pht")
+        del X
+        argv = ["decompose", str(tmp_path / "X.pht"), "--out-dir", str(tmp_path)]
+        assert main(argv) == 0   # builds the writer's tables and the workspace caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 17.25 * state_bytes
+
+
+def _scale_instance(embedding):
+    """The 30x30 instance of the scale tests: two rank-2 matrices from
+    seeds 0 and 1, embedded as a real 4-tube or a complex 2-tube."""
+    (M1, _, _), (M2, _, _) = (gen_low_rank_sparse(30, 2, 0.05, seed) for seed in (0, 1))
+    return embed(M1, M2, embedding)
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e155, 1e200])
+    def test_scaled_input_gives_the_scaled_solve(self, embedding, c):
+        # Squares of these moduli overflow or underflow: the solve runs on
+        # a power-of-two rescaled copy and scales back.
+        X = _scale_instance(embedding)
+        ref = pcp_ialm(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pcp_ialm(X * c)
+        assert res.converged and res.iterations == ref.iterations
+        for got, want in ((res.L, ref.L), (res.S, ref.S)):
+            assert got.field == want.field
+            assert np.linalg.norm(got.data / c - want.data) <= 1e-12 * np.linalg.norm(want.data)
+        assert np.allclose(res.mu_history * c, ref.mu_history, rtol=1e-12, atol=0)
+        assert np.allclose(res.residual_history, ref.residual_history, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    @pytest.mark.parametrize("e", [450, -450])
+    @pytest.mark.parametrize("mu0", [None, 0.5])
+    def test_power_of_two_scale_is_exact(self, embedding, e, mu0):
+        X = _scale_instance(embedding)
+        c = math.ldexp(1.0, e)
+        ref = pcp_ialm(X, SolverConfig(mu0=mu0))
+        res = pcp_ialm(X * c, SolverConfig(mu0=mu0 and mu0 / c))
+        assert res.iterations == ref.iterations and res.converged == ref.converged
+        # ldexp scales each real and imaginary part exactly; a complex
+        # product with c could change the sign of a zero.
+        for got, want in ((res.L.data, ref.L.data), (res.S.data, ref.S.data)):
+            assert got.tobytes() == np.ldexp(want.view(np.float64), e).tobytes()
+        assert res.mu_history.tobytes() == (ref.mu_history / c).tobytes()
+        assert res.residual_history.tobytes() == ref.residual_history.tobytes()
+        assert res.stats == ref.stats
+
+    @pytest.mark.parametrize("top,rescaled", [(400, False), (401, True),
+                                              (-399, False), (-400, True)])
+    def test_rescales_only_outside_the_range(self, monkeypatch, top, rescaled):
+        # The largest modulus is put in [2^(top-1), 2^top).
+        X = _scale_instance("polar4complex")
+        X = X * math.ldexp(1.0, top - math.frexp(hm.max_modulus(X))[1])
+        calls = []
+        rescale = solvers._rescaled_solve
+
+        def spy(*args):
+            calls.append(args[2])
+            return rescale(*args)
+
+        monkeypatch.setattr(solvers, "_rescaled_solve", spy)
+        assert pcp_ialm(X).converged
+        assert calls == ([hm.max_modulus(X)] if rescaled else [])

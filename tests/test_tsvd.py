@@ -28,9 +28,11 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 from helpers import (
     random_hypermatrix,
+    reference_parts,
     reference_slice_compose,
     reference_slice_svd,
     reference_svd_state,
+    reference_unhat,
 )
 
 ALL_TRANSFORMS = [
@@ -537,6 +539,86 @@ class TestPackedState:
         hat = T.hat(random_hypermatrix(np.random.default_rng(3), 3, 2, 4, COMPLEX))
         assert T.pack(hat, False) is hat and T.unpack(hat, False) is hat
         assert T.weights(False) == (None, None)
+
+
+@st.composite
+def _states(draw):
+    """(T, state, real): a random packed state of real tubes, or a complex
+    slice stack, under the DFT, the skew DFT or a group DFT."""
+    n = draw(st.integers(1, 8))
+    T = draw(st.sampled_from([TubeTransform.dft(n), TubeTransform.skew_dft(n),
+                              TubeTransform.group_dft(_GROUP_FACTORS[n])]))
+    real = draw(st.booleans())
+    l, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.standard_normal((n, l, m))
+    if not real:
+        state = state + 1j * rng.standard_normal((n, l, m))
+    return T, state, real
+
+
+class TestKernelBuffer:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_states())
+    def test_one_allocation_in_both_layouts(self, case):
+        T, state, real = case
+        buf = T.kernel_buffer(state.shape, real, state)
+        assert buf.scratch.shape == state.shape and buf.scratch.dtype == state.dtype
+        assert buf.scratch.flags.c_contiguous
+        assert sum(p.nbytes for p in buf.parts) == buf.scratch.nbytes
+        # The stacks are the old _parts copies, layout included, in the
+        # scratch array's bytes.
+        want = reference_parts(T, state, real)
+        assert len(buf.parts) == len(want)
+        for got, ref in zip(buf.parts, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            assert len(got) == 0 or (got.strides == ref.strides
+                                     and np.shares_memory(got, buf.scratch))
+        assert len(buf.planes) == T.n
+        for plane, values in zip(buf.planes, state):
+            assert np.shares_memory(plane, buf.scratch) and plane.tobytes() == values.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_states(), staged=st.booleans())
+    def test_factoring_in_place_matches_factoring_a_copy(self, case, staged):
+        T, state, real = case
+        with _staged_if(staged):
+            U, s, Vh = T.svd_state(state, real)
+            buf = T.kernel_buffer(state.shape, real)
+            for plane, values in zip(buf.planes, state):
+                plane[...] = values
+            U_buf, s_buf, Vh_buf = T.svd_state(buf, real)
+            assert s_buf.tobytes() == s.tobytes()
+            shrunk = shrink_singular_values(s, 0.3 * s.max(), True, T.weights(real)[1])
+            got = T.compose_state(U_buf, shrunk, Vh_buf, real)
+            assert got.tobytes() == T.compose_state(U, shrunk, Vh, real).tobytes()
+        assert got.flags.c_contiguous and got.dtype == state.dtype
+
+
+class TestRowBlockedExit:
+    B = hm.EXIT_ROWS
+
+    @pytest.mark.parametrize("l", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_blocks_are_the_one_shot_path_bit_for_bit(self, T, l, field):
+        rng = np.random.default_rng(l)
+        real = field == REAL
+        state = rng.standard_normal((T.n, l, 5))
+        if not real:
+            state = state + 1j * rng.standard_normal(state.shape)
+        # The one-shot path: the whole slice stack, then one inverse.
+        blocks = T._expand(reference_parts(T, state, True), True) if real else state
+        want = reference_unhat(T, blocks, field)
+        TubeTransform.reset_call_counts()
+        got = T.unhat_state(state, real, field)
+        assert TubeTransform.call_counts() == (0, 1)
+        assert got.field == field and got.data.tobytes() == want.data.tobytes()
+        assert T.unpack(state, real).tobytes() == blocks.tobytes()
+        # unhat of a whole stack, as the t-SVD makes it, takes the same blocks.
+        assert T.unhat(blocks, field).data.tobytes() == got.data.tobytes()
+        assert TubeTransform.call_counts() == (0, 2)
 
 
 class TestSharedTransforms:
