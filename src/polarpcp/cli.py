@@ -16,7 +16,7 @@ import numpy as np
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
 from .pht import PhtFormatError, read_pht, write_pht
-from .simlab import EMBEDDINGS, SOLVER_VARIANTS, TrialSpec, run_grid, write_csv
+from .simlab import EMBEDDINGS, SOLVER_VARIANTS, VARIANTS, TrialSpec, run_grid, write_csv
 from .solvers import SolverConfig, pcp_ialm
 # singular_moduli stays a cli name: perfbench/tracer.py wraps it there.
 from .tsvd import TubeTransform, singular_moduli, tsvd  # noqa: F401
@@ -39,22 +39,22 @@ def _build_parser():
     sim.add_argument(
         "--embedding", choices=list(EMBEDDINGS) + ["both"], default="both"
     )
-    sim.add_argument("--variant", choices=["polar", "tensor-rpca"], default="polar")
+    sim.add_argument("--variant", choices=VARIANTS, default="polar")
     sim.add_argument("--out", default="results.csv")
 
     dec = sub.add_parser("decompose", help="split a PHT tensor into L + S")
     dec.add_argument("input", help="PHT v1 tensor file")
-    dec.add_argument("--variant", choices=["polar", "tensor-rpca"], default="polar")
+    dec.add_argument("--variant", choices=VARIANTS, default="polar")
     dec.add_argument("--field", choices=[REAL, COMPLEX], default=None)
     dec.add_argument("--c", type=float, default=1.0)
     dec.add_argument("--tol", type=float, default=1e-7)
     dec.add_argument("--max-iters", type=int, default=1000)
-    dec.add_argument("--transform", choices=["dft", "skew-dft", "wht"], default="dft")
+    dec.add_argument("--transform", choices=list(TubeTransform.NAMES), default="dft")
     dec.add_argument("--out-dir", default=".")
 
     tsv = sub.add_parser("tsvd", help="factor a PHT tensor")
     tsv.add_argument("input", help="PHT v1 tensor file")
-    tsv.add_argument("--transform", choices=["dft", "skew-dft", "wht"], default="dft")
+    tsv.add_argument("--transform", choices=list(TubeTransform.NAMES), default="dft")
     tsv.add_argument("--out-dir", default=".")
 
     return parser

@@ -55,13 +55,41 @@ UNITARY = "unitary"
 # Rows of a slice stack that unhat_state takes at a time.
 EXIT_ROWS = 32
 
+# Relative imaginary-part threshold under which an inverse transform is
+# considered real-valued.
+_REAL_DETECT_RTOL = 1e-10
+
 # Magnitudes whose squares, and sums of many of them, neither overflow nor
 # underflow.
 SAFE_RANGE = (2.0**-400, 2.0**400)
 
-# Relative imaginary-part threshold under which an inverse transform is
-# considered real-valued.
-_REAL_DETECT_RTOL = 1e-10
+
+def scale_exponent(top):
+    """0 for a largest magnitude top in SAFE_RANGE, zero or not finite;
+    otherwise the e for which top * 2^-e is in [1/2, 1).  A function whose
+    every step commutes with a power-of-two scale runs on its input scaled
+    by 2^-e, and its result is scaled back by 2^e, exactly."""
+    return 0 if top == 0 or SAFE_RANGE[0] <= top <= SAFE_RANGE[1] else math.frexp(top)[1]
+
+
+def _ldexp(a, e):
+    """a * 2^e: a float for a float, and in place for a float64 or complex128
+    array, which it returns.  A value past the largest float becomes inf."""
+    if np.ndim(a) == 0:
+        try:
+            return math.ldexp(a, e)
+        except OverflowError:
+            return math.copysign(math.inf, a)
+    with np.errstate(over="ignore"):
+        flat = a.view(np.float64)
+        np.ldexp(flat, e, out=flat)
+    return a
+
+
+def _top_coefficient(A):
+    """Largest coefficient magnitude of A."""
+    coeffs = A.data.view(np.float64)
+    return max(coeffs.max(), -coeffs.min())
 
 
 class HyperMatrix:
@@ -242,8 +270,7 @@ class TubeTransform:
     __slots__ = ("kind", "n", "factors", "_splits")
 
     # Transform names accepted by from_name, mapped to the constructor.
-    NAMES = {"dft": "dft", "skew-dft": "skew_dft", "skew_dft": "skew_dft",
-             "wht": "walsh_hadamard"}
+    NAMES = {"dft": "dft", "skew-dft": "skew_dft", "wht": "walsh_hadamard"}
 
     # Counts of the matrices moved into (hat) and out of (unhat,
     # unhat_state) the transform domain, for a solve's stats and the
@@ -767,8 +794,13 @@ def inner(A, B):
 
 
 def frobenius(A):
-    """Frobenius norm: Euclidean norm of all coefficients."""
-    return float(np.linalg.norm(A.data))
+    """Frobenius norm: Euclidean norm of all coefficients.  Where the
+    largest coefficient is outside SAFE_RANGE, so that a square could
+    overflow or underflow, it is measured on a copy scaled by a power of
+    two."""
+    e = scale_exponent(_top_coefficient(A))
+    data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
+    return _ldexp(float(np.linalg.norm(data)), e)
 
 
 def unfold(A):
@@ -800,12 +832,10 @@ def max_modulus(A):
     """Largest entry modulus, the hypercomplex max-norm.  Where the largest
     coefficient is outside SAFE_RANGE, so that a square could overflow or
     underflow, it is measured on a copy scaled by a power of two."""
-    coeffs = A.data.view(np.float64)
-    top = max(coeffs.max(), -coeffs.min())
-    e = 0 if top == 0 or SAFE_RANGE[0] <= top <= SAFE_RANGE[1] else math.frexp(top)[1]
-    data = A.data if e == 0 else A.data * math.ldexp(1.0, -e)
+    e = scale_exponent(_top_coefficient(A))
+    data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
     mods = np.sqrt((data.real**2 + data.imag**2).sum(axis=2))
-    return math.ldexp(float(mods.max()), e)
+    return _ldexp(float(mods.max()), e)
 
 
 def check_finite(A, what):

@@ -1,8 +1,9 @@
 """Reader/writer for the PHT v1 text tensor format.
 
-Line 1: ``PHT 1 <l> <m> <n> <real|complex>``; then l*m*n data lines in
-(i, k, t) lexicographic order, each holding ``re`` or ``re im`` with 17
-significant digits (lossless for float64).
+Line 1: ``PHT 1 <l> <m> <n> <real|complex>``, with l, m and n in ASCII
+decimal digits; then l*m*n data lines in (i, k, t) lexicographic order,
+each holding ``re`` or ``re im`` with 17 significant digits (lossless for
+float64).
 
 The reader accepts whitespace-separated values (spaces or tabs, ``\\n`` or
 ``\\r\\n`` line ends), skips blank lines, and requires exactly 1 value per
@@ -259,10 +260,9 @@ def read_pht(path):
             header = first.split()
             if len(header) != 6 or header[0] != "PHT" or header[1] != "1":
                 raise PhtFormatError(f"bad PHT header in {path}")
-            try:
-                l, m, n = int(header[2]), int(header[3]), int(header[4])
-            except ValueError as exc:
-                raise PhtFormatError(f"bad PHT dimensions in {path}") from exc
+            if not all(d.isascii() and d.isdigit() for d in header[2:5]):
+                raise PhtFormatError(f"bad PHT dimensions in {path}")
+            l, m, n = map(int, header[2:5])
             field = header[5]
             if field not in (REAL, COMPLEX) or min(l, m, n) < 1:
                 raise PhtFormatError(f"bad PHT header in {path}")

@@ -5,6 +5,12 @@ entry's coefficients (real and imaginary parts interleaved, exactly the slab
 isomorphism order) into one group; the trace-norm prox applies the same
 shrinkage to singular tubes, where the i-th group gathers the i-th singular
 value of every transform-domain slice.
+
+Both proxes commute with a power-of-two scale of the input and the
+threshold.  An input whose largest modulus is outside [2^-400, 2^400], where
+the squares in the group norms would overflow or underflow, is shrunk as a
+copy scaled by a power of two, and the result is scaled back exactly
+(hypermatrix.scale_exponent).  Inputs in the range keep their bits.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import REAL
-from .hypermatrix import HyperMatrix, TubeTransform, check_finite
+from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, check_finite, max_modulus, scale_exponent
 
 
 @dataclass
@@ -87,11 +93,28 @@ def _entry_components(Z):
     return flat.view(np.float64)
 
 
+def _at_safe_scale(prox, Z, lam, *args):
+    """prox(Z, lam, *args), or, for a Z whose largest modulus is outside
+    SAFE_RANGE, 2^e prox(Z 2^-e, lam 2^-e, *args) with the e of
+    hypermatrix.scale_exponent."""
+    e = scale_exponent(max_modulus(Z))
+    if not e:
+        return prox(Z, lam, *args)
+    out = prox(HyperMatrix(_ldexp(Z.data.copy(), -e), Z.field), _ldexp(lam, -e), *args)
+    _ldexp(out.data, e)
+    return out
+
+
 def prox_l1(Z, lam):
     """Entrywise hypercomplex l1 prox: z -> (1 - lam/|z|)_+ z with |z| the
     entry modulus.  Delegates to group_soft_threshold with one group per
-    entry, so the two agree bit for bit."""
+    entry, so the two agree bit for bit on inputs in SAFE_RANGE."""
     _check_threshold(lam)
+    return _at_safe_scale(_prox_l1, Z, lam)
+
+
+def _prox_l1(Z, lam):
+    """prox_l1 with no rescale: the naive solver's sparse step."""
     comps = _entry_components(Z)
     lm, width = comps.shape
     gv = GroupedVector(comps.ravel(), np.arange(lm, dtype=np.intp) * width)
@@ -153,7 +176,11 @@ def prox_trace(Z, lam, transform=None):
     """
     _check_threshold(lam)
     check_finite(Z, "prox_trace input")
-    T = transform or TubeTransform.dft(Z.n)
+    return _at_safe_scale(_prox_trace, Z, lam, transform or TubeTransform.dft(Z.n))
+
+
+def _prox_trace(Z, lam, T):
+    """prox_trace with no rescale: the naive solver's low-rank step."""
     real = Z.field == REAL
     U, s, Vh = T.svd_state(T.pack(T.hat(Z), real), real)
     s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, T.weights(real)[1])

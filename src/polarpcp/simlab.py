@@ -56,9 +56,6 @@ class TrialSpec:
     trials: int = 10
     seed: int = 0
     variant: str = "polar"
-    c: float = 1.0
-    tol: float = 1e-7
-    max_iters: int = 1000
 
     def __post_init__(self):
         if not _is_int(self.m) or self.m < 1:
@@ -104,11 +101,11 @@ class TrialSpec:
                 raise ValueError(f"the {what} axis repeats a value: {values}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        self.solver_config()   # a bad c, tol or max_iters raises here, not in a trial
 
     def solver_config(self):
-        return SolverConfig(c=self.c, tol=self.tol, max_iters=self.max_iters,
-                            variant=SOLVER_VARIANTS[self.variant])
+        """The configuration of every trial's solve: the defaults, with the
+        solver variant of self.variant."""
+        return SolverConfig(variant=SOLVER_VARIANTS[self.variant])
 
 
 def _instance_rng(seed, embedding, r, rho, trial, instance):

@@ -43,13 +43,16 @@ plain scratch array, and its D is the caller's X.data.
 
 An input whose largest modulus lies outside [2^-400, 2^400], where the
 squares in the loop's norms would overflow or underflow, is solved as a
-copy scaled by a power of two; L, S and the mu history are scaled back
-exactly.  Inputs in the range keep their bits.
+copy scaled by a power of two (hypermatrix.scale_exponent, which the proxes,
+the singular-tube moduli and frobenius share); L, S and the mu history are
+scaled back exactly.  Inputs in the range keep their bits.
 
-lambda defaults to c/sqrt(max(l, m)) with c = 1; the dual variable starts at
-X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically from
-1.25 / ||X||_2, which keeps sum mu_{k+1}/mu_k^2 finite as the convergence
-theory requires.
+SolverConfig holds only what a caller sets: c, tol, max_iters, rho_mu, the
+variant and the tube transform, a key of TubeTransform.NAMES or a tuple of
+group-DFT factors.  lambda is c/sqrt(max(l, m)) with c = 1 by default; the
+dual variable starts at X / max(||X||_2, ||X||_inf / lambda) and mu grows
+geometrically by rho_mu from mu_0 = 1.25 / ||X||_2, which keeps
+sum mu_{k+1}/mu_k^2 finite as the convergence theory requires.
 
 A solve owns the cores: it runs with BLAS on one thread (the caller's count
 is restored when it returns or raises), and its slice SVDs and staged
@@ -71,7 +74,7 @@ from . import hypermatrix as hm
 from ._blas import owned_cores
 from .hyperalgebra import REAL
 from .hypermatrix import HyperMatrix, TubeTransform
-from .prox import prox_l1, prox_trace, shrink_singular_values, tube_group_shrink
+from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shrink
 
 NAIVE = "naive"
 FREQUENCY = "frequency"
@@ -85,22 +88,22 @@ def _is_int(value):
 
 @dataclass
 class SolverConfig:
-    """Parameters shared by all solver variants."""
+    """The settings of a solve: lambda = c / sqrt(max(l, m)), the stopping
+    rule (tol, max_iters), the growth rho_mu of mu, the variant, and the tube
+    transform, a key of TubeTransform.NAMES or a tuple of the factors of a
+    group DFT."""
 
     c: float = 1.0
     tol: float = 1e-7
     max_iters: int = 1000
     rho_mu: float = 1.5
-    mu0: float | None = None        # None -> mu0_scale / ||X||_2
-    mu0_scale: float = 1.25
     variant: str = FREQUENCY
-    transform: str = "dft"
-    transform_factors: tuple[int, ...] | None = None
+    transform: str | tuple[int, ...] = "dft"
 
     def __post_init__(self):
-        for name in ("c", "tol", "mu0", "mu0_scale"):
+        for name in ("c", "tol"):
             value = getattr(self, name)
-            if value is not None and (not (value > 0) or not math.isfinite(value)):
+            if not (value > 0) or not math.isfinite(value):
                 raise ValueError(f"{name} must be positive and finite")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
@@ -108,24 +111,23 @@ class SolverConfig:
             raise ValueError("rho_mu must be finite and exceed 1")
         if self.variant not in (NAIVE, FREQUENCY, TENSOR_RPCA):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.transform not in TubeTransform.NAMES:
-            raise ValueError(f"unknown transform {self.transform!r}")
-        factors = self.transform_factors
-        if factors is not None and (not isinstance(factors, tuple) or not factors
-                                    or not all(_is_int(f) and f >= 1 for f in factors)):
-            raise ValueError("transform_factors must be a non-empty tuple of integers >= 1")
-        if factors is not None and self.transform != "dft":
-            raise ValueError(f"transform_factors name a group DFT, so transform must be "
-                             f"left at 'dft', not {self.transform!r}")
+        t = self.transform
+        if isinstance(t, tuple):
+            if not t or not all(_is_int(f) and f >= 1 for f in t):
+                raise ValueError(f"transform {t!r}: group DFT factors must be a non-empty "
+                                 f"tuple of integers >= 1")
+        elif not isinstance(t, str) or t not in TubeTransform.NAMES:
+            raise ValueError(f"unknown transform {t!r}")
 
     def resolve_transform(self, n):
-        if self.transform_factors is None:
+        """The TubeTransform of length n that self.transform names."""
+        if isinstance(self.transform, str):
             return TubeTransform.from_name(self.transform, n)
-        product = math.prod(self.transform_factors)
+        product = math.prod(self.transform)
         if product != n:
-            raise ValueError(f"transform_factors {self.transform_factors} have product "
-                             f"{product}, not the tube length {n}")
-        return TubeTransform.group_dft(self.transform_factors)
+            raise ValueError(f"transform {self.transform} has product {product}, "
+                             f"not the tube length {n}")
+        return TubeTransform.group_dft(self.transform)
 
     def lam(self, X):
         return self.c / math.sqrt(max(X.l, X.m))
@@ -156,17 +158,15 @@ def residual(X, L, S):
 def mu_schedule(X, cfg=None):
     """Geometric penalty sequence mu_0, mu_0*rho, mu_0*rho^2, ..."""
     cfg = cfg or SolverConfig()
-    specnorm = None
-    if cfg.mu0 is None:
-        specnorm = hm.spectral_norm(X, cfg.resolve_transform(X.n))
-        if specnorm <= 0:
-            raise ValueError("mu schedule undefined for a zero matrix")
+    specnorm = hm.spectral_norm(X, cfg.resolve_transform(X.n))
+    if specnorm <= 0:
+        raise ValueError("mu schedule undefined for a zero matrix")
     return _geometric(cfg, specnorm)
 
 
 def _geometric(cfg, specnorm):
-    """mu_k = mu_0 rho_mu^k with mu_0 = cfg.mu0, or mu0_scale / ||X||_2."""
-    mu = cfg.mu0 if cfg.mu0 is not None else cfg.mu0_scale / specnorm
+    """mu_k = mu_0 rho_mu^k with mu_0 = 1.25 / ||X||_2."""
+    mu = 1.25 / specnorm
     while True:
         yield mu
         mu *= cfg.rho_mu
@@ -194,17 +194,17 @@ def pcp_ialm(X, cfg=None):
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
                          {"slice_svds": 0, "setup_slice_svds": 0, "tube_transforms": 0})
     maxmod = hm.max_modulus(X)
-    if not hm.SAFE_RANGE[0] <= maxmod <= hm.SAFE_RANGE[1]:
+    if hm.scale_exponent(maxmod):
         return _rescaled_solve(X, cfg, maxmod)
     T = cfg.resolve_transform(X.n)
     real = field == REAL
 
     if cfg.variant == NAIVE:
         def low_rank(Z, mu):
-            return prox_trace(HyperMatrix(Z, field), 1.0 / mu, T).data
+            return _prox_trace(HyperMatrix(Z, field), 1.0 / mu, T).data
 
         def sparse(Z, mu):
-            return prox_l1(HyperMatrix(Z, field), lam / mu).data
+            return _prox_l1(HyperMatrix(Z, field), lam / mu).data
 
         def leave(A):
             return HyperMatrix(A, field)
@@ -297,23 +297,14 @@ def _fill(planes, A, B, Y, mu):
 def _rescaled_solve(X, cfg, maxmod):
     """pcp_ialm(X, cfg) for an X whose largest modulus is outside
     hypermatrix.SAFE_RANGE, where the loop's squares would overflow or
-    underflow: the solve of X * 2^-e, with mu_0 * 2^e for a given mu_0,
-    whose largest modulus is in [1/2, 1).  Every step commutes with a
-    power-of-two scale, so L and S are scaled back by 2^e and mu by 2^-e,
-    exactly."""
-    e = math.frexp(maxmod)[1]
-    scaled = HyperMatrix(_ldexp(X.data.copy(), -e), X.field)
-    res = pcp_ialm(scaled, cfg if cfg.mu0 is None else replace(cfg, mu0=math.ldexp(cfg.mu0, e)))
-    _ldexp(res.L.data, e)
-    _ldexp(res.S.data, e)
-    return replace(res, mu_history=np.ldexp(res.mu_history, -e))
-
-
-def _ldexp(a, e):
-    """a * 2^e in place, for float64 and complex128 arrays; returns a."""
-    flat = a.view(np.float64)
-    np.ldexp(flat, e, out=flat)
-    return a
+    underflow: the solve of X * 2^-e (hypermatrix.scale_exponent), whose
+    largest modulus is in [1/2, 1).  Every step commutes with a power-of-two
+    scale, so L and S are scaled back by 2^e and mu by 2^-e, exactly."""
+    e = hm.scale_exponent(maxmod)
+    res = pcp_ialm(HyperMatrix(hm._ldexp(X.data.copy(), -e), X.field), cfg)
+    hm._ldexp(res.L.data, e)
+    hm._ldexp(res.S.data, e)
+    return replace(res, mu_history=hm._ldexp(res.mu_history, -e))
 
 
 def tensor_rpca(X, cfg=None):

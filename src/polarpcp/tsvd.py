@@ -14,6 +14,9 @@ products of slices equal the algebra's tube product with no extra scaling.
 The unitary variant, the unnormalized matrix divided by sqrt(n), is exposed
 through ``matrix()`` for analysis and tests.
 
+The singular-tube moduli of huge or tiny inputs are summed at a power-of-two
+scale (hypermatrix.scale_exponent), so they give neither inf nor 0.
+
 ``TubeTransform`` (the transform seam and slice-SVD kernel) and the blockwise
 product ``t_matmul`` live in ``hypermatrix`` and are re-exported here.
 """
@@ -26,6 +29,7 @@ import numpy as np
 
 from .hyperalgebra import REAL, promote_fields
 from .hypermatrix import GROUP_DFT, SKEW_DFT, HyperMatrix, TubeTransform, check_finite  # noqa: F401
+from .hypermatrix import _ldexp, scale_exponent
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 
@@ -73,8 +77,12 @@ def singular_moduli(A, transform=None):
 def _tube_moduli(svals, n):
     """The i-th singular tube collects the i-th slice singular values of the
     (n, k) array svals, so its modulus is sqrt(sum_b sigma_i(slice_b)^2 / n);
-    the squares sum to the squared Frobenius norm."""
-    return np.sqrt((svals * svals).sum(axis=0) / n)
+    the squares sum to the squared Frobenius norm.  Values outside
+    SAFE_RANGE are summed as a copy scaled by a power of two."""
+    e = scale_exponent(svals.max())
+    if e:
+        svals = _ldexp(svals.copy(), -e)
+    return _ldexp(np.sqrt((svals * svals).sum(axis=0) / n), e)
 
 
 def reconstruct(F):

@@ -38,6 +38,7 @@ from polarpcp.hyperalgebra import (
     promote_fields,
 )
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
+from polarpcp.simlab import embed, gen_low_rank_sparse
 
 
 # Group-DFT factorizations of the differential tests: Walsh-Hadamard for the
@@ -299,6 +300,13 @@ def low_rank_plus_sparse(rng, l, m, n, field, rank, density):
     return L + S, L, S
 
 
+def scale_instance(embedding):
+    """The 30x30 instance of the extreme-scale tests: two rank-2 matrices
+    from seeds 0 and 1, embedded as a real 4-tube or a complex 2-tube."""
+    (M1, _, _), (M2, _, _) = (gen_low_rank_sparse(30, 2, 0.05, seed) for seed in (0, 1))
+    return embed(M1, M2, embedding)
+
+
 def reference_unhat(T, blocks, field):
     """TubeTransform.unhat as it stood before it took blocks of rows: one
     inverse transform of the whole stack, counted as one unhat."""
@@ -335,8 +343,7 @@ def ialm_frequency_reference(X, cfg, grouped):
     Lhat = np.zeros_like(Xhat)
     Xnorm = np.linalg.norm(Xhat)
 
-    mus = _geometric(cfg.mu0 if cfg.mu0 is not None else cfg.mu0_scale / specnorm,
-                     cfg.rho_mu)
+    mus = _geometric(1.25 / specnorm, cfg.rho_mu)
     history, mu_hist = [], []
     converged = False
     iterations = 0

@@ -7,7 +7,76 @@ import polarpcp.hypermatrix as hm
 from polarpcp import HyperMatrix, TubeTransform, read_pht, singular_moduli, write_pht
 from polarpcp.cli import main
 
-from helpers import random_hypermatrix
+from helpers import random_hypermatrix, scale_instance
+
+# Each command's --help at 80 columns: the choices come from EMBEDDINGS,
+# simlab.VARIANTS and TubeTransform.NAMES.
+HELP = {
+    "polarpcp": """\
+usage: polarpcp [-h] {simulate,decompose,tsvd} ...
+
+positional arguments:
+  {simulate,decompose,tsvd}
+    simulate            run a synthetic recovery grid
+    decompose           split a PHT tensor into L + S
+    tsvd                factor a PHT tensor
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "simulate": """\
+usage: polarpcp simulate [-h] [--m M] [--ranks RANKS [RANKS ...]]
+                         [--rhos RHOS [RHOS ...]]
+                         [--epsilons EPSILONS [EPSILONS ...]]
+                         [--trials TRIALS] [--seed SEED]
+                         [--embedding {polar4complex,polar2bicomplex,both}]
+                         [--variant {polar,tensor-rpca}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --m M
+  --ranks RANKS [RANKS ...]
+  --rhos RHOS [RHOS ...]
+  --epsilons EPSILONS [EPSILONS ...]
+  --trials TRIALS
+  --seed SEED
+  --embedding {polar4complex,polar2bicomplex,both}
+  --variant {polar,tensor-rpca}
+  --out OUT
+""",
+    "decompose": """\
+usage: polarpcp decompose [-h] [--variant {polar,tensor-rpca}]
+                          [--field {real,complex}] [--c C] [--tol TOL]
+                          [--max-iters MAX_ITERS]
+                          [--transform {dft,skew-dft,wht}] [--out-dir OUT_DIR]
+                          input
+
+positional arguments:
+  input                 PHT v1 tensor file
+
+options:
+  -h, --help            show this help message and exit
+  --variant {polar,tensor-rpca}
+  --field {real,complex}
+  --c C
+  --tol TOL
+  --max-iters MAX_ITERS
+  --transform {dft,skew-dft,wht}
+  --out-dir OUT_DIR
+""",
+    "tsvd": """\
+usage: polarpcp tsvd [-h] [--transform {dft,skew-dft,wht}] [--out-dir OUT_DIR]
+                     input
+
+positional arguments:
+  input                 PHT v1 tensor file
+
+options:
+  -h, --help            show this help message and exit
+  --transform {dft,skew-dft,wht}
+  --out-dir OUT_DIR
+""",
+}
 
 
 def _low_rank_pht(tmp_path, n=2, field="complex", name="x.pht"):
@@ -18,6 +87,23 @@ def _low_rank_pht(tmp_path, n=2, field="complex", name="x.pht"):
     path = tmp_path / name
     write_pht(X, path)
     return path, X
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"] if command == "polarpcp" else [command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+    @pytest.mark.parametrize("command", ["decompose", "tsvd"])
+    def test_constructor_name_is_not_a_transform(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "x.pht"), "--transform", "skew_dft"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'skew_dft'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -198,6 +284,21 @@ class TestTsvdCommand:
         code = main(["tsvd", str(path), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_summary_is_json_at_extreme_scales(self, tmp_path, c):
+        # Squared singular values overflow or underflow at these scales.
+        X = scale_instance("polar4complex")
+        write_pht(X * c, tmp_path / "x.pht")
+        assert main(["tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        text = (tmp_path / "summary.json").read_text()
+        mods = np.array(json.loads(text, parse_constant=reject)["singular_moduli"])
+        want = singular_moduli(X)
+        assert np.linalg.norm(mods / c - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_skew_transform(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -323,6 +323,10 @@ class TestNormsAndIsomorphisms:
                 assert hm.max_modulus(A * math.ldexp(1.0, e)) == math.ldexp(mod, e)
             for c in (1e-200, 1e-160, 1e155, 1e200, 1e300):
                 assert hm.max_modulus(A * c) == pytest.approx(mod * c, rel=1e-15)
+            # The smallest subnormal is scaled by 2^1073, which is past the largest float.
+            tiny = HyperMatrix.zeros(2, 2, 3, field)
+            tiny.data[1, 0, 2] = -5e-324
+            assert hm.max_modulus(tiny) == hm.frobenius(tiny) == 5e-324
         assert hm.max_modulus(HyperMatrix.zeros(2, 2, 3, field)) == 0.0
 
 

@@ -2,8 +2,6 @@
 stages, against np.linalg.svd, and the solves that run it against the
 same solves on np.linalg.svd."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,9 +147,7 @@ class TestKernel:
 
 
 def _case(n, kind, variant="frequency"):
-    cfg = (SolverConfig(transform_factors=GROUP_FACTORS[n]) if kind == "group"
-           else SolverConfig(transform=kind))
-    return replace(cfg, variant=variant)
+    return SolverConfig(transform=GROUP_FACTORS[n] if kind == "group" else kind, variant=variant)
 
 
 @pytest.fixture
@@ -233,7 +229,7 @@ class TestSolvesOnTheStagedKernel:
         cfg = _case(n, kind, "naive")
         res = pcp_ialm(X, cfg)
         products = staged["products"]
-        monkeypatch.setattr(solvers, "prox_trace", reference_prox_trace)
+        monkeypatch.setattr(solvers, "_prox_trace", reference_prox_trace)
         ref = pcp_ialm(X, cfg)
         assert staged["products"] == products   # the reference ran no staged product
         _assert_close(res, ref, staged, _on_direct_path(X, cfg))

@@ -124,6 +124,15 @@ def test_malformed_files(tmp_path, text):
             read_pht_per_value(path)
 
 
+@pytest.mark.parametrize("dim", ["1_0", "+1", "0x1"])
+def test_python_only_header_integer_is_rejected(tmp_path, dim):
+    # int() takes these; the header's dimensions are ASCII decimal digits.
+    path = tmp_path / "dims.pht"
+    path.write_text(f"PHT 1 1 {dim} 1 real\n" + "0\n" * 10)
+    with pytest.raises(PhtFormatError, match="bad PHT dimensions"):
+        read_pht(path)
+
+
 def test_python_only_float_spelling_is_rejected(tmp_path):
     # float() takes digit separators; the writer never produces them and the reader refuses them.
     path = tmp_path / "sep.pht"

@@ -19,10 +19,11 @@ from polarpcp import (
     prox_trace,
     singular_moduli,
     soft_threshold_real,
+    tsvd,
 )
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
-from helpers import GROUP_FACTORS, random_hypermatrix, reference_prox_trace
+from helpers import GROUP_FACTORS, random_hypermatrix, reference_prox_trace, scale_instance
 
 
 class TestSoftThresholdReal:
@@ -359,3 +360,40 @@ class TestProxTraceOnPackedState:
             assert got.data.tobytes() == want.data.tobytes()
         else:
             assert np.linalg.norm(got.data - want.data) <= 1e-12 * np.linalg.norm(want.data)
+
+
+# Functions that square moduli, each as f(X, c) on an input scaled by c with
+# its threshold scaled alike.
+_SCALED = {
+    "prox_trace": lambda X, c: prox_trace(X, c).data,
+    "prox_l1": lambda X, c: prox_l1(X, 0.1 * c).data,
+    "singular_moduli": lambda X, c: singular_moduli(X),
+    "tsvd_moduli": lambda X, c: tsvd(X).moduli,
+    "frobenius": lambda X, c: np.array(hm.frobenius(X)),
+}
+
+
+class TestExtremeScales:
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    @pytest.mark.parametrize("name", list(_SCALED))
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_scaled_input_gives_the_scaled_result(self, embedding, name, c):
+        # The squares of these moduli overflow or underflow: the function
+        # runs on a power-of-two rescaled copy and scales back.
+        X = scale_instance(embedding)
+        want = _SCALED[name](X, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _SCALED[name](X * c, c)
+        assert np.linalg.norm(got / c - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    @pytest.mark.parametrize("name", list(_SCALED))
+    @pytest.mark.parametrize("e", [450, -450])
+    def test_power_of_two_scale_is_exact(self, embedding, name, e):
+        X = scale_instance(embedding)
+        want = _SCALED[name](X, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _SCALED[name](X * math.ldexp(1.0, e), math.ldexp(1.0, e))
+        assert got.tobytes() == np.ldexp(want.view(np.float64), e).tobytes()

@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from polarpcp import (
 )
 from polarpcp.cli import main
 from polarpcp.pht import write_pht
-from polarpcp.simlab import embed, gen_low_rank_sparse
 
 from helpers import (
     GROUP_FACTORS,
@@ -34,6 +32,7 @@ from helpers import (
     random_hypermatrix,
     reference_pcp,
     reference_prox_trace,
+    scale_instance,
 )
 
 
@@ -97,16 +96,14 @@ class TestSolverConfig:
         [
             {"c": math.nan}, {"c": math.inf}, {"c": -1.0},
             {"tol": math.nan}, {"tol": math.inf},
-            {"mu0": math.nan}, {"mu0": math.inf}, {"mu0": 0.0},
-            {"mu0_scale": math.nan}, {"mu0_scale": 0.0}, {"mu0_scale": -1.25},
             {"rho_mu": math.nan}, {"rho_mu": math.inf},
             {"max_iters": math.nan}, {"max_iters": math.inf}, {"max_iters": 2.5},
             {"max_iters": 10.0}, {"max_iters": True}, {"max_iters": -3},
-            {"transform": "bogus"}, {"transform": "group_dft"},
-            {"transform_factors": (2, 0)}, {"transform_factors": ()},
-            {"transform_factors": (-2, -2)}, {"transform_factors": (2.0, 2)},
-            {"transform_factors": (True, 4)}, {"transform_factors": [2, 2]},
-            {"transform_factors": 4},
+            {"transform": "bogus"}, {"transform": "group_dft"}, {"transform": "skew_dft"},
+            {"transform": (2, 0)}, {"transform": ()},
+            {"transform": (-2, -2)}, {"transform": (2.0, 2)},
+            {"transform": (True, 4)}, {"transform": [2, 2]},
+            {"transform": 4},
         ],
         ids=repr,
     )
@@ -117,22 +114,32 @@ class TestSolverConfig:
     def test_accepts_numpy_integer_max_iters(self):
         assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
 
+    @pytest.mark.parametrize("kwargs", [{"mu0": 0.5}, {"mu0_scale": 1.25},
+                                        {"transform_factors": (2, 2)}], ids=repr)
+    def test_removed_settings_are_not_fields(self, kwargs):
+        # mu_0 is always 1.25 / ||X||_2, and a group DFT is named by transform.
+        with pytest.raises(TypeError):
+            SolverConfig(**kwargs)
+
     def test_transform_factors_must_match_the_tube(self):
         X = random_hypermatrix(np.random.default_rng(4), 3, 3, 4, REAL)
-        cfg = SolverConfig(transform_factors=(3,))
+        cfg = SolverConfig(transform=(3,))
         with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
             cfg.resolve_transform(4)
         with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
             pcp_ialm(X, cfg)
-        assert pcp_ialm(X, SolverConfig(transform_factors=(2, 2))).converged
+        assert pcp_ialm(X, SolverConfig(transform=(2, 2))).converged
 
-    @pytest.mark.parametrize("transform", ["skew-dft", "skew_dft", "wht"])
-    def test_transform_factors_require_the_default_transform(self, transform):
-        # The factors name a group DFT; any other transform would be ignored.
-        with pytest.raises(ValueError, match="transform must be left at 'dft'"):
-            SolverConfig(transform=transform, transform_factors=(2, 2))
-        T = SolverConfig(transform_factors=(2, 2)).resolve_transform(4)
-        assert T is TubeTransform.group_dft((2, 2))
+    def test_factor_tuple_names_the_shared_group_dft(self):
+        assert SolverConfig(transform=(2, 2)).resolve_transform(4) is TubeTransform.group_dft((2, 2))
+        # Z_2 x Z_2 is the Walsh-Hadamard transform of length 4.
+        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(5), 12, 10, 4, REAL, 2, 0.05)
+        by_factors = pcp_ialm(X, SolverConfig(transform=(2, 2)))
+        by_name = pcp_ialm(X, SolverConfig(transform="wht"))
+        for got, want in ((by_factors.L.data, by_name.L.data), (by_factors.S.data, by_name.S.data),
+                          (by_factors.residual_history, by_name.residual_history),
+                          (by_factors.mu_history, by_name.mu_history)):
+            assert got.tobytes() == want.tobytes()
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -300,8 +307,7 @@ class TestOneDriver:
     def test_packed_real_state_matches_reference(self, n, kind, grouped):
         rng = np.random.default_rng(100 + n)
         X, _, _ = _low_rank_plus_sparse(rng, 14, 11, n, REAL, 2, 0.05)
-        cfg = (SolverConfig(transform_factors=GROUP_FACTORS[n]) if kind == "group"
-               else SolverConfig(transform=kind))
+        cfg = SolverConfig(transform=GROUP_FACTORS[n] if kind == "group" else kind)
         res = pcp_ialm(X, cfg) if grouped else tensor_rpca(X, cfg)
         _assert_matches_reference(res, ialm_frequency_reference(X, cfg, grouped), bitwise=False)
 
@@ -313,10 +319,10 @@ class TestOneDriver:
         # reference prox runs on the full slice stack.
         rng = np.random.default_rng(200 + n)
         X, _, _ = _low_rank_plus_sparse(rng, 14, 11, n, field, 2, 0.05)
-        cfg = replace(SolverConfig(transform_factors=GROUP_FACTORS[n]) if kind == "group"
-                      else SolverConfig(transform=kind), variant="naive")
+        cfg = SolverConfig(transform=GROUP_FACTORS[n] if kind == "group" else kind,
+                           variant="naive")
         res = pcp_ialm(X, cfg)
-        monkeypatch.setattr(solvers, "prox_trace", reference_prox_trace)
+        monkeypatch.setattr(solvers, "_prox_trace", reference_prox_trace)
         _assert_matches_reference(res, pcp_ialm(X, cfg), bitwise=field == COMPLEX)
 
     def test_max_iters_stops_the_reference_too(self):
@@ -486,20 +492,13 @@ class TestWorkingSet:
         assert peak < 17.25 * state_bytes
 
 
-def _scale_instance(embedding):
-    """The 30x30 instance of the scale tests: two rank-2 matrices from
-    seeds 0 and 1, embedded as a real 4-tube or a complex 2-tube."""
-    (M1, _, _), (M2, _, _) = (gen_low_rank_sparse(30, 2, 0.05, seed) for seed in (0, 1))
-    return embed(M1, M2, embedding)
-
-
 class TestExtremeScales:
     @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
     @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e155, 1e200])
     def test_scaled_input_gives_the_scaled_solve(self, embedding, c):
         # Squares of these moduli overflow or underflow: the solve runs on
         # a power-of-two rescaled copy and scales back.
-        X = _scale_instance(embedding)
+        X = scale_instance(embedding)
         ref = pcp_ialm(X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -513,12 +512,11 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
     @pytest.mark.parametrize("e", [450, -450])
-    @pytest.mark.parametrize("mu0", [None, 0.5])
-    def test_power_of_two_scale_is_exact(self, embedding, e, mu0):
-        X = _scale_instance(embedding)
+    def test_power_of_two_scale_is_exact(self, embedding, e):
+        X = scale_instance(embedding)
         c = math.ldexp(1.0, e)
-        ref = pcp_ialm(X, SolverConfig(mu0=mu0))
-        res = pcp_ialm(X * c, SolverConfig(mu0=mu0 and mu0 / c))
+        ref = pcp_ialm(X)
+        res = pcp_ialm(X * c)
         assert res.iterations == ref.iterations and res.converged == ref.converged
         # ldexp scales each real and imaginary part exactly; a complex
         # product with c could change the sign of a zero.
@@ -532,7 +530,7 @@ class TestExtremeScales:
                                               (-399, False), (-400, True)])
     def test_rescales_only_outside_the_range(self, monkeypatch, top, rescaled):
         # The largest modulus is put in [2^(top-1), 2^top).
-        X = _scale_instance("polar4complex")
+        X = scale_instance("polar4complex")
         X = X * math.ldexp(1.0, top - math.frexp(hm.max_modulus(X))[1])
         calls = []
         rescale = solvers._rescaled_solve

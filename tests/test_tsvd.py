@@ -132,6 +132,12 @@ class TestTubeTransform:
         with pytest.raises(ValueError):
             TubeTransform.from_name("dct", 3)
 
+    def test_one_name_per_transform(self):
+        # The CLI's spellings; the constructor's name skew_dft is not one.
+        assert tuple(TubeTransform.NAMES) == ("dft", "skew-dft", "wht")
+        with pytest.raises(ValueError):
+            TubeTransform.from_name("skew_dft", 3)
+
 
 def _transforms_for(n):
     out = [TubeTransform.dft(n), TubeTransform.skew_dft(n)]
