@@ -90,7 +90,8 @@ def _call(name, *args):
     Raises numpy.linalg.LinAlgError unless INFO is 0."""
     info = _INT()
     pointers = [ctypes.byref(_INT(a)) if isinstance(a, int)
-                else a.ctypes.data if isinstance(a, np.ndarray) else a for a in args]
+                else a.__array_interface__["data"][0] if isinstance(a, np.ndarray) else a
+                for a in args]
     strings = [1] * sum(isinstance(a, bytes) for a in args)
     routines()[name](*pointers, ctypes.byref(info), *strings)
     if info.value:
@@ -145,14 +146,19 @@ def _factor(x):
     return s, Factored(x, tauq, taup, u, vt)
 
 
-def product(f, s):
+def product(f, s, out=None):
     """(U_k * s) @ Vh_k in C order for the k = len(s) leading singular
     values of a factored matrix f: gesdd's back-transform on k singular
-    vectors instead of min(l, m)."""
+    vectors instead of min(l, m).  It is multiplied into out, an l x m
+    array of f's dtype, if one is given; out may be f's own reflectors,
+    which are read before it is written."""
     l, m = f.a.shape
     k, r = len(s), len(f.u)
     if k == 0:
-        return np.zeros((l, m), f.a.dtype)
+        if out is None:
+            return np.zeros((l, m), f.a.dtype)
+        out[...] = 0
+        return out
     _, name, trans = _names(f.a.dtype)
     lwork = _mbr_lwork(f.a.dtype, l, m)
     work = np.empty(lwork, f.a.dtype)
@@ -162,4 +168,5 @@ def product(f, s):
     vk = np.zeros((k, m), f.a.dtype, order="F")
     vk[:, :r] = f.vt[:k]
     _call(name, b"P", b"R", trans, k, m, r, f.a, l, f.taup, vk, k, work, lwork)
-    return (uk * s) @ vk
+    uk *= s
+    return np.matmul(uk, vk, out=out)

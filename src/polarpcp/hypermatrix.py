@@ -20,10 +20,12 @@ and in prox_trace, factors and rebuilds a packed state (svd_state,
 compose_state).  A solve keeps its state's matrices in a KernelBuffer, one
 allocation whose bytes are both the kernel's stacks of Fortran-ordered
 matrices and a C-ordered scratch state, so the kernel factors them where
-the solve wrote them; compose_state writes each product straight into the
-state it returns, and unhat_state leaves the transform domain a block of
-rows at a time.  Matrices of at least
-_blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
+the solve wrote them; compose_state multiplies each product straight into
+the state it returns.  The forward transform runs in place in its
+output; hat_state enters the transform domain through it, and
+unhat_state leaves it, in the same ROW_BLOCKS blocks of rows (entry for
+real tubes only), so neither builds a temporary of the stack's size.
+Matrices of at least _blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
 they are run gesdd's own stages (_lapack): numpy's singular values bit for
 bit, and a back-transform of only the singular vectors a shrink keeps.
 Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
@@ -52,8 +54,10 @@ from .hyperalgebra import COMPLEX, REAL, SINGULAR_RTOL, PolarScalar, _check_fiel
 UNNORMALIZED = "unnormalized"
 UNITARY = "unitary"
 
-# Rows of a slice stack that unhat_state takes at a time.
-EXIT_ROWS = 32
+# Blocks of rows in which hat_state and unhat_state move a matrix into
+# and out of the transform domain: a complex block is at most an eighth of
+# a real-tube state.
+ROW_BLOCKS = 16
 
 # Relative imaginary-part threshold under which an inverse transform is
 # considered real-valued.
@@ -261,10 +265,12 @@ class TubeTransform:
 
     It is the one seam into the transform domain: hat and unhat move a
     matrix of tubes to and from its (n, l, m) slice stack, pack and unpack
-    move a slice stack to and from its packed state, and one slice-SVD
-    kernel factors the matrices of that state.  The tubes are on the last
-    axis of every array it transforms.  The named constructors return one
-    shared instance per transform, built complete, so lanes may share it.
+    move a slice stack to and from its packed state, hat_state and
+    unhat_state move a matrix straight to and from its packed state, and
+    one slice-SVD kernel factors the matrices of that state.  The tubes are
+    on the last axis of every array it transforms.  The named constructors
+    return one shared instance per transform, built complete, so lanes may
+    share it.
     """
 
     __slots__ = ("kind", "n", "factors", "_splits")
@@ -272,7 +278,7 @@ class TubeTransform:
     # Transform names accepted by from_name, mapped to the constructor.
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "wht": "walsh_hadamard"}
 
-    # Counts of the matrices moved into (hat) and out of (unhat,
+    # Counts of the matrices moved into (hat, hat_state) and out of (unhat,
     # unhat_state) the transform domain, for a solve's stats and the
     # instrumentation tests.  They are per thread, so a solve on one of
     # run_grid's workers counts only its own.
@@ -348,14 +354,22 @@ class TubeTransform:
     def _skew_twiddle(self):
         return np.exp(-1j * math.pi * np.arange(self.n) / self.n)
 
-    def forward(self, x):
-        """Apply the transform along the last axis (unnormalized values)."""
+    def forward(self, x, out=None):
+        """Apply the transform along the last axis (unnormalized values).
+        They are computed in place in out, a C-ordered array of x's shape
+        and of np.fft.fft's dtype for x, or in a new one: no other
+        temporary of their size is made."""
         x = np.asarray(x)
         if x.shape[-1] != self.n:
             raise ValueError(f"axis length {x.shape[-1]} != transform length {self.n}")
+        if out is None:
+            out = np.empty(x.shape, np.result_type(x.dtype, 1j))
         if self.kind == SKEW_DFT:
-            return np.fft.fft(x * self._skew_twiddle())
-        return self._group_apply(x, np.fft.fft)
+            np.fft.fft(np.multiply(x, self._skew_twiddle(), out=out), out=out)
+        else:
+            out[...] = x
+            self._group_apply(out, np.fft.fft, out)
+        return out
 
     def inverse(self, y):
         """Exact inverse of forward."""
@@ -366,16 +380,18 @@ class TubeTransform:
             return np.fft.ifft(y) * np.conj(self._skew_twiddle())
         return self._group_apply(y, np.fft.ifft)
 
-    def _group_apply(self, x, fft):
+    def _group_apply(self, x, fft, out=None):
         """fft (np.fft.fft or ifft) along every factor axis of the tubes,
         last factor first: the calls of np.fft.fftn, without its argument
-        handling.  One factor, the DFT, is one call on the tubes as they are."""
+        handling, into out if one is given (it may be x).  One factor, the
+        DFT, is one call on the tubes as they are."""
         if len(self.factors) == 1:
-            return fft(x)
-        out = x.reshape(x.shape[:-1] + self.factors)
+            return fft(x, out=out)
+        shape = x.shape[:-1] + self.factors
+        y, out = x.reshape(shape), None if out is None else out.reshape(shape)
         for axis in range(-1, -len(self.factors) - 1, -1):
-            out = fft(out, axis=axis)
-        return out.reshape(x.shape)
+            y = fft(y, axis=axis, out=out)
+        return y.reshape(x.shape)
 
     def matrix(self, normalization=UNNORMALIZED):
         """Dense transform matrix; "unitary" divides by sqrt(n)."""
@@ -406,12 +422,33 @@ class TubeTransform:
         TubeTransform._counts.forward += 1
         return np.moveaxis(self.forward(A.data), 2, 0)
 
+    def hat_state(self, A, real):
+        """pack(hat(A), real), with no temporary of the stack's size: the
+        mirror of unhat_state.  A complex state is hat(A), whose transform
+        is computed in place, so it keeps hat's memory layout, tubes last,
+        and its reductions run in the same order.  A real-tube state is
+        filled in ROW_BLOCKS blocks of rows, each transformed in one
+        complex scratch block and packed straight into the state.  Each
+        tube is transformed as in one call on the whole matrix, so the bits
+        do not depend on the block size; it counts as one forward
+        transform."""
+        if not real:
+            return self.hat(A)
+        TubeTransform._counts.forward += 1
+        l, m, n = A.data.shape
+        state = np.empty((n, l, m))
+        scratch = np.empty((-(-l // ROW_BLOCKS), m, n), np.complex128)
+        for rows in _row_slices(l):
+            block = self.forward(A.data[rows], scratch[:rows.stop - rows.start])
+            self._pack_into(state[:, rows], np.moveaxis(block, 2, 0))
+        return state
+
     def unhat(self, blocks, field):
         """HyperMatrix of the given field whose slice stack is blocks."""
         return self.unhat_state(blocks, False, field)
 
     def unhat_state(self, state, real, field):
-        """unhat(unpack(state, real), field), EXIT_ROWS rows at a time, so
+        """unhat(unpack(state, real), field), in ROW_BLOCKS blocks of rows, so
         that neither the slice stack of a real-tube state nor the inverse
         transform of a stack is ever built whole.  Each row's tubes are
         transformed as in one call on the whole stack, so the bits do not
@@ -419,8 +456,7 @@ class TubeTransform:
         TubeTransform._counts.inverse += 1
         l, m = state.shape[1:]
         out = np.empty((l, m, self.n), np.float64 if field == REAL else np.complex128)
-        for lo in range(0, l, EXIT_ROWS):
-            rows = slice(lo, lo + EXIT_ROWS)
+        for rows in _row_slices(l):
             data = self.inverse(np.moveaxis(self.unpack(state[:, rows], real), 0, 2))
             out[rows] = data.real if field == REAL else data
         return HyperMatrix(out, field)
@@ -470,7 +506,10 @@ class TubeTransform:
         """
         if not real:
             return blocks
-        state = np.empty((self.n,) + blocks.shape[1:])
+        return self._pack_into(np.empty((self.n,) + blocks.shape[1:]), blocks)
+
+    def _pack_into(self, state, blocks):
+        """Write the real-tube packed state of blocks into state."""
         for slot in itertools.chain(*self._slots(True)):
             for b, plane in _planes_of(blocks[slot[0]], slot):
                 state[b] = plane.real
@@ -609,12 +648,18 @@ class TubeTransform:
 
     def compose_state(self, U, s, Vh, real):
         """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
-        svd_state, after a shrink of s.  Each product is written straight
-        into its planes of the state.  Only the leading singular columns up
-        to the last nonzero one enter the products, and real planes
-        multiply as real matrices.  A matrix factored in stages is
-        rebuilt by _lapack.product from the singular vectors up to its own
-        last nonzero value, one task per matrix on the lanes."""
+        svd_state, after a shrink of s.  Only the leading singular columns
+        up to the last nonzero one enter the products, and real planes
+        multiply as real matrices.  A product that is one plane of the
+        state is multiplied straight into it; a paired slice's complex
+        product is split into its two planes.
+
+        A matrix factored in stages is rebuilt by _lapack.product from the
+        singular vectors up to its own last nonzero value, one task per
+        matrix on the lanes.  This consumes it: a paired slice's product
+        is multiplied into the bytes of its own reflectors, which both
+        back-transforms have read by then, and each factored form is
+        dropped from U once its product is written."""
         live = np.flatnonzero(s.any(axis=0))
         k = live[-1] + 1 if live.size else 0
         rows = _row_blocks(s[:, np.newaxis, :k], U)
@@ -622,17 +667,29 @@ class TubeTransform:
         state = np.empty((self.n,) + shape, np.float64 if real else np.complex128)
         slots = self._slots(real)
 
-        def put(j, i, product):
-            for b, plane in _planes_of(product, slots[j][i]):
-                state[b] = plane
+        def put(j, i, multiply, scratch=None):
+            """Product i of stack j, multiply(out=...), into its state plane,
+            or for a paired slice into scratch and then its two planes."""
+            slot = slots[j][i]
+            if len(slot) == 1:
+                multiply(out=state[slot[0]])
+            else:
+                product = multiply(out=scratch)
+                state[slot[0]], state[slot[1]] = product.real, product.imag
 
         def rebuild(j, i):
-            put(j, i, _lapack.product(U[j][i], np.trim_zeros(rows[j][i, 0], "b")))
+            f = U[j][i]
+            # A shrunk row is non-negative and non-increasing: its live
+            # values are its leading nonzero ones.
+            row = rows[j][i, 0]
+            put(j, i, functools.partial(_lapack.product, f, row[:np.count_nonzero(row)]),
+                f.a.T.reshape(shape))   # the reflectors' bytes in C order
+            U[j][i] = None
 
         for j, (u, r, vh) in enumerate(zip(U, rows, Vh)):
             if vh is not None:
                 for i in range(len(u)):
-                    put(j, i, (u[i, :, :k] * r[i]) @ vh[i, :k, :])
+                    put(j, i, functools.partial(np.matmul, u[i, :, :k] * r[i], vh[i, :k, :]))
         staged = [functools.partial(rebuild, j, i)
                   for j, vh in enumerate(Vh) if vh is None for i in range(len(U[j]))]
         if staged:
@@ -669,7 +726,7 @@ class TubeTransform:
     @classmethod
     def call_counts(cls):
         """(hat, unhat) calls made on the calling thread since its reset;
-        unhat_state counts as an unhat."""
+        hat_state counts as a hat and unhat_state as an unhat."""
         return cls._counts.forward, cls._counts.inverse
 
 
@@ -687,6 +744,13 @@ def _planes_of(matrix, slot):
     """(plane, view) pairs of a matrix that holds the state planes slot
     (see TubeTransform._slots)."""
     return zip(slot, (matrix.real, matrix.imag)) if len(slot) == 2 else [(slot[0], matrix)]
+
+
+def _row_slices(l):
+    """Slices of l rows in at most ROW_BLOCKS consecutive blocks, each but
+    the last ceil(l / ROW_BLOCKS) rows long."""
+    step = -(-l // ROW_BLOCKS) or 1
+    return [slice(lo, min(lo + step, l)) for lo in range(0, l, step)]
 
 
 def _row_blocks(x, stacks):
@@ -825,7 +889,7 @@ def spectral_norm(A, transform=None):
     check_finite(A, "spectral_norm input")
     T = transform or TubeTransform.dft(A.n)
     real = A.field == REAL
-    return float(T.svd_state(T.pack(T.hat(A), real), real, compute_uv=False).max())
+    return float(T.svd_state(T.hat_state(A, real), real, compute_uv=False).max())
 
 
 def max_modulus(A):
@@ -834,8 +898,11 @@ def max_modulus(A):
     underflow, it is measured on a copy scaled by a power of two."""
     e = scale_exponent(_top_coefficient(A))
     data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
-    mods = np.sqrt((data.real**2 + data.imag**2).sum(axis=2))
-    return _ldexp(float(mods.max()), e)
+    squares = np.square(data.real)
+    if np.iscomplexobj(data):
+        squares += np.square(data.imag)
+    mods = squares.sum(axis=2)
+    return _ldexp(float(np.sqrt(mods, out=mods).max()), e)
 
 
 def check_finite(A, what):

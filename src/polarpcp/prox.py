@@ -6,6 +6,15 @@ isomorphism order) into one group; the trace-norm prox applies the same
 shrinkage to singular tubes, where the i-th group gathers the i-th singular
 value of every transform-domain slice.
 
+The trace norm that prox_trace shrinks, the sum of the singular-tube
+moduli, is not a norm and not convex: the i-th singular tube groups the
+i-th largest singular value of every slice, and for complex 2-tubes whose
+DFT slices are X = (diag(1, 0), diag(1, 0)) and Y = (diag(1, 0),
+diag(0, 1)) it is 1 for X and for Y but 2.288 for X + Y.  So IALM's
+convergence theory (Lin, Chen & Ma, arXiv:1009.5055) does not cover the
+polar solves that use this prox, and their `converged` only means that
+the primal residual fell below tol.
+
 Both proxes commute with a power-of-two scale of the input and the
 threshold.  An input whose largest modulus is outside [2^-400, 2^400], where
 the squares in the group norms would overflow or underflow, is shrunk as a
@@ -182,6 +191,6 @@ def prox_trace(Z, lam, transform=None):
 def _prox_trace(Z, lam, T):
     """prox_trace with no rescale: the naive solver's low-rank step."""
     real = Z.field == REAL
-    U, s, Vh = T.svd_state(T.pack(T.hat(Z), real), real)
+    U, s, Vh = T.svd_state(T.hat_state(Z, real), real)
     s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, T.weights(real)[1])
     return T.unhat_state(T.compose_state(U, s, Vh, real), real, Z.field)

@@ -192,17 +192,19 @@ class TrialOutcome:
 
 
 def run_trial(spec, r, rho, embedding, trial):
-    """Generate, embed, decompose, and score one trial."""
-    gens = [
-        gen_low_rank_sparse(
-            spec.m, r, rho, _instance_rng(spec.seed, embedding, r, rho, trial, inst)
-        )
-        for inst in (0, 1)
-    ]
-    (M1, L01, _), (M2, L02, _) = gens
-    H = embed(M1, M2, embedding)
-    result = pcp_ialm(H, spec.solver_config())
-    L1, L2 = extract(result.L, embedding)
+    """Generate, embed, decompose, and score one trial.  Only the two
+    low-rank truths are kept; the embedded matrix is handed to the solver,
+    which frees it after its set-up."""
+    truths = []
+
+    def draw(inst):
+        M, L0, _ = gen_low_rank_sparse(
+            spec.m, r, rho, _instance_rng(spec.seed, embedding, r, rho, trial, inst))
+        truths.append(L0)
+        return M
+
+    result = pcp_ialm(embed(draw(0), draw(1), embedding), spec.solver_config())
+    (L1, L2), (L01, L02) = extract(result.L, embedding), truths
     e1 = np.linalg.norm(L1 - L01) / np.linalg.norm(L01)
     e2 = np.linalg.norm(L2 - L02) / np.linalg.norm(L02)
     return TrialOutcome(float(e1), float(e2))

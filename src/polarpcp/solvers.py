@@ -6,7 +6,7 @@ entry moduli.  One IALM driver (Lin, Chen & Ma, arXiv:1009.5055) runs all
 three variants; they differ only in the state the loop iterates on and in
 the pair of steps that state takes:
 
-* "frequency": the state is the packed slice stack T.pack(T.hat(X)), so
+* "frequency": the state is the packed slice stack T.hat_state(X), so
   tubes are transformed only on entry and exit.  For complex tubes that is
   the (n, l, m) complex stack.  For real tubes it is n float64 planes, as
   many as X has coefficients: a self-paired slice is one real plane, and
@@ -25,21 +25,33 @@ the pair of steps that state takes:
 * "naive": the state is the coefficient tensor X.data and the steps are the
   coefficient-domain proxes prox_trace and prox_l1.
 
+The grouped objective of "frequency" and "naive", the polar trace norm,
+is neither a norm nor convex: the i-th singular tube pairs the i-th
+largest singular value of every slice, and that pairing by rank breaks the
+triangle inequality.  IALM's convergence theory (Lin, Chen & Ma) covers
+only the convex tensor-RPCA objective.  So a polar solve's `converged`
+only means that its primal residual ||D - L - S|| / ||D|| fell below tol,
+not that L and S minimize the objective.
+
 A frequency or tensor-RPCA solve holds the data term D, the dual Y, one
-kernel buffer (hypermatrix.KernelBuffer) and L or S.  The buffer's bytes
-are both the slice-SVD kernel's stacks of Fortran-ordered matrices and a
-C-ordered scratch state.  Each iteration writes D - S + Y/mu into the
-stacks plane by plane and frees S; the kernel factors the stacks in place,
-and compose_state writes L straight into a new state.  The scratch array
-then takes D - L + Y/mu, from which the sparse step computes S (its squares
-in S's own array), and the residual, which is scaled and added to Y in
-place.  So the low-rank step holds D, Y, the buffer's factored forms and L,
-and the sparse step D, Y, the buffer, L and S.  The input is read only, and
-a caller that keeps no reference to it hands it over: the solve frees it
-once D is built, as `polarpcp decompose` does.  D, Y and the buffer are
-freed before L and S leave the transform domain, a block of rows at a time
-(TubeTransform.unhat_state).  "naive" iterates on the coefficients with a
-plain scratch array, and its D is the caller's X.data.
+kernel buffer (hypermatrix.KernelBuffer) and L or S.  D enters the
+transform domain with no stack-sized temporary (TubeTransform.hat_state).
+The buffer's bytes are both the slice-SVD kernel's stacks of Fortran-ordered
+matrices and a C-ordered scratch state.  Each iteration writes D - S + Y/mu
+into the stacks plane by plane and frees S; the kernel factors the stacks
+in place, and compose_state multiplies L straight into a new state,
+dropping each factored form once its product is written.  The scratch
+array then takes D - L + Y/mu, from which the sparse step computes S (its
+squares in S's own array), and the residual, which is scaled and added to
+Y in place.  So the solve's memory peaks in LAPACK's factor phase: D, Y,
+the buffer, the bidiagonal SVD's singular vectors and its workspace on
+each lane; the compose that follows holds less.  The input is read only,
+and a caller that keeps no reference to it hands it over: the solve frees
+it once D is built, as `polarpcp decompose` and simlab.run_trial do.  D, Y
+and the buffer are freed before L and S leave the transform domain, a
+block of rows at a time (TubeTransform.unhat_state).  "naive" iterates on
+the coefficients with a plain scratch array, and its D is the caller's
+X.data.
 
 An input whose largest modulus lies outside [2^-400, 2^400], where the
 squares in the loop's norms would overflow or underflow, is solved as a
@@ -52,7 +64,8 @@ variant and the tube transform, a key of TubeTransform.NAMES or a tuple of
 group-DFT factors.  lambda is c/sqrt(max(l, m)) with c = 1 by default; the
 dual variable starts at X / max(||X||_2, ||X||_inf / lambda) and mu grows
 geometrically by rho_mu from mu_0 = 1.25 / ||X||_2, which keeps
-sum mu_{k+1}/mu_k^2 finite as the convergence theory requires.
+sum mu_{k+1}/mu_k^2 finite as the convergence theory of the convex
+objective requires.
 
 A solve owns the cores: it runs with BLAS on one thread (the caller's count
 is restored when it returns or raises), and its slice SVDs and staged
@@ -179,9 +192,10 @@ def pcp_ialm(X, cfg=None):
     lam/mu), Y <- Y + mu (X - L - S) with geometric mu, stopping when the
     relative residual drops below cfg.tol.  cfg.variant picks the state and
     the pair of steps (see the module docstring).  Non-convergence is
-    reported via the converged flag, not an exception.  X is only read; a
-    caller that holds no other reference to it hands it over, and a
-    frequency or tensor-RPCA solve frees it after its set-up.
+    reported via the converged flag, not an exception; for the non-convex
+    polar objective that flag only certifies the residual.  X is only
+    read; a caller that holds no other reference to it hands it over, and
+    a frequency or tensor-RPCA solve frees it after its set-up.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(X, HyperMatrix):
@@ -235,7 +249,7 @@ def pcp_ialm(X, cfg=None):
     transforms = sum(TubeTransform.call_counts())
     history, mu_hist = [], []
     with owned_cores():
-        D = T.pack(T.hat(X), real)
+        D = T.hat_state(X, real)
         buf = T.kernel_buffer(D.shape, real, D)
         specnorm = float(T.svd_state(buf, real, compute_uv=False).max())
         if cfg.variant == NAIVE:

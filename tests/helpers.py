@@ -17,7 +17,9 @@ large matrices were factored in stages; with the staged routines missing
 the package must reproduce them bit for bit.  reference_parts,
 reference_scatter and reference_unhat move a state between its layouts as
 the package did before a solve kept its state in one kernel buffer and
-left the transform domain a block of rows at a time.  ReferenceScalar is
+left the transform domain a block of rows at a time; reference_hat and
+reference_pack enter it as the package did before it entered a block of
+rows at a time, with numpy's one-shot FFTs.  ReferenceScalar is
 the standalone scalar arithmetic that PolarScalar had before it became the
 1 x 1 HyperMatrix.
 """
@@ -305,6 +307,27 @@ def scale_instance(embedding):
     from seeds 0 and 1, embedded as a real 4-tube or a complex 2-tube."""
     (M1, _, _), (M2, _, _) = (gen_low_rank_sparse(30, 2, 0.05, seed) for seed in (0, 1))
     return embed(M1, M2, embedding)
+
+
+def reference_hat(T, A):
+    """TubeTransform.hat as it stood before its transform ran in place: the
+    slice stack of numpy's one-shot FFTs of A's tubes, moved in front."""
+    if T.kind == hm.SKEW_DFT:
+        data = np.fft.fft(A.data * T._skew_twiddle())
+    else:
+        grid = A.data.reshape(A.data.shape[:2] + T.factors)
+        data = np.fft.fftn(grid, axes=tuple(range(2, grid.ndim))).reshape(A.data.shape)
+    return np.moveaxis(data, 2, 0)
+
+
+def reference_pack(T, blocks, real):
+    """The packed state of a slice stack, built from reference_parts'
+    layout: a paired slice's real part in its own plane and its imaginary
+    part in its partner's."""
+    if not real:
+        return blocks
+    _, _, sources, self_paired = T._split(True)
+    return reference_scatter(T, [blocks[sources], blocks[self_paired].real])
 
 
 def reference_unhat(T, blocks, field):

@@ -12,6 +12,7 @@ import polarpcp._blas as _blas
 import polarpcp._lapack as _lapack
 import polarpcp.solvers as solvers
 from polarpcp import COMPLEX, REAL, SolverConfig, TubeTransform, pcp_ialm, prox_trace, tensor_rpca
+from polarpcp.prox import shrink_singular_values
 
 from helpers import (
     GROUP_FACTORS,
@@ -94,6 +95,20 @@ class TestKernel:
         assert f.a is x and x.tobytes() != np.asfortranarray(a).tobytes()
         assert s.tobytes() == _lapack.factor(a)[0].tobytes()
 
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_product_into_out_and_into_its_own_reflectors(self, complex_, k):
+        a = _random(np.random.default_rng(6), 9, 8, complex_)
+        s, f = _lapack.factor(a)
+        want = _lapack.product(f, s[:k])
+        out = np.empty(a.shape, a.dtype)
+        assert _lapack.product(f, s[:k], out) is out and out.tobytes() == want.tobytes()
+        # compose_state multiplies a paired slice's product into the bytes
+        # of its reflectors, which the back-transforms read first.
+        own = f.a.T.reshape(a.shape)
+        assert own.flags.c_contiguous and np.shares_memory(own, f.a)
+        assert _lapack.product(f, s[:k], own) is own and own.tobytes() == want.tobytes()
+
     # Past 128 columns ?gebrd reduces blocks of 32 with ?labrd, so the
     # largest cases check that its workspace gives gesdd's blocking.
     @pytest.mark.parametrize("complex_,short", [(False, 6), (False, 30), (False, 140),
@@ -146,6 +161,20 @@ class TestKernel:
             assert s.tobytes() == reference_svd_state(T, state, True)[1].tobytes()
 
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_compose_consumes_the_factored_forms(self, field):
+        real = field == REAL
+        T = TubeTransform.dft(4)
+        state = T.hat_state(random_hypermatrix(np.random.default_rng(5), 64, 64, 4, field), real)
+        U, s, Vh = T.svd_state(state, real)
+        shrunk = shrink_singular_values(s, 0.5 * s.max(), True, T.weights(real)[1])
+        got = T.compose_state(U, shrunk, Vh, real)
+        assert all(f is None for u in U for f in u)
+        U_ref, _, Vh_ref = reference_svd_state(T, state, real)
+        want = reference_compose_state(T, U_ref, shrunk, Vh_ref, real)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def _case(n, kind, variant="frequency"):
     return SolverConfig(transform=GROUP_FACTORS[n] if kind == "group" else kind, variant=variant)
 
@@ -172,9 +201,9 @@ def staged(monkeypatch):
         record["reference"].append(live(s))
         return reference_compose(T, U, s, Vh, real)
 
-    def counting_product(f, s):
+    def counting_product(f, s, out=None):
         record["products"] += 1
-        return product(f, s)
+        return product(f, s, out)
 
     monkeypatch.setattr(TubeTransform, "compose_state", recording_compose)
     monkeypatch.setattr(helpers, "reference_slice_compose", recording_reference_compose)

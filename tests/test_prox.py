@@ -188,6 +188,35 @@ class TestShrinkSingularValues:
         assert out.tolist() == [[2.5, 0.0], [0.0, 1.5]]
 
 
+@st.composite
+def _kernel_values(draw):
+    """(s, weights): rows of singular values as the slice-SVD kernel gives
+    them, non-negative and non-increasing, with ties, zeros and all-zero
+    rows, and the Parseval row weights of a real-tube state or None."""
+    rows, k = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    pool = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0, 3.0]) | st.floats(0, 10),
+                         min_size=rows * k, max_size=rows * k))
+    s = -np.sort(-np.reshape(pool, (rows, k)), axis=1)
+    s[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0.0
+    weights = draw(st.sampled_from([None, "parseval"]))
+    if weights:
+        weights = np.repeat([2.0, 1.0], [rows // 2, rows - rows // 2])
+    return s, weights
+
+
+class TestLiveSingularValues:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_kernel_values(), tau=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 20),
+           grouped=st.booleans())
+    def test_count_of_nonzeros_is_trim_zeros(self, case, tau, grouped):
+        # compose_state takes a shrunk row's live values as its leading
+        # count_nonzero(row) ones: a shrink keeps each row non-negative and
+        # non-increasing, so they are the row with its trailing zeros cut.
+        s, weights = case
+        for row in shrink_singular_values(s, tau, grouped, weights):
+            assert row[:np.count_nonzero(row)].tobytes() == np.trim_zeros(row, "b").tobytes()
+
+
 def _formula_tube_shrink(stack, tau, weights=None):
     """The grouped tube shrink written out with fresh arrays: squares,
     norms and factors each in their own array."""

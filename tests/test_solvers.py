@@ -423,11 +423,14 @@ class TestWorkingSet:
     @pytest.mark.skipif(_lapack.routines() is None,
                         reason="numpy's LAPACK lacks the ILP64 gebrd/bdsdc/ormbr")
     def test_staged_solve_peak_in_states(self, monkeypatch):
-        # A staged real 4-tube solve on one lane holds D, Y and one scratch
-        # array with the factored forms during the low-rank step: about 7.7
-        # states of traced memory at its peak.  Keeping a Y/mu buffer, the
-        # old L and S through that step and the loop arrays past the loop,
-        # and copying each factored matrix twice, measures 12.1.
+        # A staged real 4-tube solve on one lane holds D, Y and the kernel
+        # buffer with the factored forms during the low-rank step: 6.06
+        # states of traced memory at its peak.  Entering the transform
+        # domain in one shot, multiplying each product into a new array
+        # and keeping every factored form to the end of the compose
+        # measures 6.55.  Keeping a Y/mu buffer, the old L and S through
+        # that step and the loop arrays past the loop, and copying each
+        # factored matrix twice, measured 12.1.
         monkeypatch.setenv("POLARPCP_THREADS", "1")
         X, _, _ = _low_rank_plus_sparse(np.random.default_rng(22), 64, 64, 4, REAL, 3, 0.05)
         state_bytes = X.data.nbytes
@@ -440,18 +443,20 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert res.converged
-        assert peak < 9.0 * state_bytes
+        assert peak < 8.5 * state_bytes
 
     @pytest.mark.skipif(_lapack.routines() is None,
                         reason="numpy's LAPACK lacks the ILP64 gebrd/bdsdc/ormbr")
     def test_handed_over_solve_peak_in_states(self, monkeypatch):
         # Handed its input, a staged real 4-tube solve on one lane frees it
         # after the set-up.  Its loop then holds D, Y, the kernel buffer and
-        # L or S, and peaks in the product back from the factored forms:
-        # 6.55 states with the input counted until it is freed.  A solve
-        # that keeps the input measures 7.55, and one that also copies the
-        # kernel's matrices out of a scratch array and gathers the products
-        # in a list before scattering them into L measures 8.67.
+        # L or S, and peaks in the factor phase: 6.07 states with the input
+        # counted until it is freed.  A compose that multiplies each
+        # product into a new array and keeps every factored form to its
+        # end peaks at 6.55, one that also keeps the input 7.55, and one
+        # that also copies the kernel's matrices out of a scratch array and
+        # gathers the products in a list before scattering them into L
+        # measures 8.67.
         monkeypatch.setenv("POLARPCP_THREADS", "1")
 
         def instance():
@@ -469,7 +474,35 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert res.converged
-        assert peak < 7.0 * state_bytes
+        assert peak < 6.5 * state_bytes
+
+    def test_set_up_peak_in_states(self):
+        # A handed-over input is read by max_modulus, whose squares are
+        # one state and its moduli a quarter, and by hat_state, which
+        # fills the state through one complex block of rows: 1.26 and
+        # 1.15 states above the input.  Squaring the real and the zero
+        # imaginary parts into new arrays measures 3.0, and the one-shot
+        # pack(hat(X)) 4.0.
+        T = TubeTransform.dft(4)
+
+        def instance():
+            return _low_rank_plus_sparse(np.random.default_rng(22), 64, 64, 4, REAL, 3, 0.05)[0]
+
+        state_bytes = 64 * 64 * 4 * 8
+        peaks = []
+        tracemalloc.start()
+        try:
+            inputs = [instance()]
+            base = tracemalloc.get_traced_memory()[0]
+            for step in (hm.max_modulus, lambda X: T.hat_state(X, True)):
+                tracemalloc.reset_peak()
+                step(inputs[0])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        modulus_peak, entry_peak = peaks
+        assert modulus_peak < 1.5 * state_bytes
+        assert entry_peak < 1.2 * state_bytes
 
     def test_decompose_peak_in_states(self, tmp_path, monkeypatch):
         # `polarpcp decompose` hands the tensor it reads to the solver.  At

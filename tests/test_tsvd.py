@@ -28,6 +28,8 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 from helpers import (
     random_hypermatrix,
+    reference_hat,
+    reference_pack,
     reference_parts,
     reference_slice_compose,
     reference_slice_svd,
@@ -233,6 +235,29 @@ class TestSingularModuli:
         assert mods[0] > 1e-3
         assert np.abs(mods[1:]).max() <= 1e-12 * mods[0]
 
+    def test_polar_trace_norm_breaks_the_triangle_inequality(self):
+        # Complex 2 x 2 2-tubes whose DFT slices are X = (diag(1, 0),
+        # diag(1, 0)) and Y = (diag(1, 0), diag(0, 1)).  The i-th singular
+        # tube groups the i-th largest singular value of every slice, and
+        # that pairing by rank makes the sum of the moduli no norm: 1 for X
+        # and for Y, but sqrt(5/2) + sqrt(1/2) = 2.288 for X + Y.  The
+        # slice-wise nuclear norm, the adjoint's divided by n, is convex:
+        # 1, 1 and 2.
+        def from_slices(*diagonals):
+            return TubeTransform.dft(2).unhat(np.array([np.diag(d) for d in diagonals],
+                                                       np.complex128), COMPLEX)
+
+        X, Y = from_slices([1, 0], [1, 0]), from_slices([1, 0], [0, 1])
+        assert X.data.tolist() == [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+        assert Y.data.tolist() == [[[0.5, 0.5], [0, 0]], [[0, 0], [0.5, -0.5]]]
+        norms = [singular_moduli(A).sum() for A in (X, Y, X + Y)]
+        assert norms[:2] == [1.0, 1.0]
+        assert singular_moduli(X + Y) == pytest.approx([math.sqrt(2.5), math.sqrt(0.5)],
+                                                       rel=1e-15)
+        assert norms[2] == pytest.approx(2.288, abs=5e-4) and norms[2] > norms[0] + norms[1]
+        nuclear = [np.linalg.norm(adjoint(A), "nuc") / 2 for A in (X, Y, X + Y)]
+        assert nuclear == pytest.approx([1.0, 1.0, 2.0], rel=1e-15)
+
     def test_pooled_adjoint_singular_values(self):
         rng = np.random.default_rng(11)
         A = random_hypermatrix(rng, 5, 5, 4, REAL)
@@ -416,6 +441,26 @@ class TestOneFftPath:
         for apply in (D.forward, D.inverse, G.forward, G.inverse):
             with pytest.raises(ValueError, match="transform length"):
                 apply(wrong)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_tube_arrays())
+    def test_forward_in_place_is_the_same_transform(self, case):
+        # The values are computed in out, which may be the input itself.
+        factors, x = case
+        n = x.shape[-1]
+        S, G = TubeTransform.skew_dft(n), TubeTransform.group_dft(factors)
+        grid = x.reshape(x.shape[:-1] + factors)
+        axes = tuple(range(x.ndim - 1, grid.ndim))
+        for T, want in ((TubeTransform.dft(n), np.fft.fft(x)),
+                        (S, np.fft.fft(x * S._skew_twiddle())),
+                        (G, np.fft.fftn(grid, axes=axes).reshape(x.shape))):
+            fresh = T.forward(x)
+            out = np.empty(x.shape, np.complex128)
+            assert T.forward(x, out) is out
+            inplace = x.astype(np.complex128)
+            assert T.forward(inplace, inplace) is inplace
+            for got in (fresh, out, inplace):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSplitCache:
@@ -602,10 +647,12 @@ class TestKernelBuffer:
         assert got.flags.c_contiguous and got.dtype == state.dtype
 
 
-class TestRowBlockedExit:
-    B = hm.EXIT_ROWS
+# Row counts around the block length's first steps, and a ragged last block.
+_BLOCKED_ROWS = [1, hm.ROW_BLOCKS - 1, hm.ROW_BLOCKS, hm.ROW_BLOCKS + 1, 4 * hm.ROW_BLOCKS + 3]
 
-    @pytest.mark.parametrize("l", [1, B - 1, B, B + 1, 2 * B + 3])
+
+class TestRowBlockedExit:
+    @pytest.mark.parametrize("l", _BLOCKED_ROWS)
     @pytest.mark.parametrize("T", ALL_TRANSFORMS)
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_blocks_are_the_one_shot_path_bit_for_bit(self, T, l, field):
@@ -625,6 +672,28 @@ class TestRowBlockedExit:
         # unhat of a whole stack, as the t-SVD makes it, takes the same blocks.
         assert T.unhat(blocks, field).data.tobytes() == got.data.tobytes()
         assert TubeTransform.call_counts() == (0, 2)
+
+
+class TestRowBlockedEntry:
+    @pytest.mark.parametrize("l", _BLOCKED_ROWS)
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS + [
+        pytest.param(TubeTransform.walsh_hadamard(4), id="wht")])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_state_is_the_packed_one_shot_hat_bit_for_bit(self, T, l, field):
+        A = random_hypermatrix(np.random.default_rng(l), l, 5, T.n, field)
+        real = field == REAL
+        want = reference_pack(T, reference_hat(T, A), real)
+        TubeTransform.reset_call_counts()
+        got = T.hat_state(A, real)
+        assert TubeTransform.call_counts() == (1, 0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if not real:
+            # hat's layout, tubes last, so a norm reduces in the same order.
+            assert got.strides == T.hat(A).strides
+            assert np.linalg.norm(got) == np.linalg.norm(want)
+        assert T.pack(T.hat(A), real).tobytes() == got.tobytes()
+        assert TubeTransform.call_counts() == (2 if real else 3, 0)
 
 
 class TestSharedTransforms:
