@@ -10,10 +10,17 @@ The trace norm that prox_trace shrinks, the sum of the singular-tube
 moduli, is not a norm and not convex: the i-th singular tube groups the
 i-th largest singular value of every slice, and for complex 2-tubes whose
 DFT slices are X = (diag(1, 0), diag(1, 0)) and Y = (diag(1, 0),
-diag(0, 1)) it is 1 for X and for Y but 2.288 for X + Y.  So IALM's
-convergence theory (Lin, Chen & Ma, arXiv:1009.5055) does not cover the
-polar solves that use this prox, and their `converged` only means that
-the primal residual fell below tol.
+diag(0, 1)) it is 1 for X and for Y but 2.288 for X + Y, so IALM's
+convergence theory does not cover the polar solves (see solvers).
+
+The grouped shrink is still this function's exact global prox.  (1) The
+extended von Neumann inequality bounds <L, Z> by the sum over slices b and
+ranks i of sigma_bi(L) sigma_bi(Z), each slice's values sorted, under the
+Parseval weights; (2) so for fixed values, L with Z's singular vectors is
+optimal.  (3) Without the constraint that each slice's values stay sorted,
+a group lasso separable over the rows i is left, solved by scaling row i
+of Z's values by (1 - tau/|sigma_i(Z)|)_+; (4) these factors do not
+increase with i, so the relaxed solution is sorted, feasible and optimal.
 
 Both proxes commute with a power-of-two scale of the input and the
 threshold.  An input whose largest modulus is outside [2^-400, 2^400], where

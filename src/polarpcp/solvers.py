@@ -26,12 +26,10 @@ the pair of steps that state takes:
   coefficient-domain proxes prox_trace and prox_l1.
 
 The grouped objective of "frequency" and "naive", the polar trace norm,
-is neither a norm nor convex: the i-th singular tube pairs the i-th
-largest singular value of every slice, and that pairing by rank breaks the
-triangle inequality.  IALM's convergence theory (Lin, Chen & Ma) covers
-only the convex tensor-RPCA objective.  So a polar solve's `converged`
-only means that its primal residual ||D - L - S|| / ||D|| fell below tol,
-not that L and S minimize the objective.
+is neither a norm nor convex (see prox), and IALM's convergence theory
+(Lin, Chen & Ma) covers only the convex tensor-RPCA objective.  So a polar
+solve's `converged` only means that its primal residual
+||D - L - S|| / ||D|| fell below tol, not that L and S minimize it.
 
 A frequency or tensor-RPCA solve holds the data term D, the dual Y, one
 kernel buffer (hypermatrix.KernelBuffer) and L or S.  D enters the
@@ -54,9 +52,9 @@ the coefficients with a plain scratch array, and its D is the caller's
 X.data.
 
 An input whose largest modulus lies outside [2^-400, 2^400], where the
-squares in the loop's norms would overflow or underflow, is solved as a
-copy scaled by a power of two (hypermatrix.scale_exponent, which the proxes,
-the singular-tube moduli and frobenius share); L, S and the mu history are
+loop's squares would overflow or underflow, is scaled once by a power of
+two (hypermatrix.scale_exponent) into a copy that takes its place, so a
+handed-over input is freed at every scale; L, S and the mu history are
 scaled back exactly.  Inputs in the range keep their bits.
 
 SolverConfig holds only what a caller sets: c, tol, max_iters, rho_mu, the
@@ -195,7 +193,8 @@ def pcp_ialm(X, cfg=None):
     reported via the converged flag, not an exception; for the non-convex
     polar objective that flag only certifies the residual.  X is only
     read; a caller that holds no other reference to it hands it over, and
-    a frequency or tensor-RPCA solve frees it after its set-up.
+    a frequency or tensor-RPCA solve frees it after its set-up, at every
+    scale: an X outside [2^-400, 2^400] is scaled once into a copy.
     """
     cfg = cfg or SolverConfig()
     if not isinstance(X, HyperMatrix):
@@ -208,8 +207,10 @@ def pcp_ialm(X, cfg=None):
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
                          {"slice_svds": 0, "setup_slice_svds": 0, "tube_transforms": 0})
     maxmod = hm.max_modulus(X)
-    if hm.scale_exponent(maxmod):
-        return _rescaled_solve(X, cfg, maxmod)
+    e = hm.scale_exponent(maxmod)
+    if e:   # solve X * 2^-e; a handed-over X is freed here
+        X = HyperMatrix(hm._ldexp(X.data.copy(), -e), field)
+        maxmod = hm.max_modulus(X)
     T = cfg.resolve_transform(X.n)
     real = field == REAL
 
@@ -281,6 +282,9 @@ def pcp_ialm(X, cfg=None):
         L = leave(L)
         S = leave(S)
 
+    if e:   # every step commutes with the scale: undo it, exactly
+        hm._ldexp(L.data, e)
+        hm._ldexp(S.data, e)
     slices = T.factored_slices(real)
     return PcpResult(
         L=L,
@@ -289,7 +293,7 @@ def pcp_ialm(X, cfg=None):
         residual_history=np.array(history),
         converged=history[-1] < cfg.tol,
         lam=lam,
-        mu_history=np.array(mu_hist),
+        mu_history=hm._ldexp(np.array(mu_hist), -e),
         stats={
             "slice_svds": slices * len(history),
             "setup_slice_svds": slices,
@@ -306,19 +310,6 @@ def _fill(planes, A, B, Y, mu):
         values = a - b
         values += y / mu
         plane[...] = values
-
-
-def _rescaled_solve(X, cfg, maxmod):
-    """pcp_ialm(X, cfg) for an X whose largest modulus is outside
-    hypermatrix.SAFE_RANGE, where the loop's squares would overflow or
-    underflow: the solve of X * 2^-e (hypermatrix.scale_exponent), whose
-    largest modulus is in [1/2, 1).  Every step commutes with a power-of-two
-    scale, so L and S are scaled back by 2^e and mu by 2^-e, exactly."""
-    e = hm.scale_exponent(maxmod)
-    res = pcp_ialm(HyperMatrix(hm._ldexp(X.data.copy(), -e), X.field), cfg)
-    hm._ldexp(res.L.data, e)
-    hm._ldexp(res.S.data, e)
-    return replace(res, mu_history=hm._ldexp(res.mu_history, -e))
 
 
 def tensor_rpca(X, cfg=None):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -288,6 +289,33 @@ class TestProxTrace:
         Z = random_hypermatrix(rng, 4, 3, 3, COMPLEX)
         out = prox_trace(Z, 0.0)
         assert np.abs(out.data - Z.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("field,n", [(COMPLEX, 2), (REAL, 4)])
+    def test_no_local_minimiser_beats_it_on_2x2(self, field, n):
+        # The prox objective f(L) = |L - Z|^2 / 2 + lam sum singular-tube
+        # moduli is not convex, so a local minimiser could in principle
+        # stop below a grouped shrink that was only a stationary point.
+        # The grouped shrink is the global minimiser (see the prox module
+        # docstring): no L-BFGS-B run from a random start, over the 16 real
+        # coefficients of a 2x2 input, ends below it.
+        rng = np.random.default_rng(20)
+
+        def as_matrix(x):
+            data = x if field == REAL else x.view(np.complex128)
+            return HyperMatrix(data.reshape(2, 2, n), field)
+
+        for _ in range(3):
+            z = rng.standard_normal(16)
+            lam = rng.uniform(0.1, 1.5)
+
+            def f(x):
+                return 0.5 * np.sum((x - z) ** 2) + lam * singular_moduli(as_matrix(x)).sum()
+
+            prox = prox_trace(as_matrix(z), lam).data
+            at_prox = f(np.ascontiguousarray(prox).view(np.float64).ravel())
+            for _ in range(4):
+                local = scipy.optimize.minimize(f, rng.standard_normal(16), method="L-BFGS-B")
+                assert at_prox <= local.fun + 1e-12 * max(1.0, abs(local.fun))
 
     def test_n1_matches_singular_value_thresholding(self):
         rng = np.random.default_rng(6)

@@ -447,20 +447,25 @@ class TestWorkingSet:
 
     @pytest.mark.skipif(_lapack.routines() is None,
                         reason="numpy's LAPACK lacks the ILP64 gebrd/bdsdc/ormbr")
-    def test_handed_over_solve_peak_in_states(self, monkeypatch):
+    @pytest.mark.parametrize("e", [0, 450, -450])
+    def test_handed_over_solve_peak_in_states(self, monkeypatch, e):
         # Handed its input, a staged real 4-tube solve on one lane frees it
         # after the set-up.  Its loop then holds D, Y, the kernel buffer and
         # L or S, and peaks in the factor phase: 6.07 states with the input
-        # counted until it is freed.  A compose that multiplies each
-        # product into a new array and keeps every factored form to its
-        # end peaks at 6.55, one that also keeps the input 7.55, and one
-        # that also copies the kernel's matrices out of a scratch array and
-        # gathers the products in a list before scattering them into L
-        # measures 8.67.
+        # counted until it is freed.  At 2^+-450 the solve runs on a scaled
+        # copy that takes the input's place, and peaks at the same 6.07; a
+        # solve that keeps the input while it solves the copy measures
+        # 7.08.  A compose that multiplies each product into a new array
+        # and keeps every factored form to its end peaks at 6.55, one that
+        # also keeps the input 7.55, and one that also copies the kernel's
+        # matrices out of a scratch array and gathers the products in a
+        # list before scattering them into L measures 8.67.
         monkeypatch.setenv("POLARPCP_THREADS", "1")
 
         def instance():
-            return _low_rank_plus_sparse(np.random.default_rng(22), 64, 64, 4, REAL, 3, 0.05)[0]
+            X = _low_rank_plus_sparse(np.random.default_rng(22), 64, 64, 4, REAL, 3, 0.05)[0]
+            hm._ldexp(X.data, e)
+            return X
 
         state_bytes = 64 * 64 * 4 * 8
         pcp_ialm(instance())   # fills the workspace-size caches
@@ -562,16 +567,23 @@ class TestExtremeScales:
     @pytest.mark.parametrize("top,rescaled", [(400, False), (401, True),
                                               (-399, False), (-400, True)])
     def test_rescales_only_outside_the_range(self, monkeypatch, top, rescaled):
-        # The largest modulus is put in [2^(top-1), 2^top).
+        # The largest modulus is put in [2^(top-1), 2^top).  The solve
+        # measures its input and, only outside the range, the copy scaled
+        # by 2^-e, with e that modulus's exponent, on which it then runs.
         X = scale_instance("polar4complex")
         X = X * math.ldexp(1.0, top - math.frexp(hm.max_modulus(X))[1])
-        calls = []
-        rescale = solvers._rescaled_solve
+        measured = []
+        max_modulus = hm.max_modulus
 
-        def spy(*args):
-            calls.append(args[2])
-            return rescale(*args)
+        def spy(A):
+            measured.append(A.data.copy())
+            return max_modulus(A)
 
-        monkeypatch.setattr(solvers, "_rescaled_solve", spy)
+        monkeypatch.setattr(hm, "max_modulus", spy)
         assert pcp_ialm(X).converged
-        assert calls == ([hm.max_modulus(X)] if rescaled else [])
+        monkeypatch.undo()
+        expected = [X.data]
+        if rescaled:
+            e = math.frexp(hm.max_modulus(X))[1]
+            expected.append(np.ldexp(X.data.view(np.float64), -e).view(X.data.dtype))
+        assert [A.tobytes() for A in measured] == [A.tobytes() for A in expected]
