@@ -1,7 +1,8 @@
 """Command-line interface: synthetic recovery grids, PCP decomposition of
 PHT tensors, and t-SVD factorization.
 
-Exit codes: 0 on success, 2 on parameter errors, 3 on I/O errors.
+Exit codes: 0 on success, 2 on parameter and numerical errors (an SVD
+that did not converge), 3 on I/O errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
-from .pht import PhtFormatError, read_pht, write_pht
+from .pht import read_pht, write_pht
 from .simlab import EMBEDDINGS, SOLVER_VARIANTS, VARIANTS, TrialSpec, run_grid, write_csv
 from .solvers import SolverConfig, pcp_ialm
 # singular_moduli stays a cli name: perfbench/tracer.py wraps it there.
@@ -60,16 +61,6 @@ def _build_parser():
     return parser
 
 
-def _coerce_field(A, field):
-    if field is None or field == A.field:
-        return A
-    if field == COMPLEX:
-        return HyperMatrix(A.data.astype(np.complex128), COMPLEX)
-    if np.any(A.data.imag != 0):
-        raise ValueError("cannot reinterpret a complex tensor as real")
-    return HyperMatrix(A.data.real, REAL)
-
-
 def _cmd_simulate(args):
     spec = TrialSpec(
         m=args.m,
@@ -95,8 +86,9 @@ def _cmd_decompose(args):
         variant=SOLVER_VARIANTS[args.variant],
     )
     # The tensor is handed over: the solver holds the only reference to it
-    # and frees it after its set-up.
-    result = pcp_ialm(_coerce_field(read_pht(args.input), args.field), cfg)
+    # and frees it after its set-up.  HyperMatrix takes it in the asked
+    # field, or in its own when none is asked.
+    result = pcp_ialm(HyperMatrix(read_pht(args.input).data, args.field), cfg)
     out = Path(args.out_dir)
     write_pht(result.L, out / "L.pht")
     write_pht(result.S, out / "S.pht")
@@ -146,7 +138,10 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, PhtFormatError) as exc:
+    except np.linalg.LinAlgError as exc:   # a ValueError: caught first
+        print(f"polarpcp: numerical error: {exc}", file=sys.stderr)
+        return PARAM_ERROR
+    except ValueError as exc:
         print(f"polarpcp: parameter error: {exc}", file=sys.stderr)
         return PARAM_ERROR
     except OSError as exc:

@@ -253,11 +253,6 @@ def _dft_matrix(n):
     return np.exp(-2j * math.pi * k * i / n)
 
 
-class _CallCounts(threading.local):
-    forward = 0
-    inverse = 0
-
-
 class TubeTransform:
     """Invertible tube transform defining a t-SVD algebra: the skew DFT, or
     the DFT of the group Z_f1 x ... x Z_fr, the Kronecker product of the
@@ -277,12 +272,6 @@ class TubeTransform:
 
     # Transform names accepted by from_name, mapped to the constructor.
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "wht": "walsh_hadamard"}
-
-    # Counts of the matrices moved into (hat, hat_state) and out of (unhat,
-    # unhat_state) the transform domain, for a solve's stats and the
-    # instrumentation tests.  They are per thread, so a solve on one of
-    # run_grid's workers counts only its own.
-    _counts = _CallCounts()
 
     # The shared instances of the named constructors, by (kind, n, factors).
     _shared = {}
@@ -419,7 +408,6 @@ class TubeTransform:
 
     def hat(self, A):
         """(n, l, m) transform-domain slice stack of a HyperMatrix."""
-        TubeTransform._counts.forward += 1
         return np.moveaxis(self.forward(A.data), 2, 0)
 
     def hat_state(self, A, real):
@@ -430,11 +418,9 @@ class TubeTransform:
         filled in ROW_BLOCKS blocks of rows, each transformed in one
         complex scratch block and packed straight into the state.  Each
         tube is transformed as in one call on the whole matrix, so the bits
-        do not depend on the block size; it counts as one forward
-        transform."""
+        do not depend on the block size."""
         if not real:
             return self.hat(A)
-        TubeTransform._counts.forward += 1
         l, m, n = A.data.shape
         state = np.empty((n, l, m))
         scratch = np.empty((-(-l // ROW_BLOCKS), m, n), np.complex128)
@@ -452,8 +438,7 @@ class TubeTransform:
         that neither the slice stack of a real-tube state nor the inverse
         transform of a stack is ever built whole.  Each row's tubes are
         transformed as in one call on the whole stack, so the bits do not
-        depend on the block size; it counts as one inverse transform."""
-        TubeTransform._counts.inverse += 1
+        depend on the block size."""
         l, m = state.shape[1:]
         out = np.empty((l, m, self.n), np.float64 if field == REAL else np.complex128)
         for rows in _row_slices(l):
@@ -712,22 +697,6 @@ class TubeTransform:
         U, s, Vh = res if compute_uv else (None, res, None)
         s = self._expand(_row_blocks(s, parts), real)
         return (self._expand(U, real), s, self._expand(Vh, real)) if compute_uv else s
-
-    def factored_slices(self, real):
-        """Number of matrices the slice-SVD kernel factors per stack or
-        state: one per slice pair for real tubes, one per slice otherwise."""
-        return len(self._split(real)[0])
-
-    @classmethod
-    def reset_call_counts(cls):
-        cls._counts.forward = 0
-        cls._counts.inverse = 0
-
-    @classmethod
-    def call_counts(cls):
-        """(hat, unhat) calls made on the calling thread since its reset;
-        hat_state counts as a hat and unhat_state as an unhat."""
-        return cls._counts.forward, cls._counts.inverse
 
 
 # One allocation that holds a packed state (see TubeTransform.pack) in two

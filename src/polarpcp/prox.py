@@ -195,9 +195,13 @@ def prox_trace(Z, lam, transform=None):
     return _at_safe_scale(_prox_trace, Z, lam, transform or TubeTransform.dft(Z.n))
 
 
-def _prox_trace(Z, lam, T):
-    """prox_trace with no rescale: the naive solver's low-rank step."""
+def _prox_trace(Z, lam, T, counts=None):
+    """prox_trace with no rescale: the naive solver's low-rank step, which
+    adds its two tube transforms and its factored matrices to the solve's
+    counts."""
     real = Z.field == REAL
     U, s, Vh = T.svd_state(T.hat_state(Z, real), real)
+    if counts is not None:
+        counts.update(tube_transforms=2, slice_svds=len(s))
     s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, T.weights(real)[1])
     return T.unhat_state(T.compose_state(U, s, Vh, real), real, Z.field)

@@ -74,6 +74,7 @@ not depend on either count.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
@@ -195,6 +196,10 @@ def pcp_ialm(X, cfg=None):
     read; a caller that holds no other reference to it hands it over, and
     a frequency or tensor-RPCA solve frees it after its set-up, at every
     scale: an X outside [2^-400, 2^400] is scaled once into a copy.
+
+    The stats are this solve's own counts, made at its calls: the matrices
+    the slice-SVD kernel factored in the loop and in the set-up, and the
+    tube transforms (3, or 1 + 2 per iteration for "naive").
     """
     cfg = cfg or SolverConfig()
     if not isinstance(X, HyperMatrix):
@@ -202,10 +207,12 @@ def pcp_ialm(X, cfg=None):
     hm.check_finite(X, "solver input")
     lam = cfg.lam(X)
     field = X.field
+    # This solve's work, counted at its own calls: its stats.
+    counts = collections.Counter(slice_svds=0, setup_slice_svds=0, tube_transforms=0)
     if not X.data.any():
         zero = HyperMatrix.zeros(X.l, X.m, X.n, field)
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
-                         {"slice_svds": 0, "setup_slice_svds": 0, "tube_transforms": 0})
+                         dict(counts))
     maxmod = hm.max_modulus(X)
     e = hm.scale_exponent(maxmod)
     if e:   # solve X * 2^-e; a handed-over X is freed here
@@ -216,7 +223,7 @@ def pcp_ialm(X, cfg=None):
 
     if cfg.variant == NAIVE:
         def low_rank(Z, mu):
-            return _prox_trace(HyperMatrix(Z, field), 1.0 / mu, T).data
+            return _prox_trace(HyperMatrix(Z, field), 1.0 / mu, T, counts).data
 
         def sparse(Z, mu):
             return _prox_l1(HyperMatrix(Z, field), lam / mu).data
@@ -232,6 +239,7 @@ def pcp_ialm(X, cfg=None):
 
         def low_rank(buf, mu):
             U, s, Vh = T.svd_state(buf, real)
+            counts["slice_svds"] += len(s)
             s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped,
                                        row_weights)
             return T.compose_state(U, s, Vh, real)
@@ -240,6 +248,7 @@ def pcp_ialm(X, cfg=None):
             return tube_group_shrink(Z, lam * sqrt_n / mu, plane_weights)
 
         def leave(A):
+            counts["tube_transforms"] += 1
             return T.unhat_state(A, real, field)
 
         def norm(A):
@@ -247,12 +256,13 @@ def pcp_ialm(X, cfg=None):
                 return np.linalg.norm(A)
             return math.sqrt(plane_weights @ np.einsum("bij,bij->b", A, A))
 
-    transforms = sum(TubeTransform.call_counts())
     history, mu_hist = [], []
     with owned_cores():
         D = T.hat_state(X, real)
         buf = T.kernel_buffer(D.shape, real, D)
-        specnorm = float(T.svd_state(buf, real, compute_uv=False).max())
+        s = T.svd_state(buf, real, compute_uv=False)
+        counts.update(tube_transforms=1, setup_slice_svds=len(s))
+        specnorm = float(s.max())
         if cfg.variant == NAIVE:
             D = X.data
             # C order: norm reduces in memory order, so the residual's bits
@@ -285,7 +295,6 @@ def pcp_ialm(X, cfg=None):
     if e:   # every step commutes with the scale: undo it, exactly
         hm._ldexp(L.data, e)
         hm._ldexp(S.data, e)
-    slices = T.factored_slices(real)
     return PcpResult(
         L=L,
         S=S,
@@ -294,11 +303,7 @@ def pcp_ialm(X, cfg=None):
         converged=history[-1] < cfg.tol,
         lam=lam,
         mu_history=hm._ldexp(np.array(mu_hist), -e),
-        stats={
-            "slice_svds": slices * len(history),
-            "setup_slice_svds": slices,
-            "tube_transforms": sum(TubeTransform.call_counts()) - transforms,
-        },
+        stats=dict(counts),
     )
 
 

@@ -332,19 +332,31 @@ def reference_pack(T, blocks, real):
 
 def reference_unhat(T, blocks, field):
     """TubeTransform.unhat as it stood before it took blocks of rows: one
-    inverse transform of the whole stack, counted as one unhat."""
-    hm.TubeTransform._counts.inverse += 1
+    inverse transform of the whole stack."""
     data = T.inverse(np.moveaxis(blocks, 0, 2))
     return HyperMatrix(data.real if field == REAL else data, field)
 
 
-def reference_prox_trace(Z, lam, transform=None):
+def factored_slices(T, real):
+    """The matrices the slice-SVD kernel factors per state: one per slice
+    for complex tubes, and for real tubes one per orbit of the conjugate
+    pairing (a self-paired slice, or a slice and its partner)."""
+    if not real:
+        return T.n
+    return int(np.count_nonzero(T.conjugate_pairing() >= np.arange(T.n)))
+
+
+def reference_prox_trace(Z, lam, transform=None, counts=None):
     """Trace-norm prox on the full complex slice stack: grouped shrink of
-    the singular tubes with the sqrt(n) factor of unnormalized transforms."""
+    the singular tubes with the sqrt(n) factor of unnormalized transforms.
+    Like the naive solver's low-rank step, it adds its two tube transforms
+    and the matrices the kernel would factor to counts."""
     if lam < 0:
         raise ValueError("threshold must be nonnegative")
     T = transform or hm.TubeTransform.dft(Z.n)
     real = Z.field == REAL
+    if counts is not None:
+        counts.update(tube_transforms=2, slice_svds=factored_slices(T, real))
     U, s, Vh = reference_slice_svd(T, T.hat(Z), real)
     s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
     return reference_unhat(T, reference_slice_compose(T, U, s2, Vh, real), Z.field)
@@ -388,7 +400,7 @@ def ialm_frequency_reference(X, cfg, grouped):
             converged = True
             break
 
-    slices = T.factored_slices(real)
+    slices = factored_slices(T, real)
     return PcpResult(
         L=reference_unhat(T, Lhat, X.field),
         S=reference_unhat(T, Shat, X.field),

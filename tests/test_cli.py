@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import polarpcp.cli as cli
 import polarpcp.hypermatrix as hm
 from polarpcp import HyperMatrix, TubeTransform, read_pht, singular_moduli, write_pht
 from polarpcp.cli import main
@@ -218,6 +219,18 @@ class TestDecompose:
         bad.write_text("not a tensor\n")
         code = main(["decompose", str(bad)])
         assert code == 2
+
+    def test_svd_failure_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, so it must not read as a
+        # parameter error.
+        def fail(X, cfg):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        path, _ = _low_rank_pht(tmp_path)
+        monkeypatch.setattr(cli, "pcp_ialm", fail)
+        code = main(["decompose", str(path), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "polarpcp: numerical error: SVD did not converge\n"
 
 
 class TestTsvdCommand:

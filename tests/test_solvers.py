@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import sys
@@ -334,53 +335,104 @@ class TestOneDriver:
         assert np.array_equal(res.L.data, ref.L.data)
 
 
+def _spy_on_the_seam(monkeypatch):
+    """Wrap TubeTransform's entry, exit and kernel calls, and the staged
+    factor, in counters of their own: calls of hat_state and unhat_state,
+    the rows of singular values svd_state returns with and without
+    vectors, and the matrices _lapack._factor factors."""
+    seen = collections.Counter()
+    hat_state, unhat_state = TubeTransform.hat_state, TubeTransform.unhat_state
+    svd_state, factor = TubeTransform.svd_state, _lapack._factor
+
+    def spy_hat_state(self, A, real):
+        seen["hat_state"] += 1
+        return hat_state(self, A, real)
+
+    def spy_unhat_state(self, state, real, field):
+        seen["unhat_state"] += 1
+        return unhat_state(self, state, real, field)
+
+    def spy_svd_state(self, state, real, compute_uv=True):
+        out = svd_state(self, state, real, compute_uv)
+        seen["uv_rows" if compute_uv else "values_rows"] += len(out[1] if compute_uv else out)
+        return out
+
+    def spy_factor(x):
+        seen["staged"] += 1
+        return factor(x)
+
+    monkeypatch.setattr(TubeTransform, "hat_state", spy_hat_state)
+    monkeypatch.setattr(TubeTransform, "unhat_state", spy_unhat_state)
+    monkeypatch.setattr(TubeTransform, "svd_state", spy_svd_state)
+    monkeypatch.setattr(_lapack, "_factor", spy_factor)
+    return seen
+
+
 class TestInstrumentation:
     def test_frequency_state_stays_in_transform_domain(self):
         rng = np.random.default_rng(13)
         X, _, _ = _low_rank_plus_sparse(rng, 15, 12, 3, REAL, 2, 0.05)
 
-        TubeTransform.reset_call_counts()
         res_short = pcp_ialm(X, SolverConfig(max_iters=2))
-        short_calls = sum(TubeTransform.call_counts())
-
-        TubeTransform.reset_call_counts()
         res_long = pcp_ialm(X)
-        long_calls = sum(TubeTransform.call_counts())
 
         assert res_long.iterations > res_short.iterations
         # tube transforms are a fixed entry/exit cost, independent of iterations
-        assert short_calls == long_calls == 3
+        assert res_short.stats["tube_transforms"] == res_long.stats["tube_transforms"] == 3
         # real n=3 under the DFT: slices 1 and 2 are a conjugate pair
         assert res_long.stats["slice_svds"] == 2 * res_long.iterations
-        assert res_long.stats["tube_transforms"] == 3
+        assert res_long.stats["setup_slice_svds"] == 2
 
     def test_naive_transform_count_grows_with_iterations(self):
         rng = np.random.default_rng(14)
         X, _, _ = _low_rank_plus_sparse(rng, 15, 12, 3, REAL, 2, 0.05)
 
-        TubeTransform.reset_call_counts()
-        pcp_ialm(X, SolverConfig(variant="naive", max_iters=2))
-        short_calls = sum(TubeTransform.call_counts())
-
-        TubeTransform.reset_call_counts()
+        short_calls = pcp_ialm(X, SolverConfig(variant="naive", max_iters=2)).stats["tube_transforms"]
         res = pcp_ialm(X, SolverConfig(variant="naive"))
-        long_calls = sum(TubeTransform.call_counts())
+        long_calls = res.stats["tube_transforms"]
 
         assert long_calls > short_calls
         assert long_calls == 2 * res.iterations + 1  # prox round trips + setup
-        assert res.stats["tube_transforms"] == long_calls
 
-    def test_call_counts_are_per_thread(self):
+    @pytest.mark.parametrize("size", [15, pytest.param(70, id="70-staged")])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("variant", ["frequency", "tensor_rpca", "naive"])
+    def test_stats_are_the_calls_the_solve_made(self, variant, field, size, monkeypatch):
+        # A real 4-tube factors 3 matrices per state (slices 1 and 3 are a
+        # conjugate pair), a complex 2-tube 2.
+        n, slices = (4, 3) if field == REAL else (2, 2)
+        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(size), size, size, n, field, 2,
+                                        0.05)
+        seen = _spy_on_the_seam(monkeypatch)
+        res = pcp_ialm(X, SolverConfig(variant=variant))
+        assert res.stats == {
+            "slice_svds": seen["uv_rows"],
+            "setup_slice_svds": seen["values_rows"],
+            "tube_transforms": seen["hat_state"] + seen["unhat_state"],
+        }
+        assert seen["values_rows"] == slices and seen["uv_rows"] == slices * res.iterations
+        if variant == "naive":
+            assert seen["hat_state"] == seen["unhat_state"] + 1 == res.iterations + 1
+        else:
+            assert (seen["hat_state"], seen["unhat_state"]) == (1, 2)
+        # At 70x70 every matrix the loop factors takes gesdd's stages.
+        assert seen["staged"] == (seen["uv_rows"] if size == 70 else 0)
+
+    def test_stats_do_not_depend_on_the_lane_count(self, monkeypatch):
+        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(70), 70, 70, 4, REAL, 2, 0.05)
+        configs = [SolverConfig(variant=v) for v in ("frequency", "tensor_rpca", "naive")]
+        stats = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("POLARPCP_THREADS", threads)
+            stats[threads] = [pcp_ialm(X, cfg).stats for cfg in configs]
+        assert stats["1"] == stats["2"]
+
+    def test_concurrent_solves_each_report_a_serial_solves_stats(self):
         rng = np.random.default_rng(15)
         X, _, _ = _low_rank_plus_sparse(rng, 15, 12, 3, REAL, 2, 0.05)
         configs = {"frequency": SolverConfig(), "naive": SolverConfig(variant="naive")}
 
-        def counted_solve(cfg):
-            TubeTransform.reset_call_counts()
-            pcp_ialm(X, cfg)
-            return TubeTransform.call_counts()
-
-        expected = {name: counted_solve(cfg) for name, cfg in configs.items()}
+        expected = {name: pcp_ialm(X, cfg).stats for name, cfg in configs.items()}
         assert expected["frequency"] != expected["naive"]
 
         barrier = threading.Barrier(len(configs), timeout=60)
@@ -389,9 +441,8 @@ class TestInstrumentation:
         def worker(name):
             for _ in range(3):
                 barrier.wait()
-                seen[name].append(counted_solve(configs[name]))
+                seen[name].append(pcp_ialm(X, configs[name]).stats)
 
-        TubeTransform.reset_call_counts()
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -405,7 +456,6 @@ class TestInstrumentation:
         assert not any(t.is_alive() for t in threads)
         for name in configs:
             assert seen[name] == [expected[name]] * 3
-        assert TubeTransform.call_counts() == (0, 0)  # the main thread ran nothing
 
 
 class TestWorkingSet:
