@@ -14,8 +14,9 @@ dense permutation/Kronecker construction survives only as a test oracle.
 TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every
 t-SVD transform: the skew DFT and the group DFTs.  It transforms the last
 axis, where the tubes are, and is the one seam into the transform domain
-(hat, unhat), the owner of the packed state of real tubes (pack, unpack)
-and the one slice-SVD kernel.  Every singular-tube shrink, in the solvers
+(hat, unhat), the owner of the packed state of real tubes, which only
+hat_state and unhat_state enter and leave, and the one slice-SVD kernel,
+which takes only packed states.  Every singular-tube shrink, in the solvers
 and in prox_trace, factors and rebuilds a packed state (svd_state,
 compose_state).  A solve keeps its state's matrices in a KernelBuffer, one
 allocation whose bytes are both the kernel's stacks of Fortran-ordered
@@ -30,10 +31,11 @@ they are run gesdd's own stages (_lapack): numpy's singular values bit for
 bit, and a back-transform of only the singular vectors a shrink keeps.
 Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
 and numpy builds without the ILP64 routines use np.linalg.svd.  inv and
-spectral_norm read the singular values of the packed state (those of a
-1 x 1 matrix's blocks are the moduli of its spectrum); slice_svd
-factors a full stack, with full factors, through the same kernel for the
-t-SVD and the singular-tube moduli.
+spectral_norm read the singular values of hat_state's packed state (those
+of a 1 x 1 matrix's blocks are the moduli of its spectrum); slice_svd
+factors the same packed state through the same kernel, and returns the
+full stack's factors, with full factors, for the t-SVD and the
+singular-tube moduli.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def _ldexp(a, e):
         flat = a.view(np.float64)
         np.ldexp(flat, e, out=flat)
     return a
+
+
+def _is_int(value):
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _top_coefficient(A):
@@ -259,13 +266,12 @@ class TubeTransform:
     factors' DFTs.  The tube DFT is the one-factor group DFT of Z_n.
 
     It is the one seam into the transform domain: hat and unhat move a
-    matrix of tubes to and from its (n, l, m) slice stack, pack and unpack
-    move a slice stack to and from its packed state, hat_state and
-    unhat_state move a matrix straight to and from its packed state, and
-    one slice-SVD kernel factors the matrices of that state.  The tubes are
-    on the last axis of every array it transforms.  The named constructors
-    return one shared instance per transform, built complete, so lanes may
-    share it.
+    matrix of tubes to and from its (n, l, m) slice stack, hat_state and
+    unhat_state, the only ways into and out of a packed state, move a
+    matrix straight to and from it, and one slice-SVD kernel factors the
+    matrices of that state.  The tubes are on the last axis of every array
+    it transforms.  The named constructors return one shared instance per
+    transform, built complete, so lanes may share it.
     """
 
     __slots__ = ("kind", "n", "factors", "_splits")
@@ -294,7 +300,7 @@ class TubeTransform:
 
     @staticmethod
     def _length(n):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"transform length must be an integer >= 1, got {n!r}")
         return int(n)
 
@@ -411,14 +417,23 @@ class TubeTransform:
         return np.moveaxis(self.forward(A.data), 2, 0)
 
     def hat_state(self, A, real):
-        """pack(hat(A), real), with no temporary of the stack's size: the
-        mirror of unhat_state.  A complex state is hat(A), whose transform
-        is computed in place, so it keeps hat's memory layout, tubes last,
-        and its reductions run in the same order.  A real-tube state is
-        filled in ROW_BLOCKS blocks of rows, each transformed in one
-        complex scratch block and packed straight into the state.  Each
-        tube is transformed as in one call on the whole matrix, so the bits
-        do not depend on the block size."""
+        """The packed state of A's slice stack hat(A): what a solve iterates
+        on and what the slice-SVD kernel factors.  It is built with no
+        temporary of the stack's size: the mirror of unhat_state.
+
+        For complex tubes (real=False) the state is the stack itself,
+        hat(A), whose transform is computed in place, so it keeps hat's
+        memory layout, tubes last, and its reductions run in the same
+        order.  For real tubes it is n float64 planes, as many as the
+        coefficients: a self-paired slice is real and is one plane, and a
+        slice with a partner keeps its real part in its own plane and its
+        imaginary part in its partner's (under the DFT, the values of
+        rfft).  The partner slices are dropped.  Norms of the state take
+        the Parseval weights of weights(real).  A real-tube state is filled
+        in ROW_BLOCKS blocks of rows, each transformed in one complex
+        scratch block and packed straight into the state.  Each tube is
+        transformed as in one call on the whole matrix, so the bits do not
+        depend on the block size."""
         if not real:
             return self.hat(A)
         l, m, n = A.data.shape
@@ -426,7 +441,9 @@ class TubeTransform:
         scratch = np.empty((-(-l // ROW_BLOCKS), m, n), np.complex128)
         for rows in _row_slices(l):
             block = self.forward(A.data[rows], scratch[:rows.stop - rows.start])
-            self._pack_into(state[:, rows], np.moveaxis(block, 2, 0))
+            for slot in itertools.chain(*self._slots(True)):
+                for b, plane in _planes_of(block[..., slot[0]], slot):
+                    state[b, rows] = plane.real
         return state
 
     def unhat(self, blocks, field):
@@ -434,15 +451,21 @@ class TubeTransform:
         return self.unhat_state(blocks, False, field)
 
     def unhat_state(self, state, real, field):
-        """unhat(unpack(state, real), field), in ROW_BLOCKS blocks of rows, so
-        that neither the slice stack of a real-tube state nor the inverse
-        transform of a stack is ever built whole.  Each row's tubes are
-        transformed as in one call on the whole stack, so the bits do not
-        depend on the block size."""
+        """The HyperMatrix of the given field whose packed state (see
+        hat_state) is state: the inverse of hat_state.  It is built in
+        ROW_BLOCKS blocks of rows, so that neither the slice stack of a
+        real-tube state nor the inverse transform of a stack is ever built
+        whole; a real-tube block's slice stack is its kernel matrices
+        (_parts) expanded with the partner slices (_expand).  Each row's
+        tubes are transformed as in one call on the whole stack, so the
+        bits do not depend on the block size."""
         l, m = state.shape[1:]
         out = np.empty((l, m, self.n), np.float64 if field == REAL else np.complex128)
         for rows in _row_slices(l):
-            data = self.inverse(np.moveaxis(self.unpack(state[:, rows], real), 0, 2))
+            blocks = state[:, rows]
+            if real:
+                blocks = self._expand(self._parts(blocks, True), True)
+            data = self.inverse(np.moveaxis(blocks, 0, 2))
             out[rows] = data.real if field == REAL else data
         return HyperMatrix(out, field)
 
@@ -476,33 +499,6 @@ class TubeTransform:
         if not real:
             return [[(b,) for b in factored]]
         return [list(zip(sources, partners)), [(b,) for b in np.flatnonzero(self_paired)]]
-
-    def pack(self, blocks, real):
-        """The packed state of an (n, l, m) slice stack: what a solve
-        iterates on and what the slice-SVD kernel factors.
-
-        For complex tubes the state is the stack itself.  For real tubes it
-        is n float64 planes, as many as the coefficients: a self-paired
-        slice is real and is one plane, and a slice with a partner keeps
-        its real part in its own plane and its imaginary part in its
-        partner's (under the DFT, the values of rfft).  The partner slices
-        are dropped.  Norms of the state take the Parseval weights of
-        weights(real).
-        """
-        if not real:
-            return blocks
-        return self._pack_into(np.empty((self.n,) + blocks.shape[1:]), blocks)
-
-    def _pack_into(self, state, blocks):
-        """Write the real-tube packed state of blocks into state."""
-        for slot in itertools.chain(*self._slots(True)):
-            for b, plane in _planes_of(blocks[slot[0]], slot):
-                state[b] = plane.real
-        return state
-
-    def unpack(self, state, real):
-        """The slice stack of a state: the inverse of pack."""
-        return self._expand(self._parts(state, real), real) if real else state
 
     def weights(self, real):
         """Parseval weights of a state's planes and of the rows of its
@@ -614,10 +610,11 @@ class TubeTransform:
         return [out[0] for out in outs], s, [out[2] for out in outs]
 
     def svd_state(self, state, real, compute_uv=True):
-        """Thin SVD of the matrices of a state (see pack): an array, whose
-        matrices are copied for the kernel, or a KernelBuffer that holds the
-        state in its stacks, which are factored where they are and may be
-        overwritten.
+        """Thin SVD of the matrices of a packed state (see hat_state): an
+        array, whose matrices are copied for the kernel, or a KernelBuffer
+        that holds the state in its stacks, which are factored where they
+        are and may be overwritten.  slice_svd factors the same matrices
+        and returns the full stack's factors.
 
         For real tubes the self-paired planes are factored as real matrices
         and each slice with a partner as one complex matrix.  U and Vh are
@@ -682,24 +679,24 @@ class TubeTransform:
                 _blas.run_lanes(staged)
         return state
 
-    def slice_svd(self, blocks, real, compute_uv=True):
-        """SVD of every slice of an (n, l, m) stack, with full factors, shaped
-        as np.linalg.svd's: the full-stack SVD of tsvd and singular_moduli.
+    def slice_svd(self, state, real, compute_uv=True):
+        """SVD of every slice of the (n, l, m) slice stack of a packed state
+        (see hat_state), with full factors, shaped as np.linalg.svd's: the
+        full-stack SVD of tsvd and singular_moduli.
 
-        real=True states that the stack is the hat of real-coefficient tubes,
-        so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
-        The kernel factors the matrices of the stack's packed state (see
-        pack): one slice of each pair, and the real part of a self-paired
-        one.  The partner gets the conjugated factors.
+        As in svd_state, the kernel factors the matrices of the state: for
+        real tubes one slice of each conjugate pair (conjugate_pairing()),
+        and a self-paired slice as a real matrix.  The partner slice gets
+        the conjugated factors.
         """
-        parts = self._parts(self.pack(blocks, real), real)
+        parts = self._parts(state, real)
         res = self._svd(parts, compute_uv, full_matrices=True)
         U, s, Vh = res if compute_uv else (None, res, None)
         s = self._expand(_row_blocks(s, parts), real)
         return (self._expand(U, real), s, self._expand(Vh, real)) if compute_uv else s
 
 
-# One allocation that holds a packed state (see TubeTransform.pack) in two
+# One allocation that holds a packed state (see TubeTransform.hat_state) in two
 # layouts over the same bytes: parts, the slice-SVD kernel's stacks of
 # Fortran-ordered matrices, complex stack first (the layout of _parts), and
 # scratch, a C-ordered (n, l, m) array.  planes[b] is the view of state
@@ -812,7 +809,8 @@ def inv(A):
     if A.l == 1:   # 1 x 1 blocks: their singular values are their moduli
         svals = np.abs(hat)
     else:
-        svals = T.svd_state(T.pack(hat, real), real, compute_uv=False)
+        # A complex state is hat itself: reuse it rather than transform again.
+        svals = T.svd_state(T.hat_state(A, real) if real else hat, real, compute_uv=False)
     if svals.min() <= SINGULAR_RTOL * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
     return T.unhat(np.linalg.inv(hat), A.field)

@@ -159,8 +159,9 @@ def tube_group_shrink(stack, tau, weights=None):
     """Grouped shrink of an (n, ...) transform-domain stack where each tube
     (the fiber across the leading axis) is one group.  weights, one per
     slice, scale the slices' squares in the group norms: the Parseval
-    weights of a real-tube solver state (TubeTransform.pack).  The squares
-    are computed in the output array, the only stack-sized allocation."""
+    weights of a real-tube solver state (TubeTransform.hat_state).  The
+    squares are computed in the output array, the only stack-sized
+    allocation."""
     out = np.empty(stack.shape, stack.dtype)
     if weights is None:
         # The squares of the real and of the imaginary parts fill the two
@@ -183,12 +184,12 @@ def prox_trace(Z, lam, transform=None):
     lam and reconstruct.
 
     It is the frequency solve's low-rank step in a round trip from the
-    coefficients: pack the slice stack (TubeTransform.pack), factor it,
-    shrink the singular tubes with the Parseval row weights of a real-tube
-    state, and unpack the products.  The tube modulus is the cross-slice
-    Euclidean norm of the unnormalized transform divided by sqrt(n), so the
-    grouped threshold carries a sqrt(n) factor.  Raises ValueError on
-    non-finite input.
+    coefficients: enter the packed state (TubeTransform.hat_state), factor
+    it, shrink the singular tubes with the Parseval row weights of a
+    real-tube state, and leave the state of the products (unhat_state).
+    The tube modulus is the cross-slice Euclidean norm of the unnormalized
+    transform divided by sqrt(n), so the grouped threshold carries a
+    sqrt(n) factor.  Raises ValueError on non-finite input.
     """
     _check_threshold(lam)
     check_finite(Z, "prox_trace input")

@@ -30,8 +30,8 @@ import numpy as np
 
 from ._blas import owned_cores, run_lanes
 from .hyperalgebra import COMPLEX, REAL
-from .hypermatrix import HyperMatrix
-from .solvers import FREQUENCY, TENSOR_RPCA, SolverConfig, _is_int, pcp_ialm
+from .hypermatrix import HyperMatrix, _is_int
+from .solvers import FREQUENCY, TENSOR_RPCA, SolverConfig, pcp_ialm
 
 POLAR4COMPLEX = "polar4complex"
 POLAR2BICOMPLEX = "polar2bicomplex"

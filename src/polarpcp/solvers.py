@@ -77,7 +77,6 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,17 +84,12 @@ import numpy as np
 from . import hypermatrix as hm
 from ._blas import owned_cores
 from .hyperalgebra import REAL
-from .hypermatrix import HyperMatrix, TubeTransform
+from .hypermatrix import HyperMatrix, TubeTransform, _is_int
 from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shrink
 
 NAIVE = "naive"
 FREQUENCY = "frequency"
 TENSOR_RPCA = "tensor_rpca"
-
-
-def _is_int(value):
-    """True for an integer, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

@@ -58,7 +58,8 @@ def tsvd(A, transform=None):
     check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
     l, m, n = A.data.shape
-    Uh, s, Vh = T.slice_svd(T.hat(A), A.field == REAL)
+    real = A.field == REAL
+    Uh, s, Vh = T.slice_svd(T.hat_state(A, real), real)
     Sh = np.zeros((n, l, m), dtype=np.complex128)
     diag = np.arange(min(l, m))
     Sh[:, diag, diag] = s
@@ -71,7 +72,8 @@ def singular_moduli(A, transform=None):
     without the singular vectors)."""
     check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
-    return _tube_moduli(T.slice_svd(T.hat(A), A.field == REAL, compute_uv=False), T.n)
+    real = A.field == REAL
+    return _tube_moduli(T.slice_svd(T.hat_state(A, real), real, compute_uv=False), T.n)
 
 
 def _tube_moduli(svals, n):

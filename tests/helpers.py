@@ -19,12 +19,12 @@ reference_scatter and reference_unhat move a state between its layouts as
 the package did before a solve kept its state in one kernel buffer and
 left the transform domain a block of rows at a time; reference_hat and
 reference_pack enter it as the package did before it entered a block of
-rows at a time, with numpy's one-shot FFTs.  ReferenceScalar is
-the standalone scalar arithmetic that PolarScalar had before it became the
-1 x 1 HyperMatrix.
+rows at a time, with numpy's one-shot FFTs, and reference_unpack is the
+whole slice stack of a state, which the package only builds a block of
+rows at a time.  ReferenceScalar is the standalone scalar arithmetic that
+PolarScalar had before it became the 1 x 1 HyperMatrix.
 """
 
-import functools
 import math
 import os
 
@@ -164,14 +164,10 @@ def reference_slice_svd(T, blocks, real, full_matrices=False, compute_uv=True):
     real=True states that the stack is the hat of real-coefficient tubes,
     so slice pair[b] is the conjugate of slice b (conjugate_pairing()).
     Only one slice of each pair is factored, the real part of a
-    self-paired one, and the partner gets the conjugated factors.
-
-    Slices of at least _blas.LANE_MIN_WORK multiply-adds are one task
-    each for _blas.run_lanes, complex slices first.  Smaller slices are
-    factored on the calling thread in one batched call per kind, which
-    costs less than one call per slice.  A batched call gives each slice
-    the bits of a call of its own, so the result does not depend on the
-    lane count.
+    self-paired one, and the partner gets the conjugated factors.  Each
+    kind of slice, complex and self-paired, is factored in one batched
+    call, which gives each slice the bits of a call of its own, with BLAS
+    on one thread, as the package's kernel runs it.
     """
     n, l, m = blocks.shape
     k = min(l, m)
@@ -180,23 +176,13 @@ def reference_slice_svd(T, blocks, real, full_matrices=False, compute_uv=True):
         out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
                np.empty((n, m if full_matrices else k, m), np.complex128)]
     factored, partners, sources, self_paired = T._split(real)
-
-    def factor(group):
-        part = blocks[group].real if self_paired[group[0]] else blocks[group]
-        res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
-        for dst, src in zip(out, res if compute_uv else (res,)):
-            dst[group] = src
-
-    # A real slice costs about half a complex one, so complex ones go first.
-    groups = [g for g in (factored[~self_paired[factored]], factored[self_paired[factored]])
-              if len(g)]
-    with _blas.owned_cores():
-        if l * m * k < _blas.LANE_MIN_WORK:
-            for g in groups:
-                factor(g)
-        else:
-            _blas.run_lanes([functools.partial(factor, g[i:i + 1])
-                             for g in groups for i in range(len(g))])
+    with _blas.single_threaded_blas():
+        for group in (factored[~self_paired[factored]], factored[self_paired[factored]]):
+            if len(group):
+                part = blocks[group].real if self_paired[group[0]] else blocks[group]
+                res = np.linalg.svd(part, full_matrices=full_matrices, compute_uv=compute_uv)
+                for dst, src in zip(out, res if compute_uv else (res,)):
+                    dst[group] = src
     for dst in out:
         dst[partners] = np.conj(dst[sources])
     return tuple(out) if compute_uv else out[0]
@@ -251,33 +237,18 @@ def reference_scatter(T, parts):
 def reference_svd_state(T, state, real, compute_uv=True):
     """TubeTransform.svd_state as it stood before large matrices were
     factored in stages: np.linalg.svd on every matrix of the state, or of
-    the stacks of a solve's KernelBuffer, which it leaves as they are."""
+    the stacks of a solve's KernelBuffer, which it leaves as they are, in
+    one batched call per stack with BLAS on one thread, as the package's
+    kernel runs it."""
     parts = state.parts if isinstance(state, hm.KernelBuffer) else reference_parts(T, state, real)
-    l, m = parts[0].shape[1:]
-    k = min(l, m)
-    s = np.empty((sum(len(p) for p in parts), k))
-    rows = hm._row_blocks(s, parts)
-    outs = [(r,) for r in rows]
-    if compute_uv:
-        outs = [(np.empty((len(p), l, k), p.dtype), r, np.empty((len(p), k, m), p.dtype))
-                for p, r in zip(parts, rows)]
-
-    def factor(j, lo, hi):
-        res = np.linalg.svd(parts[j][lo:hi], full_matrices=False, compute_uv=compute_uv)
-        for dst, src in zip(outs[j], res if compute_uv else (res,)):
-            dst[lo:hi] = src
-
-    with _blas.owned_cores():
-        if l * m * k < _blas.LANE_MIN_WORK:
-            for j, p in enumerate(parts):
-                if len(p):
-                    factor(j, 0, len(p))
-        else:
-            _blas.run_lanes([functools.partial(factor, j, i, i + 1)
-                             for j, p in enumerate(parts) for i in range(len(p))])
+    res = []
+    with _blas.single_threaded_blas():
+        for p in parts:
+            res.append(np.linalg.svd(p, full_matrices=False, compute_uv=compute_uv))
     if not compute_uv:
-        return s
-    return [out[0] for out in outs], s, [out[2] for out in outs]
+        return np.concatenate(res)
+    U, s, Vh = zip(*res)
+    return list(U), np.concatenate(s), list(Vh)
 
 
 def reference_compose_state(T, U, s, Vh, real):
@@ -328,6 +299,12 @@ def reference_pack(T, blocks, real):
         return blocks
     _, _, sources, self_paired = T._split(True)
     return reference_scatter(T, [blocks[sources], blocks[self_paired].real])
+
+
+def reference_unpack(T, state, real):
+    """The slice stack of a packed state, the inverse of reference_pack:
+    the partner slices filled with the conjugates of their sources."""
+    return T._expand(reference_parts(T, state, True), True) if real else state
 
 
 def reference_unhat(T, blocks, field):

@@ -145,7 +145,7 @@ class TestKernel:
     def test_large_stacks_are_staged_unless_gesdd_would_not_be_direct(self):
         T = TubeTransform.dft(4)
         X = random_hypermatrix(np.random.default_rng(3), 64, 64, 4, REAL)
-        planes = T.pack(T.hat(X), True)
+        planes = T.hat_state(X, True)
         U, s, Vh = T.svd_state(planes, True)
         assert Vh == [None, None]
         assert all(isinstance(f, _lapack.Factored) for u in U for f in u)
@@ -153,8 +153,8 @@ class TestKernel:
         # Below LANE_MIN_WORK, past gesdd's QR threshold, or in need of scaling,
         # a stack keeps np.linalg.svd.
         rng = np.random.default_rng(4)
-        for state in (T.pack(T.hat(random_hypermatrix(rng, 63, 63, 4, REAL)), True),
-                      T.pack(T.hat(random_hypermatrix(rng, 130, 64, 4, REAL)), True),
+        for state in (T.hat_state(random_hypermatrix(rng, 63, 63, 4, REAL), True),
+                      T.hat_state(random_hypermatrix(rng, 130, 64, 4, REAL), True),
                       planes * 1e-140):
             U, s, Vh = T.svd_state(state, True)
             assert all(isinstance(v, np.ndarray) for v in Vh)
@@ -214,7 +214,7 @@ def staged(monkeypatch):
 def _on_direct_path(X, cfg):
     """True when some stack of X's solver state is on gesdd's direct path."""
     T, real = cfg.resolve_transform(X.n), X.field == REAL
-    return any(len(p) and _lapack.direct(p) for p in T._parts(T.pack(T.hat(X), real), real))
+    return any(len(p) and _lapack.direct(p) for p in T._parts(T.hat_state(X, real), real))
 
 
 def _assert_close(res, ref, record, on_direct_path):

@@ -21,6 +21,7 @@ from polarpcp import (
     mu_schedule,
     pcp_ialm,
     residual,
+    singular_moduli,
     tensor_rpca,
 )
 from polarpcp.cli import main
@@ -536,8 +537,8 @@ class TestWorkingSet:
         # one state and its moduli a quarter, and by hat_state, which
         # fills the state through one complex block of rows: 1.26 and
         # 1.15 states above the input.  Squaring the real and the zero
-        # imaginary parts into new arrays measures 3.0, and the one-shot
-        # pack(hat(X)) 4.0.
+        # imaginary parts into new arrays measures 3.0, and packing the
+        # one-shot hat(X) 4.0.
         T = TubeTransform.dft(4)
 
         def instance():
@@ -558,6 +559,25 @@ class TestWorkingSet:
         modulus_peak, entry_peak = peaks
         assert modulus_peak < 1.5 * state_bytes
         assert entry_peak < 1.2 * state_bytes
+
+    def test_singular_moduli_peak_in_states(self, monkeypatch):
+        # singular_moduli of a real 4-tube on one lane holds the packed
+        # state that hat_state builds and the kernel's copy of its
+        # matrices: 2.07 states of traced memory at its peak.  Packing the
+        # complex slice stack of hat, twice the input's bytes, measured
+        # 4.02.
+        monkeypatch.setenv("POLARPCP_THREADS", "1")
+        X = random_hypermatrix(np.random.default_rng(24), 64, 64, 4, REAL)
+        state_bytes = X.data.nbytes
+        singular_moduli(X)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            singular_moduli(X)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state_bytes
 
     def test_decompose_peak_in_states(self, tmp_path, monkeypatch):
         # `polarpcp decompose` hands the tensor it reads to the solver.  At

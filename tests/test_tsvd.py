@@ -36,6 +36,7 @@ from helpers import (
     reference_slice_svd,
     reference_svd_state,
     reference_unhat,
+    reference_unpack,
 )
 
 ALL_TRANSFORMS = [
@@ -323,7 +324,8 @@ _GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (
 
 @st.composite
 def _slice_stacks(draw):
-    """(transform, stack, real): the hat of a random real or complex tube matrix."""
+    """(transform, stack, state, real): the hat of a random real or complex
+    tube matrix and its packed state."""
     n = draw(st.integers(1, 6))
     T = draw(st.sampled_from([
         TubeTransform.dft(n), TubeTransform.skew_dft(n), TubeTransform.group_dft(_GROUP_FACTORS[n]),
@@ -332,7 +334,7 @@ def _slice_stacks(draw):
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = random_hypermatrix(rng, l, m, n, REAL if real else COMPLEX)
-    return T, T.hat(A), real
+    return T, T.hat(A), T.hat_state(A, real), real
 
 
 @contextlib.contextmanager
@@ -352,8 +354,8 @@ class TestSliceSvd:
     @settings(max_examples=150, deadline=None)
     @given(case=_slice_stacks(), compute_uv=st.booleans())
     def test_matches_unpaired_batched_svd(self, case, compute_uv):
-        T, stack, real = case
-        got = T.slice_svd(stack, real, compute_uv=compute_uv)
+        T, stack, state, real = case
+        got = T.slice_svd(state, real, compute_uv=compute_uv)
         want = np.linalg.svd(stack, full_matrices=True, compute_uv=compute_uv)
         s, s_ref = (got[1], want[1]) if compute_uv else (got, want)
         scale = s_ref.max()
@@ -371,12 +373,12 @@ class TestSliceSvd:
     def test_one_call_per_slice_matches_batched_calls(self, case, compute_uv):
         # Large slices get one np.linalg.svd call each, small ones one call
         # per kind; lowering the size limit must not change a bit.
-        T, stack, real = case
-        batched = T.slice_svd(stack, real, compute_uv=compute_uv)
+        T, _, state, real = case
+        batched = T.slice_svd(state, real, compute_uv=compute_uv)
         limit = _blas.LANE_MIN_WORK
         _blas.LANE_MIN_WORK = 0
         try:
-            single = T.slice_svd(stack, real, compute_uv=compute_uv)
+            single = T.slice_svd(state, real, compute_uv=compute_uv)
         finally:
             _blas.LANE_MIN_WORK = limit
         pairs = zip(batched, single) if compute_uv else [(batched, single)]
@@ -389,15 +391,14 @@ class TestSliceSvd:
         # cut >= 1 shrinks every group to zero; cut = 0 keeps them all.
         # staged factors the matrices on gesdd's direct path in stages; the
         # product is checked against np.linalg.svd's factors either way.
-        T, stack, real = case
-        state = T.pack(stack, real)
+        T, _, state, real = case
         with _staged_if(staged):
             U, s, Vh = T.svd_state(state, real)
             U_ref, s_ref, Vh_ref = reference_svd_state(T, state, real)
             assert s.tobytes() == s_ref.tobytes()
             s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped,
                                        T.weights(real)[1])
-            got = T.unpack(T.compose_state(U, s, Vh, real), real)
+            got = reference_unpack(T, T.compose_state(U, s, Vh, real), real)
         U, s, Vh = (T._expand(x, real) for x in (U_ref, hm._row_blocks(s, U_ref), Vh_ref))
         want = (U * s[:, np.newaxis, :]) @ Vh
         assert got.shape == want.shape
@@ -494,18 +495,40 @@ class TestFullStackWrappers:
     @settings(max_examples=150, deadline=None)
     @given(case=_slice_stacks(), compute_uv=st.booleans())
     def test_slice_svd_bitwise_equal_to_reference(self, case, compute_uv):
-        T, stack, real = case
-        got = T.slice_svd(stack, real, compute_uv=compute_uv)
+        T, stack, state, real = case
+        got = T.slice_svd(state, real, compute_uv=compute_uv)
         want = reference_slice_svd(T, stack, real, full_matrices=True, compute_uv=compute_uv)
         pairs = zip(got, want) if compute_uv else [(got, want)]
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
 
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS + [
+        pytest.param(TubeTransform.walsh_hadamard(4), id="wht")])
+    def test_real_tubes_never_build_the_slice_stack(self, T, monkeypatch):
+        # The t-SVD and the moduli factor hat_state's packed state, so on
+        # real tubes no complex slice stack of the input is built.
+        calls = []
+        hat = TubeTransform.hat
+
+        def recording_hat(self, A):
+            calls.append(A.data.shape)
+            return hat(self, A)
+
+        A = random_hypermatrix(np.random.default_rng(16), 7, 5, T.n, REAL)
+        svals = reference_slice_svd(T, reference_hat(T, A), True, compute_uv=False)
+        want = np.sqrt((svals * svals).sum(axis=0) / T.n)
+        monkeypatch.setattr(TubeTransform, "hat", recording_hat)
+        F = tsvd(A, T)
+        moduli = singular_moduli(A, T)
+        assert calls == []
+        assert np.allclose(reconstruct(F).data, A.data, rtol=0, atol=1e-12 * np.abs(A.data).max())
+        assert np.abs(moduli - want).max() <= 1e-14 * want.max()
+
 
 @st.composite
 def _real_hats(draw):
-    """(transform, hat stack) of a random real tube matrix, n = 1..8, under
-    the DFT, the skew DFT, a group DFT (a mixed (2, 3) one for n = 6) and,
-    for powers of two, the Walsh-Hadamard transform."""
+    """(transform, hat stack, packed state) of a random real tube matrix,
+    n = 1..8, under the DFT, the skew DFT, a group DFT (a mixed (2, 3) one
+    for n = 6) and, for powers of two, the Walsh-Hadamard transform."""
     n = draw(st.integers(1, 8))
     transforms = [TubeTransform.dft(n), TubeTransform.skew_dft(n),
                   TubeTransform.group_dft(_GROUP_FACTORS[n])]
@@ -514,17 +537,17 @@ def _real_hats(draw):
     T = draw(st.sampled_from(transforms))
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return T, T.hat(random_hypermatrix(rng, l, m, n, REAL))
+    A = random_hypermatrix(rng, l, m, n, REAL)
+    return T, T.hat(A), T.hat_state(A, True)
 
 
 class TestPackedState:
     @settings(max_examples=150, deadline=None)
     @given(case=_real_hats())
-    def test_pack_then_unpack_is_exact(self, case):
-        T, hat = case
-        planes = T.pack(hat, True)
+    def test_state_then_slice_stack_is_exact(self, case):
+        T, hat, planes = case
         assert planes.shape == hat.shape and planes.dtype == np.float64
-        full = T.unpack(planes, True)
+        full = reference_unpack(T, planes, True)
         factored, partners, sources, self_paired = T._split(True)
         # The kept slices come back bit for bit, and a partner is the exact
         # conjugate of its source.
@@ -536,14 +559,13 @@ class TestPackedState:
         # The hat of real tubes is conjugate-symmetric only up to rounding
         # (skew twiddles, n = 6), so it is exact once symmetric.
         assert np.abs(full - hat).max() <= 1e-14 * np.abs(hat).max()
-        assert T.unpack(T.pack(full, True), True).tobytes() == full.tobytes()
-        assert T.pack(full, True).tobytes() == planes.tobytes()
+        assert reference_unpack(T, reference_pack(T, full, True), True).tobytes() == full.tobytes()
+        assert reference_pack(T, full, True).tobytes() == planes.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(case=_real_hats())
     def test_weighted_planes_keep_the_frobenius_norm(self, case):
-        T, hat = case
-        planes = T.pack(hat, True)
+        T, hat, planes = case
         plane_weights, row_weights = T.weights(True)
         assert plane_weights.shape == (T.n,) and row_weights.shape == (factored_slices(T, True),)
         got = plane_weights @ np.einsum("bij,bij->b", planes, planes)
@@ -555,8 +577,7 @@ class TestPackedState:
     @settings(max_examples=150, deadline=None)
     @given(case=_real_hats(), cut=st.floats(0.0, 1.5), staged=st.booleans())
     def test_state_kernel_matches_full_stack_kernel(self, case, cut, staged):
-        T, hat = case
-        planes = T.pack(hat, True)
+        T, hat, planes = case
         with _staged_if(staged):
             U, s, Vh = T.svd_state(planes, True)
         # Self-paired planes are factored as real matrices, as a stack of
@@ -565,31 +586,33 @@ class TestPackedState:
             == [np.complex128, np.float64]
         assert all(vh is None or vh.dtype == u.dtype for u, vh in zip(U, Vh))
         _, _, sources, self_paired = T._split(True)
-        U_full, s_full, Vh_full = T.slice_svd(hat, True)
+        U_full, s_full, Vh_full = T.slice_svd(planes, True)
         assert s.tobytes() == np.concatenate([s_full[sources], s_full[self_paired]]).tobytes()
         tau = cut * np.sqrt(T.n) * s.max()
         shrunk = shrink_singular_values(s, tau, True, T.weights(True)[1])
         shrunk_full = shrink_singular_values(s_full, tau, True)
         with _staged_if(staged):
             got = T.compose_state(U, shrunk, Vh, True)
-        want = T.pack(reference_slice_compose(T, U_full, shrunk_full, Vh_full, True), True)
+        want = reference_pack(T, reference_slice_compose(T, U_full, shrunk_full, Vh_full, True),
+                              True)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(hat).max(), 1e-300)
 
     @settings(max_examples=150, deadline=None)
     @given(case=_real_hats(), cut=st.floats(0.0, 1.5))
     def test_weighted_tube_shrink_matches_full_stack_shrink(self, case, cut):
-        T, hat = case
-        planes = T.pack(hat, True)
-        full = T.unpack(planes, True)
+        T, hat, planes = case
+        full = reference_unpack(T, planes, True)
         tau = cut * np.abs(hat).max() * np.sqrt(T.n)
         got = tube_group_shrink(planes, tau, T.weights(True)[0])
-        want = T.pack(tube_group_shrink(full, tau), True)
+        want = reference_pack(T, tube_group_shrink(full, tau), True)
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(hat).max(), 1e-300)
 
     def test_complex_state_is_the_stack(self):
         T = TubeTransform.dft(4)
-        hat = T.hat(random_hypermatrix(np.random.default_rng(3), 3, 2, 4, COMPLEX))
-        assert T.pack(hat, False) is hat and T.unpack(hat, False) is hat
+        A = random_hypermatrix(np.random.default_rng(3), 3, 2, 4, COMPLEX)
+        hat, state = T.hat(A), T.hat_state(A, False)
+        assert state.dtype == hat.dtype and state.strides == hat.strides
+        assert state.tobytes() == hat.tobytes()
         assert T.weights(False) == (None, None)
 
 
@@ -663,11 +686,10 @@ class TestRowBlockedExit:
         if not real:
             state = state + 1j * rng.standard_normal(state.shape)
         # The one-shot path: the whole slice stack, then one inverse.
-        blocks = T._expand(reference_parts(T, state, True), True) if real else state
+        blocks = reference_unpack(T, state, real)
         want = reference_unhat(T, blocks, field)
         got = T.unhat_state(state, real, field)
         assert got.field == field and got.data.tobytes() == want.data.tobytes()
-        assert T.unpack(state, real).tobytes() == blocks.tobytes()
         # unhat of a whole stack, as the t-SVD makes it, takes the same blocks.
         assert T.unhat(blocks, field).data.tobytes() == got.data.tobytes()
 
@@ -688,7 +710,7 @@ class TestRowBlockedEntry:
             # hat's layout, tubes last, so a norm reduces in the same order.
             assert got.strides == T.hat(A).strides
             assert np.linalg.norm(got) == np.linalg.norm(want)
-        assert T.pack(T.hat(A), real).tobytes() == got.tobytes()
+        assert reference_pack(T, T.hat(A), real).tobytes() == got.tobytes()
 
 
 class TestSharedTransforms:
@@ -720,14 +742,14 @@ class TestSharedTransforms:
         workers = 8
         barrier = threading.Barrier(workers, timeout=10)
         A = random_hypermatrix(np.random.default_rng(4), 3, 3, 6, REAL)
-        hat = TubeTransform("group_dft", 6, (6,)).hat(A)
+        state = TubeTransform("group_dft", 6, (6,)).hat_state(A, True)
         seen = []
 
         def first_use():
             barrier.wait()
             T = TubeTransform.dft(6)
             seen.append((T, TubeTransform.group_dft((2, 3)),
-                         T.slice_svd(hat, True, compute_uv=False).tobytes()))
+                         T.slice_svd(state, True, compute_uv=False).tobytes()))
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
