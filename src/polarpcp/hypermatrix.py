@@ -16,9 +16,11 @@ t-SVD transform: the skew DFT and the group DFTs.  It transforms the last
 axis, where the tubes are, and is the one seam into the transform domain
 (hat, unhat), the owner of the packed state of real tubes, which only
 hat_state and unhat_state enter and leave, and the one slice-SVD kernel,
-which takes only packed states.  Every singular-tube shrink, in the solvers
-and in prox_trace, factors and rebuilds a packed state (svd_state,
-compose_state).  A solve keeps its state's matrices in a KernelBuffer, one
+which takes only packed states.  A state knows its kind, real or complex
+tubes, so no method takes a flag for it (see TubeTransform.hat_state),
+and a real-tube state's layout is one slot table built with the
+transform.  Every singular-tube shrink, in the solvers and in prox_trace, factors and rebuilds a packed state
+(svd_state, compose_state).  A solve keeps its state's matrices in a KernelBuffer, one
 allocation whose bytes are both the kernel's stacks of Fortran-ordered
 matrices and a C-ordered scratch state, so the kernel factors them where
 the solve wrote them; compose_state multiplies each product straight into
@@ -269,12 +271,13 @@ class TubeTransform:
     matrix of tubes to and from its (n, l, m) slice stack, hat_state and
     unhat_state, the only ways into and out of a packed state, move a
     matrix straight to and from it, and one slice-SVD kernel factors the
-    matrices of that state.  The tubes are on the last axis of every array
-    it transforms.  The named constructors return one shared instance per
+    matrices of that state.  A state's kind, real or complex tubes, is read
+    from its data (see hat_state).  The tubes are on the last axis of every
+    array it transforms.  The named constructors return one shared instance per
     transform, built complete, so lanes may share it.
     """
 
-    __slots__ = ("kind", "n", "factors", "_splits")
+    __slots__ = ("kind", "n", "factors", "_real_slots")
 
     # Transform names accepted by from_name, mapped to the constructor.
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "wht": "walsh_hadamard"}
@@ -296,7 +299,12 @@ class TubeTransform:
         self.kind = kind
         self.n = n
         self.factors = factors
-        self._splits = self._build_splits()
+        # The slot table of a real-tube state (see _slots), in the kernel's
+        # order of matrices: the (source, partner) pairs of conjugate slices
+        # in ascending partner order, then the self-paired planes (b,).
+        pair = self.conjugate_pairing()
+        self._real_slots = (tuple((int(pair[b]), b) for b in range(n) if pair[b] < b),
+                            tuple((b,) for b in range(n) if pair[b] == b))
 
     @staticmethod
     def _length(n):
@@ -416,46 +424,50 @@ class TubeTransform:
         """(n, l, m) transform-domain slice stack of a HyperMatrix."""
         return np.moveaxis(self.forward(A.data), 2, 0)
 
-    def hat_state(self, A, real):
+    def hat_state(self, A):
         """The packed state of A's slice stack hat(A): what a solve iterates
         on and what the slice-SVD kernel factors.  It is built with no
-        temporary of the stack's size: the mirror of unhat_state.
+        temporary of the stack's size: the mirror of unhat_state.  Its kind
+        is A's field, and the state's dtype records it.
 
-        For complex tubes (real=False) the state is the stack itself,
-        hat(A), whose transform is computed in place, so it keeps hat's
-        memory layout, tubes last, and its reductions run in the same
-        order.  For real tubes it is n float64 planes, as many as the
-        coefficients: a self-paired slice is real and is one plane, and a
-        slice with a partner keeps its real part in its own plane and its
-        imaginary part in its partner's (under the DFT, the values of
-        rfft).  The partner slices are dropped.  Norms of the state take
-        the Parseval weights of weights(real).  A real-tube state is filled
-        in ROW_BLOCKS blocks of rows, each transformed in one complex
-        scratch block and packed straight into the state.  Each tube is
-        transformed as in one call on the whole matrix, so the bits do not
-        depend on the block size."""
-        if not real:
+        For complex tubes the state is the complex128 stack itself, hat(A),
+        whose transform is computed in place, so it keeps hat's memory
+        layout, tubes last, and its reductions run in the same order.  For
+        real tubes it is n float64 planes, as many as the coefficients: a
+        self-paired slice is real and is one plane, and a slice with a
+        partner keeps its real part in its own plane and its imaginary part
+        in its partner's (under the DFT, the values of rfft).  The partner
+        slices are dropped.  Norms of the state take the Parseval weights
+        of weights(state).  A real-tube state is filled in ROW_BLOCKS
+        blocks of rows, each transformed in one complex scratch block and
+        packed straight into the state.  Each tube is transformed as in one
+        call on the whole matrix, so the bits do not depend on the block
+        size."""
+        if A.field == COMPLEX:
             return self.hat(A)
         l, m, n = A.data.shape
         state = np.empty((n, l, m))
         scratch = np.empty((-(-l // ROW_BLOCKS), m, n), np.complex128)
         for rows in _row_slices(l):
             block = self.forward(A.data[rows], scratch[:rows.stop - rows.start])
-            for slot in itertools.chain(*self._slots(True)):
+            for slot in itertools.chain(*self._real_slots):
                 for b, plane in _planes_of(block[..., slot[0]], slot):
                     state[b, rows] = plane.real
         return state
 
     def unhat(self, blocks, field):
-        """HyperMatrix of the given field whose slice stack is blocks."""
-        return self.unhat_state(blocks, False, field)
+        """HyperMatrix of the given field whose slice stack is blocks, which
+        are taken as complex slices whatever their dtype."""
+        return self.unhat_state(np.asarray(blocks, np.complex128), field)
 
-    def unhat_state(self, state, real, field):
+    def unhat_state(self, state, field):
         """The HyperMatrix of the given field whose packed state (see
-        hat_state) is state: the inverse of hat_state.  It is built in
-        ROW_BLOCKS blocks of rows, so that neither the slice stack of a
-        real-tube state nor the inverse transform of a stack is ever built
-        whole; a real-tube block's slice stack is its kernel matrices
+        hat_state) is state: the inverse of hat_state.  Float64 planes are
+        a real-tube state and a complex128 stack a complex-tube one; field
+        is only the output's, and a real field keeps the real part.  It is
+        built in ROW_BLOCKS blocks of rows, so that neither the slice stack
+        of a real-tube state nor the inverse transform of a stack is ever
+        built whole; a real-tube block's slice stack is its kernel matrices
         (_parts) expanded with the partner slices (_expand).  Each row's
         tubes are transformed as in one call on the whole stack, so the
         bits do not depend on the block size."""
@@ -463,95 +475,75 @@ class TubeTransform:
         out = np.empty((l, m, self.n), np.float64 if field == REAL else np.complex128)
         for rows in _row_slices(l):
             blocks = state[:, rows]
-            if real:
-                blocks = self._expand(self._parts(blocks, True), True)
+            if not np.iscomplexobj(blocks):
+                blocks = self._expand(self._parts(blocks))
             data = self.inverse(np.moveaxis(blocks, 0, 2))
             out[rows] = data.real if field == REAL else data
         return HyperMatrix(out, field)
 
-    def _build_splits(self):
-        slots = np.arange(self.n)
-        pair = self.conjugate_pairing()
-        partners = np.flatnonzero(pair < slots)
-        splits = ((slots, slots[:0], slots[:0], np.zeros(self.n, bool)),
-                  (np.flatnonzero(pair >= slots), partners, pair[partners], pair == slots))
-        for part in splits[0] + splits[1]:
-            part.flags.writeable = False
-        return splits
-
-    def _split(self, real):
-        """(factored, partners, sources, self_paired): the slices a stack
-        computes, the slices filled with the conjugates of slices sources,
-        and the mask of the slices that are their own partner.
-
-        For real-coefficient tubes slice pair[b] is the conjugate of slice b
-        (conjugate_pairing()), so only one slice of each pair is computed.
-        Both splits are built with the transform and are read-only.
-        """
-        return self._splits[bool(real)]
-
-    def _slots(self, real):
+    def _slots(self, stacks):
         """The planes of a state that each matrix of the kernel's stacks
-        holds, per stack (see _parts): (b,) for complex slice b or a
-        self-paired plane b, (b, p) for a slice b with partner p, whose real
-        part is plane b and whose imaginary part is plane p."""
-        factored, partners, sources, self_paired = self._split(real)
-        if not real:
-            return [[(b,) for b in factored]]
-        return [list(zip(sources, partners)), [(b,) for b in np.flatnonzero(self_paired)]]
+        holds, per stack (see _parts): for complex tubes' one stack, (b,)
+        for slice b; for real tubes' two, the slot table _real_slots: (b, p)
+        for a slice b whose partner p is its conjugate, with its real part
+        in plane b and its imaginary part in plane p, then (b,) for a
+        self-paired plane b."""
+        return self._real_slots if len(stacks) == 2 else [[(b,) for b in range(self.n)]]
 
-    def weights(self, real):
+    def weights(self, state):
         """Parseval weights of a state's planes and of the rows of its
-        singular values, or (None, None) for complex tubes.  A plane or row
+        singular values: for a state of float64 planes, which is real
+        tubes, or (None, None) for a complex slice stack.  A plane or row
         of a slice with a partner stands for the partner too, so it counts
         twice in a squared norm."""
-        if not real:
+        if np.iscomplexobj(state):
             return None, None
-        _, _, sources, self_paired = self._split(True)
-        return 2.0 - self_paired, np.repeat([2.0, 1.0], [len(sources), self_paired.sum()])
+        pairs, planes = self._real_slots
+        return (np.array([1.0 if (b,) in planes else 2.0 for b in range(self.n)]),
+                np.repeat([2.0, 1.0], [len(pairs), len(planes)]))
 
-    def kernel_buffer(self, shape, real, state=None):
-        """A KernelBuffer for states of shape (n, l, m), holding a copy of
-        state if one is given."""
-        n, l, m = shape
-        slots = self._slots(real)
-        if not real:
+    def kernel_buffer(self, state):
+        """A KernelBuffer that holds a copy of the packed state state, in
+        the stacks of its kind (see _parts): one for a complex128 slice
+        stack, two for float64 planes."""
+        n, l, m = state.shape
+        if np.iscomplexobj(state):
             flat = np.empty(n * l * m, np.complex128)
             parts = [flat.reshape(n, m, l).transpose(0, 2, 1)]
         else:
             flat = np.empty(n * l * m)
-            cut = 2 * len(slots[0]) * l * m
+            cut = 2 * len(self._real_slots[0]) * l * m
             parts = [flat[:cut].view(np.complex128).reshape(-1, m, l).transpose(0, 2, 1),
                      flat[cut:].reshape(-1, m, l).transpose(0, 2, 1)]
         planes = [None] * n
-        for stack, stack_slots in zip(parts, slots):
+        for stack, stack_slots in zip(parts, self._slots(parts)):
             for matrix, slot in zip(stack, stack_slots):
                 for b, plane in _planes_of(matrix, slot):
                     planes[b] = plane
-                    if state is not None:
-                        plane[...] = state[b]
-        return KernelBuffer(parts, planes, flat.reshape(shape))
+                    plane[...] = state[b]
+        return KernelBuffer(parts, planes, flat.reshape(state.shape))
 
-    def _parts(self, state, real):
+    def _parts(self, state):
         """The matrices of a state that the slice-SVD kernel factors,
         complex ones first, copied into stacks of Fortran-ordered matrices
         that the kernel may overwrite (those of a new KernelBuffer): for
         complex tubes the slices, for real tubes the slices with a partner,
         rebuilt bit for bit from their two planes, then the self-paired
         planes."""
-        return self.kernel_buffer(state.shape, real, state).parts
+        return self.kernel_buffer(state).parts
 
-    def _expand(self, parts, real):
+    def _expand(self, parts):
         """The full stack of _parts-ordered slices, or of their factors.  For
-        real tubes this is the one place a partner slice is filled, with the
-        conjugate of its source."""
-        if not real:
+        real tubes, whose parts are two stacks, this is the one place a
+        partner slice is filled, with the conjugate of its source."""
+        if len(parts) == 1:
             return parts[0]
-        _, partners, sources, self_paired = self._split(True)
         paired, planes = parts
         out = np.empty((self.n,) + planes.shape[1:], np.result_type(paired, planes))
-        out[sources], out[self_paired] = paired, planes
-        out[partners] = np.conj(paired)
+        for matrix, (b, p) in zip(paired, self._real_slots[0]):
+            out[b], out[p] = matrix, np.conj(matrix)
+        for matrix, (b,) in zip(planes, self._real_slots[1]):
+            out[b] = matrix
         return out
 
     def _svd(self, parts, compute_uv, full_matrices=False):
@@ -609,32 +601,36 @@ class TubeTransform:
             return s
         return [out[0] for out in outs], s, [out[2] for out in outs]
 
-    def svd_state(self, state, real, compute_uv=True):
+    def svd_state(self, state, compute_uv=True):
         """Thin SVD of the matrices of a packed state (see hat_state): an
         array, whose matrices are copied for the kernel, or a KernelBuffer
         that holds the state in its stacks, which are factored where they
         are and may be overwritten.  slice_svd factors the same matrices
         and returns the full stack's factors.
 
-        For real tubes the self-paired planes are factored as real matrices
-        and each slice with a partner as one complex matrix.  U and Vh are
-        lists with an entry per kind of matrix, and s has a row per matrix,
-        whose Parseval weights are weights(real)[1].  An entry is a stack
-        of np.linalg.svd's factors, or, for large matrices that _svd
-        factors in stages, the list of their factored forms in U and None
-        in Vh: compose_state then builds only the singular vectors that a
-        shrink keeps.
+        For real tubes, a state of float64 planes or a buffer of two
+        stacks, the self-paired planes are factored as real matrices and
+        each slice with a partner as one complex matrix.  U and Vh are lists
+        with an entry per stack: for real tubes the paired slices', then
+        the self-paired planes', and for complex tubes the slices'.  s has
+        a row per matrix, whose Parseval weights are weights(state)[1].  An
+        entry is a stack of np.linalg.svd's factors, or, for large matrices
+        that _svd factors in stages, the list of their factored forms in U
+        and None in Vh: compose_state then builds only the singular vectors
+        that a shrink keeps.
         """
-        parts = state.parts if isinstance(state, KernelBuffer) else self._parts(state, real)
+        parts = state.parts if isinstance(state, KernelBuffer) else self._parts(state)
         return self._svd(parts, compute_uv)
 
-    def compose_state(self, U, s, Vh, real):
+    def compose_state(self, U, s, Vh):
         """State of the products U[b] diag(s[b]) Vh[b]: the inverse of
         svd_state, after a shrink of s.  Only the leading singular columns
         up to the last nonzero one enter the products, and real planes
-        multiply as real matrices.  A product that is one plane of the
-        state is multiplied straight into it; a paired slice's complex
-        product is split into its two planes.
+        multiply as real matrices.  Factors of two stacks are real tubes',
+        whose state is float64 planes, and of one stack complex tubes',
+        whose state is their complex128 slice stack.  A product that is one
+        plane of the state is multiplied straight into it; a paired slice's
+        complex product is split into its two planes.
 
         A matrix factored in stages is rebuilt by _lapack.product from the
         singular vectors up to its own last nonzero value, one task per
@@ -646,8 +642,8 @@ class TubeTransform:
         k = live[-1] + 1 if live.size else 0
         rows = _row_blocks(s[:, np.newaxis, :k], U)
         shape = U[0][0].a.shape if Vh[0] is None else (U[0].shape[1], Vh[0].shape[2])
-        state = np.empty((self.n,) + shape, np.float64 if real else np.complex128)
-        slots = self._slots(real)
+        slots = self._slots(U)
+        state = np.empty((self.n,) + shape, np.float64 if len(U) == 2 else np.complex128)
 
         def put(j, i, multiply, scratch=None):
             """Product i of stack j, multiply(out=...), into its state plane,
@@ -679,21 +675,22 @@ class TubeTransform:
                 _blas.run_lanes(staged)
         return state
 
-    def slice_svd(self, state, real, compute_uv=True):
+    def slice_svd(self, state, compute_uv=True):
         """SVD of every slice of the (n, l, m) slice stack of a packed state
-        (see hat_state), with full factors, shaped as np.linalg.svd's: the
-        full-stack SVD of tsvd and singular_moduli.
+        (see hat_state; its dtype is its kind), with full factors, shaped
+        as np.linalg.svd's: the full-stack SVD of tsvd and
+        singular_moduli.
 
         As in svd_state, the kernel factors the matrices of the state: for
         real tubes one slice of each conjugate pair (conjugate_pairing()),
         and a self-paired slice as a real matrix.  The partner slice gets
         the conjugated factors.
         """
-        parts = self._parts(state, real)
+        parts = self._parts(state)
         res = self._svd(parts, compute_uv, full_matrices=True)
         U, s, Vh = res if compute_uv else (None, res, None)
-        s = self._expand(_row_blocks(s, parts), real)
-        return (self._expand(U, real), s, self._expand(Vh, real)) if compute_uv else s
+        s = self._expand(_row_blocks(s, parts))
+        return (self._expand(U), s, self._expand(Vh)) if compute_uv else s
 
 
 # One allocation that holds a packed state (see TubeTransform.hat_state) in two
@@ -805,12 +802,11 @@ def inv(A):
     check_finite(A, "matrix inverse input")
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
-    real = A.field == REAL
     if A.l == 1:   # 1 x 1 blocks: their singular values are their moduli
         svals = np.abs(hat)
     else:
         # A complex state is hat itself: reuse it rather than transform again.
-        svals = T.svd_state(T.hat_state(A, real) if real else hat, real, compute_uv=False)
+        svals = T.svd_state(hat if A.field == COMPLEX else T.hat_state(A), compute_uv=False)
     if svals.min() <= SINGULAR_RTOL * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
     return T.unhat(np.linalg.inv(hat), A.field)
@@ -855,8 +851,7 @@ def spectral_norm(A, transform=None):
     """
     check_finite(A, "spectral_norm input")
     T = transform or TubeTransform.dft(A.n)
-    real = A.field == REAL
-    return float(T.svd_state(T.hat_state(A, real), real, compute_uv=False).max())
+    return float(T.svd_state(T.hat_state(A), compute_uv=False).max())
 
 
 def max_modulus(A):

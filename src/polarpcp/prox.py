@@ -200,9 +200,11 @@ def _prox_trace(Z, lam, T, counts=None):
     """prox_trace with no rescale: the naive solver's low-rank step, which
     adds its two tube transforms and its factored matrices to the solve's
     counts."""
-    real = Z.field == REAL
-    U, s, Vh = T.svd_state(T.hat_state(Z, real), real)
+    state = T.hat_state(Z)
+    row_weights = T.weights(state)[1]
+    U, s, Vh = T.svd_state(state)
+    del state
     if counts is not None:
         counts.update(tube_transforms=2, slice_svds=len(s))
-    s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, T.weights(real)[1])
-    return T.unhat_state(T.compose_state(U, s, Vh, real), real, Z.field)
+    s = shrink_singular_values(s, lam * math.sqrt(Z.n), True, row_weights)
+    return T.unhat_state(T.compose_state(U, s, Vh), Z.field)

@@ -83,7 +83,6 @@ import numpy as np
 
 from . import hypermatrix as hm
 from ._blas import owned_cores
-from .hyperalgebra import REAL
 from .hypermatrix import HyperMatrix, TubeTransform, _is_int
 from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shrink
 
@@ -213,7 +212,6 @@ def pcp_ialm(X, cfg=None):
         X = HyperMatrix(hm._ldexp(X.data.copy(), -e), field)
         maxmod = hm.max_modulus(X)
     T = cfg.resolve_transform(X.n)
-    real = field == REAL
 
     if cfg.variant == NAIVE:
         def low_rank(Z, mu):
@@ -229,21 +227,20 @@ def pcp_ialm(X, cfg=None):
     else:
         grouped = cfg.variant == FREQUENCY
         sqrt_n = math.sqrt(X.n)
-        plane_weights, row_weights = T.weights(real)
 
         def low_rank(buf, mu):
-            U, s, Vh = T.svd_state(buf, real)
+            U, s, Vh = T.svd_state(buf)
             counts["slice_svds"] += len(s)
             s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped,
                                        row_weights)
-            return T.compose_state(U, s, Vh, real)
+            return T.compose_state(U, s, Vh)
 
         def sparse(Z, mu):
             return tube_group_shrink(Z, lam * sqrt_n / mu, plane_weights)
 
         def leave(A):
             counts["tube_transforms"] += 1
-            return T.unhat_state(A, real, field)
+            return T.unhat_state(A, field)
 
         def norm(A):
             if plane_weights is None:
@@ -252,9 +249,11 @@ def pcp_ialm(X, cfg=None):
 
     history, mu_hist = [], []
     with owned_cores():
-        D = T.hat_state(X, real)
-        buf = T.kernel_buffer(D.shape, real, D)
-        s = T.svd_state(buf, real, compute_uv=False)
+        D = T.hat_state(X)
+        # The Parseval weights of D's kind, which the steps and norm read.
+        plane_weights, row_weights = T.weights(D)
+        buf = T.kernel_buffer(D)
+        s = T.svd_state(buf, compute_uv=False)
         counts.update(tube_transforms=1, setup_slice_svds=len(s))
         specnorm = float(s.max())
         if cfg.variant == NAIVE:

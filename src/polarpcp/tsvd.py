@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperalgebra import REAL, promote_fields
+from .hyperalgebra import promote_fields
 from .hypermatrix import GROUP_DFT, SKEW_DFT, HyperMatrix, TubeTransform, check_finite  # noqa: F401
 from .hypermatrix import _ldexp, scale_exponent
 from .hypermatrix import matmul as t_matmul  # noqa: F401
@@ -58,13 +58,16 @@ def tsvd(A, transform=None):
     check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
     l, m, n = A.data.shape
-    real = A.field == REAL
-    Uh, s, Vh = T.slice_svd(T.hat_state(A, real), real)
+    Uh, s, Vh = T.slice_svd(T.hat_state(A))
+    # Each stack is freed before the next is built; Vh is conjugated in place.
+    U = T.unhat(Uh, A.field)
+    del Uh
+    V = T.unhat(np.transpose(np.conj(Vh, out=Vh), (0, 2, 1)), A.field)
+    del Vh
     Sh = np.zeros((n, l, m), dtype=np.complex128)
     diag = np.arange(min(l, m))
     Sh[:, diag, diag] = s
-    V = T.unhat(np.conj(np.transpose(Vh, (0, 2, 1))), A.field)
-    return TSVDFactors(T.unhat(Uh, A.field), T.unhat(Sh, A.field), V, T, _tube_moduli(s, n))
+    return TSVDFactors(U, T.unhat(Sh, A.field), V, T, _tube_moduli(s, n))
 
 
 def singular_moduli(A, transform=None):
@@ -72,8 +75,7 @@ def singular_moduli(A, transform=None):
     without the singular vectors)."""
     check_finite(A, "t-SVD input")
     T = transform or TubeTransform.dft(A.n)
-    real = A.field == REAL
-    return _tube_moduli(T.slice_svd(T.hat_state(A, real), real, compute_uv=False), T.n)
+    return _tube_moduli(T.slice_svd(T.hat_state(A), compute_uv=False), T.n)
 
 
 def _tube_moduli(svals, n):

@@ -21,8 +21,10 @@ left the transform domain a block of rows at a time; reference_hat and
 reference_pack enter it as the package did before it entered a block of
 rows at a time, with numpy's one-shot FFTs, and reference_unpack is the
 whole slice stack of a state, which the package only builds a block of
-rows at a time.  ReferenceScalar is the standalone scalar arithmetic that
-PolarScalar had before it became the 1 x 1 HyperMatrix.
+rows at a time; reference_expand fills its partner slices.  They read
+the layout of a real-tube state from reference_split, which builds it
+from conjugate_pairing() alone.  ReferenceScalar is the standalone scalar
+arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
 """
 
 import math
@@ -158,6 +160,21 @@ def _geometric(mu0, rho):
         mu *= rho
 
 
+def reference_split(T, real):
+    """(factored, partners, sources, self_paired): the slices a stack
+    computes, the slices filled with the conjugates of slices sources, in
+    ascending order, and the mask of the slices that are their own partner.
+    For real-coefficient tubes slice pair[b] is the conjugate of slice b
+    (conjugate_pairing()), so only one slice of each pair is computed; for
+    complex ones every slice is."""
+    slots = np.arange(T.n)
+    if not real:
+        return slots, slots[:0], slots[:0], np.zeros(T.n, bool)
+    pair = T.conjugate_pairing()
+    partners = np.flatnonzero(pair < slots)
+    return np.flatnonzero(pair >= slots), partners, pair[partners], pair == slots
+
+
 def reference_slice_svd(T, blocks, real, full_matrices=False, compute_uv=True):
     """SVD of every slice of an (n, l, m) stack, shaped as np.linalg.svd's.
 
@@ -175,7 +192,7 @@ def reference_slice_svd(T, blocks, real, full_matrices=False, compute_uv=True):
     if compute_uv:
         out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
                np.empty((n, m if full_matrices else k, m), np.complex128)]
-    factored, partners, sources, self_paired = T._split(real)
+    factored, partners, sources, self_paired = reference_split(T, real)
     with _blas.single_threaded_blas():
         for group in (factored[~self_paired[factored]], factored[self_paired[factored]]):
             if len(group):
@@ -198,7 +215,7 @@ def reference_slice_compose(T, U, s, Vh, real):
     """
     live = np.flatnonzero(s.any(axis=0))
     k = live[-1] + 1 if live.size else 0
-    factored, partners, sources, _ = T._split(real)
+    factored, partners, sources, _ = reference_split(T, real)
     out = np.empty((s.shape[0], U.shape[1], Vh.shape[2]), np.result_type(U, Vh))
     out[factored] = (U[factored, :, :k] * s[factored, np.newaxis, :k]) @ Vh[factored, :k, :]
     out[partners] = np.conj(out[sources])
@@ -216,7 +233,7 @@ def reference_parts(T, state, real):
         slices = fortran_stack(len(state), np.complex128)
         slices[...] = state
         return [slices]
-    _, partners, sources, self_paired = T._split(True)
+    _, partners, sources, self_paired = reference_split(T, True)
     paired = fortran_stack(len(sources), np.complex128)
     paired.real, paired.imag = state[sources], state[partners]
     planes = fortran_stack(self_paired.sum(), np.float64)
@@ -226,7 +243,7 @@ def reference_parts(T, state, real):
 
 def reference_scatter(T, parts):
     """The real-tube state of reference_parts-ordered matrices."""
-    _, partners, sources, self_paired = T._split(True)
+    _, partners, sources, self_paired = reference_split(T, True)
     paired, planes = parts
     state = np.empty((T.n,) + planes.shape[1:])
     state[sources], state[partners] = paired.real, paired.imag
@@ -234,13 +251,14 @@ def reference_scatter(T, parts):
     return state
 
 
-def reference_svd_state(T, state, real, compute_uv=True):
+def reference_svd_state(T, state, compute_uv=True):
     """TubeTransform.svd_state as it stood before large matrices were
     factored in stages: np.linalg.svd on every matrix of the state, or of
     the stacks of a solve's KernelBuffer, which it leaves as they are, in
     one batched call per stack with BLAS on one thread, as the package's
-    kernel runs it."""
-    parts = state.parts if isinstance(state, hm.KernelBuffer) else reference_parts(T, state, real)
+    kernel runs it.  A float64 state is real tubes' packed planes."""
+    parts = (state.parts if isinstance(state, hm.KernelBuffer)
+             else reference_parts(T, state, not np.iscomplexobj(state)))
     res = []
     with _blas.single_threaded_blas():
         for p in parts:
@@ -251,14 +269,15 @@ def reference_svd_state(T, state, real, compute_uv=True):
     return list(U), np.concatenate(s), list(Vh)
 
 
-def reference_compose_state(T, U, s, Vh, real):
+def reference_compose_state(T, U, s, Vh):
     """TubeTransform.compose_state as it stood before large matrices were
-    factored in stages: one batched product per stack of factors."""
+    factored in stages: one batched product per stack of factors, of which
+    real tubes have two."""
     live = np.flatnonzero(s.any(axis=0))
     k = live[-1] + 1 if live.size else 0
     rows = hm._row_blocks(s[:, np.newaxis, :k], U)
     products = [(u[:, :, :k] * r) @ vh[:, :k, :] for u, r, vh in zip(U, rows, Vh)]
-    return reference_scatter(T, products) if real else products[0]
+    return reference_scatter(T, products) if len(products) == 2 else products[0]
 
 
 def low_rank_plus_sparse(rng, l, m, n, field, rank, density):
@@ -297,14 +316,26 @@ def reference_pack(T, blocks, real):
     part in its partner's."""
     if not real:
         return blocks
-    _, _, sources, self_paired = T._split(True)
+    _, _, sources, self_paired = reference_split(T, True)
     return reference_scatter(T, [blocks[sources], blocks[self_paired].real])
 
 
+def reference_expand(T, parts):
+    """The full stack of reference_parts-ordered slices, or of their
+    factors: for real tubes, whose parts are two stacks, the partner slices
+    are filled with the conjugates of their sources."""
+    if len(parts) == 1:
+        return parts[0]
+    _, partners, sources, self_paired = reference_split(T, True)
+    paired, planes = parts
+    full = np.empty((T.n,) + planes.shape[1:], np.result_type(paired, planes))
+    full[sources], full[partners], full[self_paired] = paired, np.conj(paired), planes
+    return full
+
+
 def reference_unpack(T, state, real):
-    """The slice stack of a packed state, the inverse of reference_pack:
-    the partner slices filled with the conjugates of their sources."""
-    return T._expand(reference_parts(T, state, True), True) if real else state
+    """The slice stack of a packed state, the inverse of reference_pack."""
+    return reference_expand(T, reference_parts(T, state, True)) if real else state
 
 
 def reference_unhat(T, blocks, field):

@@ -351,7 +351,7 @@ class TestLanes:
         T = TubeTransform.dft(4)
         A = HyperMatrix(np.random.default_rng(2).standard_normal((20, 20, 4)), REAL)
         blocks = T.hat(A)
-        U, s, Vh = T.slice_svd(T.hat_state(A, True), real=True)
+        U, s, Vh = T.slice_svd(T.hat_state(A))
         assert calls == [threading.get_ident()] * 2   # one complex slice, two self-paired
         assert np.allclose(reference_slice_compose(T, U, s, Vh, real=True), blocks)
 

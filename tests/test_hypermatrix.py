@@ -422,11 +422,10 @@ class TestSingularValuesFromTheState:
         # spectral_norm and inv read the singular values of the packed
         # state; the full-stack slice_svd gives the same max and min.
         T, A, B = case
-        real = A.field == REAL
-        want = float(T.slice_svd(T.hat_state(A, real), real, compute_uv=False).max())
+        want = float(T.slice_svd(T.hat_state(A), compute_uv=False).max())
         assert np.float64(hm.spectral_norm(A, T)).tobytes() == np.float64(want).tobytes()
         D = TubeTransform.dft(B.n)
-        svals = D.slice_svd(D.hat_state(B, real), real, compute_uv=False)
+        svals = D.slice_svd(D.hat_state(B), compute_uv=False)
         if svals.min() <= hm.SINGULAR_RTOL * svals.max():
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 hm.inv(B)
@@ -448,7 +447,7 @@ class TestSingularValuesFromTheState:
         # A 1 x 1 inverse reads the moduli of the spectrum instead of an SVD.
         B = HyperMatrix(np.array(coeffs).reshape(1, 1, -1), field)
         D = TubeTransform.dft(B.n)
-        svals = D.slice_svd(D.hat_state(B, field == REAL), field == REAL, compute_uv=False)
+        svals = D.slice_svd(D.hat_state(B), compute_uv=False)
         assert (svals.min() <= hm.SINGULAR_RTOL * svals.max()) == singular
         if singular:
             with pytest.raises(np.linalg.LinAlgError, match="singular"):

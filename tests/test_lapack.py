@@ -145,33 +145,32 @@ class TestKernel:
     def test_large_stacks_are_staged_unless_gesdd_would_not_be_direct(self):
         T = TubeTransform.dft(4)
         X = random_hypermatrix(np.random.default_rng(3), 64, 64, 4, REAL)
-        planes = T.hat_state(X, True)
-        U, s, Vh = T.svd_state(planes, True)
+        planes = T.hat_state(X)
+        U, s, Vh = T.svd_state(planes)
         assert Vh == [None, None]
         assert all(isinstance(f, _lapack.Factored) for u in U for f in u)
-        assert s.tobytes() == reference_svd_state(T, planes, True)[1].tobytes()
+        assert s.tobytes() == reference_svd_state(T, planes)[1].tobytes()
         # Below LANE_MIN_WORK, past gesdd's QR threshold, or in need of scaling,
         # a stack keeps np.linalg.svd.
         rng = np.random.default_rng(4)
-        for state in (T.hat_state(random_hypermatrix(rng, 63, 63, 4, REAL), True),
-                      T.hat_state(random_hypermatrix(rng, 130, 64, 4, REAL), True),
+        for state in (T.hat_state(random_hypermatrix(rng, 63, 63, 4, REAL)),
+                      T.hat_state(random_hypermatrix(rng, 130, 64, 4, REAL)),
                       planes * 1e-140):
-            U, s, Vh = T.svd_state(state, True)
+            U, s, Vh = T.svd_state(state)
             assert all(isinstance(v, np.ndarray) for v in Vh)
-            assert s.tobytes() == reference_svd_state(T, state, True)[1].tobytes()
+            assert s.tobytes() == reference_svd_state(T, state)[1].tobytes()
 
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_compose_consumes_the_factored_forms(self, field):
-        real = field == REAL
         T = TubeTransform.dft(4)
-        state = T.hat_state(random_hypermatrix(np.random.default_rng(5), 64, 64, 4, field), real)
-        U, s, Vh = T.svd_state(state, real)
-        shrunk = shrink_singular_values(s, 0.5 * s.max(), True, T.weights(real)[1])
-        got = T.compose_state(U, shrunk, Vh, real)
+        state = T.hat_state(random_hypermatrix(np.random.default_rng(5), 64, 64, 4, field))
+        U, s, Vh = T.svd_state(state)
+        shrunk = shrink_singular_values(s, 0.5 * s.max(), True, T.weights(state)[1])
+        got = T.compose_state(U, shrunk, Vh)
         assert all(f is None for u in U for f in u)
-        U_ref, _, Vh_ref = reference_svd_state(T, state, real)
-        want = reference_compose_state(T, U_ref, shrunk, Vh_ref, real)
+        U_ref, _, Vh_ref = reference_svd_state(T, state)
+        want = reference_compose_state(T, U_ref, shrunk, Vh_ref)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -193,9 +192,9 @@ def staged(monkeypatch):
         columns = np.flatnonzero(s.any(axis=0))
         return columns[-1] + 1 if columns.size else 0
 
-    def recording_compose(self, U, s, Vh, real):
+    def recording_compose(self, U, s, Vh):
         record["solve"].append(live(s))
-        return compose(self, U, s, Vh, real)
+        return compose(self, U, s, Vh)
 
     def recording_reference_compose(T, U, s, Vh, real):
         record["reference"].append(live(s))
@@ -213,8 +212,8 @@ def staged(monkeypatch):
 
 def _on_direct_path(X, cfg):
     """True when some stack of X's solver state is on gesdd's direct path."""
-    T, real = cfg.resolve_transform(X.n), X.field == REAL
-    return any(len(p) and _lapack.direct(p) for p in T._parts(T.hat_state(X, real), real))
+    T = cfg.resolve_transform(X.n)
+    return any(len(p) and _lapack.direct(p) for p in T._parts(T.hat_state(X)))
 
 
 def _assert_close(res, ref, record, on_direct_path):

@@ -29,11 +29,13 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 from helpers import (
     factored_slices,
     random_hypermatrix,
+    reference_expand,
     reference_hat,
     reference_pack,
     reference_parts,
     reference_slice_compose,
     reference_slice_svd,
+    reference_split,
     reference_svd_state,
     reference_unhat,
     reference_unpack,
@@ -334,7 +336,7 @@ def _slice_stacks(draw):
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = random_hypermatrix(rng, l, m, n, REAL if real else COMPLEX)
-    return T, T.hat(A), T.hat_state(A, real), real
+    return T, T.hat(A), T.hat_state(A), real
 
 
 @contextlib.contextmanager
@@ -355,7 +357,7 @@ class TestSliceSvd:
     @given(case=_slice_stacks(), compute_uv=st.booleans())
     def test_matches_unpaired_batched_svd(self, case, compute_uv):
         T, stack, state, real = case
-        got = T.slice_svd(state, real, compute_uv=compute_uv)
+        got = T.slice_svd(state, compute_uv=compute_uv)
         want = np.linalg.svd(stack, full_matrices=True, compute_uv=compute_uv)
         s, s_ref = (got[1], want[1]) if compute_uv else (got, want)
         scale = s_ref.max()
@@ -373,12 +375,12 @@ class TestSliceSvd:
     def test_one_call_per_slice_matches_batched_calls(self, case, compute_uv):
         # Large slices get one np.linalg.svd call each, small ones one call
         # per kind; lowering the size limit must not change a bit.
-        T, _, state, real = case
-        batched = T.slice_svd(state, real, compute_uv=compute_uv)
+        T, _, state, _ = case
+        batched = T.slice_svd(state, compute_uv=compute_uv)
         limit = _blas.LANE_MIN_WORK
         _blas.LANE_MIN_WORK = 0
         try:
-            single = T.slice_svd(state, real, compute_uv=compute_uv)
+            single = T.slice_svd(state, compute_uv=compute_uv)
         finally:
             _blas.LANE_MIN_WORK = limit
         pairs = zip(batched, single) if compute_uv else [(batched, single)]
@@ -393,13 +395,13 @@ class TestSliceSvd:
         # product is checked against np.linalg.svd's factors either way.
         T, _, state, real = case
         with _staged_if(staged):
-            U, s, Vh = T.svd_state(state, real)
-            U_ref, s_ref, Vh_ref = reference_svd_state(T, state, real)
+            U, s, Vh = T.svd_state(state)
+            U_ref, s_ref, Vh_ref = reference_svd_state(T, state)
             assert s.tobytes() == s_ref.tobytes()
             s = shrink_singular_values(s, cut * np.sqrt(T.n) * s.max(), grouped,
-                                       T.weights(real)[1])
-            got = reference_unpack(T, T.compose_state(U, s, Vh, real), real)
-        U, s, Vh = (T._expand(x, real) for x in (U_ref, hm._row_blocks(s, U_ref), Vh_ref))
+                                       T.weights(state)[1])
+            got = reference_unpack(T, T.compose_state(U, s, Vh), real)
+        U, s, Vh = (reference_expand(T, x) for x in (U_ref, hm._row_blocks(s, U_ref), Vh_ref))
         want = (U * s[:, np.newaxis, :]) @ Vh
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
@@ -465,30 +467,27 @@ class TestOneFftPath:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-class TestSplitCache:
+class TestSlotTable:
     @staticmethod
-    def _fresh_split(T, real):
+    def _fresh_table(T):
         pair = T.conjugate_pairing()
-        slots = list(range(T.n))
-        if not real:
-            return slots, [], [], [False] * T.n
-        partners = [b for b in slots if pair[b] < b]
-        return ([b for b in slots if pair[b] >= b], partners, [pair[b] for b in partners],
-                [pair[b] == b for b in slots])
+        return ([(pair[b], b) for b in range(T.n) if pair[b] < b],
+                [(b,) for b in range(T.n) if pair[b] == b])
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("kind", ["dft", "skew_dft", "group_dft"])
-    def test_cached_split_is_fresh_and_read_only(self, kind, n):
+    def test_table_is_fresh_and_immutable(self, kind, n):
         T = (TubeTransform.group_dft(_GROUP_FACTORS[n]) if kind == "group_dft"
              else getattr(TubeTransform, kind)(n))
-        for real in (False, True):
-            cached = T._split(real)
-            assert T._split(real) is cached
-            for got, want in zip(cached, self._fresh_split(T, real), strict=True):
-                assert np.array_equal(got, np.asarray(want, dtype=got.dtype))
-                assert not got.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    got[...] = 0
+        table = T._real_slots
+        assert [list(slots) for slots in table] == list(self._fresh_table(T))
+        # Tuples of ints all the way down: only a hashable table is immutable.
+        assert isinstance(table, tuple) and all(isinstance(slots, tuple) for slots in table)
+        assert all(isinstance(slot, tuple) and all(isinstance(b, int) for b in slot)
+                   for slots in table for slot in slots)
+        hash(table)
+        with pytest.raises(TypeError):
+            table[0] = ()
 
 
 class TestFullStackWrappers:
@@ -496,7 +495,7 @@ class TestFullStackWrappers:
     @given(case=_slice_stacks(), compute_uv=st.booleans())
     def test_slice_svd_bitwise_equal_to_reference(self, case, compute_uv):
         T, stack, state, real = case
-        got = T.slice_svd(state, real, compute_uv=compute_uv)
+        got = T.slice_svd(state, compute_uv=compute_uv)
         want = reference_slice_svd(T, stack, real, full_matrices=True, compute_uv=compute_uv)
         pairs = zip(got, want) if compute_uv else [(got, want)]
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
@@ -538,7 +537,7 @@ def _real_hats(draw):
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = random_hypermatrix(rng, l, m, n, REAL)
-    return T, T.hat(A), T.hat_state(A, True)
+    return T, T.hat(A), T.hat_state(A)
 
 
 class TestPackedState:
@@ -548,7 +547,7 @@ class TestPackedState:
         T, hat, planes = case
         assert planes.shape == hat.shape and planes.dtype == np.float64
         full = reference_unpack(T, planes, True)
-        factored, partners, sources, self_paired = T._split(True)
+        factored, partners, sources, self_paired = reference_split(T, True)
         # The kept slices come back bit for bit, and a partner is the exact
         # conjugate of its source.
         paired = factored[~self_paired[factored]]
@@ -566,12 +565,12 @@ class TestPackedState:
     @given(case=_real_hats())
     def test_weighted_planes_keep_the_frobenius_norm(self, case):
         T, hat, planes = case
-        plane_weights, row_weights = T.weights(True)
+        plane_weights, row_weights = T.weights(planes)
         assert plane_weights.shape == (T.n,) and row_weights.shape == (factored_slices(T, True),)
         got = plane_weights @ np.einsum("bij,bij->b", planes, planes)
         want = np.linalg.norm(hat) ** 2
         assert abs(got - want) <= 1e-13 * want
-        s = T.svd_state(planes, True, compute_uv=False)
+        s = T.svd_state(planes, compute_uv=False)
         assert abs(row_weights @ (s * s).sum(axis=1) - want) <= 1e-13 * want
 
     @settings(max_examples=150, deadline=None)
@@ -579,20 +578,20 @@ class TestPackedState:
     def test_state_kernel_matches_full_stack_kernel(self, case, cut, staged):
         T, hat, planes = case
         with _staged_if(staged):
-            U, s, Vh = T.svd_state(planes, True)
+            U, s, Vh = T.svd_state(planes)
         # Self-paired planes are factored as real matrices, as a stack of
         # np.linalg.svd's factors or one factored form each.
         assert [u.dtype if vh is not None else u[0].a.dtype for u, vh in zip(U, Vh)] \
             == [np.complex128, np.float64]
         assert all(vh is None or vh.dtype == u.dtype for u, vh in zip(U, Vh))
-        _, _, sources, self_paired = T._split(True)
-        U_full, s_full, Vh_full = T.slice_svd(planes, True)
+        _, _, sources, self_paired = reference_split(T, True)
+        U_full, s_full, Vh_full = T.slice_svd(planes)
         assert s.tobytes() == np.concatenate([s_full[sources], s_full[self_paired]]).tobytes()
         tau = cut * np.sqrt(T.n) * s.max()
-        shrunk = shrink_singular_values(s, tau, True, T.weights(True)[1])
+        shrunk = shrink_singular_values(s, tau, True, T.weights(planes)[1])
         shrunk_full = shrink_singular_values(s_full, tau, True)
         with _staged_if(staged):
-            got = T.compose_state(U, shrunk, Vh, True)
+            got = T.compose_state(U, shrunk, Vh)
         want = reference_pack(T, reference_slice_compose(T, U_full, shrunk_full, Vh_full, True),
                               True)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(hat).max(), 1e-300)
@@ -603,17 +602,28 @@ class TestPackedState:
         T, hat, planes = case
         full = reference_unpack(T, planes, True)
         tau = cut * np.abs(hat).max() * np.sqrt(T.n)
-        got = tube_group_shrink(planes, tau, T.weights(True)[0])
+        got = tube_group_shrink(planes, tau, T.weights(planes)[0])
         want = reference_pack(T, tube_group_shrink(full, tau), True)
         assert np.abs(got - want).max() <= 1e-13 * max(np.abs(hat).max(), 1e-300)
 
     def test_complex_state_is_the_stack(self):
         T = TubeTransform.dft(4)
         A = random_hypermatrix(np.random.default_rng(3), 3, 2, 4, COMPLEX)
-        hat, state = T.hat(A), T.hat_state(A, False)
+        hat, state = T.hat(A), T.hat_state(A)
         assert state.dtype == hat.dtype and state.strides == hat.strides
         assert state.tobytes() == hat.tobytes()
-        assert T.weights(False) == (None, None)
+        assert T.weights(state) == (None, None)
+
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
+    def test_kind_is_the_field_not_the_values(self, T):
+        # A complex-field matrix whose imaginary parts are all zero is
+        # complex tubes: its state is the complex slice stack, and the
+        # kernel factors every slice.
+        A = HyperMatrix(np.random.default_rng(5).standard_normal((4, 3, T.n)), COMPLEX)
+        state = T.hat_state(A)
+        assert state.dtype == np.complex128 and state.shape == (T.n, 4, 3)
+        want = reference_slice_svd(T, reference_hat(T, A), False, compute_uv=False)
+        assert T.svd_state(state, compute_uv=False).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -637,7 +647,7 @@ class TestKernelBuffer:
     @given(case=_states())
     def test_one_allocation_in_both_layouts(self, case):
         T, state, real = case
-        buf = T.kernel_buffer(state.shape, real, state)
+        buf = T.kernel_buffer(state)
         assert buf.scratch.shape == state.shape and buf.scratch.dtype == state.dtype
         assert buf.scratch.flags.c_contiguous
         assert sum(p.nbytes for p in buf.parts) == buf.scratch.nbytes
@@ -659,15 +669,15 @@ class TestKernelBuffer:
     def test_factoring_in_place_matches_factoring_a_copy(self, case, staged):
         T, state, real = case
         with _staged_if(staged):
-            U, s, Vh = T.svd_state(state, real)
-            buf = T.kernel_buffer(state.shape, real)
+            U, s, Vh = T.svd_state(state)
+            buf = T.kernel_buffer(np.zeros_like(state))
             for plane, values in zip(buf.planes, state):
                 plane[...] = values
-            U_buf, s_buf, Vh_buf = T.svd_state(buf, real)
+            U_buf, s_buf, Vh_buf = T.svd_state(buf)
             assert s_buf.tobytes() == s.tobytes()
-            shrunk = shrink_singular_values(s, 0.3 * s.max(), True, T.weights(real)[1])
-            got = T.compose_state(U_buf, shrunk, Vh_buf, real)
-            assert got.tobytes() == T.compose_state(U, shrunk, Vh, real).tobytes()
+            shrunk = shrink_singular_values(s, 0.3 * s.max(), True, T.weights(state)[1])
+            got = T.compose_state(U_buf, shrunk, Vh_buf)
+            assert got.tobytes() == T.compose_state(U, shrunk, Vh).tobytes()
         assert got.flags.c_contiguous and got.dtype == state.dtype
 
 
@@ -688,10 +698,19 @@ class TestRowBlockedExit:
         # The one-shot path: the whole slice stack, then one inverse.
         blocks = reference_unpack(T, state, real)
         want = reference_unhat(T, blocks, field)
-        got = T.unhat_state(state, real, field)
+        got = T.unhat_state(state, field)
         assert got.field == field and got.data.tobytes() == want.data.tobytes()
         # unhat of a whole stack, as the t-SVD makes it, takes the same blocks.
         assert T.unhat(blocks, field).data.tobytes() == got.data.tobytes()
+
+    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_a_float_stack_is_slices(self, T, field):
+        # unhat takes its blocks as complex slices whatever their dtype, so
+        # a float64 stack is not read as a real-tube state's planes.
+        blocks = np.random.default_rng(7).standard_normal((T.n, hm.ROW_BLOCKS + 1, 3))
+        want = reference_unhat(T, blocks, field)
+        assert T.unhat(blocks, field).data.tobytes() == want.data.tobytes()
 
 
 class TestRowBlockedEntry:
@@ -703,7 +722,7 @@ class TestRowBlockedEntry:
         A = random_hypermatrix(np.random.default_rng(l), l, 5, T.n, field)
         real = field == REAL
         want = reference_pack(T, reference_hat(T, A), real)
-        got = T.hat_state(A, real)
+        got = T.hat_state(A)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         if not real:
@@ -742,14 +761,14 @@ class TestSharedTransforms:
         workers = 8
         barrier = threading.Barrier(workers, timeout=10)
         A = random_hypermatrix(np.random.default_rng(4), 3, 3, 6, REAL)
-        state = TubeTransform("group_dft", 6, (6,)).hat_state(A, True)
+        state = TubeTransform("group_dft", 6, (6,)).hat_state(A)
         seen = []
 
         def first_use():
             barrier.wait()
             T = TubeTransform.dft(6)
             seen.append((T, TubeTransform.group_dft((2, 3)),
-                         T.slice_svd(state, True, compute_uv=False).tobytes()))
+                         T.slice_svd(state, compute_uv=False).tobytes()))
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
