@@ -19,18 +19,21 @@ hat_state and unhat_state enter and leave, and the one slice-SVD kernel,
 which takes only packed states.  A state knows its kind, real or complex
 tubes, so no method takes a flag for it (see TubeTransform.hat_state),
 and a real-tube state's layout is one slot table built with the
-transform.  Every singular-tube shrink, in the solvers and in prox_trace, factors and rebuilds a packed state
-(svd_state, compose_state).  A solve keeps its state's matrices in a KernelBuffer, one
-allocation whose bytes are both the kernel's stacks of Fortran-ordered
-matrices and a C-ordered scratch state, so the kernel factors them where
-the solve wrote them; compose_state multiplies each product straight into
-the state it returns.  The forward transform runs in place in its
-output; hat_state enters the transform domain through it, and
-unhat_state leaves it, in the same ROW_BLOCKS blocks of rows (entry for
-real tubes only), so neither builds a temporary of the stack's size.
-Matrices of at least _blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
-they are run gesdd's own stages (_lapack): numpy's singular values bit for
-bit, and a back-transform of only the singular vectors a shrink keeps.
+transform.  Every singular-tube shrink, in the solvers and in prox_trace,
+factors and rebuilds a packed state (svd_state, compose_state).  A solve
+keeps its state's matrices in a KernelBuffer, one allocation whose bytes
+are both the kernel's stacks of Fortran-ordered matrices
+(kernel_buffer(...).parts) and a C-ordered scratch state, so the kernel
+factors them where the solve wrote them; compose_state multiplies each
+product straight into the state it returns, on the lanes for the
+matrices that the kernel factors there.  The forward transform runs in
+place in its output; hat_state enters the transform domain through it,
+and unhat_state leaves it, in the same ROW_BLOCKS blocks of rows (entry
+for real tubes only), so neither builds a temporary of the stack's size.
+Matrices of at least _blas.LANE_MIN_WORK multiply-adds that LAPACK's
+gesdd bidiagonalizes as they are run gesdd's own stages (_lapack): numpy's
+singular values bit for bit, and a back-transform of only the singular
+vectors a shrink keeps.
 Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
 and numpy builds without the ILP64 routines use np.linalg.svd.  inv and
 spectral_norm read the singular values of hat_state's packed state (those
@@ -468,25 +471,25 @@ class TubeTransform:
         built in ROW_BLOCKS blocks of rows, so that neither the slice stack
         of a real-tube state nor the inverse transform of a stack is ever
         built whole; a real-tube block's slice stack is its kernel matrices
-        (_parts) expanded with the partner slices (_expand).  Each row's
-        tubes are transformed as in one call on the whole stack, so the
-        bits do not depend on the block size."""
+        (kernel_buffer(...).parts) expanded with the partner slices
+        (_expand).  Each row's tubes are transformed as in one call on the
+        whole stack, so the bits do not depend on the block size."""
         l, m = state.shape[1:]
         out = np.empty((l, m, self.n), np.float64 if field == REAL else np.complex128)
         for rows in _row_slices(l):
             blocks = state[:, rows]
             if not np.iscomplexobj(blocks):
-                blocks = self._expand(self._parts(blocks))
+                blocks = self._expand(self.kernel_buffer(blocks).parts)
             data = self.inverse(np.moveaxis(blocks, 0, 2))
             out[rows] = data.real if field == REAL else data
         return HyperMatrix(out, field)
 
     def _slots(self, stacks):
         """The planes of a state that each matrix of the kernel's stacks
-        holds, per stack (see _parts): for complex tubes' one stack, (b,)
-        for slice b; for real tubes' two, the slot table _real_slots: (b, p)
-        for a slice b whose partner p is its conjugate, with its real part
-        in plane b and its imaginary part in plane p, then (b,) for a
+        holds, per stack (see kernel_buffer): for complex tubes' one stack,
+        (b,) for slice b; for real tubes' two, the slot table _real_slots:
+        (b, p) for a slice b whose partner p is its conjugate, with its real
+        part in plane b and its imaginary part in plane p, then (b,) for a
         self-paired plane b."""
         return self._real_slots if len(stacks) == 2 else [[(b,) for b in range(self.n)]]
 
@@ -504,8 +507,12 @@ class TubeTransform:
 
     def kernel_buffer(self, state):
         """A KernelBuffer that holds a copy of the packed state state, in
-        the stacks of its kind (see _parts): one for a complex128 slice
-        stack, two for float64 planes."""
+        the stacks of its kind: one for a complex128 slice stack, two for
+        float64 planes.  Its parts are the matrices of the state that the
+        slice-SVD kernel factors, complex ones first, in stacks of
+        Fortran-ordered matrices that the kernel may overwrite: for complex
+        tubes the slices, for real tubes the slices with a partner, rebuilt
+        bit for bit from their two planes, then the self-paired planes."""
         n, l, m = state.shape
         if np.iscomplexobj(state):
             flat = np.empty(n * l * m, np.complex128)
@@ -523,19 +530,11 @@ class TubeTransform:
                     plane[...] = state[b]
         return KernelBuffer(parts, planes, flat.reshape(state.shape))
 
-    def _parts(self, state):
-        """The matrices of a state that the slice-SVD kernel factors,
-        complex ones first, copied into stacks of Fortran-ordered matrices
-        that the kernel may overwrite (those of a new KernelBuffer): for
-        complex tubes the slices, for real tubes the slices with a partner,
-        rebuilt bit for bit from their two planes, then the self-paired
-        planes."""
-        return self.kernel_buffer(state).parts
-
     def _expand(self, parts):
-        """The full stack of _parts-ordered slices, or of their factors.  For
-        real tubes, whose parts are two stacks, this is the one place a
-        partner slice is filled, with the conjugate of its source."""
+        """The full stack of slices in the order of kernel_buffer's parts,
+        or of their factors.  For real tubes, whose parts are two stacks,
+        this is the one place a partner slice is filled, with the conjugate
+        of its source."""
         if len(parts) == 1:
             return parts[0]
         paired, planes = parts
@@ -554,17 +553,18 @@ class TubeTransform:
 
         Matrices of at least _blas.LANE_MIN_WORK multiply-adds are one task
         each for _blas.run_lanes, complex ones first: a real matrix costs
-        about half a complex one.  Smaller ones are factored on the calling
-        thread in one batched call per stack, which costs less than one call
-        per matrix.  A batched call gives each matrix the bits of a call of
-        its own, so the result does not depend on the lane count.
+        about half a complex one.  compose_state places its products by
+        the same test.  Smaller ones are factored on the calling thread in
+        one batched call per stack, which costs less than one call per
+        matrix.  A batched call gives each matrix the bits of a call of its
+        own, so the result does not depend on the lane count.
 
         With thin factors asked for, a stack of such large matrices that
         gesdd factors without a QR step or scaling (_lapack.direct) runs
         only gesdd's first two stages (_lapack.factor), in the matrices of
-        parts, which a KernelBuffer holds for it: its U entry lists the
-        matrices' factored forms and its Vh entry is None.  Its singular
-        values are np.linalg.svd's bit for bit.
+        parts, which a KernelBuffer holds for it (its parts): its U entry
+        lists the matrices' factored forms and its Vh entry is None.  Its
+        singular values are np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
@@ -619,7 +619,7 @@ class TubeTransform:
         and None in Vh: compose_state then builds only the singular vectors
         that a shrink keeps.
         """
-        parts = state.parts if isinstance(state, KernelBuffer) else self._parts(state)
+        parts = state.parts if isinstance(state, KernelBuffer) else self.kernel_buffer(state).parts
         return self._svd(parts, compute_uv)
 
     def compose_state(self, U, s, Vh):
@@ -632,12 +632,15 @@ class TubeTransform:
         plane of the state is multiplied straight into it; a paired slice's
         complex product is split into its two planes.
 
-        A matrix factored in stages is rebuilt by _lapack.product from the
-        singular vectors up to its own last nonzero value, one task per
-        matrix on the lanes.  This consumes it: a paired slice's product
+        Every product is one task, put(j, i).  A matrix factored in stages
+        is rebuilt by _lapack.product from the singular vectors up to its
+        own last nonzero value.  This consumes it: a paired slice's product
         is multiplied into the bytes of its own reflectors, which both
-        back-transforms have read by then, and each factored form is
-        dropped from U once its product is written."""
+        back-transforms have read by then, and its factored form is dropped
+        from U.  Any other matrix is np.matmul of its truncated factors.
+        The tasks run on the lanes for matrices as large as those _svd
+        factors there (_blas.LANE_MIN_WORK), and in order on the calling
+        thread otherwise."""
         live = np.flatnonzero(s.any(axis=0))
         k = live[-1] + 1 if live.size else 0
         rows = _row_blocks(s[:, np.newaxis, :k], U)
@@ -645,34 +648,32 @@ class TubeTransform:
         slots = self._slots(U)
         state = np.empty((self.n,) + shape, np.float64 if len(U) == 2 else np.complex128)
 
-        def put(j, i, multiply, scratch=None):
-            """Product i of stack j, multiply(out=...), into its state plane,
-            or for a paired slice into scratch and then its two planes."""
-            slot = slots[j][i]
-            if len(slot) == 1:
-                multiply(out=state[slot[0]])
+        def put(j, i):
+            """Product i of stack j into its state plane, or for a paired
+            slice into a new matrix, or a staged one's reflectors, and then
+            its two planes."""
+            slot, f = slots[j][i], U[j][i]
+            out = state[slot[0]] if len(slot) == 1 else None
+            if Vh[j] is None:
+                U[j][i] = None
+                # A shrunk row is non-negative and non-increasing: its live
+                # values are its leading nonzero ones.
+                row = rows[j][i, 0]
+                if out is None:
+                    out = f.a.T.reshape(shape)   # the reflectors' bytes in C order
+                out = _lapack.product(f, row[:np.count_nonzero(row)], out)
             else:
-                product = multiply(out=scratch)
-                state[slot[0]], state[slot[1]] = product.real, product.imag
+                out = np.matmul(f[:, :k] * rows[j][i], Vh[j][i, :k, :], out=out)
+            if len(slot) == 2:
+                state[slot[0]], state[slot[1]] = out.real, out.imag
 
-        def rebuild(j, i):
-            f = U[j][i]
-            # A shrunk row is non-negative and non-increasing: its live
-            # values are its leading nonzero ones.
-            row = rows[j][i, 0]
-            put(j, i, functools.partial(_lapack.product, f, row[:np.count_nonzero(row)]),
-                f.a.T.reshape(shape))   # the reflectors' bytes in C order
-            U[j][i] = None
-
-        for j, (u, r, vh) in enumerate(zip(U, rows, Vh)):
-            if vh is not None:
-                for i in range(len(u)):
-                    put(j, i, functools.partial(np.matmul, u[i, :, :k] * r[i], vh[i, :k, :]))
-        staged = [functools.partial(rebuild, j, i)
-                  for j, vh in enumerate(Vh) if vh is None for i in range(len(U[j]))]
-        if staged:
-            with _blas.owned_cores():
-                _blas.run_lanes(staged)
+        tasks = [functools.partial(put, j, i) for j, u in enumerate(U) for i in range(len(u))]
+        with _blas.owned_cores():
+            if shape[0] * shape[1] * min(shape) >= _blas.LANE_MIN_WORK:
+                _blas.run_lanes(tasks)
+            else:
+                for task in tasks:
+                    task()
         return state
 
     def slice_svd(self, state, compute_uv=True):
@@ -686,7 +687,7 @@ class TubeTransform:
         and a self-paired slice as a real matrix.  The partner slice gets
         the conjugated factors.
         """
-        parts = self._parts(state)
+        parts = self.kernel_buffer(state).parts
         res = self._svd(parts, compute_uv, full_matrices=True)
         U, s, Vh = res if compute_uv else (None, res, None)
         s = self._expand(_row_blocks(s, parts))
@@ -695,7 +696,7 @@ class TubeTransform:
 
 # One allocation that holds a packed state (see TubeTransform.hat_state) in two
 # layouts over the same bytes: parts, the slice-SVD kernel's stacks of
-# Fortran-ordered matrices, complex stack first (the layout of _parts), and
+# Fortran-ordered matrices, complex stack first (see kernel_buffer), and
 # scratch, a C-ordered (n, l, m) array.  planes[b] is the view of state
 # plane b in parts, so a state is written into the stacks plane by plane and
 # factored there by svd_state.  Writing through one layout garbles the
@@ -833,9 +834,9 @@ def frobenius(A):
 def unfold(A):
     """Slab isomorphism xi: real field gives [I_0 | I_1 | ... | I_{n-1}]
     (l x mn); complex field interleaves real and imaginary slabs per
-    coefficient (l x 2mn).  The result never shares memory with A."""
-    coeffs = A.data if A.field == REAL else A.data.view(np.float64)
-    return np.transpose(coeffs, (0, 2, 1)).copy().reshape(A.l, -1)
+    coefficient (l x 2mn), the order of the coefficients read as float64
+    values.  The result never shares memory with A."""
+    return np.transpose(A.data.view(np.float64), (0, 2, 1)).copy().reshape(A.l, -1)
 
 
 def vec(A):

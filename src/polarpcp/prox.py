@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperalgebra import REAL
 from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, check_finite, max_modulus, scale_exponent
 
 
@@ -98,17 +97,6 @@ def soft_threshold_real(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _entry_components(Z):
-    """View the coefficient tensor as an (lm, components-per-entry) float
-    array in slab order; complex128 memory is re/im interleaved, which is
-    exactly that order."""
-    lm = Z.l * Z.m
-    flat = np.ascontiguousarray(Z.data.reshape(lm, Z.n))
-    if Z.field == REAL:
-        return flat
-    return flat.view(np.float64)
-
-
 def _at_safe_scale(prox, Z, lam, *args):
     """prox(Z, lam, *args), or, for a Z whose largest modulus is outside
     SAFE_RANGE, 2^e prox(Z 2^-e, lam 2^-e, *args) with the e of
@@ -130,13 +118,14 @@ def prox_l1(Z, lam):
 
 
 def _prox_l1(Z, lam):
-    """prox_l1 with no rescale: the naive solver's sparse step."""
-    comps = _entry_components(Z)
-    lm, width = comps.shape
-    gv = GroupedVector(comps.ravel(), np.arange(lm, dtype=np.intp) * width)
-    out = group_soft_threshold(gv, lam).values.reshape(lm, width)
-    if Z.field != REAL:
-        out = out.view(np.complex128)
+    """prox_l1 with no rescale: the naive solver's sparse step.  Each
+    entry's group is its coefficients read as float64 values: for complex
+    data the real and imaginary parts interleaved, which is the slab
+    order."""
+    coeffs = Z.data.reshape(-1).view(np.float64)
+    lm = Z.l * Z.m
+    gv = GroupedVector(coeffs, np.arange(lm, dtype=np.intp) * (coeffs.size // lm))
+    out = group_soft_threshold(gv, lam).values.view(Z.data.dtype)
     return HyperMatrix(out.reshape(Z.data.shape), Z.field)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import promote_fields
-from .hypermatrix import GROUP_DFT, SKEW_DFT, HyperMatrix, TubeTransform, check_finite  # noqa: F401
+from .hypermatrix import HyperMatrix, TubeTransform, check_finite
 from .hypermatrix import _ldexp, scale_exponent
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 

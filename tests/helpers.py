@@ -25,12 +25,16 @@ rows at a time; reference_expand fills its partner slices.  They read
 the layout of a real-tube state from reference_split, which builds it
 from conjugate_pairing() alone.  ReferenceScalar is the standalone scalar
 arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
+raises_exactly expects an input check's exception type and message.
 """
 
+import contextlib
 import math
 import os
+import re
 
 import numpy as np
+import pytest
 
 import polarpcp.hypermatrix as hm
 from polarpcp import COMPLEX, REAL, HyperMatrix, PcpResult, PhtFormatError, PolarScalar, _blas
@@ -656,3 +660,12 @@ def reference_inner(p, q):
     if p.n != q.n:
         raise ValueError(f"dimension mismatch: n={p.n} vs n={q.n}")
     return float(np.real(np.sum(p.coeffs * np.conj(q.coeffs))))
+
+
+@contextlib.contextmanager
+def raises_exactly(kind, message):
+    """Expect an exception of type kind itself, not of a subclass, whose
+    message is exactly message."""
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as info:
+        yield info
+    assert info.type is kind

@@ -355,6 +355,34 @@ class TestLanes:
         assert calls == [threading.get_ident()] * 2   # one complex slice, two self-paired
         assert np.allclose(reference_slice_compose(T, U, s, Vh, real=True), blocks)
 
+    def test_large_products_off_the_direct_path_use_the_lanes(self, monkeypatch):
+        # 140 x 64 is past both gesdd QR thresholds: np.linalg.svd factors
+        # every matrix and np.matmul multiplies it back.
+        T = TubeTransform.dft(4)
+        A = HyperMatrix(np.random.default_rng(5).standard_normal((140, 64, 4)), REAL)
+        state = T.hat_state(A)
+        assert not any(_lapack.direct(p) for p in T.kernel_buffer(state).parts)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("POLARPCP_THREADS", "1")
+        one_lane = T.compose_state(*T.svd_state(state))
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        U, s, Vh = T.svd_state(state)
+        barrier = threading.Barrier(2, timeout=10)
+        threads = []
+        matmul = np.matmul
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            if len(threads) <= 2:
+                barrier.wait()
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        two_lanes = T.compose_state(U, s, Vh)
+        monkeypatch.undo()
+        assert len(threads) == 3 and len(set(threads)) == 2   # one paired slice, two planes
+        assert two_lanes.tobytes() == one_lane.tobytes()
+
     def test_lane_error_propagates_and_threads_stop(self, lanes):
         barrier = threading.Barrier(2, timeout=10)
         before = threading.active_count()

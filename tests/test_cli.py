@@ -205,6 +205,20 @@ class TestDecompose:
         assert code == 0
         assert read_pht(out / "L.pht").field == "complex"
 
+    def test_complex_file_with_zero_imaginary_parts_as_real(self, tmp_path):
+        data = np.random.default_rng(2).standard_normal((7, 6, 4))
+        write_pht(HyperMatrix(data), tmp_path / "real.pht")
+        write_pht(HyperMatrix(data.astype(np.complex128)), tmp_path / "complex.pht")
+        assert read_pht(tmp_path / "complex.pht").field == "complex"
+        outs = []
+        for name, field in (("real", []), ("complex", ["--field", "real"])):
+            out = tmp_path / f"from_{name}"
+            out.mkdir()
+            assert main(["decompose", str(tmp_path / f"{name}.pht"), *field,
+                         "--out-dir", str(out)]) == 0
+            outs.append([(out / f).read_bytes() for f in ("L.pht", "S.pht", "report.json")])
+        assert outs[0] == outs[1]
+
     def test_complex_to_real_coercion_fails(self, tmp_path):
         path, _ = _low_rank_pht(tmp_path)
         code = main(["decompose", str(path), "--field", "real", "--out-dir", str(tmp_path)])

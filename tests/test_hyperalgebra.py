@@ -13,6 +13,7 @@ from helpers import (
     circ_conv,
     random_hypermatrix,
     random_scalar,
+    raises_exactly,
     random_tube,
     reference_inner,
 )
@@ -323,6 +324,22 @@ class TestMatchesReferenceScalar:
                 for cls in (PolarScalar, ReferenceScalar):
                     with pytest.raises(SingularScalarError):
                         cls(coeffs).inverse()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda: PolarScalar(np.ones((2, 2))), ValueError,
+         "coeffs must be a one-dimensional sequence with n >= 1 entries"),
+        (lambda: PolarScalar([]), ValueError,
+         "coeffs must be a one-dimensional sequence with n >= 1 entries"),
+        (lambda: PolarScalar.unit(3, 3), ValueError, "unit index 3 out of range for n=3"),
+        (lambda: PolarScalar.unit(3, -1), ValueError, "unit index -1 out of range for n=3"),
+        (lambda: inner(PolarScalar([1.0, 2.0]), 1.0), TypeError,
+         "inner expects two PolarScalar operands"),
+    ], ids=["2-d", "empty", "unit-past-n", "unit-negative", "inner-not-a-scalar"])
+    def test_rejects(self, call, kind, message):
+        with raises_exactly(kind, message):
+            call()
 
 
 class TestCoefficientsAreCopies:

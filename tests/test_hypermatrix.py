@@ -25,6 +25,7 @@ from helpers import (
     dense_permutation,
     hyper_matmul_direct,
     random_hypermatrix,
+    raises_exactly,
     random_tube,
     tube_product_direct,
 )
@@ -350,6 +351,35 @@ class TestConstruction:
         assert np.allclose((A * 2.0 - A).data, A.data)
         assert (A * 1j).field == COMPLEX
         assert np.allclose((A / 2.0).data, A.data / 2.0)
+
+    def test_complex_data_with_zero_imaginary_parts_enters_a_real_field(self):
+        data = np.random.default_rng(21).standard_normal((3, 2, 4))
+        A = HyperMatrix(data.astype(np.complex128), REAL)
+        assert A.field == REAL and A.data.dtype == np.float64
+        assert A.data.tobytes() == data.tobytes()
+
+
+_A, _B = HyperMatrix(np.zeros((2, 3, 2))), HyperMatrix(np.zeros((3, 2, 2)))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda: _A + _B, ValueError, "shape mismatch: (2, 3, 2) vs (3, 2, 2)"),
+        (lambda: _A - _B, ValueError, "shape mismatch: (2, 3, 2) vs (3, 2, 2)"),
+        (lambda: hm.inner(_A, _B), ValueError, "shape mismatch: (2, 3, 2) vs (3, 2, 2)"),
+        (lambda: hm.inv(_A), ValueError, "matrix inverse requires a square matrix"),
+        (lambda: _A + 1, TypeError, "unsupported operand type(s) for +: 'HyperMatrix' and 'int'"),
+        (lambda: SpectralMatrix(np.zeros((2, 2))), ValueError,
+         "blocks must have shape (n, l, m) with n, l, m >= 1"),
+        (lambda: SpectralMatrix(np.zeros((1, 2, 2)), "orthonormal"), ValueError,
+         "unknown normalization 'orthonormal'"),
+        (lambda: HyperMatrix(np.zeros((1, 1, 2)), "quaternion"), ValueError,
+         "field must be 'real' or 'complex', got 'quaternion'"),
+    ], ids=["add", "sub", "inner", "inv", "add-int", "spectral-shape",
+            "spectral-normalization", "field"])
+    def test_rejects(self, call, kind, message):
+        with raises_exactly(kind, message):
+            call()
 
 
 FIELDS = (REAL, COMPLEX)

@@ -213,7 +213,7 @@ def staged(monkeypatch):
 def _on_direct_path(X, cfg):
     """True when some stack of X's solver state is on gesdd's direct path."""
     T = cfg.resolve_transform(X.n)
-    return any(len(p) and _lapack.direct(p) for p in T._parts(T.hat_state(X)))
+    return any(len(p) and _lapack.direct(p) for p in T.kernel_buffer(T.hat_state(X)).parts)
 
 
 def _assert_close(res, ref, record, on_direct_path):

@@ -24,7 +24,13 @@ from polarpcp import (
 )
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
-from helpers import GROUP_FACTORS, random_hypermatrix, reference_prox_trace, scale_instance
+from helpers import (
+    GROUP_FACTORS,
+    raises_exactly,
+    random_hypermatrix,
+    reference_prox_trace,
+    scale_instance,
+)
 
 
 class TestSoftThresholdReal:
@@ -48,6 +54,10 @@ class TestSoftThresholdReal:
 
 
 class TestGroupSoftThreshold:
+    def test_rejects_values_that_are_not_1d(self):
+        with raises_exactly(ValueError, "values and offsets must be non-empty 1-d arrays"):
+            GroupedVector(np.ones((2, 2)), np.array([0]))
+
     def test_small_group_zeroed(self):
         gv = GroupedVector(np.array([0.3, 0.4, 3.0, 4.0]), np.array([0, 2]))
         out = group_soft_threshold(gv, 1.0)

@@ -29,6 +29,8 @@ from polarpcp.simlab import (
     TrialOutcome,
 )
 
+from helpers import raises_exactly
+
 
 class TestGenerator:
     def test_no_sparse_part_is_low_rank(self):
@@ -115,6 +117,17 @@ class TestEmbedding:
             embed(np.zeros((2, 2)), np.zeros((3, 2)), POLAR2BICOMPLEX)
         with pytest.raises(ValueError):
             embed(np.zeros((2, 2)), np.zeros((2, 2)), "quaternion")
+
+    @pytest.mark.parametrize("field, n, mode, message", [
+        (REAL, 2, POLAR4COMPLEX, "polar4complex extraction needs a real 4-tube matrix"),
+        (COMPLEX, 4, POLAR4COMPLEX, "polar4complex extraction needs a real 4-tube matrix"),
+        (REAL, 2, POLAR2BICOMPLEX, "polar2bicomplex extraction needs a complex 2-tube matrix"),
+        (COMPLEX, 4, POLAR2BICOMPLEX, "polar2bicomplex extraction needs a complex 2-tube matrix"),
+        (REAL, 4, "quaternion", "unknown embedding 'quaternion'"),
+    ])
+    def test_extract_rejects(self, field, n, mode, message):
+        with raises_exactly(ValueError, message):
+            extract(hm.HyperMatrix.zeros(2, 2, n, field), mode)
 
 
 class TestTrialSpec:
@@ -228,6 +241,12 @@ def _tiny_spec(**kw):
 
 
 class TestRunGrid:
+    def test_missing_cell_is_a_key_error(self):
+        grid = simlab.GridResult(_tiny_spec(), ())
+        with raises_exactly(KeyError, "('polar4complex', 1, 0.05)") as info:
+            grid.cell(POLAR4COMPLEX, 1, 0.05)
+        assert info.value.args == ((POLAR4COMPLEX, 1, 0.05),)
+
     def test_row_arithmetic_and_fractions(self, tmp_path):
         spec = _tiny_spec()
         grid = run_grid(spec)

@@ -32,6 +32,7 @@ from helpers import (
     GROUP_FACTORS,
     ialm_frequency_reference,
     low_rank_plus_sparse as _low_rank_plus_sparse,
+    raises_exactly,
     random_hypermatrix,
     reference_pcp,
     reference_prox_trace,
@@ -158,6 +159,10 @@ class TestSolverConfig:
 
 
 class TestPcpIalm:
+    def test_rejects_an_array(self):
+        with raises_exactly(TypeError, "solver input must be a HyperMatrix"):
+            pcp_ialm(np.zeros((2, 2, 2)))
+
     def test_zero_input(self):
         res = pcp_ialm(HyperMatrix.zeros(3, 4, 2))
         assert res.converged and res.iterations == 1
