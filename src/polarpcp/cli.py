@@ -42,6 +42,7 @@ def _build_parser():
     )
     sim.add_argument("--variant", choices=VARIANTS, default="polar")
     sim.add_argument("--out", default="results.csv")
+    sim.set_defaults(run=_cmd_simulate)
 
     dec = sub.add_parser("decompose", help="split a PHT tensor into L + S")
     dec.add_argument("input", help="PHT v1 tensor file")
@@ -52,11 +53,13 @@ def _build_parser():
     dec.add_argument("--max-iters", type=int, default=1000)
     dec.add_argument("--transform", choices=list(TubeTransform.NAMES), default="dft")
     dec.add_argument("--out-dir", default=".")
+    dec.set_defaults(run=_cmd_decompose)
 
     tsv = sub.add_parser("tsvd", help="factor a PHT tensor")
     tsv.add_argument("input", help="PHT v1 tensor file")
     tsv.add_argument("--transform", choices=list(TubeTransform.NAMES), default="dft")
     tsv.add_argument("--out-dir", default=".")
+    tsv.set_defaults(run=_cmd_tsvd)
 
     return parser
 
@@ -131,13 +134,12 @@ def _cmd_tsvd(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "decompose": _cmd_decompose,
-        "tsvd": _cmd_tsvd,
-    }
     try:
-        return handlers[args.command](args)
+        # The output location is checked before any input is read or solved.
+        out_dir = Path(args.out).parent if args.command == "simulate" else Path(args.out_dir)
+        if not out_dir.is_dir():
+            raise NotADirectoryError(f"not an existing directory: {out_dir}")
+        return args.run(args)
     except np.linalg.LinAlgError as exc:   # a ValueError: caught first
         print(f"polarpcp: numerical error: {exc}", file=sys.stderr)
         return PARAM_ERROR

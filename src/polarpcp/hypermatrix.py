@@ -70,16 +70,19 @@ ROW_BLOCKS = 16
 # considered real-valued.
 _REAL_DETECT_RTOL = 1e-10
 
-# Magnitudes whose squares, and sums of many of them, neither overflow nor
-# underflow.
+# Bounds, both inclusive, on the largest magnitude of float64 values whose
+# squares, and sums of many of them, neither overflow nor underflow.
 SAFE_RANGE = (2.0**-400, 2.0**400)
 
 
-def scale_exponent(top):
-    """0 for a largest magnitude top in SAFE_RANGE, zero or not finite;
-    otherwise the e for which top * 2^-e is in [1/2, 1).  A function whose
-    every step commutes with a power-of-two scale runs on its input scaled
-    by 2^-e, and its result is scaled back by 2^e, exactly."""
+def scale_exponent(a):
+    """0 when top, the largest magnitude of a float64 array a or of the real
+    and imaginary parts of a complex128 one, is in SAFE_RANGE, zero or not
+    finite; otherwise the e for which top * 2^-e is in [1/2, 1).  A function
+    whose every step commutes with a power-of-two scale runs on its input
+    scaled by 2^-e, and its result is scaled back by 2^e, exactly."""
+    values = a.view(np.float64)
+    top = max(values.max(), -values.min())
     return 0 if top == 0 or SAFE_RANGE[0] <= top <= SAFE_RANGE[1] else math.frexp(top)[1]
 
 
@@ -100,12 +103,6 @@ def _ldexp(a, e):
 def _is_int(value):
     """True for an integer, numpy's included, that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _top_coefficient(A):
-    """Largest coefficient magnitude of A."""
-    coeffs = A.data.view(np.float64)
-    return max(coeffs.max(), -coeffs.min())
 
 
 class HyperMatrix:
@@ -824,9 +821,9 @@ def inner(A, B):
 def frobenius(A):
     """Frobenius norm: Euclidean norm of all coefficients.  Where the
     largest coefficient is outside SAFE_RANGE, so that a square could
-    overflow or underflow, it is measured on a copy scaled by a power of
-    two."""
-    e = scale_exponent(_top_coefficient(A))
+    overflow or underflow, it is measured on a copy scaled by 2^-e
+    (scale_exponent)."""
+    e = scale_exponent(A.data)
     data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
     return _ldexp(float(np.linalg.norm(data)), e)
 
@@ -858,8 +855,8 @@ def spectral_norm(A, transform=None):
 def max_modulus(A):
     """Largest entry modulus, the hypercomplex max-norm.  Where the largest
     coefficient is outside SAFE_RANGE, so that a square could overflow or
-    underflow, it is measured on a copy scaled by a power of two."""
-    e = scale_exponent(_top_coefficient(A))
+    underflow, it is measured on a copy scaled by 2^-e (scale_exponent)."""
+    e = scale_exponent(A.data)
     data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
     squares = np.square(data.real)
     if np.iscomplexobj(data):

@@ -23,9 +23,9 @@ of Z's values by (1 - tau/|sigma_i(Z)|)_+; (4) these factors do not
 increase with i, so the relaxed solution is sorted, feasible and optimal.
 
 Both proxes commute with a power-of-two scale of the input and the
-threshold.  An input whose largest modulus is outside [2^-400, 2^400], where
-the squares in the group norms would overflow or underflow, is shrunk as a
-copy scaled by a power of two, and the result is scaled back exactly
+threshold.  An input whose largest coefficient is outside [2^-400, 2^400],
+where the squares in the group norms would overflow or underflow, is shrunk
+as a copy scaled by a power of two, and the result is scaled back exactly
 (hypermatrix.scale_exponent).  Inputs in the range keep their bits.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, check_finite, max_modulus, scale_exponent
+from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, check_finite, scale_exponent
 
 
 @dataclass
@@ -98,15 +98,14 @@ def soft_threshold_real(x, lam):
 
 
 def _at_safe_scale(prox, Z, lam, *args):
-    """prox(Z, lam, *args), or, for a Z whose largest modulus is outside
+    """prox(Z, lam, *args), or, for a Z whose largest coefficient is outside
     SAFE_RANGE, 2^e prox(Z 2^-e, lam 2^-e, *args) with the e of
     hypermatrix.scale_exponent."""
-    e = scale_exponent(max_modulus(Z))
+    e = scale_exponent(Z.data)
     if not e:
         return prox(Z, lam, *args)
     out = prox(HyperMatrix(_ldexp(Z.data.copy(), -e), Z.field), _ldexp(lam, -e), *args)
-    _ldexp(out.data, e)
-    return out
+    return HyperMatrix(_ldexp(out.data, e), Z.field)
 
 
 def prox_l1(Z, lam):

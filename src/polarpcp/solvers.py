@@ -51,7 +51,7 @@ block of rows at a time (TubeTransform.unhat_state).  "naive" iterates on
 the coefficients with a plain scratch array, and its D is the caller's
 X.data.
 
-An input whose largest modulus lies outside [2^-400, 2^400], where the
+An input whose largest coefficient lies outside [2^-400, 2^400], where the
 loop's squares would overflow or underflow, is scaled once by a power of
 two (hypermatrix.scale_exponent) into a copy that takes its place, so a
 handed-over input is freed at every scale; L, S and the mu history are
@@ -188,7 +188,8 @@ def pcp_ialm(X, cfg=None):
     polar objective that flag only certifies the residual.  X is only
     read; a caller that holds no other reference to it hands it over, and
     a frequency or tensor-RPCA solve frees it after its set-up, at every
-    scale: an X outside [2^-400, 2^400] is scaled once into a copy.
+    scale: an X whose largest coefficient is outside [2^-400, 2^400] is
+    scaled once into a copy.
 
     The stats are this solve's own counts, made at its calls: the matrices
     the slice-SVD kernel factored in the loop and in the set-up, and the
@@ -206,11 +207,10 @@ def pcp_ialm(X, cfg=None):
         zero = HyperMatrix.zeros(X.l, X.m, X.n, field)
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
                          dict(counts))
-    maxmod = hm.max_modulus(X)
-    e = hm.scale_exponent(maxmod)
+    e = hm.scale_exponent(X.data)
     if e:   # solve X * 2^-e; a handed-over X is freed here
         X = HyperMatrix(hm._ldexp(X.data.copy(), -e), field)
-        maxmod = hm.max_modulus(X)
+    maxmod = hm.max_modulus(X)
     T = cfg.resolve_transform(X.n)
 
     if cfg.variant == NAIVE:

@@ -14,8 +14,10 @@ products of slices equal the algebra's tube product with no extra scaling.
 The unitary variant, the unnormalized matrix divided by sqrt(n), is exposed
 through ``matrix()`` for analysis and tests.
 
-The singular-tube moduli of huge or tiny inputs are summed at a power-of-two
-scale (hypermatrix.scale_exponent), so they give neither inf nor 0.
+The singular-tube moduli are summed at a power-of-two scale
+(hypermatrix.scale_exponent), so their squares neither overflow nor
+underflow; the transform runs first, at the input's scale, and overflows
+on a real 12x10x4 input with its largest coefficient in [2^1021, 2^1022).
 
 ``TubeTransform`` (the transform seam and slice-SVD kernel) and the blockwise
 product ``t_matmul`` live in ``hypermatrix`` and are re-exported here.
@@ -83,9 +85,8 @@ def _tube_moduli(svals, n):
     (n, k) array svals, so its modulus is sqrt(sum_b sigma_i(slice_b)^2 / n);
     the squares sum to the squared Frobenius norm.  Values outside
     SAFE_RANGE are summed as a copy scaled by a power of two."""
-    e = scale_exponent(svals.max())
-    if e:
-        svals = _ldexp(svals.copy(), -e)
+    e = scale_exponent(svals)
+    svals = svals if e == 0 else _ldexp(svals.copy(), -e)
     return _ldexp(np.sqrt((svals * svals).sum(axis=0) / n), e)
 
 

@@ -303,6 +303,24 @@ def scale_instance(embedding):
     return embed(M1, M2, embedding)
 
 
+def overflow_instance(embedding):
+    """scale_instance(embedding) with its first tube set to four copies of
+    its largest coefficient magnitude, and the k for which 2^k puts that
+    coefficient in [2^1023, 2^1024).  The largest modulus of the scaled
+    input, twice that coefficient, is then past the largest float."""
+    X = scale_instance(embedding)
+    coeffs = X.data.view(np.float64)
+    top = np.abs(coeffs).max()
+    coeffs.reshape(X.l, X.m, -1)[0, 0] = top
+    return X, 1024 - math.frexp(top)[1]
+
+
+def ldexp(A, k):
+    """A * 2^k, with each real and imaginary part scaled exactly: a complex
+    product with 2^k could change the sign of a zero."""
+    return HyperMatrix(np.ldexp(A.data.view(np.float64), k).view(A.data.dtype), A.field)
+
+
 def reference_hat(T, A):
     """TubeTransform.hat as it stood before its transform ran in place: the
     slice stack of numpy's one-shot FFTs of A's tubes, moved in front."""

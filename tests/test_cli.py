@@ -8,7 +8,7 @@ import polarpcp.hypermatrix as hm
 from polarpcp import HyperMatrix, TubeTransform, read_pht, singular_moduli, write_pht
 from polarpcp.cli import main
 
-from helpers import random_hypermatrix, scale_instance
+from helpers import ldexp, overflow_instance, random_hypermatrix, scale_instance
 
 # Each command's --help at 80 columns: the choices come from EMBEDDINGS,
 # simlab.VARIANTS and TubeTransform.NAMES.
@@ -105,6 +105,30 @@ class TestHelp:
             main([command, str(tmp_path / "x.pht"), "--transform", "skew_dft"])
         assert exc.value.code == 2
         assert "invalid choice: 'skew_dft'" in capsys.readouterr().err
+
+
+class TestOutputLocation:
+    @pytest.mark.parametrize("argv, where", [
+        (["simulate", "--m", "10", "--ranks", "1", "--rhos", "0.05", "--trials", "1",
+          "--out", "{missing}/r.csv"], "{missing}"),
+        (["decompose", "{input}", "--out-dir", "{missing}"], "{missing}"),
+        (["tsvd", "{input}", "--out-dir", "{missing}"], "{missing}"),
+        (["decompose", "{input}", "--out-dir", "{input}"], "{input}"),
+        (["tsvd", "{input}", "--out-dir", "{input}"], "{input}"),
+    ], ids=["simulate-missing", "decompose-missing", "tsvd-missing", "decompose-file", "tsvd-file"])
+    def test_checked_before_the_work(self, tmp_path, monkeypatch, capsys, argv, where):
+        # A missing directory, or a file where a directory is asked for, is
+        # an I/O error before any input is read or solved.
+        def fail(*args, **kwargs):
+            raise AssertionError("called before the output location was checked")
+
+        for name in ("read_pht", "pcp_ialm", "tsvd", "run_grid"):
+            monkeypatch.setattr(cli, name, fail)
+        paths = {"missing": tmp_path / "missing", "input": _low_rank_pht(tmp_path)[0]}
+        assert main([arg.format(**paths) for arg in argv]) == 3
+        assert capsys.readouterr().err == (
+            f"polarpcp: I/O error: not an existing directory: {where.format(**paths)}\n"
+        )
 
 
 class TestSimulate:
@@ -245,6 +269,17 @@ class TestDecompose:
         code = main(["decompose", str(path), "--out-dir", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == "polarpcp: numerical error: SVD did not converge\n"
+
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    def test_largest_modulus_past_the_largest_float(self, tmp_path, capfd, embedding):
+        # Every coefficient is finite, but the largest modulus is inf: the
+        # solve runs at a power-of-two scale and writes finite parts.
+        X, k = overflow_instance(embedding)
+        write_pht(ldexp(X, k), tmp_path / "x.pht")
+        assert main(["decompose", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 0
+        assert capfd.readouterr().err == ""
+        for name in ("L.pht", "S.pht"):
+            assert np.isfinite(read_pht(tmp_path / name).data).all()
 
 
 class TestTsvdCommand:

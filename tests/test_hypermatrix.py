@@ -331,6 +331,40 @@ class TestNormsAndIsomorphisms:
         assert hm.max_modulus(HyperMatrix.zeros(2, 2, 3, field)) == 0.0
 
 
+class TestScaleExponent:
+    def test_reads_the_largest_float_magnitude(self):
+        assert hm.scale_exponent(np.array([[1.0, -3 * 2.0**500]])) == 502
+        assert hm.scale_exponent(np.array([0.75 * 2.0**-500, -2.0**-501])) == -500
+
+    def test_complex_is_read_as_float_pairs(self):
+        # Each part is 0.75 * 2^400, in the range, though the modulus,
+        # 1.06 * 2^400, is not.
+        part = 0.75 * 2.0**400
+        assert hm.scale_exponent(np.array([part - 1j * part])) == 0
+        assert hm.scale_exponent(np.array([[1.0 - 1j * 2.0**500, 0j]])) == 501
+        assert hm.scale_exponent(np.array([2.0**-450 + 1j * 2.0**-440])) == -439
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf, -math.inf])
+    def test_zero_and_non_finite_give_zero(self, dtype, value):
+        a = np.full((2, 3, 4), 2.0**600, dtype)
+        a[1, 2, 3] = value
+        # A zero among huge values keeps their exponent; a nan or an inf
+        # among them gives 0.
+        assert hm.scale_exponent(a) == (0 if value else 601)
+        assert hm.scale_exponent(np.full((2, 3), value, dtype)) == 0
+
+    def test_both_bounds_are_inclusive(self):
+        low, high = hm.SAFE_RANGE
+        assert hm.scale_exponent(np.array([low])) == hm.scale_exponent(np.array([-high])) == 0
+        assert hm.scale_exponent(np.array([np.nextafter(low, 0.0)])) == -400
+        assert hm.scale_exponent(np.array([np.nextafter(high, math.inf)])) == 401
+
+    def test_subnormal(self):
+        assert hm.scale_exponent(np.array([0.0, -5e-324])) == -1073
+        assert hm.scale_exponent(np.array([1j * 2.0**-1030])) == -1029
+
+
 class TestConstruction:
     def test_entry_roundtrip(self):
         rng = np.random.default_rng(19)

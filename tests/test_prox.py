@@ -26,6 +26,8 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 from helpers import (
     GROUP_FACTORS,
+    ldexp,
+    overflow_instance,
     raises_exactly,
     random_hypermatrix,
     reference_prox_trace,
@@ -464,3 +466,18 @@ class TestExtremeScales:
             warnings.simplefilter("error")
             got = _SCALED[name](X * math.ldexp(1.0, e), math.ldexp(1.0, e))
         assert got.tobytes() == np.ldexp(want.view(np.float64), e).tobytes()
+
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    @pytest.mark.parametrize("name", ["prox_trace", "prox_l1"])
+    def test_largest_modulus_past_the_largest_float(self, capfd, embedding, name):
+        # Every coefficient is finite, but the largest modulus is inf: the
+        # prox reads its exponent from the coefficients, so it shrinks at a
+        # scale where the squares are finite.
+        X, k = overflow_instance(embedding)
+        want = _SCALED[name](X, 1.0)
+        assert hm.max_modulus(ldexp(X, k)) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _SCALED[name](ldexp(X, k), math.ldexp(1.0, k))
+        assert "On entry to" not in capfd.readouterr().err
+        assert got.tobytes() == np.ldexp(want.view(np.float64), k).tobytes()

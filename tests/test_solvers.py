@@ -31,7 +31,9 @@ from polarpcp.pht import write_pht
 from helpers import (
     GROUP_FACTORS,
     ialm_frequency_reference,
+    ldexp,
     low_rank_plus_sparse as _low_rank_plus_sparse,
+    overflow_instance,
     raises_exactly,
     random_hypermatrix,
     reference_pcp,
@@ -662,23 +664,51 @@ class TestExtremeScales:
     @pytest.mark.parametrize("top,rescaled", [(400, False), (401, True),
                                               (-399, False), (-400, True)])
     def test_rescales_only_outside_the_range(self, monkeypatch, top, rescaled):
-        # The largest modulus is put in [2^(top-1), 2^top).  The solve
-        # measures its input and, only outside the range, the copy scaled
-        # by 2^-e, with e that modulus's exponent, on which it then runs.
+        # The largest coefficient is put in [2^(top-1), 2^top).  The solve
+        # reads its exponent from its input and measures the largest modulus
+        # once, of the array it runs on: the input or, only outside the
+        # range, the copy scaled by 2^-e, with e that coefficient's exponent.
         X = scale_instance("polar4complex")
-        X = X * math.ldexp(1.0, top - math.frexp(hm.max_modulus(X))[1])
-        measured = []
-        max_modulus = hm.max_modulus
+        X = X * math.ldexp(1.0, top - math.frexp(np.abs(X.data).max())[1])
+        read, measured = [], []
+        scale_exponent, max_modulus = hm.scale_exponent, hm.max_modulus
 
-        def spy(A):
+        def read_spy(a):
+            read.append(a.copy())
+            return scale_exponent(a)
+
+        def measure_spy(A):
             measured.append(A.data.copy())
             return max_modulus(A)
 
-        monkeypatch.setattr(hm, "max_modulus", spy)
+        monkeypatch.setattr(hm, "scale_exponent", read_spy)
+        monkeypatch.setattr(hm, "max_modulus", measure_spy)
         assert pcp_ialm(X).converged
         monkeypatch.undo()
-        expected = [X.data]
-        if rescaled:
-            e = math.frexp(hm.max_modulus(X))[1]
-            expected.append(np.ldexp(X.data.view(np.float64), -e).view(X.data.dtype))
-        assert [A.tobytes() for A in measured] == [A.tobytes() for A in expected]
+        e = math.frexp(np.abs(X.data).max())[1] if rescaled else 0
+        solved = np.ldexp(X.data, -e)
+        # max_modulus reads its own exponent from the array it measures.
+        assert [A.tobytes() for A in read] == [X.data.tobytes(), solved.tobytes()]
+        assert [A.tobytes() for A in measured] == [solved.tobytes()]
+
+    @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
+    @pytest.mark.parametrize("variant", ["frequency", "tensor_rpca", "naive"])
+    def test_largest_modulus_past_the_largest_float(self, capfd, embedding, variant):
+        # Every coefficient is finite, but the largest modulus is inf: the
+        # solve reads its exponent from the coefficients and runs at a scale
+        # where the squares are finite, so no SVD sees an inf or a nan.
+        X, k = overflow_instance(embedding)
+        cfg = SolverConfig(variant=variant)
+        ref = pcp_ialm(X, cfg)
+        big = ldexp(X, k)
+        assert hm.max_modulus(big) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pcp_ialm(big, cfg)
+        assert "On entry to" not in capfd.readouterr().err
+        assert res.iterations == ref.iterations and res.converged == ref.converged
+        for got, want in ((res.L, ref.L), (res.S, ref.S)):
+            assert got.data.tobytes() == ldexp(want, k).data.tobytes()
+        assert res.mu_history.tobytes() == np.ldexp(ref.mu_history, -k).tobytes()
+        assert res.residual_history.tobytes() == ref.residual_history.tobytes()
+        assert res.stats == ref.stats
