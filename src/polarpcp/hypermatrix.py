@@ -12,7 +12,8 @@ its frontal blocks are exactly the unnormalized tube DFT values, so the
 matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
 TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every
-t-SVD transform: the skew DFT and the group DFTs.  It transforms the last
+t-SVD transform that is a Kronecker product of DFT and skew-DFT factors:
+the skew DFT, the group DFTs and their mixes.  It transforms the last
 axis, where the tubes are, and is the one seam into the transform domain
 (hat, unhat), the owner of the packed state of real tubes, which only
 hat_state and unhat_state enter and leave, and the one slice-SVD kernel,
@@ -248,24 +249,27 @@ class SpectralMatrix:
         return self.blocks.shape[2]
 
 
-SKEW_DFT = "skew_dft"
-GROUP_DFT = "group_dft"
-
-
-def _dft_matrix(n):
-    # Exact entries for n <= 2 so Walsh-Hadamard factors are exactly +-1.
-    if n == 1:
+def _factor_matrix(kind, k):
+    """Dense matrix of one factor, ("dft", k) or ("skew", k)."""
+    j, i = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    if kind == "skew":
+        return np.exp(-1j * math.pi * i * (2 * j + 1) / k)
+    # Exact entries for k <= 2 so Walsh-Hadamard factors are exactly +-1.
+    if k == 1:
         return np.array([[1.0 + 0j]])
-    if n == 2:
+    if k == 2:
         return np.array([[1.0 + 0j, 1.0 + 0j], [1.0 + 0j, -1.0 + 0j]])
-    k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * math.pi * k * i / n)
+    return np.exp(-2j * math.pi * j * i / k)
 
 
 class TubeTransform:
-    """Invertible tube transform defining a t-SVD algebra: the skew DFT, or
-    the DFT of the group Z_f1 x ... x Z_fr, the Kronecker product of the
-    factors' DFTs.  The tube DFT is the one-factor group DFT of Z_n.
+    """Invertible tube transform defining a t-SVD algebra: the Kronecker
+    product of its factors, each a DFT ("dft", k) or a skew DFT
+    ("skew", k), in the transform t-product family of Kernfeld, Kilmer and
+    Aeron (LAA 2015).  The tube DFT is the one factor ("dft", n), the skew
+    DFT the one factor ("skew", n), the DFT of the group Z_f1 x ... x Z_fr
+    the factors ("dft", f1), ..., ("dft", fr), and Walsh-Hadamard has every
+    factor ("dft", 2).
 
     It is the one seam into the transform domain: hat and unhat move a
     matrix of tubes to and from its (n, l, m) slice stack, hat_state and
@@ -277,34 +281,29 @@ class TubeTransform:
     transform, built complete, so lanes may share it.
     """
 
-    __slots__ = ("kind", "n", "factors", "_real_slots")
+    __slots__ = ("n", "factors", "_lengths", "_real_slots")
 
     # Transform names accepted by from_name, mapped to the constructor.
     NAMES = {"dft": "dft", "skew-dft": "skew_dft", "wht": "walsh_hadamard"}
 
-    # The shared instances of the named constructors, by (kind, n, factors).
+    # The shared instances of the named constructors, by factors.
     _shared = {}
     _shared_lock = threading.Lock()
 
-    def __init__(self, kind, n, factors=None):
-        if kind not in (SKEW_DFT, GROUP_DFT):
-            raise ValueError(f"unknown transform kind {kind!r}")
-        n = self._length(n)
-        if kind == GROUP_DFT:
-            factors = tuple(map(self._length, factors or ()))
-            if not factors or math.prod(factors) != n:
-                raise ValueError(f"group_dft factors {factors} must have product {n}")
-        elif factors is not None:
-            raise ValueError(f"{kind} takes no factors")
-        self.kind = kind
-        self.n = n
+    def __init__(self, factors):
+        factors = tuple((kind, self._length(k)) for kind, k in factors)
+        if not factors or any(kind not in ("dft", "skew") for kind, _ in factors):
+            raise ValueError(f"factors {factors} must be one or more (kind, length) "
+                             f"pairs of kind 'dft' or 'skew'")
         self.factors = factors
+        self._lengths = tuple(k for _, k in factors)
+        self.n = math.prod(self._lengths)
         # The slot table of a real-tube state (see _slots), in the kernel's
         # order of matrices: the (source, partner) pairs of conjugate slices
         # in ascending partner order, then the self-paired planes (b,).
         pair = self.conjugate_pairing()
-        self._real_slots = (tuple((int(pair[b]), b) for b in range(n) if pair[b] < b),
-                            tuple((b,) for b in range(n) if pair[b] == b))
+        self._real_slots = (tuple((int(pair[b]), b) for b in range(self.n) if pair[b] < b),
+                            tuple((b,) for b in range(self.n) if pair[b] == b))
 
     @staticmethod
     def _length(n):
@@ -313,27 +312,25 @@ class TubeTransform:
         return int(n)
 
     @classmethod
-    def _shared_instance(cls, kind, n, factors=None):
-        key = (kind, n, factors)   # of _length-checked ints
+    def _shared_instance(cls, factors):
+        # factors are pairs of _length-checked ints
         with cls._shared_lock:
-            if key not in cls._shared:
-                cls._shared[key] = cls(kind, n, factors)
-            return cls._shared[key]
+            if factors not in cls._shared:
+                cls._shared[factors] = cls(factors)
+            return cls._shared[factors]
 
     @classmethod
     def dft(cls, n):
         """The tube DFT: the shared group_dft((n,))."""
-        n = cls._length(n)
-        return cls._shared_instance(GROUP_DFT, n, (n,))
+        return cls.group_dft((n,))
 
     @classmethod
     def skew_dft(cls, n):
-        return cls._shared_instance(SKEW_DFT, cls._length(n))
+        return cls._shared_instance((("skew", cls._length(n)),))
 
     @classmethod
     def group_dft(cls, factors):
-        factors = tuple(map(cls._length, factors))
-        return cls._shared_instance(GROUP_DFT, math.prod(factors), factors)
+        return cls._shared_instance(tuple(("dft", cls._length(k)) for k in factors))
 
     @classmethod
     def walsh_hadamard(cls, n):
@@ -351,11 +348,7 @@ class TubeTransform:
         return getattr(cls, cls.NAMES[name])(n)
 
     def __repr__(self):
-        extra = f", factors={self.factors}" if self.factors else ""
-        return f"TubeTransform({self.kind!r}, n={self.n}{extra})"
-
-    def _skew_twiddle(self):
-        return np.exp(-1j * math.pi * np.arange(self.n) / self.n)
+        return f"TubeTransform({self.factors})"
 
     def forward(self, x, out=None):
         """Apply the transform along the last axis (unnormalized values).
@@ -367,11 +360,8 @@ class TubeTransform:
             raise ValueError(f"axis length {x.shape[-1]} != transform length {self.n}")
         if out is None:
             out = np.empty(x.shape, np.result_type(x.dtype, 1j))
-        if self.kind == SKEW_DFT:
-            np.fft.fft(np.multiply(x, self._skew_twiddle(), out=out), out=out)
-        else:
-            out[...] = x
-            self._group_apply(out, np.fft.fft, out)
+        out[...] = x
+        self._apply(out, inverse=False)
         return out
 
     def inverse(self, y):
@@ -379,46 +369,46 @@ class TubeTransform:
         y = np.asarray(y)
         if y.shape[-1] != self.n:
             raise ValueError(f"axis length {y.shape[-1]} != transform length {self.n}")
-        if self.kind == SKEW_DFT:
-            return np.fft.ifft(y) * np.conj(self._skew_twiddle())
-        return self._group_apply(y, np.fft.ifft)
+        return self._apply(y, inverse=True)
 
-    def _group_apply(self, x, fft, out=None):
-        """fft (np.fft.fft or ifft) along every factor axis of the tubes,
-        last factor first: the calls of np.fft.fftn, without its argument
-        handling, into out if one is given (it may be x).  One factor, the
-        DFT, is one call on the tubes as they are."""
-        if len(self.factors) == 1:
-            return fft(x, out=out)
-        shape = x.shape[:-1] + self.factors
-        y, out = x.reshape(shape), None if out is None else out.reshape(shape)
+    def _apply(self, x, inverse):
+        """One np.fft.fft per factor (np.fft.ifft for the inverse), along
+        its axis of the tubes, last factor first: the calls of np.fft.fftn,
+        without its argument handling.  A skew factor of length k multiplies
+        by its twiddle exp(-i pi j / k), j = 0..k-1, before the FFT.  The
+        forward transform runs in place in x; the inverse runs into new
+        arrays, and multiplies by the conjugate twiddle after the FFT."""
+        y = x.reshape(x.shape[:-1] + self._lengths)
         for axis in range(-1, -len(self.factors) - 1, -1):
-            y = fft(y, axis=axis, out=out)
+            kind, k = self.factors[axis]
+            if kind == "skew":
+                twiddle = np.exp(-1j * math.pi * np.arange(k) / k)
+                twiddle = twiddle.reshape((k,) + (1,) * (-1 - axis))
+                if not inverse:
+                    y *= twiddle
+            y = np.fft.ifft(y, axis=axis) if inverse else np.fft.fft(y, axis=axis, out=y)
+            if kind == "skew" and inverse:
+                y *= np.conj(twiddle)
         return y.reshape(x.shape)
 
     def matrix(self, normalization=UNNORMALIZED):
-        """Dense transform matrix; "unitary" divides by sqrt(n)."""
-        n = self.n
-        if self.kind == SKEW_DFT:
-            k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            M = np.exp(-1j * math.pi * i * (2 * k + 1) / n)
-        else:
-            M = functools.reduce(np.kron, map(_dft_matrix, self.factors))
+        """Dense transform matrix, the Kronecker product of the factors'
+        matrices; "unitary" divides by sqrt(n)."""
+        M = functools.reduce(np.kron, (_factor_matrix(*f) for f in self.factors))
         if normalization == UNITARY:
-            return M / math.sqrt(n)
+            return M / math.sqrt(self.n)
         if normalization == UNNORMALIZED:
             return M
         raise ValueError(f"unknown normalization {normalization!r}")
 
     def conjugate_pairing(self):
         """Slice involution pi with spectrum[pi[b]] = conj(spectrum[b]) for
-        real-coefficient tubes."""
-        n = self.n
-        if self.kind == SKEW_DFT:
-            return n - 1 - np.arange(n)
-        multi = np.unravel_index(np.arange(n), self.factors)
-        neg = tuple((-ix) % f for ix, f in zip(multi, self.factors))
-        return np.ravel_multi_index(neg, self.factors)
+        real-coefficient tubes: index i of a factor axis of length k maps to
+        -i mod k on a DFT axis and to k-1-i on a skew one."""
+        multi = np.unravel_index(np.arange(self.n), self._lengths)
+        mirror = tuple(k - 1 - i if kind == "skew" else (-i) % k
+                       for i, (kind, k) in zip(multi, self.factors))
+        return np.ravel_multi_index(mirror, self._lengths)
 
     def hat(self, A):
         """(n, l, m) transform-domain slice stack of a HyperMatrix."""
@@ -581,8 +571,11 @@ class TubeTransform:
             if stages[j]:
                 rows[j][lo], outs[j][0][lo] = _lapack._factor(parts[j][lo])
                 return
-            res = np.linalg.svd(parts[j][lo:hi], full_matrices=full_matrices,
-                                compute_uv=compute_uv)
+            x = parts[j][lo:hi]
+            # np.linalg.svd may never return on a non-finite matrix.
+            if not np.isfinite(x).all():
+                raise np.linalg.LinAlgError("SVD did not converge")
+            res = np.linalg.svd(x, full_matrices=full_matrices, compute_uv=compute_uv)
             for dst, src in zip(outs[j], res if compute_uv else (res,)):
                 dst[lo:hi] = src
 

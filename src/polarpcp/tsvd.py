@@ -1,12 +1,13 @@
 """Transform-parameterized tensor singular value decomposition.
 
 The t-SVD transforms every tube, SVDs each frontal slice, and inverse
-transforms the factors.  The transform determines the algebra: the skew DFT
-gives the skew-circulant (planar) product, and the DFT of a finite abelian
-group Z_f1 x ... x Z_fr, the Kronecker product of the factors' DFT
-matrices, gives that group's algebra.  The tube DFT is the group DFT of Z_n
-and gives the circulant (polar n-complex) product; the Walsh-Hadamard
-transform has every factor 2.
+transforms the factors.  The transform, a Kronecker product of DFT and
+skew-DFT factors, determines the algebra, the tensor product of its
+factors' algebras: a DFT factor of length f gives the circulant product of
+Z_f and a skew one the skew-circulant (planar) product.  So the tube DFT
+gives the circulant (polar n-complex) product, the skew DFT the
+skew-circulant one, and the DFT of a finite abelian group Z_f1 x ... x Z_fr
+that group's algebra; the Walsh-Hadamard transform has every factor 2.
 
 Every transform is applied in the eigenvalue convention (unnormalized
 forward, exact inverse), which is the convention under which pointwise
@@ -17,7 +18,8 @@ through ``matrix()`` for analysis and tests.
 The singular-tube moduli are summed at a power-of-two scale
 (hypermatrix.scale_exponent), so their squares neither overflow nor
 underflow; the transform runs first, at the input's scale, and overflows
-on a real 12x10x4 input with its largest coefficient in [2^1021, 2^1022).
+on a real 12x10x4 input with its largest coefficient in [2^1021, 2^1022);
+a slice it makes non-finite raises LinAlgError in the slice-SVD kernel.
 
 ``TubeTransform`` (the transform seam and slice-SVD kernel) and the blockwise
 product ``t_matmul`` live in ``hypermatrix`` and are re-exported here.

@@ -29,6 +29,7 @@ raises_exactly expects an input check's exception type and message.
 """
 
 import contextlib
+import itertools
 import math
 import os
 import re
@@ -85,23 +86,40 @@ def circ_conv(a, b):
 
 def tube_product_direct(T, a, b):
     """Product of two tubes in the algebra that TubeTransform T
-    diagonalizes, as a direct double loop: cyclic convolution for the DFT,
-    negacyclic (e_i e_k = -e_{i+k-n} when i + k >= n) for the skew DFT, and
-    convolution over the group Z_{f_1} x ... x Z_{f_r} for a group DFT."""
+    diagonalizes, as a direct double loop: a tube index is a digit per
+    factor axis, and the digits of a product add with a cyclic wrap on a
+    DFT axis and a negacyclic one (e_i e_k = -e_{i+k-f} when i + k >= f) on
+    a skew axis.  One DFT factor is cyclic convolution, one skew factor
+    negacyclic convolution, and DFT factors f_1, ..., f_r convolution over
+    the group Z_{f_1} x ... x Z_{f_r}."""
     a = np.asarray(a)
     b = np.asarray(b)
-    n = T.n
-    out = np.zeros(n, dtype=np.result_type(a, b))
-    for i in range(n):
-        for k in range(n):
-            if T.kind == "group_dft":
-                digits = np.add(np.unravel_index(i, T.factors), np.unravel_index(k, T.factors))
-                out[np.ravel_multi_index(tuple(digits % T.factors), T.factors)] += a[i] * b[k]
-            elif T.kind == "skew_dft" and i + k >= n:
-                out[i + k - n] -= a[i] * b[k]
-            else:
-                out[(i + k) % n] += a[i] * b[k]
+    kinds = [kind for kind, _ in T.factors]
+    lengths = [f for _, f in T.factors]
+    out = np.zeros(T.n, dtype=np.result_type(a, b))
+    for i in range(T.n):
+        for k in range(T.n):
+            digits = np.add(np.unravel_index(i, lengths), np.unravel_index(k, lengths))
+            wraps = sum(kind == "skew" and d >= f for kind, d, f in zip(kinds, digits, lengths))
+            j = np.ravel_multi_index(tuple(digits % lengths), lengths)
+            out[j] += (-1) ** wraps * a[i] * b[k]
     return out
+
+
+def kronecker_transforms(max_n=8):
+    """Every TubeTransform of length n <= max_n built from the raw
+    constructor: each ordered factorization of n into lengths >= 2 (the
+    length 1 for n = 1), with each factor a DFT or a skew DFT."""
+    def factorizations(n):
+        if n == 1:
+            return [()]
+        return [(d,) + rest for d in range(2, n + 1) if n % d == 0
+                for rest in factorizations(n // d)]
+
+    return [hm.TubeTransform(tuple(zip(kinds, lengths)))
+            for n in range(1, max_n + 1)
+            for lengths in (factorizations(n) if n > 1 else [(1,)])
+            for kinds in itertools.product(("dft", "skew"), repeat=len(lengths))]
 
 
 def hyper_matmul_direct(A, B):
@@ -315,6 +333,17 @@ def overflow_instance(embedding):
     return X, 1024 - math.frexp(top)[1]
 
 
+def fft_overflow_instance():
+    """A real 12x10x4 standard-normal matrix (seed 0) with its first tube
+    set to four copies of its largest coefficient magnitude, scaled so that
+    coefficient is 1.5 * 2^1022.  Every coefficient is finite, but the
+    tube's first DFT value, 1.5 * 2^1024, overflows."""
+    x = np.random.default_rng(0).standard_normal((12, 10, 4))
+    top = np.abs(x).max()
+    x[0, 0] = top
+    return HyperMatrix(x * (1.5 * 2.0**1022 / top))
+
+
 def ldexp(A, k):
     """A * 2^k, with each real and imaginary part scaled exactly: a complex
     product with 2^k could change the sign of a zero."""
@@ -323,12 +352,16 @@ def ldexp(A, k):
 
 def reference_hat(T, A):
     """TubeTransform.hat as it stood before its transform ran in place: the
-    slice stack of numpy's one-shot FFTs of A's tubes, moved in front."""
-    if T.kind == hm.SKEW_DFT:
-        data = np.fft.fft(A.data * T._skew_twiddle())
-    else:
-        grid = A.data.reshape(A.data.shape[:2] + T.factors)
-        data = np.fft.fftn(grid, axes=tuple(range(2, grid.ndim))).reshape(A.data.shape)
+    slice stack of numpy's one-shot FFTs of A's tubes over their factor
+    axes, moved in front, after the axis of each skew factor of length f is
+    multiplied by its twiddle exp(-i pi j / f)."""
+    lengths = tuple(f for _, f in T.factors)
+    grid = A.data.reshape(A.data.shape[:2] + lengths)
+    for axis, (kind, f) in enumerate(T.factors):
+        if kind == "skew":
+            twiddle = np.exp(-1j * math.pi * np.arange(f) / f)
+            grid = grid * twiddle.reshape((f,) + (1,) * (len(lengths) - 1 - axis))
+    data = np.fft.fftn(grid, axes=tuple(range(2, grid.ndim))).reshape(A.data.shape)
     return np.moveaxis(data, 2, 0)
 
 

@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarpcp
 import polarpcp.cli as cli
 import polarpcp.hypermatrix as hm
 from polarpcp import HyperMatrix, TubeTransform, read_pht, singular_moduli, write_pht
 from polarpcp.cli import main
 
-from helpers import ldexp, overflow_instance, random_hypermatrix, scale_instance
+from helpers import (fft_overflow_instance, ldexp, overflow_instance, random_hypermatrix,
+                     scale_instance)
 
 # Each command's --help at 80 columns: the choices come from EMBEDDINGS,
 # simlab.VARIANTS and TubeTransform.NAMES.
@@ -346,6 +352,20 @@ class TestTsvdCommand:
         code = main(["tsvd", str(path), "--out-dir", str(tmp_path)])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_transform_overflow_is_numerical_error(self, tmp_path):
+        # A subprocess under a timeout: on the overflowed slices
+        # np.linalg.svd never returned, and the command hung.
+        write_pht(fft_overflow_instance(), tmp_path / "x.pht")
+        path = [str(Path(polarpcp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from polarpcp.cli import main; sys.exit(main())",
+             "tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+        assert run.returncode == 2
+        assert "polarpcp: numerical error: SVD did not converge\n" in run.stderr
+        assert not (tmp_path / "U.pht").exists()
 
     @pytest.mark.parametrize("c", [1e-200, 1e200])
     def test_summary_is_json_at_extreme_scales(self, tmp_path, c):

@@ -24,6 +24,7 @@ from polarpcp.tsvd import TubeTransform
 from helpers import (
     dense_permutation,
     hyper_matmul_direct,
+    kronecker_transforms,
     random_hypermatrix,
     raises_exactly,
     random_tube,
@@ -430,15 +431,16 @@ def _matrix_pairs(draw):
             random_hypermatrix(rng, m, k, n, draw(st.sampled_from(FIELDS))))
 
 
+KRONECKER = kronecker_transforms()
+
+
 @st.composite
 def _transform_tubes(draw):
-    """(T, a, b): a DFT, skew-DFT or (for n a power of two) Walsh-Hadamard
-    transform of length n in 1..8 and two random tubes of that length."""
+    """(T, a, b): a transform of length n in 1..8, any Kronecker product of
+    DFT and skew-DFT factors (the DFT, the skew DFT, the group DFTs and
+    Walsh-Hadamard among them), and two random tubes of that length."""
     n = draw(st.integers(1, 8))
-    kinds = [TubeTransform.dft, TubeTransform.skew_dft]
-    if n & (n - 1) == 0:
-        kinds.append(TubeTransform.walsh_hadamard)
-    T = draw(st.sampled_from(kinds))(n)
+    T = draw(st.sampled_from([T for T in KRONECKER if T.n == n]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = (random_tube(rng, n, draw(st.sampled_from(FIELDS))) for _ in range(2))
     return T, a, b

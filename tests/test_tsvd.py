@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import importlib
 import math
 import sys
@@ -28,6 +29,8 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 from helpers import (
     factored_slices,
+    fft_overflow_instance,
+    kronecker_transforms,
     random_hypermatrix,
     reference_expand,
     reference_hat,
@@ -46,26 +49,37 @@ ALL_TRANSFORMS = [
     pytest.param(TubeTransform.skew_dft(6), id="skew_dft"),
     pytest.param(TubeTransform.group_dft((2, 3)), id="group_dft"),
 ]
+# Every Kronecker product of DFT and skew-DFT factors with n <= 8.
+KRONECKER = [pytest.param(T, id="x".join(f"{kind}{f}" for kind, f in T.factors))
+             for T in kronecker_transforms()]
+
+
+def _factor_matrix(kind, f):
+    """A factor's matrix, built here: entry (j, k) is exp(-2 pi i j k / f)
+    for a DFT factor and exp(-pi i (2j + 1) k / f) for a skew one."""
+    j, k = np.meshgrid(np.arange(f), np.arange(f), indexing="ij")
+    return np.exp(-1j * math.pi * (2 * j + (kind == "skew")) * k / f)
 
 
 class TestTubeTransform:
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
+    @pytest.mark.parametrize("T", KRONECKER)
     def test_forward_inverse_roundtrip(self, T):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        x = rng.standard_normal((4, T.n)) + 1j * rng.standard_normal((4, T.n))
         back = T.inverse(T.forward(x))
         assert np.abs(back - x).max() <= 1e-12 * np.abs(x).max()
 
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
-    def test_matrix_matches_forward(self, T):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(6)
-        assert np.allclose(T.matrix() @ x, T.forward(x), atol=1e-12)
+    @pytest.mark.parametrize("T", KRONECKER)
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_matrix_matches_forward(self, T, field):
+        x = random_hypermatrix(np.random.default_rng(1), 3, 2, T.n, field).data
+        want = x @ T.matrix().T
+        assert np.abs(T.forward(x) - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
+    @pytest.mark.parametrize("T", KRONECKER)
     def test_unitary_matrix(self, T):
         M = T.matrix("unitary")
-        assert np.abs(M @ M.conj().T - np.eye(6)).max() <= 1e-12
+        assert np.abs(M @ M.conj().T - np.eye(T.n)).max() <= 1e-12
 
     def test_skew_matrix_entries(self):
         n = 5
@@ -88,13 +102,13 @@ class TestTubeTransform:
         with pytest.raises(ValueError):
             TubeTransform.walsh_hadamard(6)
 
-    def test_group_factor_validation(self):
-        with pytest.raises(ValueError):
-            TubeTransform("group_dft", 6, (2, 2))
-        with pytest.raises(ValueError):
-            TubeTransform("skew_dft", 4, (2, 2))
-        with pytest.raises(ValueError):
-            TubeTransform("whatever", 4)
+    def test_factor_validation(self):
+        with pytest.raises(ValueError, match="kind 'dft' or 'skew'"):
+            TubeTransform((("whatever", 4),))
+        with pytest.raises(ValueError, match="kind 'dft' or 'skew'"):
+            TubeTransform((("dft", 2), ("skew_dft", 2)))
+        with pytest.raises(ValueError, match="one or more"):
+            TubeTransform(())
 
     @pytest.mark.parametrize("n", [0, -2, 4.0, 2.5, True, "4"])
     def test_length_must_be_a_positive_integer(self, n):
@@ -102,7 +116,9 @@ class TestTubeTransform:
         with pytest.raises(ValueError, match="integer >= 1"):
             TubeTransform.dft(n)
         with pytest.raises(ValueError, match="integer >= 1"):
-            TubeTransform("skew_dft", n)
+            TubeTransform((("skew", n),))
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TubeTransform((("dft", 2), ("skew", n)))
         # Factors are checked alike: 2.5 and True used to pass as 2 and 1.
         with pytest.raises(ValueError, match="integer >= 1"):
             TubeTransform.group_dft((n, 2))
@@ -121,20 +137,20 @@ class TestTubeTransform:
         D = TubeTransform.dft(5)
         assert np.allclose(G.forward(x), D.forward(x), atol=1e-13)
 
-    @pytest.mark.parametrize("T", ALL_TRANSFORMS)
+    @pytest.mark.parametrize("T", KRONECKER)
     def test_conjugate_pairing(self, T):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal(T.n)
         hat = T.forward(x)
         pair = T.conjugate_pairing()
-        assert sorted(pair.tolist()) == list(range(6))
-        assert np.array_equal(pair[pair], np.arange(6))  # involution
+        assert sorted(pair.tolist()) == list(range(T.n))
+        assert np.array_equal(pair[pair], np.arange(T.n))  # involution
         assert np.allclose(hat[pair], np.conj(hat), atol=1e-12)
 
     def test_from_name(self):
         assert TubeTransform.from_name("dft", 3) is TubeTransform.group_dft((3,))
-        assert TubeTransform.from_name("skew-dft", 3).kind == "skew_dft"
-        assert TubeTransform.from_name("wht", 4).factors == (2, 2)
+        assert TubeTransform.from_name("skew-dft", 3).factors == (("skew", 3),)
+        assert TubeTransform.from_name("wht", 4).factors == (("dft", 2), ("dft", 2))
         with pytest.raises(ValueError):
             TubeTransform.from_name("dct", 3)
 
@@ -456,7 +472,7 @@ class TestOneFftPath:
         grid = x.reshape(x.shape[:-1] + factors)
         axes = tuple(range(x.ndim - 1, grid.ndim))
         for T, want in ((TubeTransform.dft(n), np.fft.fft(x)),
-                        (S, np.fft.fft(x * S._skew_twiddle())),
+                        (S, np.fft.fft(x * np.exp(-1j * math.pi * np.arange(n) / n))),
                         (G, np.fft.fftn(grid, axes=axes).reshape(x.shape))):
             fresh = T.forward(x)
             out = np.empty(x.shape, np.complex128)
@@ -465,6 +481,56 @@ class TestOneFftPath:
             assert T.forward(inplace, inplace) is inplace
             for got in (fresh, out, inplace):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestOneKind:
+    # Every transform is a Kronecker product of DFT and skew-DFT factors.
+    @pytest.mark.parametrize("T", KRONECKER)
+    def test_matrix_is_the_kronecker_product(self, T):
+        want = functools.reduce(np.kron, [_factor_matrix(*f) for f in T.factors])
+        assert np.abs(T.matrix() - want).max() <= 1e-12
+        assert np.abs(T.matrix("unitary") - want / math.sqrt(T.n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("T", KRONECKER)
+    def test_conjugate_pairing_is_a_search_of_the_matrix(self, T):
+        W = T.matrix()
+        want = []
+        for i in range(T.n):
+            rows = [j for j in range(T.n) if np.abs(W[j] - np.conj(W[i])).max() <= 1e-12]
+            assert len(rows) == 1
+            want += rows
+        assert T.conjugate_pairing().tolist() == want
+
+    @pytest.mark.parametrize("T", KRONECKER)
+    def test_real_state_round_trip(self, T):
+        A = random_hypermatrix(np.random.default_rng(T.n), 5, 4, T.n, REAL)
+        state = T.hat_state(A)
+        want = reference_pack(T, reference_hat(T, A), True)
+        assert np.abs(state - want).max() <= 1e-12 * np.abs(want).max()
+        back = T.unhat_state(state, REAL)
+        assert np.abs(back.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
+
+    def test_named_transforms_are_their_factors(self):
+        assert TubeTransform.dft(6).factors == (("dft", 6),)
+        assert TubeTransform.skew_dft(6).factors == (("skew", 6),)
+        assert TubeTransform.group_dft((2, 3)).factors == (("dft", 2), ("dft", 3))
+        assert TubeTransform.walsh_hadamard(8).factors == (("dft", 2),) * 3
+        assert TubeTransform.walsh_hadamard(1).factors == (("dft", 1),)
+        T = TubeTransform([("skew", np.int64(2)), ("dft", 3)])
+        assert T.factors == (("skew", 2), ("dft", 3)) and T.n == 6
+        assert all(type(f) is int for _, f in T.factors)
+
+
+class TestTransformOverflow:
+    # Every coefficient is finite, but the tube FFT overflows: the kernel
+    # rejects the non-finite slices, where np.linalg.svd never returned.
+    @pytest.mark.parametrize("run", [tsvd, singular_moduli, hm.spectral_norm])
+    def test_raises_svd_error(self, run):
+        X = fft_overflow_instance()
+        assert np.isfinite(X.data).all()
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                       match="SVD did not converge"):
+            run(X)
 
 
 class TestSlotTable:
@@ -761,7 +827,7 @@ class TestSharedTransforms:
         workers = 8
         barrier = threading.Barrier(workers, timeout=10)
         A = random_hypermatrix(np.random.default_rng(4), 3, 3, 6, REAL)
-        state = TubeTransform("group_dft", 6, (6,)).hat_state(A)
+        state = TubeTransform((("dft", 6),)).hat_state(A)
         seen = []
 
         def first_use():
