@@ -2,7 +2,8 @@
 PHT tensors, and t-SVD factorization.
 
 Exit codes: 0 on success, 2 on parameter and numerical errors (an SVD
-that did not converge), 3 on I/O errors.
+that did not converge, or a numpy floating-point warning such as an FFT's
+overflow when warnings are errors), 3 on I/O errors.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def main(argv=None):
         if not out_dir.is_dir():
             raise NotADirectoryError(f"not an existing directory: {out_dir}")
         return args.run(args)
-    except np.linalg.LinAlgError as exc:   # a ValueError: caught first
+    except (np.linalg.LinAlgError, RuntimeWarning) as exc:   # LinAlgError is a ValueError
         print(f"polarpcp: numerical error: {exc}", file=sys.stderr)
         return PARAM_ERROR
     except ValueError as exc:

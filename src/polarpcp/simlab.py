@@ -31,14 +31,14 @@ import numpy as np
 from ._blas import owned_cores, run_lanes
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix, _is_int
-from .solvers import FREQUENCY, TENSOR_RPCA, SolverConfig, pcp_ialm
+from .solvers import SolverConfig, pcp_ialm
 
 POLAR4COMPLEX = "polar4complex"
 POLAR2BICOMPLEX = "polar2bicomplex"
 EMBEDDINGS = (POLAR4COMPLEX, POLAR2BICOMPLEX)
 PARTS = ("M1", "M2")
 # Grid and CLI variant names, and the solver variant each one runs.
-SOLVER_VARIANTS = {"polar": FREQUENCY, "tensor-rpca": TENSOR_RPCA}
+SOLVER_VARIANTS = {"polar": "frequency", "tensor-rpca": "tensor_rpca"}
 VARIANTS = tuple(SOLVER_VARIANTS)
 
 _GRID_FRACTIONS = tuple(round(0.02 * i, 2) for i in range(1, 11))

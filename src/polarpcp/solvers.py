@@ -2,9 +2,9 @@
 
 Solves min ||L||_* + lambda ||S||_1 s.t. X = L + S over a hypercomplex
 matrix, where the trace norm sums singular-tube moduli and the l1 norm sums
-entry moduli.  One IALM driver (Lin, Chen & Ma, arXiv:1009.5055) runs all
-three variants; they differ only in the state the loop iterates on and in
-the pair of steps that state takes:
+entry moduli.  One IALM driver (Lin, Chen & Ma, arXiv:1009.5055) runs every
+variant, and a variant is one row of VARIANTS: the state the loop iterates
+on and the pair of steps that state takes.
 
 * "frequency": the state is the packed slice stack T.hat_state(X), so
   tubes are transformed only on entry and exit.  For complex tubes that is
@@ -19,9 +19,12 @@ the pair of steps that state takes:
   gesdd bidiagonalizes directly are factored in gesdd's stages, whose
   back-transform then builds only the surviving singular vectors; the rest
   keep np.linalg.svd (see hypermatrix);
-* tensor RPCA: the same state and sparse step, but the low-rank step
-  soft-thresholds each slice's singular values independently (slice-wise
-  nuclear norm, no tube grouping; Lu et al., arXiv:1804.03728);
+* "tensor_rpca": the same state and sparse step, but the low-rank step
+  soft-thresholds each slice's singular values independently (the
+  slice-wise nuclear norm, no tube grouping).  It is a tube-grouped hybrid,
+  not the TRPCA of Lu et al. (arXiv:1804.03728): that pairs the slice-wise
+  nuclear norm with the entrywise l1 at lambda = 1/sqrt(max(l, m) n), where
+  this variant keeps polar's tube-grouped l1 at lambda = c/sqrt(max(l, m));
 * "naive": the state is the coefficient tensor X.data and the steps are the
   coefficient-domain proxes prox_trace and prox_l1.
 
@@ -86,10 +89,6 @@ from ._blas import owned_cores
 from .hypermatrix import HyperMatrix, TubeTransform, _is_int
 from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shrink
 
-NAIVE = "naive"
-FREQUENCY = "frequency"
-TENSOR_RPCA = "tensor_rpca"
-
 
 @dataclass
 class SolverConfig:
@@ -102,7 +101,7 @@ class SolverConfig:
     tol: float = 1e-7
     max_iters: int = 1000
     rho_mu: float = 1.5
-    variant: str = FREQUENCY
+    variant: str = "frequency"
     transform: str | tuple[int, ...] = "dft"
 
     def __post_init__(self):
@@ -114,7 +113,7 @@ class SolverConfig:
             raise ValueError("max_iters must be an integer >= 1")
         if not (self.rho_mu > 1) or not math.isfinite(self.rho_mu):
             raise ValueError("rho_mu must be finite and exceed 1")
-        if self.variant not in (NAIVE, FREQUENCY, TENSOR_RPCA):
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         t = self.transform
         if isinstance(t, tuple):
@@ -213,77 +212,46 @@ def pcp_ialm(X, cfg=None):
     maxmod = hm.max_modulus(X)
     T = cfg.resolve_transform(X.n)
 
-    if cfg.variant == NAIVE:
-        def low_rank(Z, mu):
-            return _prox_trace(HyperMatrix(Z, field), 1.0 / mu, T, counts).data
-
-        def sparse(Z, mu):
-            return _prox_l1(HyperMatrix(Z, field), lam / mu).data
-
-        def leave(A):
-            return HyperMatrix(A, field)
-
-        norm = np.linalg.norm
-    else:
-        grouped = cfg.variant == FREQUENCY
-        sqrt_n = math.sqrt(X.n)
-
-        def low_rank(buf, mu):
-            U, s, Vh = T.svd_state(buf)
-            counts["slice_svds"] += len(s)
-            s = shrink_singular_values(s, (sqrt_n if grouped else 1.0) / mu, grouped,
-                                       row_weights)
-            return T.compose_state(U, s, Vh)
-
-        def sparse(Z, mu):
-            return tube_group_shrink(Z, lam * sqrt_n / mu, plane_weights)
-
-        def leave(A):
-            counts["tube_transforms"] += 1
-            return T.unhat_state(A, field)
-
-        def norm(A):
-            if plane_weights is None:
-                return np.linalg.norm(A)
-            return math.sqrt(plane_weights @ np.einsum("bij,bij->b", A, A))
-
+    state, low_rank, sparse = VARIANTS[cfg.variant]
     history, mu_hist = [], []
     with owned_cores():
         D = T.hat_state(X)
-        # The Parseval weights of D's kind, which the steps and norm read.
+        # The Parseval weights of D's kind, which the steps and _norm read.
         plane_weights, row_weights = T.weights(D)
         buf = T.kernel_buffer(D)
         s = T.svd_state(buf, compute_uv=False)
         counts.update(tube_transforms=1, setup_slice_svds=len(s))
         specnorm = float(s.max())
-        if cfg.variant == NAIVE:
-            D = X.data
-            # C order: norm reduces in memory order, so the residual's bits
+        if state == "packed":
+            Z, planes = buf.scratch, buf.planes
+        else:
+            D, plane_weights, row_weights = X.data, None, None
+            # C order: _norm reduces in memory order, so the residual's bits
             # depend on the scratch array's layout.
             buf = Z = planes = np.empty(D.shape, D.dtype)
-        else:
-            Z, planes = buf.scratch, buf.planes
         X = None   # the loop reads D: a handed-over input is freed here
         Y = D / max(specnorm, maxmod / lam)   # Y_1 is proportional to X
         S = np.zeros_like(D)
-        Dnorm = norm(D)
+        Dnorm = _norm(D, plane_weights)
         for mu in itertools.islice(_geometric(cfg, specnorm), cfg.max_iters):
             _fill(planes, D, S, Y, mu)
             L = S = None   # the steps replace both: free them for the SVD
-            L = low_rank(buf, mu)
+            L = low_rank(T, buf, mu, row_weights, counts)
             _fill(Z, D, L, Y, mu)
-            S = sparse(Z, mu)
+            S = sparse(T, Z, lam, mu, plane_weights)
             np.subtract(D, L, out=Z)
             Z -= S
-            history.append(float(norm(Z) / Dnorm))
+            history.append(float(_norm(Z, plane_weights) / Dnorm))
             Z *= mu
             Y += Z
             mu_hist.append(mu)
             if history[-1] < cfg.tol:
                 break
         del D, Y, Z, buf, planes
-        L = leave(L)
-        S = leave(S)
+        leave = T.unhat_state if state == "packed" else HyperMatrix
+        L = leave(L, field)   # L and S leave one at a time
+        S = leave(S, field)
+        counts["tube_transforms"] += 2 * (state == "packed")
 
     if e:   # every step commutes with the scale: undo it, exactly
         hm._ldexp(L.data, e)
@@ -310,7 +278,43 @@ def _fill(planes, A, B, Y, mu):
         plane[...] = values
 
 
+def _norm(A, weights):
+    """||A||_F, each plane's squares weighted by its Parseval weight, if any."""
+    if weights is None:
+        return np.linalg.norm(A)
+    return math.sqrt(weights @ np.einsum("bij,bij->b", A, A))
+
+
+def _svt(T, buf, tau, grouped, row_weights, counts):
+    """Factor buf, shrink its singular values by tau (grouped or not), multiply back."""
+    U, s, Vh = T.svd_state(buf)
+    counts["slice_svds"] += len(s)
+    return T.compose_state(U, shrink_singular_values(s, tau, grouped, row_weights), Vh)
+
+
+def _tube_shrink(T, Z, lam, mu, plane_weights):
+    return tube_group_shrink(Z, lam * math.sqrt(T.n) / mu, plane_weights)
+
+
+# name -> (state: "packed", T.hat_state(X), or "coefficients", X.data; low-rank
+# step; sparse step).  Each step computes its own threshold and looks its prox
+# up in this module's globals when called: perfbench/tracer.py and tests replace them.
+VARIANTS = {
+    "frequency": ("packed",
+                  lambda T, A, mu, w, counts: _svt(T, A, math.sqrt(T.n) / mu, True, w, counts),
+                  _tube_shrink),
+    "tensor_rpca": ("packed",
+                    lambda T, A, mu, w, counts: _svt(T, A, 1.0 / mu, False, w, counts),
+                    _tube_shrink),
+    "naive": ("coefficients",
+              lambda T, Z, mu, w, counts: _prox_trace(HyperMatrix(Z), 1.0 / mu, T, counts).data,
+              lambda T, Z, lam, mu, w: _prox_l1(HyperMatrix(Z), lam / mu).data),
+}
+
+
 def tensor_rpca(X, cfg=None):
-    """Tensor RPCA baseline: slice-wise singular value thresholding for the
-    low-rank step, identical sparse step."""
-    return pcp_ialm(X, replace(cfg or SolverConfig(), variant=TENSOR_RPCA))
+    """The "tensor_rpca" variant: slice-wise singular value thresholding for
+    the low-rank step and polar's sparse step.  It is a tube-grouped hybrid,
+    not Lu et al.'s TRPCA, whose sparse term is the entrywise l1 at lambda =
+    1/sqrt(max(l, m) n) (see the module docstring)."""
+    return pcp_ialm(X, replace(cfg or SolverConfig(), variant="tensor_rpca"))

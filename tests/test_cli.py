@@ -353,18 +353,24 @@ class TestTsvdCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_transform_overflow_is_numerical_error(self, tmp_path):
+    @pytest.mark.parametrize("flags, error", [
+        ([], "SVD did not converge"),
+        # With warnings as errors the FFT's overflow warning is the error.
+        (["-W", "error"], "overflow encountered in fft"),
+    ], ids=["warnings", "warnings-as-errors"])
+    def test_transform_overflow_is_numerical_error(self, tmp_path, flags, error):
         # A subprocess under a timeout: on the overflowed slices
         # np.linalg.svd never returned, and the command hung.
         write_pht(fft_overflow_instance(), tmp_path / "x.pht")
         path = [str(Path(polarpcp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         run = subprocess.run(
-            [sys.executable, "-c", "import sys; from polarpcp.cli import main; sys.exit(main())",
+            [sys.executable, *flags, "-c",
+             "import sys; from polarpcp.cli import main; sys.exit(main())",
              "tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)],
             capture_output=True, text=True, timeout=10,
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert run.returncode == 2
-        assert "polarpcp: numerical error: SVD did not converge\n" in run.stderr
+        assert f"polarpcp: numerical error: {error}\n" in run.stderr
         assert not (tmp_path / "U.pht").exists()
 
     @pytest.mark.parametrize("c", [1e-200, 1e200])

@@ -110,6 +110,8 @@ class TestSolverConfig:
             {"transform": (-2, -2)}, {"transform": (2.0, 2)},
             {"transform": (True, 4)}, {"transform": [2, 2]},
             {"transform": 4},
+            # Unhashable: a lookup in the table would raise TypeError.
+            {"variant": ["frequency"]}, {"variant": {}},
         ],
         ids=repr,
     )
@@ -405,7 +407,7 @@ class TestInstrumentation:
 
     @pytest.mark.parametrize("size", [15, pytest.param(70, id="70-staged")])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
-    @pytest.mark.parametrize("variant", ["frequency", "tensor_rpca", "naive"])
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
     def test_stats_are_the_calls_the_solve_made(self, variant, field, size, monkeypatch):
         # A real 4-tube factors 3 matrices per state (slices 1 and 3 are a
         # conjugate pair), a complex 2-tube 2.
@@ -420,21 +422,45 @@ class TestInstrumentation:
             "tube_transforms": seen["hat_state"] + seen["unhat_state"],
         }
         assert seen["values_rows"] == slices and seen["uv_rows"] == slices * res.iterations
-        if variant == "naive":
-            assert seen["hat_state"] == seen["unhat_state"] + 1 == res.iterations + 1
-        else:
+        state, _, _ = solvers.VARIANTS[variant]
+        if state == "packed":
             assert (seen["hat_state"], seen["unhat_state"]) == (1, 2)
+        else:
+            assert seen["hat_state"] == seen["unhat_state"] + 1 == res.iterations + 1
         # At 70x70 every matrix the loop factors takes gesdd's stages.
         assert seen["staged"] == (seen["uv_rows"] if size == 70 else 0)
 
     def test_stats_do_not_depend_on_the_lane_count(self, monkeypatch):
         X, _, _ = _low_rank_plus_sparse(np.random.default_rng(70), 70, 70, 4, REAL, 2, 0.05)
-        configs = [SolverConfig(variant=v) for v in ("frequency", "tensor_rpca", "naive")]
+        configs = [SolverConfig(variant=v) for v in solvers.VARIANTS]
         stats = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("POLARPCP_THREADS", threads)
             stats[threads] = [pcp_ialm(X, cfg).stats for cfg in configs]
         assert stats["1"] == stats["2"]
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("variant, traced", [
+        ("frequency", ("shrink_singular_values", "tube_group_shrink")),
+        ("tensor_rpca", ("shrink_singular_values", "tube_group_shrink")),
+        ("naive", ("_prox_trace",)),
+    ], ids=["frequency", "tensor_rpca", "naive"])
+    def test_steps_call_the_traced_names(self, variant, traced, field, monkeypatch):
+        # perfbench/tracer.py counts the proxes by replacing these names in
+        # solvers: a step that bound them at import would count nothing.
+        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(23), 14, 11, 4, field, 2, 0.05)
+        cfg = SolverConfig(variant=variant)
+        ref = pcp_ialm(X, cfg)
+        calls = collections.Counter()
+        for name in ("tube_group_shrink", "shrink_singular_values", "_prox_trace"):
+            def counted(*args, _name=name, _step=getattr(solvers, name), **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+            monkeypatch.setattr(solvers, name, counted)
+        res = pcp_ialm(X, cfg)
+        assert res.iterations > 1
+        assert dict(calls) == dict.fromkeys(traced, res.iterations)
+        assert res.L.data.tobytes() == ref.L.data.tobytes()
 
     def test_concurrent_solves_each_report_a_serial_solves_stats(self):
         rng = np.random.default_rng(15)
@@ -469,10 +495,10 @@ class TestInstrumentation:
 
 class TestWorkingSet:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
-    @pytest.mark.parametrize("variant", ["naive", "frequency", "tensor_rpca"])
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
     def test_input_left_untouched(self, variant, field):
-        # The loop updates its arrays in place, and for "naive" its data
-        # term D is X.data itself.
+        # The loop updates its arrays in place, and on the coefficient state
+        # its data term D is X.data itself.
         X, _, _ = _low_rank_plus_sparse(np.random.default_rng(21), 14, 11, 4, field, 2, 0.05)
         before = X.data.tobytes()
         res = pcp_ialm(X, SolverConfig(variant=variant))
