@@ -2,8 +2,8 @@
 PHT tensors, and t-SVD factorization.
 
 Exit codes: 0 on success, 2 on parameter and numerical errors (an SVD
-that did not converge, or a numpy floating-point warning such as an FFT's
-overflow when warnings are errors), 3 on I/O errors.
+that did not converge, a singular-tube modulus past the largest float, or
+a numpy floating-point warning when warnings are errors), 3 on I/O errors.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def _cmd_tsvd(args):
     X = read_pht(args.input)
     T = TubeTransform.from_name(args.transform, X.n)
     factors = tsvd(X, T)
+    if not np.isfinite(factors.moduli).all():   # strict JSON has no Infinity
+        raise OverflowError("a singular-tube modulus is past the largest float")
     out = Path(args.out_dir)
     write_pht(factors.U, out / "U.pht")
     write_pht(factors.S, out / "S.pht")
@@ -141,7 +143,8 @@ def main(argv=None):
         if not out_dir.is_dir():
             raise NotADirectoryError(f"not an existing directory: {out_dir}")
         return args.run(args)
-    except (np.linalg.LinAlgError, RuntimeWarning) as exc:   # LinAlgError is a ValueError
+    # A LinAlgError is a ValueError: it is caught before the parameter errors.
+    except (np.linalg.LinAlgError, OverflowError, RuntimeWarning) as exc:
         print(f"polarpcp: numerical error: {exc}", file=sys.stderr)
         return PARAM_ERROR
     except ValueError as exc:

@@ -79,12 +79,22 @@ SAFE_RANGE = (2.0**-400, 2.0**400)
 def scale_exponent(a):
     """0 when top, the largest magnitude of a float64 array a or of the real
     and imaginary parts of a complex128 one, is in SAFE_RANGE, zero or not
-    finite; otherwise the e for which top * 2^-e is in [1/2, 1).  A function
-    whose every step commutes with a power-of-two scale runs on its input
-    scaled by 2^-e, and its result is scaled back by 2^e, exactly."""
+    finite; otherwise the e for which top * 2^-e is in [1/2, 1).  It reads
+    a matrix's coefficients, at the entry of a function (see _scaled)."""
     values = a.view(np.float64)
     top = max(values.max(), -values.min())
     return 0 if top == 0 or SAFE_RANGE[0] <= top <= SAFE_RANGE[1] else math.frexp(top)[1]
+
+
+def _scaled(A):
+    """(A * 2^-e, e) with the e of scale_exponent(A.data): A itself when e
+    is 0, else a scaled copy.  Every function that reads a matrix's
+    magnitude calls it once, at its entry, and runs on a matrix whose
+    transforms, squares and sums of squares neither overflow nor
+    underflow; every step commutes with a power-of-two scale, so it scales
+    its result back by 2^e (2^-e for an inverse), exactly."""
+    e = scale_exponent(A.data)
+    return (A if e == 0 else HyperMatrix(_ldexp(A.data.copy(), -e), A.field)), e
 
 
 def _ldexp(a, e):
@@ -791,6 +801,7 @@ def inv(A):
     if A.l != A.m:
         raise ValueError("matrix inverse requires a square matrix")
     check_finite(A, "matrix inverse input")
+    A, e = _scaled(A)
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
     if A.l == 1:   # 1 x 1 blocks: their singular values are their moduli
@@ -800,7 +811,7 @@ def inv(A):
         svals = T.svd_state(hat if A.field == COMPLEX else T.hat_state(A), compute_uv=False)
     if svals.min() <= SINGULAR_RTOL * svals.max():
         raise np.linalg.LinAlgError("hypercomplex matrix is singular")
-    return T.unhat(np.linalg.inv(hat), A.field)
+    return HyperMatrix(_ldexp(T.unhat(np.linalg.inv(hat), A.field).data, -e), A.field)
 
 
 def inner(A, B):
@@ -812,13 +823,9 @@ def inner(A, B):
 
 
 def frobenius(A):
-    """Frobenius norm: Euclidean norm of all coefficients.  Where the
-    largest coefficient is outside SAFE_RANGE, so that a square could
-    overflow or underflow, it is measured on a copy scaled by 2^-e
-    (scale_exponent)."""
-    e = scale_exponent(A.data)
-    data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
-    return _ldexp(float(np.linalg.norm(data)), e)
+    """Frobenius norm: Euclidean norm of all coefficients."""
+    A, e = _scaled(A)
+    return _ldexp(float(np.linalg.norm(A.data)), e)
 
 
 def unfold(A):
@@ -841,19 +848,17 @@ def spectral_norm(A, transform=None):
     instead of the DFT blocks.  Raises ValueError on non-finite input.
     """
     check_finite(A, "spectral_norm input")
+    A, e = _scaled(A)
     T = transform or TubeTransform.dft(A.n)
-    return float(T.svd_state(T.hat_state(A), compute_uv=False).max())
+    return _ldexp(float(T.svd_state(T.hat_state(A), compute_uv=False).max()), e)
 
 
 def max_modulus(A):
-    """Largest entry modulus, the hypercomplex max-norm.  Where the largest
-    coefficient is outside SAFE_RANGE, so that a square could overflow or
-    underflow, it is measured on a copy scaled by 2^-e (scale_exponent)."""
-    e = scale_exponent(A.data)
-    data = A.data if e == 0 else _ldexp(A.data.copy(), -e)
-    squares = np.square(data.real)
-    if np.iscomplexobj(data):
-        squares += np.square(data.imag)
+    """Largest entry modulus, the hypercomplex max-norm."""
+    A, e = _scaled(A)
+    squares = np.square(A.data.real)
+    if np.iscomplexobj(A.data):
+        squares += np.square(A.data.imag)
     mods = squares.sum(axis=2)
     return _ldexp(float(np.sqrt(mods, out=mods).max()), e)
 

@@ -23,10 +23,9 @@ of Z's values by (1 - tau/|sigma_i(Z)|)_+; (4) these factors do not
 increase with i, so the relaxed solution is sorted, feasible and optimal.
 
 Both proxes commute with a power-of-two scale of the input and the
-threshold.  An input whose largest coefficient is outside [2^-400, 2^400],
-where the squares in the group norms would overflow or underflow, is shrunk
-as a copy scaled by a power of two, and the result is scaled back exactly
-(hypermatrix.scale_exponent).  Inputs in the range keep their bits.
+threshold.  Each scales its input and threshold once, at its entry
+(hypermatrix._scaled), so the squares in the group norms neither overflow
+nor underflow, and scales the result back exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, check_finite, scale_exponent
+from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _scaled, check_finite
 
 
 @dataclass
@@ -97,23 +96,15 @@ def soft_threshold_real(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _at_safe_scale(prox, Z, lam, *args):
-    """prox(Z, lam, *args), or, for a Z whose largest coefficient is outside
-    SAFE_RANGE, 2^e prox(Z 2^-e, lam 2^-e, *args) with the e of
-    hypermatrix.scale_exponent."""
-    e = scale_exponent(Z.data)
-    if not e:
-        return prox(Z, lam, *args)
-    out = prox(HyperMatrix(_ldexp(Z.data.copy(), -e), Z.field), _ldexp(lam, -e), *args)
-    return HyperMatrix(_ldexp(out.data, e), Z.field)
-
-
 def prox_l1(Z, lam):
     """Entrywise hypercomplex l1 prox: z -> (1 - lam/|z|)_+ z with |z| the
     entry modulus.  Delegates to group_soft_threshold with one group per
-    entry, so the two agree bit for bit on inputs in SAFE_RANGE."""
+    entry, so the two agree bit for bit on inputs in SAFE_RANGE.  Raises
+    ValueError on non-finite input."""
     _check_threshold(lam)
-    return _at_safe_scale(_prox_l1, Z, lam)
+    check_finite(Z, "prox_l1 input")
+    Z, e = _scaled(Z)
+    return HyperMatrix(_ldexp(_prox_l1(Z, _ldexp(lam, -e)).data, e), Z.field)
 
 
 def _prox_l1(Z, lam):
@@ -181,7 +172,9 @@ def prox_trace(Z, lam, transform=None):
     """
     _check_threshold(lam)
     check_finite(Z, "prox_trace input")
-    return _at_safe_scale(_prox_trace, Z, lam, transform or TubeTransform.dft(Z.n))
+    Z, e = _scaled(Z)
+    out = _prox_trace(Z, _ldexp(lam, -e), transform or TubeTransform.dft(Z.n))
+    return HyperMatrix(_ldexp(out.data, e), Z.field)
 
 
 def _prox_trace(Z, lam, T, counts=None):

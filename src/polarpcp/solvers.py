@@ -54,11 +54,10 @@ block of rows at a time (TubeTransform.unhat_state).  "naive" iterates on
 the coefficients with a plain scratch array, and its D is the caller's
 X.data.
 
-An input whose largest coefficient lies outside [2^-400, 2^400], where the
-loop's squares would overflow or underflow, is scaled once by a power of
-two (hypermatrix.scale_exponent) into a copy that takes its place, so a
-handed-over input is freed at every scale; L, S and the mu history are
-scaled back exactly.  Inputs in the range keep their bits.
+The solve scales its input once, at its entry (hypermatrix._scaled), so
+the loop's squares neither overflow nor underflow: a scaled copy takes the
+input's place, so a handed-over input is freed at every scale, and L, S and
+the mu history are scaled back exactly.
 
 SolverConfig holds only what a caller sets: c, tol, max_iters, rho_mu, the
 variant and the tube transform, a key of TubeTransform.NAMES or a tuple of
@@ -198,6 +197,7 @@ def pcp_ialm(X, cfg=None):
     if not isinstance(X, HyperMatrix):
         raise TypeError("solver input must be a HyperMatrix")
     hm.check_finite(X, "solver input")
+    X, e = hm._scaled(X)   # solve X * 2^-e; a handed-over X is freed here
     lam = cfg.lam(X)
     field = X.field
     # This solve's work, counted at its own calls: its stats.
@@ -206,9 +206,6 @@ def pcp_ialm(X, cfg=None):
         zero = HyperMatrix.zeros(X.l, X.m, X.n, field)
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
                          dict(counts))
-    e = hm.scale_exponent(X.data)
-    if e:   # solve X * 2^-e; a handed-over X is freed here
-        X = HyperMatrix(hm._ldexp(X.data.copy(), -e), field)
     maxmod = hm.max_modulus(X)
     T = cfg.resolve_transform(X.n)
 
@@ -253,9 +250,9 @@ def pcp_ialm(X, cfg=None):
         S = leave(S, field)
         counts["tube_transforms"] += 2 * (state == "packed")
 
-    if e:   # every step commutes with the scale: undo it, exactly
-        hm._ldexp(L.data, e)
-        hm._ldexp(S.data, e)
+    # Every step commutes with the scale: undo it, exactly.
+    hm._ldexp(L.data, e)
+    hm._ldexp(S.data, e)
     return PcpResult(
         L=L,
         S=S,

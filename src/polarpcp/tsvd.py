@@ -15,11 +15,9 @@ products of slices equal the algebra's tube product with no extra scaling.
 The unitary variant, the unnormalized matrix divided by sqrt(n), is exposed
 through ``matrix()`` for analysis and tests.
 
-The singular-tube moduli are summed at a power-of-two scale
-(hypermatrix.scale_exponent), so their squares neither overflow nor
-underflow; the transform runs first, at the input's scale, and overflows
-on a real 12x10x4 input with its largest coefficient in [2^1021, 2^1022);
-a slice it makes non-finite raises LinAlgError in the slice-SVD kernel.
+tsvd and singular_moduli scale their input once, at their entry
+(hypermatrix._scaled), so neither the transform nor the squares of the
+singular values overflow or underflow, and scale S and the moduli back.
 
 ``TubeTransform`` (the transform seam and slice-SVD kernel) and the blockwise
 product ``t_matmul`` live in ``hypermatrix`` and are re-exported here.
@@ -32,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import promote_fields
-from .hypermatrix import HyperMatrix, TubeTransform, check_finite
-from .hypermatrix import _ldexp, scale_exponent
+from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _scaled, check_finite
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 
@@ -60,6 +57,7 @@ def tsvd(A, transform=None):
     slice-SVD kernel's conjugate pairing makes the factors come out real.
     """
     check_finite(A, "t-SVD input")
+    A, e = _scaled(A)
     T = transform or TubeTransform.dft(A.n)
     l, m, n = A.data.shape
     Uh, s, Vh = T.slice_svd(T.hat_state(A))
@@ -71,25 +69,24 @@ def tsvd(A, transform=None):
     Sh = np.zeros((n, l, m), dtype=np.complex128)
     diag = np.arange(min(l, m))
     Sh[:, diag, diag] = s
-    return TSVDFactors(U, T.unhat(Sh, A.field), V, T, _tube_moduli(s, n))
+    S = HyperMatrix(_ldexp(T.unhat(Sh, A.field).data, e), A.field)
+    return TSVDFactors(U, S, V, T, _ldexp(_tube_moduli(s, n), e))
 
 
 def singular_moduli(A, transform=None):
     """Moduli of the singular tubes, sorted descending (tsvd(A).moduli
     without the singular vectors)."""
     check_finite(A, "t-SVD input")
+    A, e = _scaled(A)
     T = transform or TubeTransform.dft(A.n)
-    return _tube_moduli(T.slice_svd(T.hat_state(A), compute_uv=False), T.n)
+    return _ldexp(_tube_moduli(T.slice_svd(T.hat_state(A), compute_uv=False), T.n), e)
 
 
 def _tube_moduli(svals, n):
     """The i-th singular tube collects the i-th slice singular values of the
     (n, k) array svals, so its modulus is sqrt(sum_b sigma_i(slice_b)^2 / n);
-    the squares sum to the squared Frobenius norm.  Values outside
-    SAFE_RANGE are summed as a copy scaled by a power of two."""
-    e = scale_exponent(svals)
-    svals = svals if e == 0 else _ldexp(svals.copy(), -e)
-    return _ldexp(np.sqrt((svals * svals).sum(axis=0) / n), e)
+    the squares sum to the squared Frobenius norm."""
+    return np.sqrt((svals * svals).sum(axis=0) / n)
 
 
 def reconstruct(F):

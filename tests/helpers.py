@@ -25,7 +25,8 @@ rows at a time; reference_expand fills its partner slices.  They read
 the layout of a real-tube state from reference_split, which builds it
 from conjugate_pairing() alone.  ReferenceScalar is the standalone scalar
 arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
-raises_exactly expects an input check's exception type and message.
+raises_exactly expects an input check's exception type and message, and
+run_python runs code that could hang in a subprocess under a timeout.
 """
 
 import contextlib
@@ -33,6 +34,9 @@ import itertools
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,11 +341,36 @@ def fft_overflow_instance():
     """A real 12x10x4 standard-normal matrix (seed 0) with its first tube
     set to four copies of its largest coefficient magnitude, scaled so that
     coefficient is 1.5 * 2^1022.  Every coefficient is finite, but the
-    tube's first DFT value, 1.5 * 2^1024, overflows."""
+    tube's first DFT value, 1.5 * 2^1024, overflows, and so do the first two
+    singular-tube moduli: its Frobenius norm is past the largest float."""
     x = np.random.default_rng(0).standard_normal((12, 10, 4))
     top = np.abs(x).max()
     x[0, 0] = top
     return HyperMatrix(x * (1.5 * 2.0**1022 / top))
+
+
+def fft_overflow_representable(l=12, m=10, field=REAL):
+    """An l x m x 4 standard-normal matrix (seed 0, complex with standard-
+    normal imaginary parts) scaled by 2^990, with its first tube set to four
+    copies of 1.5 * 2^1022.  That tube's first DFT value, 1.5 * 2^1024,
+    overflows, but the t-SVD factors and singular-tube moduli are finite."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((l, m, 4))
+    if field == COMPLEX:
+        x = x + 1j * rng.standard_normal(x.shape)
+    x *= 2.0**990
+    x[0, 0] = 1.5 * 2.0**1022
+    return HyperMatrix(x, field)
+
+
+def run_python(code, *args, flags=(), timeout=10):
+    """python [flags] -c code args in a subprocess, with the package on
+    PYTHONPATH and text output captured: for a call that could hang, which
+    the timeout ends."""
+    path = [str(Path(hm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
+                          text=True, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
 
 
 def ldexp(A, k):

@@ -1,20 +1,17 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 
-import polarpcp
 import polarpcp.cli as cli
 import polarpcp.hypermatrix as hm
-from polarpcp import HyperMatrix, TubeTransform, read_pht, singular_moduli, write_pht
+from polarpcp import (HyperMatrix, TSVDFactors, TubeTransform, read_pht, reconstruct,
+                      singular_moduli, tsvd, write_pht)
 from polarpcp.cli import main
 
-from helpers import (fft_overflow_instance, ldexp, overflow_instance, random_hypermatrix,
-                     scale_instance)
+from helpers import (fft_overflow_instance, fft_overflow_representable, ldexp, overflow_instance,
+                     random_hypermatrix, run_python, scale_instance)
 
 # Each command's --help at 80 columns: the choices come from EMBEDDINGS,
 # simlab.VARIANTS and TubeTransform.NAMES.
@@ -84,6 +81,15 @@ options:
   --out-dir OUT_DIR
 """,
 }
+
+
+def _strict_json(path):
+    """The JSON document at path, rejecting the non-standard NaN and Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def _low_rank_pht(tmp_path, n=2, field="complex", name="x.pht"):
@@ -353,25 +359,38 @@ class TestTsvdCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, error", [
-        ([], "SVD did not converge"),
-        # With warnings as errors the FFT's overflow warning is the error.
-        (["-W", "error"], "overflow encountered in fft"),
-    ], ids=["warnings", "warnings-as-errors"])
-    def test_transform_overflow_is_numerical_error(self, tmp_path, flags, error):
-        # A subprocess under a timeout: on the overflowed slices
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]],
+                             ids=["warnings", "warnings-as-errors"])
+    def test_transform_overflow_is_numerical_error(self, tmp_path, flags):
+        # The first two singular-tube moduli are past the largest float:
+        # strict JSON cannot hold them, so no file is written.  A subprocess
+        # under a timeout: on the overflowed slices of an unscaled transform
         # np.linalg.svd never returned, and the command hung.
         write_pht(fft_overflow_instance(), tmp_path / "x.pht")
-        path = [str(Path(polarpcp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        run = subprocess.run(
-            [sys.executable, *flags, "-c",
-             "import sys; from polarpcp.cli import main; sys.exit(main())",
-             "tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=10,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+        run = run_python("import sys; from polarpcp.cli import main; sys.exit(main())",
+                         "tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path),
+                         flags=flags)
         assert run.returncode == 2
-        assert f"polarpcp: numerical error: {error}\n" in run.stderr
+        assert run.stderr == ("polarpcp: numerical error: "
+                              "a singular-tube modulus is past the largest float\n")
         assert not (tmp_path / "U.pht").exists()
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_transform_overflow_with_representable_factors(self, tmp_path, capsys):
+        # The tube FFT of the input overflows, but tsvd transforms a scaled
+        # copy: the factors are finite, and at 2^-600 they reconstruct.
+        X = fft_overflow_representable()
+        write_pht(X, tmp_path / "x.pht")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr() == ("", "")
+        mods = np.array(_strict_json(tmp_path / "summary.json")["singular_moduli"])
+        assert mods.tobytes() == tsvd(X).moduli.tobytes() and mods[0] > 2.0**1023
+        U, S, V = (read_pht(tmp_path / f"{name}.pht") for name in "USV")
+        L = reconstruct(TSVDFactors(U, ldexp(S, -600), V, TubeTransform.dft(X.n)))
+        want = ldexp(X, -600)
+        assert hm.frobenius(L - want) <= 1e-12 * hm.frobenius(want)
 
     @pytest.mark.parametrize("c", [1e-200, 1e200])
     def test_summary_is_json_at_extreme_scales(self, tmp_path, c):
@@ -379,12 +398,7 @@ class TestTsvdCommand:
         X = scale_instance("polar4complex")
         write_pht(X * c, tmp_path / "x.pht")
         assert main(["tsvd", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 0
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        text = (tmp_path / "summary.json").read_text()
-        mods = np.array(json.loads(text, parse_constant=reject)["singular_moduli"])
+        mods = np.array(_strict_json(tmp_path / "summary.json")["singular_moduli"])
         want = singular_moduli(X)
         assert np.linalg.norm(mods / c - want) <= 1e-12 * np.linalg.norm(want)
 

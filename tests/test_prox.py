@@ -111,6 +111,18 @@ def _xi_grouped(Z):
     return GroupedVector(comps.ravel().copy(), np.arange(lm) * comps.shape[1])
 
 
+def _rejects_non_finite(capfd, prox, field, bad, shape):
+    """prox raises ValueError on an input holding bad, with no warning and
+    no output."""
+    Z = random_hypermatrix(np.random.default_rng(19), *shape, field)
+    Z.data[1, 2, 0] = bad if field == REAL else complex(1.0, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            prox(Z, 0.5)
+    assert capfd.readouterr() == ("", "")
+
+
 class TestProxL1:
     def test_bicomplex_half_shrink(self):
         g = np.array([[[1 + 2j, 3 + 4j, 5 + 6j]]])
@@ -173,6 +185,13 @@ class TestProxL1:
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
             prox_l1(Z, math.nan)
         assert not prox_l1(Z, math.inf).data.any()
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("shape", [(3, 4, 3), (70, 70, 2)])
+    def test_non_finite_raises_warns_and_prints_nothing(self, capfd, field, bad, shape):
+        # inf and nan used to pass through to the output.
+        _rejects_non_finite(capfd, prox_l1, field, bad, shape)
 
 
 class TestShrinkSingularValues:
@@ -288,13 +307,7 @@ class TestProxTrace:
     @pytest.mark.parametrize("shape", [(3, 4, 3), (70, 70, 2)])
     def test_non_finite_raises_warns_and_prints_nothing(self, capfd, field, bad, shape):
         # nan used to fail in the SVD, and inf to warn in the fft first.
-        Z = random_hypermatrix(np.random.default_rng(19), *shape, field)
-        Z.data[1, 2, 0] = bad if field == REAL else complex(1.0, bad)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
-                prox_trace(Z, 0.5)
-        assert capfd.readouterr() == ("", "")
+        _rejects_non_finite(capfd, prox_trace, field, bad, shape)
 
     def test_zero_threshold_identity(self):
         rng = np.random.default_rng(5)

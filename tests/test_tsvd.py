@@ -4,6 +4,7 @@ import importlib
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 
 from helpers import (
     factored_slices,
-    fft_overflow_instance,
+    fft_overflow_representable,
     kronecker_transforms,
+    ldexp,
     random_hypermatrix,
     reference_expand,
     reference_hat,
@@ -42,6 +44,7 @@ from helpers import (
     reference_svd_state,
     reference_unhat,
     reference_unpack,
+    run_python,
 )
 
 ALL_TRANSFORMS = [
@@ -521,16 +524,73 @@ class TestOneKind:
         assert all(type(f) is int for _, f in T.factors)
 
 
+def _magnitudes(A, T):
+    """The outputs of tsvd, singular_moduli and spectral_norm on A."""
+    F = tsvd(A, T)
+    return {"U": F.U.data, "S": F.S.data, "V": F.V.data, "moduli": F.moduli,
+            "singular_moduli": singular_moduli(A, T),
+            "spectral_norm": np.array(hm.spectral_norm(A, T))}
+
+
 class TestTransformOverflow:
-    # Every coefficient is finite, but the tube FFT overflows: the kernel
-    # rejects the non-finite slices, where np.linalg.svd never returned.
-    @pytest.mark.parametrize("run", [tsvd, singular_moduli, hm.spectral_norm])
-    def test_raises_svd_error(self, run):
-        X = fft_overflow_instance()
-        assert np.isfinite(X.data).all()
-        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError,
-                                                       match="SVD did not converge"):
-            run(X)
+    # Every coefficient is finite, but the tube FFT of the input overflows
+    # (fft_overflow_representable): each function scales its input before
+    # it transforms.  2^j puts the largest coefficient at 1.5 * 2^(1022 + j),
+    # outside [2^-400, 2^400], and at the reference scale 2^-1500 all
+    # outputs are normal floats, so that a power of two rounds each of them
+    # once, as the function does when it scales its result back.
+    SCALES = (1, 0, -600, -1450)
+    REFERENCE = -1500
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("name", list(TubeTransform.NAMES))
+    def test_power_of_two_scales_are_exact(self, field, name):
+        X = fft_overflow_representable(field=field)
+        T = TubeTransform.from_name(name, X.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = _magnitudes(ldexp(X, self.REFERENCE), T)
+            got = {j: _magnitudes(ldexp(X, j), T) for j in self.SCALES}
+        for j, out in got.items():
+            for key, value in out.items():
+                shift = 0 if key in ("U", "V") else j - self.REFERENCE
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(ref[key].view(np.float64), shift)
+                assert value.tobytes() == want.tobytes(), (j, key)
+        # At 2^0 the factors and moduli are finite.  Under the DFT and the
+        # WHT the spectral norm, at least the first tube's first transform
+        # value, 1.5 * 2^1024, is not.
+        assert all(np.isfinite(got[0][key]).all() for key in ("U", "S", "V", "moduli"))
+        assert (got[0]["spectral_norm"] == math.inf) == (name != "skew-dft")
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_inverse_power_of_two_scales_are_exact(self, field):
+        X = fft_overflow_representable(10, 10, field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = hm.inv(ldexp(X, self.REFERENCE))
+            got = {j: hm.inv(ldexp(X, j)) for j in self.SCALES}
+        for j, inverse in got.items():
+            assert inverse.data.tobytes() == ldexp(ref, self.REFERENCE - j).data.tobytes(), j
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_kernel_rejects_a_non_finite_state(self, bad):
+        # No public function hands the kernel a non-finite slice of a finite
+        # input, so the guard is called directly.  np.linalg.svd may spin
+        # forever on such a matrix: a subprocess under a timeout.
+        run = run_python(
+            "import sys; import numpy as np; from polarpcp import TubeTransform\n"
+            "T = TubeTransform.dft(4)\n"
+            "for dtype in (float, complex):\n"
+            "    state = np.ones((4, 3, 2), dtype)\n"
+            "    state[1, 2, 0] = float(sys.argv[1])\n"
+            "    for run in (T.svd_state, T.slice_svd):\n"
+            "        try:\n"
+            "            run(state)\n"
+            "        except np.linalg.LinAlgError as exc:\n"
+            "            print(exc)\n", bad)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "SVD did not converge\n" * 4
 
 
 class TestSlotTable:
