@@ -8,16 +8,20 @@ exception too.  Builds without OpenBLAS thread controls (MKL, Accelerate,
 reference BLAS, Windows) leave the count alone.
 
 Parallelism comes from the program instead of from BLAS, through one lane
-pool: owned_cores() reads POLARPCP_THREADS once and run_lanes runs tasks on
-the calling thread plus pool threads that live as long as the scope.  A
-grid's trials and a solve's slice SVDs use the same lanes, and work started
-by a task on a lane stays on that lane.
+pool, and run_lanes alone decides where work runs.  It enters owned_cores(),
+which reads POLARPCP_THREADS once, and runs its tasks in order on the
+calling thread when each is less work than LANE_MIN_WORK, else on the
+calling thread plus pool threads that live as long as the outermost scope.
+A task is one matrix of the slice-SVD kernel or of compose_state, or one
+trial of a grid, whose work has no bound, so trials always use the lanes.
+Work started by a task on a lane stays on that lane.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -36,12 +40,12 @@ _lock = threading.Lock()
 _holders = 0
 _restore = None  # (setter, saved count) while the scope is held
 
-# The slice-SVD kernel factors slices smaller than this many multiply-adds on
-# the calling thread: handing them to a lane costs more than it saves.
-# Measured on 2 cores, two lanes break even on a real 4-tube's slice SVDs at
-# about 32x32 slices and win reliably from 64x64 (a third less time at
-# 100x100).  Only slices this large run gesdd's stages (_lapack): at 48x48
-# and 64x64 they cost about what np.linalg.svd does.
+# run_lanes runs tasks of fewer multiply-adds each than this on the calling
+# thread: handing them to a lane costs more than it saves.  Measured on 2
+# cores, two lanes break even on a real 4-tube's slice SVDs at about 32x32
+# slices and win reliably from 64x64 (a third less time at 100x100).  The
+# slice-SVD kernel stages only matrices this large (_lapack): at 48x48 and
+# 64x64 gesdd's stages cost about what np.linalg.svd does.
 LANE_MIN_WORK = 64**3
 
 # Per thread: .lanes, the _Lanes of the enclosing owned_cores() scope, and
@@ -180,45 +184,49 @@ def owned_cores():
         lanes.close()
 
 
-def run_lanes(tasks):
-    """Call every task on min(scope lanes, tasks) lanes; the caller must be
-    inside owned_cores().
+def run_lanes(tasks, work=math.inf):
+    """Call every task inside owned_cores(), on the calling thread or on
+    the lanes: the one place that decides where kernel work runs.
 
-    The calling thread is one lane and the scope's pool threads are the
-    others.  Each lane takes the next task in list order, so callers put
-    the largest first.  Tasks must not depend on which lane runs them.  A
-    task running on a lane runs its own nested run_lanes on its thread.
-    Once a task raises, no lane starts another, and the first exception is
-    raised when the running tasks have ended.
+    work is the multiply-adds of one task; its default, no bound, sends
+    the tasks to the lanes.  Tasks of less work than LANE_MIN_WORK, and
+    those of a call made by a task on a lane, run in list order on the
+    calling thread.  Others run on min(scope lanes, tasks) lanes: the
+    calling thread and the scope's pool threads.  Each lane takes the next
+    task in list order, so callers put the largest first.  Tasks must not
+    depend on which lane runs them.  Once a task raises, no lane starts
+    another, and the first exception is raised when the running tasks have
+    ended.
     """
-    if getattr(_local, "on_lane", False):
-        for task in tasks:
-            task()
-        return
-    lanes = min(_local.lanes.count, len(tasks))
-    pending = iter(tasks)
-    take = threading.Lock()
-    failures = []  # shared stop flag: nonempty once a task has raised
+    with owned_cores():
+        if work < LANE_MIN_WORK or getattr(_local, "on_lane", False):
+            for task in tasks:
+                task()
+            return
+        lanes = min(_local.lanes.count, len(tasks))
+        pending = iter(tasks)
+        take = threading.Lock()
+        failures = []  # shared stop flag: nonempty once a task has raised
 
-    def lane():
-        _local.on_lane = True
-        try:
-            while True:
-                with take:
-                    task = None if failures else next(pending, None)
-                if task is None:
-                    return
-                try:
-                    task()
-                except BaseException as exc:  # re-raised on the calling thread
+        def lane():
+            _local.on_lane = True
+            try:
+                while True:
                     with take:
-                        failures.append(exc)
-        finally:
-            _local.on_lane = False
+                        task = None if failures else next(pending, None)
+                    if task is None:
+                        return
+                    try:
+                        task()
+                    except BaseException as exc:  # re-raised on the calling thread
+                        with take:
+                            failures.append(exc)
+            finally:
+                _local.on_lane = False
 
-    futures = [_local.lanes.executor().submit(lane) for _ in range(lanes - 1)]
-    lane()
-    for future in futures:
-        future.result()
-    if failures:
-        raise failures[0]
+        futures = [_local.lanes.executor().submit(lane) for _ in range(lanes - 1)]
+        lane()
+        for future in futures:
+            future.result()
+        if failures:
+            raise failures[0]

@@ -26,22 +26,22 @@ keeps its state's matrices in a KernelBuffer, one allocation whose bytes
 are both the kernel's stacks of Fortran-ordered matrices
 (kernel_buffer(...).parts) and a C-ordered scratch state, so the kernel
 factors them where the solve wrote them; compose_state multiplies each
-product straight into the state it returns, on the lanes for the
-matrices that the kernel factors there.  The forward transform runs in
-place in its output; hat_state enters the transform domain through it,
-and unhat_state leaves it, in the same ROW_BLOCKS blocks of rows (entry
-for real tubes only), so neither builds a temporary of the stack's size.
+product straight into the state it returns.  In both, one matrix is one
+task, and _blas.run_lanes decides where it runs.  The forward transform
+runs in place in its output; hat_state enters the transform domain through
+it, and unhat_state leaves it, in the same ROW_BLOCKS blocks of rows
+(entry for real tubes only), so neither builds a stack-sized temporary.
 Matrices of at least _blas.LANE_MIN_WORK multiply-adds that LAPACK's
 gesdd bidiagonalizes as they are run gesdd's own stages (_lapack): numpy's
 singular values bit for bit, and a back-transform of only the singular
 vectors a shrink keeps.
-Smaller stacks, matrices past gesdd's QR threshold or in need of scaling,
-and numpy builds without the ILP64 routines use np.linalg.svd.  inv and
-spectral_norm read the singular values of hat_state's packed state (those
-of a 1 x 1 matrix's blocks are the moduli of its spectrum); slice_svd
-factors the same packed state through the same kernel, and returns the
-full stack's factors, with full factors, for the t-SVD and the
-singular-tube moduli.
+Smaller matrices, matrices past gesdd's QR threshold or in need of
+scaling, and numpy builds without the ILP64 routines use one np.linalg.svd
+call per matrix.  inv and spectral_norm read the singular values of
+hat_state's packed state (those of a 1 x 1 matrix's blocks are the moduli
+of its spectrum); slice_svd factors the same packed state through the same
+kernel, and returns the full stack's factors, with full factors, for the
+t-SVD and the singular-tube moduli.
 """
 
 from __future__ import annotations
@@ -548,20 +548,18 @@ class TubeTransform:
         singular values in parts order, and with compute_uv the lists of
         the stacks' U and Vh before and after it.
 
-        Matrices of at least _blas.LANE_MIN_WORK multiply-adds are one task
-        each for _blas.run_lanes, complex ones first: a real matrix costs
-        about half a complex one.  compose_state places its products by
-        the same test.  Smaller ones are factored on the calling thread in
-        one batched call per stack, which costs less than one call per
-        matrix.  A batched call gives each matrix the bits of a call of its
-        own, so the result does not depend on the lane count.
+        Every matrix is one task, factor(j, i), with a call of its own, so
+        the result does not depend on the lane count.  _blas.run_lanes
+        decides where the tasks run, from the work of one matrix; complex
+        matrices come first: a real one costs about half a complex one.
 
-        With thin factors asked for, a stack of such large matrices that
-        gesdd factors without a QR step or scaling (_lapack.direct) runs
-        only gesdd's first two stages (_lapack.factor), in the matrices of
-        parts, which a KernelBuffer holds for it (its parts): its U entry
-        lists the matrices' factored forms and its Vh entry is None.  Its
-        singular values are np.linalg.svd's bit for bit.
+        With thin factors asked for, a stack of matrices of at least
+        _blas.LANE_MIN_WORK multiply-adds that gesdd factors without a QR
+        step or scaling (_lapack.direct) runs only gesdd's first two stages
+        (_lapack.factor), in the matrices of parts, which a KernelBuffer
+        holds for it (its parts): its U entry lists the matrices' factored
+        forms and its Vh entry is None.  Its singular values are
+        np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
@@ -577,26 +575,20 @@ class TubeTransform:
                           np.empty((len(p), m if full_matrices else k, m), p.dtype))
                     for p, r, in_stages in zip(parts, rows, stages)]
 
-        def factor(j, lo, hi):
+        def factor(j, i):
+            x = parts[j][i]
             if stages[j]:
-                rows[j][lo], outs[j][0][lo] = _lapack._factor(parts[j][lo])
+                rows[j][i], outs[j][0][i] = _lapack._factor(x)
                 return
-            x = parts[j][lo:hi]
             # np.linalg.svd may never return on a non-finite matrix.
             if not np.isfinite(x).all():
                 raise np.linalg.LinAlgError("SVD did not converge")
             res = np.linalg.svd(x, full_matrices=full_matrices, compute_uv=compute_uv)
             for dst, src in zip(outs[j], res if compute_uv else (res,)):
-                dst[lo:hi] = src
+                dst[i] = src
 
-        with _blas.owned_cores():
-            if not large:
-                for j, p in enumerate(parts):
-                    if len(p):
-                        factor(j, 0, len(p))
-            else:
-                _blas.run_lanes([functools.partial(factor, j, i, i + 1)
-                                 for j, p in enumerate(parts) for i in range(len(p))])
+        _blas.run_lanes([functools.partial(factor, j, i)
+                         for j, p in enumerate(parts) for i in range(len(p))], l * m * k)
         if not compute_uv:
             return s
         return [out[0] for out in outs], s, [out[2] for out in outs]
@@ -638,9 +630,8 @@ class TubeTransform:
         is multiplied into the bytes of its own reflectors, which both
         back-transforms have read by then, and its factored form is dropped
         from U.  Any other matrix is np.matmul of its truncated factors.
-        The tasks run on the lanes for matrices as large as those _svd
-        factors there (_blas.LANE_MIN_WORK), and in order on the calling
-        thread otherwise."""
+        As in _svd, _blas.run_lanes decides where the tasks run, from the
+        work of one matrix."""
         live = np.flatnonzero(s.any(axis=0))
         k = live[-1] + 1 if live.size else 0
         rows = _row_blocks(s[:, np.newaxis, :k], U)
@@ -667,13 +658,8 @@ class TubeTransform:
             if len(slot) == 2:
                 state[slot[0]], state[slot[1]] = out.real, out.imag
 
-        tasks = [functools.partial(put, j, i) for j, u in enumerate(U) for i in range(len(u))]
-        with _blas.owned_cores():
-            if shape[0] * shape[1] * min(shape) >= _blas.LANE_MIN_WORK:
-                _blas.run_lanes(tasks)
-            else:
-                for task in tasks:
-                    task()
+        _blas.run_lanes([functools.partial(put, j, i) for j, u in enumerate(U)
+                         for i in range(len(u))], shape[0] * shape[1] * min(shape))
         return state
 
     def slice_svd(self, state, compute_uv=True):
@@ -770,7 +756,7 @@ def icft(S):
         blocks = blocks * math.sqrt(S.n)
     out = TubeTransform.dft(S.n).unhat(blocks, COMPLEX)
     scale = np.abs(out.data).max()
-    if np.abs(out.data.imag).max() <= _REAL_DETECT_RTOL * max(1.0, scale):
+    if np.abs(out.data.imag).max() <= _REAL_DETECT_RTOL * scale:
         return HyperMatrix(out.data.real, REAL)
     return out
 

@@ -10,12 +10,12 @@ fractions as CSV.
 
 All randomness is derived from (base seed, embedding, rank, density, trial,
 instance) through counter-based Philox streams, so results are reproducible
-and independent of the lane count.  run_grid runs its trials on the lanes
-of _blas.owned_cores(): min(POLARPCP_THREADS, usable CPUs, trials) threads
-with BLAS on one thread, the caller's count restored when it returns or
-raises.  The count is process-wide, so other threads of the process also
-see single-threaded BLAS while a grid runs.  Each trial's slice SVDs stay
-on the trial's lane.
+and independent of the lane count.  run_grid hands its trials to
+_blas.run_lanes, with no bound on their work, so they always run on the
+lanes: min(POLARPCP_THREADS, usable CPUs, trials) threads with BLAS on one
+thread, the caller's count restored when it returns or raises.  The count
+is process-wide, so other threads of the process also see single-threaded
+BLAS while a grid runs.  Each trial's slice SVDs stay on the trial's lane.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import owned_cores, run_lanes
+from ._blas import run_lanes
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix, _is_int
 from .solvers import SolverConfig, pcp_ialm
@@ -164,12 +164,13 @@ def embed(M1, M2, mode):
 
 
 def extract(H, mode):
-    """Invert embed exactly (no arithmetic performed)."""
+    """Invert embed exactly: no arithmetic, so every value keeps its bits,
+    signed zeros, infinities and nans included."""
     if mode == POLAR4COMPLEX:
         if H.field != REAL or H.n != 4:
             raise ValueError("polar4complex extraction needs a real 4-tube matrix")
-        d = H.data
-        return d[:, :, 0] + 1j * d[:, :, 1], d[:, :, 2] + 1j * d[:, :, 3]
+        c = H.data.view(np.complex128)   # (Re M1, Im M1) and (Re M2, Im M2) pairs
+        return c[:, :, 0].copy(), c[:, :, 1].copy()
     if mode == POLAR2BICOMPLEX:
         if H.field != COMPLEX or H.n != 2:
             raise ValueError("polar2bicomplex extraction needs a complex 2-tube matrix")
@@ -243,9 +244,10 @@ class GridResult:
 def run_grid(spec):
     """Run every (embedding, rank, density) cell of the grid.
 
-    Each trial is one task for _blas.run_lanes.  Outcomes are stored and
-    aggregated by cell and trial index, so the output does not depend on
-    which lane ran which trial.
+    Each trial is one task for _blas.run_lanes, of unbounded work, so the
+    trials run on the lanes whatever _blas.LANE_MIN_WORK is.  Outcomes are
+    stored and aggregated by cell and trial index, so the output does not
+    depend on which lane ran which trial.
     """
     cells = [
         (emb, r, rho) for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos
@@ -259,8 +261,7 @@ def run_grid(spec):
         outcome = run_trial(spec, r, rho, emb, t)
         finished[index] = (outcome, time.perf_counter() - start)
 
-    with owned_cores():
-        run_lanes([functools.partial(work, i) for i in range(len(jobs))])
+    run_lanes([functools.partial(work, i) for i in range(len(jobs))])
     out = []
     for i, (emb, r, rho) in enumerate(cells):
         done = finished[i * spec.trials:(i + 1) * spec.trials]

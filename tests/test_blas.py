@@ -219,6 +219,14 @@ def _runs_on_two_lanes():
     return len(set(threads)) == 2
 
 
+def _forbid_pool(monkeypatch):
+    """Make run_lanes fail if it starts a pool thread."""
+    def no_pool(max_workers):
+        raise AssertionError("a lane pool was started")
+
+    monkeypatch.setattr(blas, "ThreadPoolExecutor", no_pool)
+
+
 def _watch_svds(monkeypatch, hook):
     """Call hook() before every SVD a solve runs: np.linalg.svd, and the
     staged kernel's factor and product."""
@@ -334,9 +342,6 @@ class TestLanes:
         assert threading.active_count() == before
 
     def test_small_slices_stay_on_the_caller(self, monkeypatch):
-        def no_lanes(tasks):
-            raise AssertionError("run_lanes called for small slices")
-
         calls = []
         svd = np.linalg.svd
 
@@ -346,14 +351,66 @@ class TestLanes:
 
         monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
         monkeypatch.setenv("POLARPCP_THREADS", "2")
-        monkeypatch.setattr(blas, "run_lanes", no_lanes)
+        _forbid_pool(monkeypatch)
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         T = TubeTransform.dft(4)
         A = HyperMatrix(np.random.default_rng(2).standard_normal((20, 20, 4)), REAL)
         blocks = T.hat(A)
         U, s, Vh = T.slice_svd(T.hat_state(A))
-        assert calls == [threading.get_ident()] * 2   # one complex slice, two self-paired
+        assert calls == [threading.get_ident()] * 3   # one complex slice, two self-paired
         assert np.allclose(reference_slice_compose(T, U, s, Vh, real=True), blocks)
+
+    def test_small_work_runs_in_order_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        _forbid_pool(monkeypatch)
+        seen = []
+
+        def task(i):
+            seen.append((i, threading.get_ident()))
+
+        run_lanes([functools.partial(task, i) for i in range(6)], blas.LANE_MIN_WORK - 1)
+        assert seen == [(i, threading.get_ident()) for i in range(6)]
+
+    def test_work_at_the_threshold_runs_on_two_lanes(self, monkeypatch):
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        barrier = threading.Barrier(2, timeout=10)
+        threads = []
+
+        def task():
+            threads.append(threading.get_ident())
+            barrier.wait()
+
+        run_lanes([task, task], blas.LANE_MIN_WORK)
+        assert len(set(threads)) == 2
+
+    def test_call_outside_a_scope_pins_and_restores(self, controls, lanes):
+        get, _ = controls
+        seen = []
+        before = threading.active_count()
+        assert getattr(blas._local, "lanes", None) is None
+        run_lanes([lambda: seen.append(get())] * 4)
+        assert seen == [1] * 4
+        assert get() == CALLER_THREADS
+        assert threading.active_count() == before
+
+    def test_call_on_a_lane_runs_inline(self, lanes):
+        barrier = threading.Barrier(2, timeout=10)
+        seen = []
+
+        def record(i, inner):
+            inner.append((i, threading.get_ident()))
+
+        def outer():
+            barrier.wait()   # both lanes run an outer task
+            inner = []
+            run_lanes([functools.partial(record, i, inner) for i in range(4)])
+            seen.append((threading.get_ident(), inner))
+
+        run_lanes([outer, outer])
+        assert len({thread for thread, _ in seen}) == 2
+        assert all(inner == [(i, thread) for i in range(4)] for thread, inner in seen)
 
     def test_large_products_off_the_direct_path_use_the_lanes(self, monkeypatch):
         # 140 x 64 is past both gesdd QR thresholds: np.linalg.svd factors

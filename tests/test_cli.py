@@ -328,14 +328,14 @@ class TestTsvdCommand:
     @pytest.mark.parametrize(
         "field, n, calls",
         [
-            # DFT of real 4-tubes: slices 0 and 2 are real (one batched call),
-            # slice 1 is complex (one call) and slice 3 is its conjugate.
-            ("real", 4, 2),
-            # Complex tubes have no pairing: one batched call for all 3 slices.
-            ("complex", 3, 1),
+            # DFT of real 4-tubes: slices 0 and 2 are real, slice 1 is
+            # complex and slice 3 is its conjugate, which is not factored.
+            ("real", 4, 3),
+            # Complex tubes have no pairing: all 3 slices are factored.
+            ("complex", 3, 3),
         ],
     )
-    def test_one_svd_per_factored_slice_group(self, tmp_path, monkeypatch, field, n, calls):
+    def test_one_svd_per_factored_matrix(self, tmp_path, monkeypatch, field, n, calls):
         A = random_hypermatrix(np.random.default_rng(5), 6, 5, n, field)
         path = tmp_path / "a.pht"
         write_pht(A, path)
@@ -348,7 +348,7 @@ class TestTsvdCommand:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         assert main(["tsvd", str(path), "--out-dir", str(tmp_path)]) == 0
-        assert len(seen) == calls, seen
+        assert seen == [(6, 5)] * calls
 
     def test_non_finite_input_is_parameter_error(self, tmp_path, capsys):
         A = HyperMatrix.zeros(3, 2, 2)

@@ -185,6 +185,23 @@ class TestIcft:
             assert B.field == COMPLEX
             assert np.abs(B.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
 
+    @pytest.mark.parametrize("k", [-1000, -900, -600, -40, 0, 40, 600, 900])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_roundtrip_keeps_the_field_at_every_scale(self, field, k):
+        # The real-field test is relative: a complex input far below unit
+        # scale is not taken for a real one.
+        rng = np.random.default_rng(k + 1000)
+        for n in range(1, 6):
+            A = random_hypermatrix(rng, 4, 3, n, field)
+            A = HyperMatrix(A.data * 2.0**k, field)
+            for norm in (UNNORMALIZED, UNITARY):
+                B = icft(cft(A, norm))
+                assert B.field == field
+                assert np.abs(B.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
+
+    def test_zero_spectrum_is_real(self):
+        assert icft(SpectralMatrix(np.zeros((3, 2, 2), complex))).field == REAL
+
     def test_flat_spectrum_gives_leading_coefficient(self):
         blocks = np.repeat(np.arange(6.0).reshape(1, 2, 3), 4, axis=0)
         B = icft(SpectralMatrix(blocks))

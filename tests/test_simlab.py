@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -90,6 +91,18 @@ class TestEmbedding:
             H = embed(M1, M2, mode)
             R1, R2 = extract(H, mode)
             assert np.array_equal(R1, M1) and np.array_equal(R2, M2)
+
+    @pytest.mark.parametrize("mode", [POLAR4COMPLEX, POLAR2BICOMPLEX])
+    def test_roundtrip_keeps_the_bits_of_special_values(self, mode):
+        parts = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+        re, im = np.meshgrid(parts, parts)
+        M1 = np.empty(re.shape, complex)
+        M1.real, M1.imag = re, im
+        M2 = M1[::-1].T.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R1, R2 = extract(embed(M1, M2, mode), mode)
+        assert R1.tobytes() == M1.tobytes() and R2.tobytes() == M2.tobytes()
 
     def test_fields_and_tube_lengths(self):
         rng = np.random.default_rng(1)
