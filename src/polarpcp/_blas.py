@@ -1,11 +1,10 @@
-"""One owner for CPU parallelism: scoped single-threaded BLAS and lanes.
+"""One owner for CPU parallelism: owned_cores() pins BLAS and holds lanes.
 
 numpy's OpenBLAS keeps one thread count for the whole process: even its
-"local" setter changes what the other threads see.  So the BLAS scope below
-is shared by every thread that enters it.  The first holder saves the count
-and sets it to 1; the last one to leave restores the saved count, on
-exception too.  Builds without OpenBLAS thread controls (MKL, Accelerate,
-reference BLAS, Windows) leave the count alone.
+"local" setter changes what the other threads see.  So the outermost scopes
+of all threads share one hold: the first pins the count to 1, the last
+restores it, on exception too.  Builds without OpenBLAS thread controls
+(MKL, Accelerate, reference BLAS, Windows) leave the count alone.
 
 Parallelism comes from the program instead of from BLAS, through one lane
 pool, and run_lanes alone decides where work runs.  It enters owned_cores(),
@@ -38,7 +37,7 @@ _CONTROL_NAMES = (
 # Module-level because it mirrors the library's own process-wide state.
 _lock = threading.Lock()
 _holders = 0
-_restore = None  # (setter, saved count) while the scope is held
+_restore = None  # sets the saved count back, while the scope is held
 
 # run_lanes runs tasks of fewer multiply-adds each than this on the calling
 # thread: handing them to a lane costs more than it saves.  Measured on 2
@@ -96,29 +95,6 @@ def _malloc_trim():
     return trim
 
 
-@contextmanager
-def single_threaded_blas():
-    """Run the body with BLAS on one thread, then restore the saved count."""
-    global _holders, _restore
-    with _lock:
-        if _holders == 0:
-            controls = _controls()
-            if controls is not None:
-                get, set_ = controls
-                _restore = (set_, get())
-                set_(1)
-        _holders += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _holders -= 1
-            if _holders == 0 and _restore is not None:
-                set_, count = _restore
-                _restore = None
-                set_(count)
-
-
 def usable_cpus():
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -168,18 +144,32 @@ class _Lanes:
 def owned_cores():
     """Scope in which the calling thread owns the cores.
 
-    BLAS runs on one thread, and run_lanes may add pool threads that stop
-    when the outermost scope on this thread ends.  Inner scopes, and scopes
-    opened by a task running on a lane, share the outer one's lanes.
+    The outermost scope on a thread reads POLARPCP_THREADS (an invalid
+    value raises before BLAS is touched), then pins BLAS; run_lanes may add
+    pool threads that stop when it ends.  Inner scopes, and scopes opened
+    by a task on a lane, change nothing and share the outer one's lanes.
     """
+    global _holders, _restore
     if getattr(_local, "lanes", None) is not None or getattr(_local, "on_lane", False):
         yield
         return
-    lanes = _local.lanes = _Lanes()
+    lanes = _Lanes()
+    with _lock:
+        controls = _controls() if _holders == 0 else None
+        if controls is not None:
+            get, set_ = controls
+            _restore = functools.partial(set_, get())
+            set_(1)
+        _holders += 1
+    _local.lanes = lanes
     try:
-        with single_threaded_blas():
-            yield
+        yield
     finally:
+        with _lock:
+            _holders -= 1
+            if _holders == 0 and _restore is not None:
+                _restore()
+                _restore = None
         _local.lanes = None
         lanes.close()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,6 +82,11 @@ def _cmd_simulate(args):
     return 0
 
 
+def _json_numbers(a):
+    """a's values, with null for non-finite ones, as JSON.stringify does."""
+    return [x if math.isfinite(x) else None for x in a.tolist()]
+
+
 def _cmd_decompose(args):
     cfg = SolverConfig(
         c=args.c,
@@ -104,11 +110,11 @@ def _cmd_decompose(args):
         "lambda": result.lam,
         "iterations": result.iterations,
         "converged": result.converged,
-        "residuals": result.residual_history.tolist(),
-        "mu": result.mu_history.tolist(),
+        "residuals": _json_numbers(result.residual_history),
+        "mu": _json_numbers(result.mu_history),
     }
     with open(out / "report.json", "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return 0
 

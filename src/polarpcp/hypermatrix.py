@@ -31,17 +31,17 @@ task, and _blas.run_lanes decides where it runs.  The forward transform
 runs in place in its output; hat_state enters the transform domain through
 it, and unhat_state leaves it, in the same ROW_BLOCKS blocks of rows
 (entry for real tubes only), so neither builds a stack-sized temporary.
-Matrices of at least _blas.LANE_MIN_WORK multiply-adds that LAPACK's
-gesdd bidiagonalizes as they are run gesdd's own stages (_lapack): numpy's
-singular values bit for bit, and a back-transform of only the singular
-vectors a shrink keeps.
-Smaller matrices, matrices past gesdd's QR threshold or in need of
-scaling, and numpy builds without the ILP64 routines use one np.linalg.svd
-call per matrix.  inv and spectral_norm read the singular values of
-hat_state's packed state (those of a 1 x 1 matrix's blocks are the moduli
-of its spectrum); slice_svd factors the same packed state through the same
-kernel, and returns the full stack's factors, with full factors, for the
-t-SVD and the singular-tube moduli.
+Only a shrink's thin factorizations are staged: its matrices of at least
+_blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
+they are run gesdd's own stages (_lapack), numpy's singular values bit for
+bit and a back-transform of only the singular vectors the shrink keeps.
+Every other SVD is one np.linalg.svd call per matrix: a shrink's smaller
+matrices, those past gesdd's QR threshold or in need of scaling, and all
+of them on numpy builds without the ILP64 routines; the values-only SVDs
+of a solve's set-up, of inv and of spectral_norm, which read hat_state's
+packed state (a 1 x 1 matrix's inv reads the moduli of its spectrum); and
+slice_svd's full factorizations of the same packed state, through the
+same kernel, for the t-SVD and the singular-tube moduli.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import owned_cores
 from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _scaled, check_finite
 
 
@@ -173,14 +174,15 @@ def prox_trace(Z, lam, transform=None):
     _check_threshold(lam)
     check_finite(Z, "prox_trace input")
     Z, e = _scaled(Z)
-    out = _prox_trace(Z, _ldexp(lam, -e), transform or TubeTransform.dft(Z.n))
+    with owned_cores():
+        out = _prox_trace(Z, _ldexp(lam, -e), transform or TubeTransform.dft(Z.n))
     return HyperMatrix(_ldexp(out.data, e), Z.field)
 
 
 def _prox_trace(Z, lam, T, counts=None):
-    """prox_trace with no rescale: the naive solver's low-rank step, which
-    adds its two tube transforms and its factored matrices to the solve's
-    counts."""
+    """prox_trace with no rescale and no scope of its own: the naive
+    solver's low-rank step, run in the solve's scope, which adds its two
+    tube transforms and its factored matrices to the solve's counts."""
     state = T.hat_state(Z)
     row_weights = T.weights(state)[1]
     U, s, Vh = T.svd_state(state)

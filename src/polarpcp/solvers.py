@@ -187,7 +187,8 @@ def pcp_ialm(X, cfg=None):
     read; a caller that holds no other reference to it hands it over, and
     a frequency or tensor-RPCA solve frees it after its set-up, at every
     scale: an X whose largest coefficient is outside [2^-400, 2^400] is
-    scaled once into a copy.
+    scaled once into a copy.  mu_history is scaled back: it holds inf
+    where mu passes the largest float, for an X below about 1e-305.
 
     The stats are this solve's own counts, made at its calls: the matrices
     the slice-SVD kernel factored in the loop and in the set-up, and the

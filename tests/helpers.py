@@ -219,7 +219,7 @@ def reference_slice_svd(T, blocks, real, full_matrices=False, compute_uv=True):
         out = [np.empty((n, l, l if full_matrices else k), np.complex128), out[0],
                np.empty((n, m if full_matrices else k, m), np.complex128)]
     factored, partners, sources, self_paired = reference_split(T, real)
-    with _blas.single_threaded_blas():
+    with _blas.owned_cores():
         for group in (factored[~self_paired[factored]], factored[self_paired[factored]]):
             if len(group):
                 part = blocks[group].real if self_paired[group[0]] else blocks[group]
@@ -286,7 +286,7 @@ def reference_svd_state(T, state, compute_uv=True):
     parts = (state.parts if isinstance(state, hm.KernelBuffer)
              else reference_parts(T, state, not np.iscomplexobj(state)))
     res = []
-    with _blas.single_threaded_blas():
+    with _blas.owned_cores():
         for p in parts:
             res.append(np.linalg.svd(p, full_matrices=False, compute_uv=compute_uv))
     if not compute_uv:

@@ -1,5 +1,6 @@
-"""Scope of single_threaded_blas and its use around run_grid's trials and
-single solves, and the lanes of run_lanes that both share."""
+"""Scope of owned_cores, which pins BLAS and holds the lanes, and its use
+around run_grid's trials, single solves and other public calls, and the
+lanes of run_lanes that they share."""
 
 import functools
 import sys
@@ -12,6 +13,7 @@ import polarpcp._blas as blas
 import polarpcp._lapack as _lapack
 import polarpcp.simlab as simlab
 from polarpcp import (
+    COMPLEX,
     REAL,
     GridResult,
     HyperMatrix,
@@ -21,15 +23,19 @@ from polarpcp import (
     embed,
     gen_low_rank_sparse,
     pcp_ialm,
+    prox_trace,
     run_grid,
     run_trial,
+    singular_moduli,
+    spectral_norm,
     tensor_rpca,
     tsvd,
     write_csv,
     write_pht,
 )
-from polarpcp._blas import owned_cores, run_lanes, single_threaded_blas
+from polarpcp._blas import owned_cores, run_lanes
 from polarpcp.cli import main
+from polarpcp.hypermatrix import inv
 from polarpcp.simlab import EMBEDDINGS, POLAR4COMPLEX, CellResult, TrialOutcome
 
 from helpers import reference_slice_compose
@@ -75,22 +81,22 @@ def _tiny_spec(**kw):
 class TestScope:
     def test_restores_after_normal_exit(self, controls):
         get, _ = controls
-        with single_threaded_blas():
+        with owned_cores():
             assert get() == 1
         assert get() == CALLER_THREADS
 
     def test_restores_after_exception(self, controls):
         get, _ = controls
         with pytest.raises(RuntimeError):
-            with single_threaded_blas():
+            with owned_cores():
                 assert get() == 1
                 raise RuntimeError("boom")
         assert get() == CALLER_THREADS
 
     def test_nested_holders_restore_once(self, controls, recorded_sets):
         get, _ = controls
-        with single_threaded_blas():
-            with single_threaded_blas():
+        with owned_cores():
+            with owned_cores():
                 assert get() == 1
             assert get() == 1
         assert get() == CALLER_THREADS
@@ -102,13 +108,13 @@ class TestScope:
         seen = []
 
         def holder():
-            with single_threaded_blas():
+            with owned_cores():
                 entered.set()
                 release.wait(timeout=30)
             seen.append(get())  # the main thread still holds the scope
 
         thread = threading.Thread(target=holder)
-        with single_threaded_blas():
+        with owned_cores():
             thread.start()
             assert entered.wait(timeout=30)
             release.set()
@@ -119,6 +125,15 @@ class TestScope:
         assert get() == CALLER_THREADS
         assert recorded_sets == [1, CALLER_THREADS]
 
+
+    def test_invalid_thread_count_raises_before_blas_is_touched(self, recorded_sets,
+                                                                 monkeypatch):
+        monkeypatch.setenv("POLARPCP_THREADS", "0")
+        with pytest.raises(ValueError, match="POLARPCP_THREADS"):
+            with owned_cores():
+                pass
+        assert recorded_sets == []
+        assert blas._holders == 0 and getattr(blas._local, "lanes", None) is None
 
 class TestRunGridScope:
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -492,6 +507,41 @@ class TestSolveScope:
             SOLVES[solve](_mixed_matrix(POLAR4COMPLEX))
         assert get() == CALLER_THREADS
         assert threading.active_count() == before
+
+
+PUBLIC_CALLS = {
+    "prox_trace": lambda X: prox_trace(X, 1.0),
+    "tsvd": tsvd,
+    "singular_moduli": singular_moduli,
+    "spectral_norm": spectral_norm,
+    "inv": inv,
+    "pcp_ialm": lambda X: pcp_ialm(X, SolverConfig(max_iters=3)),
+}
+
+
+class TestOneScopePerCall:
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    @pytest.mark.parametrize("field, n", [(REAL, 4), (COMPLEX, 2)])
+    def test_one_pool_and_one_pin(self, recorded_sets, monkeypatch, call, field, n):
+        # 70 x 70 slices are above LANE_MIN_WORK, so the kernel uses the lanes.
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((70, 70, n))
+        if field == COMPLEX:
+            data = data + 1j * rng.standard_normal((70, 70, n))
+        X = HyperMatrix(data, field)
+        monkeypatch.setattr(blas, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("POLARPCP_THREADS", "2")
+        pools = []
+        executor = blas.ThreadPoolExecutor
+
+        def counting_pool(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(blas, "ThreadPoolExecutor", counting_pool)
+        PUBLIC_CALLS[call](X)
+        assert len(pools) <= 1
+        assert recorded_sets == [1, CALLER_THREADS]
 
 
 class TestGridOwnsTheCores:

@@ -6,8 +6,8 @@ import pytest
 
 import polarpcp.cli as cli
 import polarpcp.hypermatrix as hm
-from polarpcp import (HyperMatrix, TSVDFactors, TubeTransform, read_pht, reconstruct,
-                      singular_moduli, tsvd, write_pht)
+from polarpcp import (HyperMatrix, TSVDFactors, TubeTransform, pcp_ialm, read_pht,
+                      reconstruct, singular_moduli, tsvd, write_pht)
 from polarpcp.cli import main
 
 from helpers import (fft_overflow_instance, fft_overflow_representable, ldexp, overflow_instance,
@@ -290,6 +290,21 @@ class TestDecompose:
         write_pht(ldexp(X, k), tmp_path / "x.pht")
         assert main(["decompose", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 0
         assert capfd.readouterr().err == ""
+        for name in ("L.pht", "S.pht"):
+            assert np.isfinite(read_pht(tmp_path / name).data).all()
+
+    @pytest.mark.parametrize("scale, nulls", [(1e-306, 7), (1e-304, 0)])
+    def test_report_is_strict_json_far_below_unit_scale(self, tmp_path, scale, nulls):
+        # Below about 1e-305 the unscaled mu passes the largest float: the
+        # report writes null there and the parts stay finite.
+        write_pht(HyperMatrix(np.random.default_rng(0).standard_normal((12, 10, 4)) * scale),
+                  tmp_path / "x.pht")
+        assert main(["decompose", str(tmp_path / "x.pht"), "--out-dir", str(tmp_path)]) == 0
+        mu = _strict_json(tmp_path / "report.json")["mu"]
+        want = pcp_ialm(read_pht(tmp_path / "x.pht")).mu_history
+        assert [m is None for m in mu] == np.isinf(want).tolist()
+        assert sum(m is None for m in mu) == nulls
+        assert [m for m in mu if m is not None] == want[np.isfinite(want)].tolist()
         for name in ("L.pht", "S.pht"):
             assert np.isfinite(read_pht(tmp_path / name).data).all()
 
