@@ -22,13 +22,7 @@ from .hypermatrix import (
     vec,
 )
 from .pht import PhtFormatError, read_pht, write_pht
-from .prox import (
-    GroupedVector,
-    group_soft_threshold,
-    prox_l1,
-    prox_trace,
-    soft_threshold_real,
-)
+from .prox import prox_l1, prox_trace
 from .simlab import (
     GridResult,
     TrialSpec,
@@ -63,7 +57,6 @@ __all__ = [
     "AngleSet",
     "COMPLEX",
     "GridResult",
-    "GroupedVector",
     "HyperMatrix",
     "PcpResult",
     "PhtFormatError",
@@ -81,7 +74,6 @@ __all__ = [
     "extract",
     "frobenius",
     "gen_low_rank_sparse",
-    "group_soft_threshold",
     "icft",
     "max_modulus",
     "mu_schedule",
@@ -94,7 +86,6 @@ __all__ = [
     "run_grid",
     "run_trial",
     "singular_moduli",
-    "soft_threshold_real",
     "spectral_norm",
     "stride_permutation",
     "t_conj_transpose",

@@ -500,7 +500,7 @@ class TubeTransform:
             return None, None
         pairs, planes = self._real_slots
         return (np.array([1.0 if (b,) in planes else 2.0 for b in range(self.n)]),
-                np.repeat([2.0, 1.0], [len(pairs), len(planes)]))
+                np.array([2.0] * len(pairs) + [1.0] * len(planes)))
 
     def kernel_buffer(self, state):
         """A KernelBuffer that holds a copy of the packed state state, in
@@ -790,14 +790,18 @@ def inv(A):
     A, e = _scaled(A)
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
-    if A.l == 1:   # 1 x 1 blocks: their singular values are their moduli
-        svals = np.abs(hat)
-    else:
-        # A complex state is hat itself: reuse it rather than transform again.
-        svals = T.svd_state(hat if A.field == COMPLEX else T.hat_state(A), compute_uv=False)
-    if svals.min() <= SINGULAR_RTOL * svals.max():
-        raise np.linalg.LinAlgError("hypercomplex matrix is singular")
-    return HyperMatrix(_ldexp(T.unhat(np.linalg.inv(hat), A.field).data, -e), A.field)
+    # One scope for the SVDs and the block inverse, so that BLAS runs both
+    # on one thread, whatever the caller's count.
+    with _blas.owned_cores():
+        if A.l == 1:   # 1 x 1 blocks: their singular values are their moduli
+            svals = np.abs(hat)
+        else:
+            # A complex state is hat itself: reuse it rather than transform again.
+            svals = T.svd_state(hat if A.field == COMPLEX else T.hat_state(A), compute_uv=False)
+        if svals.min() <= SINGULAR_RTOL * svals.max():
+            raise np.linalg.LinAlgError("hypercomplex matrix is singular")
+        hat = np.linalg.inv(hat)
+    return HyperMatrix(_ldexp(T.unhat(hat, A.field).data, -e), A.field)
 
 
 def inner(A, B):

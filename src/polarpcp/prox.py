@@ -1,10 +1,12 @@
 """Proximity operators for the hypercomplex l1 and trace norms.
 
-Both reduce to grouped soft thresholding.  The entrywise l1 prox puts every
-entry's coefficients (real and imaginary parts interleaved, exactly the slab
-isomorphism order) into one group; the trace-norm prox applies the same
-shrinkage to singular tubes, where the i-th group gathers the i-th singular
-value of every transform-domain slice.
+Both are one grouped soft threshold, tube_group_shrink, which scales each
+group by (1 - tau/||group||)_+ with the groups along the leading axis.  The
+entrywise l1 prox moves every entry's coefficients, read as float64 values
+(real and imaginary parts interleaved, the slab isomorphism order), to that
+axis; the trace-norm prox shrinks the singular tubes, where the i-th group
+gathers the i-th singular value of every transform-domain slice; and a
+solve's sparse step shrinks the entry tubes of its packed state.
 
 The trace norm that prox_trace shrinks, the sum of the singular-tube
 moduli, is not a norm and not convex: the i-th singular tube groups the
@@ -31,41 +33,11 @@ nor underflow, and scales the result back exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import owned_cores
 from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _scaled, check_finite
-
-
-@dataclass
-class GroupedVector:
-    """Flat real vector partitioned into contiguous groups.
-
-    offsets holds the start index of each group; offsets[0] must be 0 and the
-    implicit final boundary is len(values).
-    """
-
-    values: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.offsets = np.asarray(self.offsets, dtype=np.intp)
-        if self.values.ndim != 1 or self.offsets.ndim != 1 or self.offsets.size == 0:
-            raise ValueError("values and offsets must be non-empty 1-d arrays")
-        if self.offsets[0] != 0 or np.any(np.diff(self.offsets) <= 0):
-            raise ValueError("offsets must start at 0 and be strictly increasing")
-        if self.offsets[-1] >= self.values.size:
-            raise ValueError("offsets must leave a non-empty final group")
-
-    @property
-    def sizes(self):
-        return np.diff(np.append(self.offsets, self.values.size))
-
-    def group_norms(self):
-        return np.sqrt(np.add.reduceat(self.values * self.values, self.offsets))
 
 
 def _shrink_factors(norms, lam):
@@ -83,25 +55,10 @@ def _check_threshold(lam):
         raise ValueError(f"threshold must be nonnegative, got {lam!r}")
 
 
-def group_soft_threshold(z, lam):
-    """Group lasso prox: scale each group by (1 - lam/||z_g||)_+ with zero
-    groups mapping to zero."""
-    _check_threshold(lam)
-    factors = _shrink_factors(z.group_norms(), lam)
-    return GroupedVector(z.values * np.repeat(factors, z.sizes), z.offsets.copy())
-
-
-def soft_threshold_real(x, lam):
-    """Scalar soft threshold sign(x) * max(|x| - lam, 0), vectorized."""
-    _check_threshold(lam)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
 def prox_l1(Z, lam):
     """Entrywise hypercomplex l1 prox: z -> (1 - lam/|z|)_+ z with |z| the
-    entry modulus.  Delegates to group_soft_threshold with one group per
-    entry, so the two agree bit for bit on inputs in SAFE_RANGE.  Raises
-    ValueError on non-finite input."""
+    entry modulus, the Euclidean norm of the entry's coefficients read as
+    float64 values.  Raises ValueError on non-finite input."""
     _check_threshold(lam)
     check_finite(Z, "prox_l1 input")
     Z, e = _scaled(Z)
@@ -110,14 +67,10 @@ def prox_l1(Z, lam):
 
 def _prox_l1(Z, lam):
     """prox_l1 with no rescale: the naive solver's sparse step.  Each
-    entry's group is its coefficients read as float64 values: for complex
-    data the real and imaginary parts interleaved, which is the slab
-    order."""
-    coeffs = Z.data.reshape(-1).view(np.float64)
-    lm = Z.l * Z.m
-    gv = GroupedVector(coeffs, np.arange(lm, dtype=np.intp) * (coeffs.size // lm))
-    out = group_soft_threshold(gv, lam).values.view(Z.data.dtype)
-    return HyperMatrix(out.reshape(Z.data.shape), Z.field)
+    entry's coefficients, read as float64 values, are one group of
+    tube_group_shrink, moved to the leading axis and back."""
+    out = tube_group_shrink(np.moveaxis(Z.data.view(np.float64), -1, 0), lam)
+    return HyperMatrix(np.moveaxis(out, 0, -1).view(Z.data.dtype), Z.field)
 
 
 def shrink_singular_values(svals, tau, grouped=True, weights=None):
@@ -136,22 +89,29 @@ def shrink_singular_values(svals, tau, grouped=True, weights=None):
 
 
 def tube_group_shrink(stack, tau, weights=None):
-    """Grouped shrink of an (n, ...) transform-domain stack where each tube
-    (the fiber across the leading axis) is one group.  weights, one per
-    slice, scale the slices' squares in the group norms: the Parseval
-    weights of a real-tube solver state (TubeTransform.hat_state).  The
-    squares are computed in the output array, the only stack-sized
-    allocation."""
-    out = np.empty(stack.shape, stack.dtype)
+    """The one grouped soft threshold: scale each group of an (n, ...)
+    stack, a fiber across the leading axis, by (1 - tau/||group||)_+, and
+    a zero group to zero.  The groups are a packed state's tubes, the
+    singular tubes of shrink_singular_values, or prox_l1's entries.
+    weights, one per slice, scale the slices' squares in the group norms:
+    the Parseval weights of a real-tube solver state
+    (TubeTransform.hat_state); without them the norms add the squared
+    planes in order along the leading axis.  The squares are computed in
+    the output array, the only stack-sized allocation, laid out as stack
+    is."""
+    out = np.empty_like(stack)
     if weights is None:
-        # The squares of the real and of the imaginary parts fill the two
-        # halves of a complex output's bytes.
-        size = stack.size
-        squares = out.view(np.float64).reshape(-1)
-        real_sq = np.square(stack.real, out=squares[:size].reshape(stack.shape))
         if np.iscomplexobj(stack):
-            real_sq += np.square(stack.imag, out=squares[size:].reshape(stack.shape))
-        norms = real_sq.sum(axis=0)
+            # The squares of the real and of the imaginary parts fill the
+            # two halves of a complex output's bytes.
+            halves = out.view(np.float64).reshape(2, *stack.shape)
+            squares = np.square(stack.real, out=halves[0])
+            squares += np.square(stack.imag, out=halves[1])
+        else:
+            squares = np.square(stack, out=out)
+        norms = squares[0].copy()
+        for plane in squares[1:]:
+            norms += plane
     else:
         squares = np.multiply(stack, stack, out=out).reshape(len(weights), -1)
         norms = (weights @ squares).reshape(stack.shape[1:])

@@ -28,6 +28,9 @@ on and the pair of steps that state takes.
 * "naive": the state is the coefficient tensor X.data and the steps are the
   coefficient-domain proxes prox_trace and prox_l1.
 
+Every shrink is one grouped soft threshold, prox.tube_group_shrink: of the
+packed state's tubes, of the singular tubes, and of prox_l1's entries.
+
 The grouped objective of "frequency" and "naive", the polar trace norm,
 is neither a norm nor convex (see prox), and IALM's convergence theory
 (Lin, Chen & Ma) covers only the convex tensor-RPCA objective.  So a polar

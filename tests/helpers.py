@@ -11,7 +11,10 @@ the full-stack slice kernels it ran, as they stood before real tubes got a
 packed state.  The driver must reproduce the loop bit for bit on complex
 tubes and to 1e-12 relative on real ones.  reference_prox_trace is the
 trace-norm prox on those full-stack kernels, as it stood before it ran on
-the packed state, held to the same bars.  reference_svd_state and
+the packed state, held to the same bars.  reference_prox_l1 is the l1
+prox as it stood before it ran through tube_group_shrink, on a flat vector
+of groups with np.add.reduceat; the package must stay within 1e-15
+relative of it.  reference_svd_state and
 reference_compose_state are the packed-state kernels as they stood before
 large matrices were factored in stages; with the staged routines missing
 the package must reproduce them bit for bit.  reference_parts,
@@ -452,6 +455,21 @@ def reference_prox_trace(Z, lam, transform=None, counts=None):
     U, s, Vh = reference_slice_svd(T, T.hat(Z), real)
     s2 = shrink_singular_values(s, lam * math.sqrt(Z.n), grouped=True)
     return reference_unhat(T, reference_slice_compose(T, U, s2, Vh, real), Z.field)
+
+
+def reference_prox_l1(Z, lam):
+    """Entrywise l1 prox on a flat vector: each entry's coefficients, read
+    as float64 values, are one contiguous group, whose squared norm
+    np.add.reduceat sums over the group offsets, and np.repeat spreads the
+    factors (1 - lam/norm)_+ back over the groups.  No rescale."""
+    values = Z.data.reshape(-1).view(np.float64)
+    size = values.size // (Z.l * Z.m)
+    norms = np.sqrt(np.add.reduceat(values * values, np.arange(Z.l * Z.m) * size))
+    factors = np.zeros_like(norms)
+    nz = norms > 0
+    factors[nz] = np.maximum(1.0 - lam / norms[nz], 0.0)
+    out = values * np.repeat(factors, size)
+    return HyperMatrix(out.view(Z.data.dtype).reshape(Z.data.shape), Z.field)
 
 
 def ialm_frequency_reference(X, cfg, grouped):

@@ -519,6 +519,21 @@ PUBLIC_CALLS = {
 }
 
 
+def _square_matrix(field, n, m=100):
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((m, m, n))
+    if field == COMPLEX:
+        data = data + 1j * rng.standard_normal((m, m, n))
+    return HyperMatrix(data, field)
+
+
+def _result_bytes(result):
+    """The bytes of a public call's result: its arrays, or its float."""
+    if hasattr(result, "U") or hasattr(result, "L"):
+        return _output_bytes(result)
+    return np.asarray(getattr(result, "data", result)).tobytes()
+
+
 class TestOneScopePerCall:
     @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
     @pytest.mark.parametrize("field, n", [(REAL, 4), (COMPLEX, 2)])
@@ -617,6 +632,29 @@ class TestThreadCountsDoNotChangeResults:
         for count in (1, 2):
             set_(count)
             outputs.append(_output_bytes(SOLVES[solve](X)))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    @pytest.mark.parametrize("field, n", [(REAL, 4), (COMPLEX, 2)])
+    def test_caller_blas_count_public_calls(self, controls, call, field, n):
+        # Every public function that factors slices; inv's block inverse
+        # used to run at the caller's count.
+        X = _square_matrix(field, n)
+        _, set_ = controls
+        outputs = []
+        for count in (1, 2):
+            set_(count)
+            outputs.append(_result_bytes(PUBLIC_CALLS[call](X)))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+    @pytest.mark.parametrize("field, n", [(REAL, 4), (COMPLEX, 2)])
+    def test_lane_count_public_calls(self, lanes, monkeypatch, call, field, n):
+        X = _square_matrix(field, n)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("POLARPCP_THREADS", threads)
+            outputs.append(_result_bytes(PUBLIC_CALLS[call](X)))
         assert outputs[0] == outputs[1]
 
     def test_decompose_files(self, lanes, monkeypatch, tmp_path):

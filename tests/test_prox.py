@@ -12,14 +12,11 @@ import polarpcp.hypermatrix as hm
 from polarpcp import (
     COMPLEX,
     REAL,
-    GroupedVector,
     HyperMatrix,
     TubeTransform,
-    group_soft_threshold,
     prox_l1,
     prox_trace,
     singular_moduli,
-    soft_threshold_real,
     tsvd,
 )
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
@@ -30,85 +27,10 @@ from helpers import (
     overflow_instance,
     raises_exactly,
     random_hypermatrix,
+    reference_prox_l1,
     reference_prox_trace,
     scale_instance,
 )
-
-
-class TestSoftThresholdReal:
-    def test_values(self):
-        assert soft_threshold_real(0.5, 1.0) == 0.0
-        assert soft_threshold_real(2.0, 1.0) == 1.0
-        assert soft_threshold_real(-3.0, 1.0) == -2.0
-
-    def test_vectorized(self):
-        x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-        assert np.array_equal(soft_threshold_real(x, 1.0), [-1.0, 0.0, 0.0, 0.0, 1.0])
-
-    def test_negative_threshold(self):
-        with pytest.raises(ValueError):
-            soft_threshold_real(1.0, -0.1)
-
-    def test_nan_threshold_rejected_inf_allowed(self):
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            soft_threshold_real(np.ones(3), math.nan)
-        assert np.array_equal(soft_threshold_real(np.array([-2.0, 3.0]), math.inf), [0.0, 0.0])
-
-
-class TestGroupSoftThreshold:
-    def test_rejects_values_that_are_not_1d(self):
-        with raises_exactly(ValueError, "values and offsets must be non-empty 1-d arrays"):
-            GroupedVector(np.ones((2, 2)), np.array([0]))
-
-    def test_small_group_zeroed(self):
-        gv = GroupedVector(np.array([0.3, 0.4, 3.0, 4.0]), np.array([0, 2]))
-        out = group_soft_threshold(gv, 1.0)
-        assert np.array_equal(out.values[:2], [0.0, 0.0])       # norm 0.5 <= 1
-        assert np.allclose(out.values[2:], [3.0 * 0.8, 4.0 * 0.8])
-
-    def test_zero_threshold_is_identity(self):
-        rng = np.random.default_rng(0)
-        gv = GroupedVector(rng.standard_normal(10), np.array([0, 3, 7]))
-        out = group_soft_threshold(gv, 0.0)
-        assert np.array_equal(out.values, gv.values)
-
-    def test_zero_group_maps_to_zero(self):
-        gv = GroupedVector(np.zeros(4), np.array([0, 2]))
-        out = group_soft_threshold(gv, 0.5)
-        assert np.array_equal(out.values, np.zeros(4))
-
-    def test_singleton_groups_match_soft_threshold(self):
-        xs = np.linspace(-3.0, 3.0, 25)
-        gv = GroupedVector(xs, np.arange(25))
-        out = group_soft_threshold(gv, 1.0)
-        assert np.allclose(out.values, soft_threshold_real(xs, 1.0), atol=1e-15)
-
-    def test_negative_threshold(self):
-        gv = GroupedVector(np.ones(2), np.array([0]))
-        with pytest.raises(ValueError):
-            group_soft_threshold(gv, -1.0)
-
-    def test_nan_threshold_rejected_inf_allowed(self):
-        gv = GroupedVector(np.arange(1.0, 5.0), np.array([0, 2]))
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
-            group_soft_threshold(gv, math.nan)
-        assert not group_soft_threshold(gv, math.inf).values.any()
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            GroupedVector(np.ones(4), np.array([1, 2]))
-        with pytest.raises(ValueError):
-            GroupedVector(np.ones(4), np.array([0, 4]))
-        with pytest.raises(ValueError):
-            GroupedVector(np.ones(4), np.array([0, 2, 2]))
-
-
-def _xi_grouped(Z):
-    """Gather each entry's components contiguously, in slab order."""
-    lm = Z.l * Z.m
-    flat = np.ascontiguousarray(Z.data.reshape(lm, Z.n))
-    comps = flat if Z.field == REAL else flat.view(np.float64)
-    return GroupedVector(comps.ravel().copy(), np.arange(lm) * comps.shape[1])
 
 
 def _rejects_non_finite(capfd, prox, field, bad, shape):
@@ -141,17 +63,48 @@ class TestProxL1:
     def test_n1_real_matches_scalar_soft_threshold(self):
         xs = np.linspace(-2.0, 2.0, 9).reshape(3, 3, 1)
         out = prox_l1(HyperMatrix(xs), 0.75)
-        assert np.allclose(out.data, soft_threshold_real(xs, 0.75), atol=1e-15)
+        expected = np.sign(xs) * np.maximum(np.abs(xs) - 0.75, 0.0)
+        assert np.allclose(out.data, expected, atol=1e-15)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
-    def test_bitwise_equals_grouped_threshold(self, field):
-        rng = np.random.default_rng(2)
-        Z = random_hypermatrix(rng, 4, 3, 3, field)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_bitwise_equals_sequential_sum(self, field, n):
+        # Each entry's norm adds its squared float64 coefficients in order.
+        Z = random_hypermatrix(np.random.default_rng(2 + n), 4, 3, n, field)
         lam = 1.3
-        out = prox_l1(Z, lam)
-        grouped = group_soft_threshold(_xi_grouped(Z), lam)
-        got = _xi_grouped(out).values
-        assert got.tobytes() == grouped.values.tobytes()
+        out = prox_l1(Z, lam).data.view(np.float64)
+        for coeffs, got in zip(Z.data.view(np.float64).reshape(-1, out.shape[-1]),
+                               out.reshape(-1, out.shape[-1])):
+            total = 0.0
+            for c in coeffs:
+                total += c * c
+            norm = math.sqrt(total)
+            factor = max(1.0 - lam / norm, 0.0) if norm > 0 else 0.0
+            assert got.tobytes() == (coeffs * factor).tobytes()
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_reference(self, field, n):
+        Z = random_hypermatrix(np.random.default_rng(20 + n), 30, 20, n, field)
+        lam = 0.5 * math.sqrt(2 * n)
+        out = prox_l1(Z, lam).data
+        expected = reference_prox_l1(Z, lam).data
+        assert 0 < np.count_nonzero(out) < out.size
+        assert np.abs(out - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_entry_maps_to_zero(self, field):
+        Z = random_hypermatrix(np.random.default_rng(6), 3, 4, 3, field)
+        Z.data[1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_l1(Z, 0.5).data
+        assert not out[1].any() and not np.isnan(out).any()
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_threshold_is_identity(self, field):
+        Z = random_hypermatrix(np.random.default_rng(7), 5, 4, 3, field)
+        assert prox_l1(Z, 0.0).data.tobytes() == Z.data.tobytes()
 
     def test_phase_preservation(self):
         rng = np.random.default_rng(3)
