@@ -13,7 +13,9 @@ matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
 TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every
 t-SVD transform that is a Kronecker product of DFT and skew-DFT factors:
-the skew DFT, the group DFTs and their mixes.  It transforms the last
+the skew DFT, the group DFTs and their mixes.  A transform has one
+spelling, a key of TubeTransform.NAMES or its tuple of (kind, k) factor
+pairs, which TubeTransform.from_name alone resolves.  It transforms the last
 axis, where the tubes are, and is the one seam into the transform domain
 (hat, unhat), the owner of the packed state of real tubes, which only
 hat_state and unhat_state enter and leave, and the one slice-SVD kernel,
@@ -66,10 +68,6 @@ UNITARY = "unitary"
 # and out of the transform domain: a complex block is at most an eighth of
 # a real-tube state.
 ROW_BLOCKS = 16
-
-# Relative imaginary-part threshold under which an inverse transform is
-# considered real-valued.
-_REAL_DETECT_RTOL = 1e-10
 
 # Bounds, both inclusive, on the largest magnitude of float64 values whose
 # squares, and sums of many of them, neither overflow nor underflow.
@@ -272,6 +270,14 @@ def _factor_matrix(kind, k):
     return np.exp(-2j * math.pi * j * i / k)
 
 
+def _wht_factors(n):
+    """The factors of the Walsh-Hadamard transform of length n, a power of
+    two: every factor ("dft", 2), or the one factor ("dft", 1) at n = 1."""
+    if n & (n - 1):
+        raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
+    return (("dft", 2),) * (n.bit_length() - 1) or (("dft", 1),)
+
+
 class TubeTransform:
     """Invertible tube transform defining a t-SVD algebra: the Kronecker
     product of its factors, each a DFT ("dft", k) or a skew DFT
@@ -287,24 +293,24 @@ class TubeTransform:
     matrix straight to and from it, and one slice-SVD kernel factors the
     matrices of that state.  A state's kind, real or complex tubes, is read
     from its data (see hat_state).  The tubes are on the last axis of every
-    array it transforms.  The named constructors return one shared instance per
-    transform, built complete, so lanes may share it.
+    array it transforms.  from_name is the one resolver of a spelling, a
+    key of NAMES or a tuple of factor pairs, and returns one shared instance
+    per transform, built complete, so lanes may share it.
     """
 
     __slots__ = ("n", "factors", "_lengths", "_real_slots")
 
-    # Transform names accepted by from_name, mapped to the constructor.
-    NAMES = {"dft": "dft", "skew-dft": "skew_dft", "wht": "walsh_hadamard"}
+    # The transform names, each mapped to its factors as a function of n.
+    NAMES = {"dft": lambda n: (("dft", n),),
+             "skew-dft": lambda n: (("skew", n),),
+             "wht": _wht_factors}
 
-    # The shared instances of the named constructors, by factors.
+    # The shared instances that from_name returns, by factors.
     _shared = {}
     _shared_lock = threading.Lock()
 
     def __init__(self, factors):
-        factors = tuple((kind, self._length(k)) for kind, k in factors)
-        if not factors or any(kind not in ("dft", "skew") for kind, _ in factors):
-            raise ValueError(f"factors {factors} must be one or more (kind, length) "
-                             f"pairs of kind 'dft' or 'skew'")
+        factors = self._check(factors)
         self.factors = factors
         self._lengths = tuple(k for _, k in factors)
         self.n = math.prod(self._lengths)
@@ -322,40 +328,35 @@ class TubeTransform:
         return int(n)
 
     @classmethod
-    def _shared_instance(cls, factors):
-        # factors are pairs of _length-checked ints
+    def _check(cls, factors):
+        """factors, a non-empty tuple of ("dft" | "skew", k) pairs with each
+        k an integer >= 1 and not a bool, with every k made an int."""
+        if not isinstance(factors, tuple) or not factors or not all(
+                isinstance(f, tuple) and len(f) == 2 and f[0] in ("dft", "skew") for f in factors):
+            raise ValueError(f"factors {factors!r} must be a tuple of one or more "
+                             f"(kind, length) pairs of kind 'dft' or 'skew'")
+        return tuple((kind, cls._length(k)) for kind, k in factors)
+
+    @classmethod
+    def dft(cls, n):
+        """The tube DFT of length n: from_name("dft", n)."""
+        return cls.from_name("dft", n)
+
+    @classmethod
+    def from_name(cls, name, n):
+        """The shared transform of length n that name spells: a key of NAMES
+        or a tuple of factor pairs (see _check) whose lengths multiply to n."""
+        n = cls._length(n)
+        if isinstance(name, str) and name not in cls.NAMES:
+            raise ValueError(f"unknown transform {name!r}")
+        factors = cls._check(cls.NAMES[name](n) if isinstance(name, str) else name)
+        product = math.prod(k for _, k in factors)
+        if product != n:
+            raise ValueError(f"transform {name} has product {product}, not the tube length {n}")
         with cls._shared_lock:
             if factors not in cls._shared:
                 cls._shared[factors] = cls(factors)
             return cls._shared[factors]
-
-    @classmethod
-    def dft(cls, n):
-        """The tube DFT: the shared group_dft((n,))."""
-        return cls.group_dft((n,))
-
-    @classmethod
-    def skew_dft(cls, n):
-        return cls._shared_instance((("skew", cls._length(n)),))
-
-    @classmethod
-    def group_dft(cls, factors):
-        return cls._shared_instance(tuple(("dft", cls._length(k)) for k in factors))
-
-    @classmethod
-    def walsh_hadamard(cls, n):
-        """group_dft with all factors 2; n must be a power of two."""
-        n = cls._length(n)
-        if n & (n - 1):
-            raise ValueError(f"Walsh-Hadamard length must be a power of two, got {n}")
-        return cls.group_dft((2,) * (n.bit_length() - 1) or (1,))
-
-    @classmethod
-    def from_name(cls, name, n):
-        """Resolve a CLI-style transform name (a key of NAMES)."""
-        if name not in cls.NAMES:
-            raise ValueError(f"unknown transform {name!r}")
-        return getattr(cls, cls.NAMES[name])(n)
 
     def __repr__(self):
         return f"TubeTransform({self.factors})"
@@ -745,20 +746,13 @@ def cft(A, normalization=UNNORMALIZED):
     return SpectralMatrix(blocks, normalization)
 
 
-def icft(S):
-    """Inverse circulant Fourier transform.
-
-    Returns a real-field matrix when the spectrum is conjugate-symmetric
-    within tolerance (i.e. the inverse DFT is real), complex otherwise.
-    """
+def icft(S, field):
+    """Inverse circulant Fourier transform: the matrix of the given field
+    whose cft is S; a real field keeps the real part, as unhat does."""
     blocks = S.blocks
     if S.normalization == UNITARY:
         blocks = blocks * math.sqrt(S.n)
-    out = TubeTransform.dft(S.n).unhat(blocks, COMPLEX)
-    scale = np.abs(out.data).max()
-    if np.abs(out.data.imag).max() <= _REAL_DETECT_RTOL * scale:
-        return HyperMatrix(out.data.real, REAL)
-    return out
+    return TubeTransform.dft(S.n).unhat(blocks, field)
 
 
 def matmul(A, B, transform=None):

@@ -64,10 +64,11 @@ the mu history are scaled back exactly.
 
 SolverConfig holds only what a caller sets: c, tol, max_iters, rho_mu, the
 variant and the tube transform, a key of TubeTransform.NAMES or a tuple of
-group-DFT factors.  lambda is c/sqrt(max(l, m)) with c = 1 by default; the
-dual variable starts at X / max(||X||_2, ||X||_inf / lambda) and mu grows
-geometrically by rho_mu from mu_0 = 1.25 / ||X||_2, which keeps
-sum mu_{k+1}/mu_k^2 finite as the convergence theory of the convex
+(kind, k) factor pairs, which the solve resolves with
+TubeTransform.from_name.  lambda is c/sqrt(max(l, m)) with c = 1 by
+default; the dual variable starts at X / max(||X||_2, ||X||_inf / lambda)
+and mu grows geometrically by rho_mu from mu_0 = 1.25 / ||X||_2, which
+keeps sum mu_{k+1}/mu_k^2 finite as the convergence theory of the convex
 objective requires.
 
 A solve owns the cores: it runs with BLAS on one thread (the caller's count
@@ -96,15 +97,16 @@ from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shri
 class SolverConfig:
     """The settings of a solve: lambda = c / sqrt(max(l, m)), the stopping
     rule (tol, max_iters), the growth rho_mu of mu, the variant, and the tube
-    transform, a key of TubeTransform.NAMES or a tuple of the factors of a
-    group DFT."""
+    transform, a key of TubeTransform.NAMES or a tuple of ("dft" | "skew", k)
+    factor pairs, for example (("dft", 2), ("dft", 3)) (see
+    TubeTransform.from_name)."""
 
     c: float = 1.0
     tol: float = 1e-7
     max_iters: int = 1000
     rho_mu: float = 1.5
     variant: str = "frequency"
-    transform: str | tuple[int, ...] = "dft"
+    transform: str | tuple[tuple[str, int], ...] = "dft"
 
     def __post_init__(self):
         for name in ("c", "tol"):
@@ -117,23 +119,10 @@ class SolverConfig:
             raise ValueError("rho_mu must be finite and exceed 1")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        t = self.transform
-        if isinstance(t, tuple):
-            if not t or not all(_is_int(f) and f >= 1 for f in t):
-                raise ValueError(f"transform {t!r}: group DFT factors must be a non-empty "
-                                 f"tuple of integers >= 1")
-        elif not isinstance(t, str) or t not in TubeTransform.NAMES:
-            raise ValueError(f"unknown transform {t!r}")
-
-    def resolve_transform(self, n):
-        """The TubeTransform of length n that self.transform names."""
-        if isinstance(self.transform, str):
-            return TubeTransform.from_name(self.transform, n)
-        product = math.prod(self.transform)
-        if product != n:
-            raise ValueError(f"transform {self.transform} has product {product}, "
-                             f"not the tube length {n}")
-        return TubeTransform.group_dft(self.transform)
+        if not isinstance(self.transform, str):
+            TubeTransform._check(self.transform)
+        elif self.transform not in TubeTransform.NAMES:
+            raise ValueError(f"unknown transform {self.transform!r}")
 
     def lam(self, X):
         return self.c / math.sqrt(max(X.l, X.m))
@@ -164,7 +153,7 @@ def residual(X, L, S):
 def mu_schedule(X, cfg=None):
     """Geometric penalty sequence mu_0, mu_0*rho, mu_0*rho^2, ..."""
     cfg = cfg or SolverConfig()
-    specnorm = hm.spectral_norm(X, cfg.resolve_transform(X.n))
+    specnorm = hm.spectral_norm(X, TubeTransform.from_name(cfg.transform, X.n))
     if specnorm <= 0:
         raise ValueError("mu schedule undefined for a zero matrix")
     return _geometric(cfg, specnorm)
@@ -211,7 +200,7 @@ def pcp_ialm(X, cfg=None):
         return PcpResult(zero, zero.copy(), 1, np.array([0.0]), True, lam, np.array([]),
                          dict(counts))
     maxmod = hm.max_modulus(X)
-    T = cfg.resolve_transform(X.n)
+    T = TubeTransform.from_name(cfg.transform, X.n)
 
     state, low_rank, sparse = VARIANTS[cfg.variant]
     history, mu_hist = [], []

@@ -8,6 +8,8 @@ Z_f and a skew one the skew-circulant (planar) product.  So the tube DFT
 gives the circulant (polar n-complex) product, the skew DFT the
 skew-circulant one, and the DFT of a finite abelian group Z_f1 x ... x Z_fr
 that group's algebra; the Walsh-Hadamard transform has every factor 2.
+A transform is spelled by a key of TubeTransform.NAMES or by its tuple of
+(kind, k) factor pairs, and TubeTransform.from_name resolves either.
 
 Every transform is applied in the eigenvalue convention (unnormalized
 forward, exact inverse), which is the convention under which pointwise

@@ -57,9 +57,11 @@ from polarpcp.prox import shrink_singular_values, tube_group_shrink
 from polarpcp.simlab import embed, gen_low_rank_sparse
 
 
-# Group-DFT factorizations of the differential tests: Walsh-Hadamard for the
-# powers of two, a mixed (2, 3) group for n = 6.
-GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,), 8: (2, 2, 2)}
+# Group-DFT factor pairs of the differential tests: Walsh-Hadamard for the
+# powers of two, a mixed (("dft", 2), ("dft", 3)) group for n = 6.
+GROUP_FACTORS = {n: tuple(("dft", k) for k in lengths) for n, lengths in
+                 {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,),
+                  8: (2, 2, 2)}.items()}
 
 
 def random_tube(rng, n, field):
@@ -475,7 +477,7 @@ def reference_prox_l1(Z, lam):
 def ialm_frequency_reference(X, cfg, grouped):
     """Transform-domain IALM with its own loop: grouped=True is polar PCP,
     grouped=False is tensor RPCA."""
-    T = cfg.resolve_transform(X.n)
+    T = hm.TubeTransform.from_name(cfg.transform, X.n)
     real = X.field == REAL
     lam = cfg.lam(X)
     sqrt_n = math.sqrt(X.n)

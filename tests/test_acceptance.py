@@ -139,7 +139,7 @@ def test_criterion_2_transform_suite():
         for field in (REAL, COMPLEX):
             A = random_hypermatrix(rng, 4, 3, 6, field)
             for norm in ("unnormalized", "unitary"):
-                B = icft(cft(A, norm))
+                B = icft(cft(A, norm), field)
                 assert B.field == field
                 assert np.abs(B.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
 
@@ -163,10 +163,10 @@ def test_criterion_2_transform_suite():
 
         # skew-DFT and Walsh-Hadamard unitarity
         for T in (
-            TubeTransform.skew_dft(5),
-            TubeTransform.skew_dft(6),
-            TubeTransform.walsh_hadamard(4),
-            TubeTransform.walsh_hadamard(8),
+            TubeTransform.from_name("skew-dft", 5),
+            TubeTransform.from_name("skew-dft", 6),
+            TubeTransform.from_name("wht", 4),
+            TubeTransform.from_name("wht", 8),
         ):
             M = T.matrix("unitary")
             gram = M @ M.conj().T
@@ -174,8 +174,8 @@ def test_criterion_2_transform_suite():
 
 
 def _transform_triple(n):
-    group = TubeTransform.walsh_hadamard(n) if n & (n - 1) == 0 else TubeTransform.group_dft((n,))
-    return (TubeTransform.dft(n), TubeTransform.skew_dft(n), group)
+    group = TubeTransform.from_name("wht" if n & (n - 1) == 0 else (("dft", n),), n)
+    return (TubeTransform.dft(n), TubeTransform.from_name("skew-dft", n), group)
 
 
 def test_criterion_3_tsvd_suite():

@@ -181,37 +181,49 @@ class TestIcft:
         rng = np.random.default_rng(7)
         A = random_hypermatrix(rng, 4, 3, 5, COMPLEX)
         for norm in (UNNORMALIZED, UNITARY):
-            B = icft(cft(A, norm))
+            B = icft(cft(A, norm), COMPLEX)
             assert B.field == COMPLEX
             assert np.abs(B.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
 
     @pytest.mark.parametrize("k", [-1000, -900, -600, -40, 0, 40, 600, 900])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_roundtrip_keeps_the_field_at_every_scale(self, field, k):
-        # The real-field test is relative: a complex input far below unit
-        # scale is not taken for a real one.
+        # A real field keeps the real part of the complex-field inverse, bit
+        # for bit, far below and far above unit scale.
         rng = np.random.default_rng(k + 1000)
         for n in range(1, 6):
             A = random_hypermatrix(rng, 4, 3, n, field)
             A = HyperMatrix(A.data * 2.0**k, field)
             for norm in (UNNORMALIZED, UNITARY):
-                B = icft(cft(A, norm))
+                S = cft(A, norm)
+                B = icft(S, field)
                 assert B.field == field
                 assert np.abs(B.data - A.data).max() <= 1e-12 * np.abs(A.data).max()
+                if field == REAL:
+                    assert B.data.tobytes() == icft(S, COMPLEX).data.real.tobytes()
 
-    def test_zero_spectrum_is_real(self):
-        assert icft(SpectralMatrix(np.zeros((3, 2, 2), complex))).field == REAL
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_zero_spectrum_keeps_the_field_asked_for(self, field):
+        B = icft(SpectralMatrix(np.zeros((3, 2, 2), complex)), field)
+        assert B.field == field and not B.data.any()
 
     def test_flat_spectrum_gives_leading_coefficient(self):
         blocks = np.repeat(np.arange(6.0).reshape(1, 2, 3), 4, axis=0)
-        B = icft(SpectralMatrix(blocks))
+        B = icft(SpectralMatrix(blocks), REAL)
         assert np.allclose(B.data[:, :, 0], np.arange(6.0).reshape(2, 3))
         assert np.abs(B.data[:, :, 1:]).max() <= 1e-14
 
-    def test_conjugate_symmetric_spectrum_detected_real(self):
+    def test_real_field_keeps_the_real_part(self):
+        # A conjugate-symmetric spectrum's inverse is real up to rounding;
+        # the real field drops that rounding, and a bogus field raises.
         rng = np.random.default_rng(8)
         A = random_hypermatrix(rng, 3, 2, 4, REAL)
-        assert icft(cft(A)).field == REAL
+        S = cft(A)
+        full = icft(S, COMPLEX).data
+        assert np.abs(full.imag).max() <= 1e-15 * np.abs(full).max()
+        assert icft(S, REAL).data.tobytes() == full.real.tobytes()
+        with pytest.raises(ValueError):
+            icft(S, "quaternion")
 
 
 class TestMatmul:
@@ -487,7 +499,7 @@ def _spectral_cases(draw):
     complex 7x5 matrix A and a square 1..5 matrix B of the same field, with
     two equal rows half the time (a singular matrix)."""
     n = draw(st.integers(1, 8))
-    T = draw(st.sampled_from([TubeTransform.dft, TubeTransform.skew_dft]))(n)
+    T = TubeTransform.from_name(draw(st.sampled_from(["dft", "skew-dft"])), n)
     field = draw(st.sampled_from(FIELDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = random_hypermatrix(rng, 7, 5, n, field)
@@ -561,7 +573,7 @@ class TestNonFiniteInput:
     def test_spectral_norm_raises_warns_and_prints_nothing(self, capfd, field, bad, shape):
         # nan used to fail in the SVD, and inf to warn in the fft first.
         A = _with_non_finite(random_hypermatrix(np.random.default_rng(18), *shape, field), bad)
-        for T in (None, TubeTransform.skew_dft(A.n)):
+        for T in (None, TubeTransform.from_name("skew-dft", A.n)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):

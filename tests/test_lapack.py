@@ -212,7 +212,7 @@ def staged(monkeypatch):
 
 def _on_direct_path(X, cfg):
     """True when some stack of X's solver state is on gesdd's direct path."""
-    T = cfg.resolve_transform(X.n)
+    T = TubeTransform.from_name(cfg.transform, X.n)
     return any(len(p) and _lapack.direct(p) for p in T.kernel_buffer(T.hat_state(X)).parts)
 
 

@@ -339,7 +339,7 @@ class TestProxTrace:
     def test_alternate_transform(self):
         rng = np.random.default_rng(10)
         Z = random_hypermatrix(rng, 4, 4, 4, COMPLEX)
-        T = TubeTransform.skew_dft(4)
+        T = TubeTransform.from_name("skew-dft", 4)
         out = prox_trace(Z, 0.4, T)
         got = singular_moduli(out, T)
         expected = np.maximum(singular_moduli(Z, T) - 0.4, 0.0)
@@ -373,8 +373,8 @@ def _prox_cases(draw):
     under the DFT, the skew DFT or a group DFT, and a threshold from zero to
     1.5 times its spectral norm."""
     n = draw(st.integers(1, 8))
-    T = draw(st.sampled_from([TubeTransform.dft(n), TubeTransform.skew_dft(n),
-                              TubeTransform.group_dft(GROUP_FACTORS[n])]))
+    T = draw(st.sampled_from([TubeTransform.dft(n), TubeTransform.from_name("skew-dft", n),
+                              TubeTransform.from_name(GROUP_FACTORS[n], n)]))
     field = draw(st.sampled_from([REAL, COMPLEX]))
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

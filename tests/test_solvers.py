@@ -110,6 +110,10 @@ class TestSolverConfig:
             {"transform": (-2, -2)}, {"transform": (2.0, 2)},
             {"transform": (True, 4)}, {"transform": [2, 2]},
             {"transform": 4},
+            # Only factor pairs spell a tuple: an integer tuple is no longer one.
+            {"transform": (2, 2)}, {"transform": (("id", 2),)}, {"transform": (("dft", 0),)},
+            {"transform": (("dft", 2.0),)}, {"transform": (("dft", True),)},
+            {"transform": [("dft", 4)]}, {"transform": (("dft",),)},
             # Unhashable: a lookup in the table would raise TypeError.
             {"variant": ["frequency"]}, {"variant": {}},
         ],
@@ -131,22 +135,29 @@ class TestSolverConfig:
 
     def test_transform_factors_must_match_the_tube(self):
         X = random_hypermatrix(np.random.default_rng(4), 3, 3, 4, REAL)
-        cfg = SolverConfig(transform=(3,))
+        cfg = SolverConfig(transform=(("dft", 3),))
         with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
-            cfg.resolve_transform(4)
+            TubeTransform.from_name(cfg.transform, 4)
         with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
             pcp_ialm(X, cfg)
-        assert pcp_ialm(X, SolverConfig(transform=(2, 2))).converged
+        with pytest.raises(ValueError, match=r"product 3, not the tube length 4"):
+            next(mu_schedule(X, cfg))
+        assert pcp_ialm(X, SolverConfig(transform=(("dft", 2), ("dft", 2)))).converged
 
-    def test_factor_tuple_names_the_shared_group_dft(self):
-        assert SolverConfig(transform=(2, 2)).resolve_transform(4) is TubeTransform.group_dft((2, 2))
-        # Z_2 x Z_2 is the Walsh-Hadamard transform of length 4.
-        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(5), 12, 10, 4, REAL, 2, 0.05)
-        by_factors = pcp_ialm(X, SolverConfig(transform=(2, 2)))
-        by_name = pcp_ialm(X, SolverConfig(transform="wht"))
-        for got, want in ((by_factors.L.data, by_name.L.data), (by_factors.S.data, by_name.S.data),
-                          (by_factors.residual_history, by_name.residual_history),
-                          (by_factors.mu_history, by_name.mu_history)):
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("name, pairs", [("dft", (("dft", 4),)), ("skew-dft", (("skew", 4),)),
+                                             ("wht", (("dft", 2), ("dft", 2)))],
+                             ids=["dft", "skew-dft", "wht"])
+    def test_factor_pairs_spell_the_named_transform(self, name, pairs, field):
+        # A NAMES key and its factor pairs are one transform, and one solve.
+        assert TubeTransform.from_name(pairs, 4) is TubeTransform.from_name(name, 4)
+        X, _, _ = _low_rank_plus_sparse(np.random.default_rng(5), 12, 10, 4, field, 2, 0.05)
+        by_pairs = pcp_ialm(X, SolverConfig(transform=pairs))
+        by_name = pcp_ialm(X, SolverConfig(transform=name))
+        assert by_pairs.iterations == by_name.iterations
+        for got, want in ((by_pairs.L.data, by_name.L.data), (by_pairs.S.data, by_name.S.data),
+                          (by_pairs.residual_history, by_name.residual_history),
+                          (by_pairs.mu_history, by_name.mu_history)):
             assert got.tobytes() == want.tobytes()
 
     def test_invariants(self):

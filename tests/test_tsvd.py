@@ -49,8 +49,8 @@ from helpers import (
 
 ALL_TRANSFORMS = [
     pytest.param(TubeTransform.dft(6), id="dft"),
-    pytest.param(TubeTransform.skew_dft(6), id="skew_dft"),
-    pytest.param(TubeTransform.group_dft((2, 3)), id="group_dft"),
+    pytest.param(TubeTransform.from_name("skew-dft", 6), id="skew_dft"),
+    pytest.param(TubeTransform.from_name((("dft", 2), ("dft", 3)), 6), id="group_dft"),
 ]
 # Every Kronecker product of DFT and skew-DFT factors with n <= 8.
 KRONECKER = [pytest.param(T, id="x".join(f"{kind}{f}" for kind, f in T.factors))
@@ -86,13 +86,13 @@ class TestTubeTransform:
 
     def test_skew_matrix_entries(self):
         n = 5
-        M = TubeTransform.skew_dft(n).matrix("unitary")
+        M = TubeTransform.from_name("skew-dft", n).matrix("unitary")
         k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         expected = np.exp(-1j * math.pi * i * (2 * k + 1) / n) / math.sqrt(n)
         assert np.array_equal(M, expected)
 
     def test_walsh_hadamard_entries(self):
-        T = TubeTransform.walsh_hadamard(8)
+        T = TubeTransform.from_name("wht", 8)
         M = T.matrix("unitary")
         expected = np.array([[1.0]])
         H = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -102,8 +102,8 @@ class TestTubeTransform:
         assert np.abs(M.imag).max() == 0.0
 
     def test_walsh_hadamard_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TubeTransform.walsh_hadamard(6)
+        with pytest.raises(ValueError, match="power of two"):
+            TubeTransform.from_name("wht", 6)
 
     def test_factor_validation(self):
         with pytest.raises(ValueError, match="kind 'dft' or 'skew'"):
@@ -112,6 +112,12 @@ class TestTubeTransform:
             TubeTransform((("dft", 2), ("skew_dft", 2)))
         with pytest.raises(ValueError, match="one or more"):
             TubeTransform(())
+        # One check for the constructor and from_name: a tuple of pairs.
+        for factors in ([("dft", 4)], (["dft", 4],), (("dft",),), (("dft", 4, 1),), 4):
+            with pytest.raises(ValueError, match="tuple of one or more"):
+                TubeTransform(factors)
+            with pytest.raises(ValueError, match="tuple of one or more"):
+                TubeTransform.from_name(factors, 4)
 
     @pytest.mark.parametrize("n", [0, -2, 4.0, 2.5, True, "4"])
     def test_length_must_be_a_positive_integer(self, n):
@@ -124,20 +130,25 @@ class TestTubeTransform:
             TubeTransform((("dft", 2), ("skew", n)))
         # Factors are checked alike: 2.5 and True used to pass as 2 and 1.
         with pytest.raises(ValueError, match="integer >= 1"):
-            TubeTransform.group_dft((n, 2))
+            TubeTransform.from_name((("dft", n), ("dft", 2)), 4)
         with pytest.raises(ValueError, match="integer >= 1"):
-            TubeTransform.walsh_hadamard(n)
+            TubeTransform.from_name("wht", n)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            TubeTransform.from_name((("dft", 4),), n)
 
     def test_integer_factors_of_any_type_share_one_instance(self):
-        assert TubeTransform.group_dft((np.int64(2), 3)) is TubeTransform.group_dft((2, 3))
-        assert TubeTransform.walsh_hadamard(np.int64(4)) is TubeTransform.walsh_hadamard(4)
+        pairs = (("dft", 2), ("dft", 3))
+        assert (TubeTransform.from_name((("dft", np.int64(2)), ("dft", 3)), np.int64(6))
+                is TubeTransform.from_name(pairs, 6))
+        assert TubeTransform.from_name("wht", np.int64(4)) is TubeTransform.from_name("wht", 4)
         assert TubeTransform.dft(np.int64(5)) is TubeTransform.dft(5)
 
-    def test_group_dft_with_single_factor_is_dft(self):
+    def test_single_dft_factor_is_dft(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(5)
-        G = TubeTransform.group_dft((5,))
+        G = TubeTransform.from_name((("dft", 5),), 5)
         D = TubeTransform.dft(5)
+        assert G is D
         assert np.allclose(G.forward(x), D.forward(x), atol=1e-13)
 
     @pytest.mark.parametrize("T", KRONECKER)
@@ -151,25 +162,27 @@ class TestTubeTransform:
         assert np.allclose(hat[pair], np.conj(hat), atol=1e-12)
 
     def test_from_name(self):
-        assert TubeTransform.from_name("dft", 3) is TubeTransform.group_dft((3,))
+        assert TubeTransform.from_name("dft", 3) is TubeTransform.from_name((("dft", 3),), 3)
         assert TubeTransform.from_name("skew-dft", 3).factors == (("skew", 3),)
         assert TubeTransform.from_name("wht", 4).factors == (("dft", 2), ("dft", 2))
         with pytest.raises(ValueError):
             TubeTransform.from_name("dct", 3)
+        with pytest.raises(ValueError, match=r"has product 6, not the tube length 4"):
+            TubeTransform.from_name((("dft", 2), ("skew", 3)), 4)
+        # An integer tuple names no transform.
+        with pytest.raises(ValueError, match="tuple of one or more"):
+            TubeTransform.from_name((2, 2), 4)
 
     def test_one_name_per_transform(self):
-        # The CLI's spellings; the constructor's name skew_dft is not one.
+        # The CLI's spellings; skew_dft, a method name once, is not one.
         assert tuple(TubeTransform.NAMES) == ("dft", "skew-dft", "wht")
         with pytest.raises(ValueError):
             TubeTransform.from_name("skew_dft", 3)
 
 
 def _transforms_for(n):
-    out = [TubeTransform.dft(n), TubeTransform.skew_dft(n)]
-    if n & (n - 1) == 0:
-        out.append(TubeTransform.walsh_hadamard(n))
-    else:
-        out.append(TubeTransform.group_dft((n,)))
+    out = [TubeTransform.dft(n), TubeTransform.from_name("skew-dft", n)]
+    out.append(TubeTransform.from_name("wht" if n & (n - 1) == 0 else (("dft", n),), n))
     return out
 
 
@@ -340,7 +353,9 @@ class TestAlgebraOps:
             assert lhs <= rhs + 1e-9
 
 
-_GROUP_FACTORS = {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,), 8: (2, 4)}
+_GROUP_FACTORS = {n: tuple(("dft", k) for k in lengths) for n, lengths in
+                  {1: (1,), 2: (2,), 3: (3,), 4: (2, 2), 5: (5,), 6: (2, 3), 7: (7,),
+                   8: (2, 4)}.items()}
 
 
 @st.composite
@@ -349,7 +364,8 @@ def _slice_stacks(draw):
     tube matrix and its packed state."""
     n = draw(st.integers(1, 6))
     T = draw(st.sampled_from([
-        TubeTransform.dft(n), TubeTransform.skew_dft(n), TubeTransform.group_dft(_GROUP_FACTORS[n]),
+        TubeTransform.dft(n), TubeTransform.from_name("skew-dft", n),
+        TubeTransform.from_name(_GROUP_FACTORS[n], n),
     ]))
     real = draw(st.booleans())
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -451,8 +467,9 @@ class TestOneFftPath:
         # its factor axes.
         factors, x = case
         n, lead = x.shape[-1], x.shape[:-1]
-        D, G = TubeTransform.dft(n), TubeTransform.group_dft(factors)
-        assert D is TubeTransform.group_dft((n,))
+        D = TubeTransform.dft(n)
+        G = TubeTransform.from_name(tuple(("dft", k) for k in factors), n)
+        assert D is TubeTransform.from_name((("dft", n),), n)
         grid = x.reshape(lead + factors)
         axes = tuple(range(len(lead), grid.ndim))
         for got, want in ((D.forward(x), np.fft.fft(x)), (D.inverse(x), np.fft.ifft(x)),
@@ -471,7 +488,8 @@ class TestOneFftPath:
         # The values are computed in out, which may be the input itself.
         factors, x = case
         n = x.shape[-1]
-        S, G = TubeTransform.skew_dft(n), TubeTransform.group_dft(factors)
+        S = TubeTransform.from_name("skew-dft", n)
+        G = TubeTransform.from_name(tuple(("dft", k) for k in factors), n)
         grid = x.reshape(x.shape[:-1] + factors)
         axes = tuple(range(x.ndim - 1, grid.ndim))
         for T, want in ((TubeTransform.dft(n), np.fft.fft(x)),
@@ -515,11 +533,10 @@ class TestOneKind:
 
     def test_named_transforms_are_their_factors(self):
         assert TubeTransform.dft(6).factors == (("dft", 6),)
-        assert TubeTransform.skew_dft(6).factors == (("skew", 6),)
-        assert TubeTransform.group_dft((2, 3)).factors == (("dft", 2), ("dft", 3))
-        assert TubeTransform.walsh_hadamard(8).factors == (("dft", 2),) * 3
-        assert TubeTransform.walsh_hadamard(1).factors == (("dft", 1),)
-        T = TubeTransform([("skew", np.int64(2)), ("dft", 3)])
+        assert TubeTransform.from_name("skew-dft", 6).factors == (("skew", 6),)
+        assert TubeTransform.from_name("wht", 8).factors == (("dft", 2),) * 3
+        assert TubeTransform.from_name("wht", 1) is TubeTransform.dft(1)
+        T = TubeTransform((("skew", np.int64(2)), ("dft", 3)))
         assert T.factors == (("skew", 2), ("dft", 3)) and T.n == 6
         assert all(type(f) is int for _, f in T.factors)
 
@@ -603,8 +620,8 @@ class TestSlotTable:
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("kind", ["dft", "skew_dft", "group_dft"])
     def test_table_is_fresh_and_immutable(self, kind, n):
-        T = (TubeTransform.group_dft(_GROUP_FACTORS[n]) if kind == "group_dft"
-             else getattr(TubeTransform, kind)(n))
+        T = TubeTransform.from_name(
+            {"dft": "dft", "skew_dft": "skew-dft", "group_dft": _GROUP_FACTORS[n]}[kind], n)
         table = T._real_slots
         assert [list(slots) for slots in table] == list(self._fresh_table(T))
         # Tuples of ints all the way down: only a hashable table is immutable.
@@ -627,7 +644,7 @@ class TestFullStackWrappers:
         assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
 
     @pytest.mark.parametrize("T", ALL_TRANSFORMS + [
-        pytest.param(TubeTransform.walsh_hadamard(4), id="wht")])
+        pytest.param(TubeTransform.from_name("wht", 4), id="wht")])
     def test_real_tubes_never_build_the_slice_stack(self, T, monkeypatch):
         # The t-SVD and the moduli factor hat_state's packed state, so on
         # real tubes no complex slice stack of the input is built.
@@ -655,10 +672,10 @@ def _real_hats(draw):
     n = 1..8, under the DFT, the skew DFT, a group DFT (a mixed (2, 3) one
     for n = 6) and, for powers of two, the Walsh-Hadamard transform."""
     n = draw(st.integers(1, 8))
-    transforms = [TubeTransform.dft(n), TubeTransform.skew_dft(n),
-                  TubeTransform.group_dft(_GROUP_FACTORS[n])]
+    transforms = [TubeTransform.dft(n), TubeTransform.from_name("skew-dft", n),
+                  TubeTransform.from_name(_GROUP_FACTORS[n], n)]
     if n & (n - 1) == 0:
-        transforms.append(TubeTransform.walsh_hadamard(n))
+        transforms.append(TubeTransform.from_name("wht", n))
     T = draw(st.sampled_from(transforms))
     l, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -757,8 +774,8 @@ def _states(draw):
     """(T, state, real): a random packed state of real tubes, or a complex
     slice stack, under the DFT, the skew DFT or a group DFT."""
     n = draw(st.integers(1, 8))
-    T = draw(st.sampled_from([TubeTransform.dft(n), TubeTransform.skew_dft(n),
-                              TubeTransform.group_dft(_GROUP_FACTORS[n])]))
+    T = draw(st.sampled_from([TubeTransform.dft(n), TubeTransform.from_name("skew-dft", n),
+                              TubeTransform.from_name(_GROUP_FACTORS[n], n)]))
     real = draw(st.booleans())
     l, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -842,7 +859,7 @@ class TestRowBlockedExit:
 class TestRowBlockedEntry:
     @pytest.mark.parametrize("l", _BLOCKED_ROWS)
     @pytest.mark.parametrize("T", ALL_TRANSFORMS + [
-        pytest.param(TubeTransform.walsh_hadamard(4), id="wht")])
+        pytest.param(TubeTransform.from_name("wht", 4), id="wht")])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_state_is_the_packed_one_shot_hat_bit_for_bit(self, T, l, field):
         A = random_hypermatrix(np.random.default_rng(l), l, 5, T.n, field)
@@ -861,10 +878,11 @@ class TestRowBlockedEntry:
 class TestSharedTransforms:
     def test_named_constructors_share_one_instance(self):
         assert TubeTransform.dft(4) is TubeTransform.dft(4)
-        assert TubeTransform.skew_dft(4) is TubeTransform.from_name("skew-dft", 4)
-        assert TubeTransform.group_dft([2, 3]) is TubeTransform.group_dft((2, 3))
-        assert TubeTransform.walsh_hadamard(4) is TubeTransform.from_name("wht", 4)
-        assert TubeTransform.dft(4) is not TubeTransform.skew_dft(4)
+        assert TubeTransform.from_name("skew-dft", 4) is TubeTransform.from_name((("skew", 4),), 4)
+        pairs = (("dft", 2), ("dft", 3))
+        assert TubeTransform.from_name(pairs, 6) is TubeTransform.from_name(pairs, 6)
+        assert TubeTransform.from_name("wht", 4) is TubeTransform.from_name((("dft", 2),) * 2, 4)
+        assert TubeTransform.dft(4) is not TubeTransform.from_name("skew-dft", 4)
 
     def test_scalar_inverses_build_one_split(self, monkeypatch):
         calls = []
@@ -893,7 +911,7 @@ class TestSharedTransforms:
         def first_use():
             barrier.wait()
             T = TubeTransform.dft(6)
-            seen.append((T, TubeTransform.group_dft((2, 3)),
+            seen.append((T, TubeTransform.from_name((("dft", 2), ("dft", 3)), 6),
                          T.slice_svd(state, compute_uv=False).tobytes()))
 
         old_interval = sys.getswitchinterval()
