@@ -39,7 +39,6 @@ from .solvers import (
     mu_schedule,
     pcp_ialm,
     residual,
-    tensor_rpca,
 )
 from .tsvd import (
     TSVDFactors,
@@ -90,7 +89,6 @@ __all__ = [
     "stride_permutation",
     "t_conj_transpose",
     "t_matmul",
-    "tensor_rpca",
     "tsvd",
     "unfold",
     "vec",

@@ -19,7 +19,7 @@ import numpy as np
 from .hyperalgebra import COMPLEX, REAL
 from .hypermatrix import HyperMatrix
 from .pht import read_pht, write_pht
-from .simlab import EMBEDDINGS, SOLVER_VARIANTS, VARIANTS, TrialSpec, run_grid, write_csv
+from .simlab import EMBEDDINGS, VARIANTS, TrialSpec, run_grid, write_csv
 from .solvers import SolverConfig, pcp_ialm
 # singular_moduli stays a cli name: perfbench/tracer.py wraps it there.
 from .tsvd import TubeTransform, singular_moduli, tsvd  # noqa: F401
@@ -33,27 +33,29 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a synthetic recovery grid")
-    sim.add_argument("--m", type=int, default=100)
-    sim.add_argument("--ranks", type=int, nargs="+", default=None)
-    sim.add_argument("--rhos", type=float, nargs="+", default=None)
-    sim.add_argument("--epsilons", type=float, nargs="+", default=[0.1, 0.05, 0.01])
-    sim.add_argument("--trials", type=int, default=10)
-    sim.add_argument("--seed", type=int, default=0)
+    # Each default is the field's own, from TrialSpec and SolverConfig.
+    sim.add_argument("--m", type=int, default=TrialSpec.m)
+    sim.add_argument("--ranks", type=int, nargs="+", default=TrialSpec.ranks)
+    sim.add_argument("--rhos", type=float, nargs="+", default=TrialSpec.rhos)
+    sim.add_argument("--epsilons", type=float, nargs="+", default=TrialSpec.epsilons)
+    sim.add_argument("--trials", type=int, default=TrialSpec.trials)
+    sim.add_argument("--seed", type=int, default=TrialSpec.seed)
     sim.add_argument(
         "--embedding", choices=list(EMBEDDINGS) + ["both"], default="both"
     )
-    sim.add_argument("--variant", choices=VARIANTS, default="polar")
+    sim.add_argument("--variant", choices=VARIANTS, default=TrialSpec.variant)
     sim.add_argument("--out", default="results.csv")
     sim.set_defaults(run=_cmd_simulate)
 
     dec = sub.add_parser("decompose", help="split a PHT tensor into L + S")
     dec.add_argument("input", help="PHT v1 tensor file")
-    dec.add_argument("--variant", choices=VARIANTS, default="polar")
+    dec.add_argument("--variant", choices=VARIANTS, default=SolverConfig.variant)
     dec.add_argument("--field", choices=[REAL, COMPLEX], default=None)
-    dec.add_argument("--c", type=float, default=1.0)
-    dec.add_argument("--tol", type=float, default=1e-7)
-    dec.add_argument("--max-iters", type=int, default=1000)
-    dec.add_argument("--transform", choices=list(TubeTransform.NAMES), default="dft")
+    dec.add_argument("--c", type=float, default=SolverConfig.c)
+    dec.add_argument("--tol", type=float, default=SolverConfig.tol)
+    dec.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
+    dec.add_argument("--transform", choices=list(TubeTransform.NAMES),
+                     default=SolverConfig.transform)
     dec.add_argument("--out-dir", default=".")
     dec.set_defaults(run=_cmd_decompose)
 
@@ -93,7 +95,7 @@ def _cmd_decompose(args):
         tol=args.tol,
         max_iters=args.max_iters,
         transform=args.transform,
-        variant=SOLVER_VARIANTS[args.variant],
+        variant=args.variant,
     )
     # The tensor is handed over: the solver holds the only reference to it
     # and frees it after its set-up.  HyperMatrix takes it in the asked

@@ -123,7 +123,7 @@ def prox_trace(Z, lam, transform=None):
     """Hypercomplex trace-norm prox: shrink every singular tube's modulus by
     lam and reconstruct.
 
-    It is the frequency solve's low-rank step in a round trip from the
+    It is the polar solve's low-rank step in a round trip from the
     coefficients: enter the packed state (TubeTransform.hat_state), factor
     it, shrink the singular tubes with the Parseval row weights of a
     real-tube state, and leave the state of the products (unhat_state).

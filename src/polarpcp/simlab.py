@@ -37,9 +37,9 @@ POLAR4COMPLEX = "polar4complex"
 POLAR2BICOMPLEX = "polar2bicomplex"
 EMBEDDINGS = (POLAR4COMPLEX, POLAR2BICOMPLEX)
 PARTS = ("M1", "M2")
-# Grid and CLI variant names, and the solver variant each one runs.
-SOLVER_VARIANTS = {"polar": "frequency", "tensor-rpca": "tensor_rpca"}
-VARIANTS = tuple(SOLVER_VARIANTS)
+# The rows of solvers.VARIANTS that a grid and the CLI offer; "naive" is a
+# library-only reference.
+VARIANTS = ("polar", "tensor-rpca")
 
 _GRID_FRACTIONS = tuple(round(0.02 * i, 2) for i in range(1, 11))
 
@@ -76,6 +76,8 @@ class TrialSpec:
         if not self.ranks:
             raise ValueError("at least one rank is required")
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        if any(isinstance(v, (bool, np.bool_)) for v in (*self.rhos, *self.epsilons)):
+            raise ValueError("a density or threshold is a bool: True would run as 1.0")
         object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
         if not self.rhos:
             raise ValueError("at least one density is required")
@@ -103,9 +105,9 @@ class TrialSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
 
     def solver_config(self):
-        """The configuration of every trial's solve: the defaults, with the
-        solver variant of self.variant."""
-        return SolverConfig(variant=SOLVER_VARIANTS[self.variant])
+        """The configuration of every trial's solve: the defaults, with
+        self.variant."""
+        return SolverConfig(variant=self.variant)
 
 
 def _instance_rng(seed, embedding, r, rho, trial, instance):

@@ -4,40 +4,42 @@ Solves min ||L||_* + lambda ||S||_1 s.t. X = L + S over a hypercomplex
 matrix, where the trace norm sums singular-tube moduli and the l1 norm sums
 entry moduli.  One IALM driver (Lin, Chen & Ma, arXiv:1009.5055) runs every
 variant, and a variant is one row of VARIANTS: the state the loop iterates
-on and the pair of steps that state takes.
+on and the pair of steps that state takes.  A variant has one name, the
+one that SolverConfig, the CLI, a grid and report.json all use.
 
-* "frequency": the state is the packed slice stack T.hat_state(X), so
-  tubes are transformed only on entry and exit.  For complex tubes that is
-  the (n, l, m) complex stack.  For real tubes it is n float64 planes, as
-  many as X has coefficients: a self-paired slice is one real plane, and
-  one slice of each conjugate pair is two, its real and imaginary parts.
-  Its norms take Parseval weights: a plane of a paired slice counts twice.
-  The low-rank step is one slice-SVD kernel call (real planes as real
-  matrices, paired slices as complex ones), a grouped shrink of the
-  singular tubes and a product back from the singular columns that survive
-  it; the sparse step shrinks each tube as one group.  Large slices that
-  gesdd bidiagonalizes directly are factored in gesdd's stages, whose
+* "polar" (the default): the state is the packed slice stack
+  T.hat_state(X), so tubes are transformed only on entry and exit.  For
+  complex tubes that is the (n, l, m) complex stack.  For real tubes it is
+  n float64 planes, as many as X has coefficients: a self-paired slice is
+  one real plane, and one slice of each conjugate pair is two, its real and
+  imaginary parts.  Its norms take Parseval weights: a plane of a paired
+  slice counts twice.  The low-rank step is one slice-SVD kernel call (real
+  planes as real matrices, paired slices as complex ones), a grouped shrink
+  of the singular tubes and a product back from the singular columns that
+  survive it; the sparse step shrinks each tube as one group.  Large slices
+  that gesdd bidiagonalizes directly are factored in gesdd's stages, whose
   back-transform then builds only the surviving singular vectors; the rest
   keep np.linalg.svd (see hypermatrix);
-* "tensor_rpca": the same state and sparse step, but the low-rank step
+* "tensor-rpca": the same state and sparse step, but the low-rank step
   soft-thresholds each slice's singular values independently (the
   slice-wise nuclear norm, no tube grouping).  It is a tube-grouped hybrid,
   not the TRPCA of Lu et al. (arXiv:1804.03728): that pairs the slice-wise
   nuclear norm with the entrywise l1 at lambda = 1/sqrt(max(l, m) n), where
   this variant keeps polar's tube-grouped l1 at lambda = c/sqrt(max(l, m));
 * "naive": the state is the coefficient tensor X.data and the steps are the
-  coefficient-domain proxes prox_trace and prox_l1.
+  coefficient-domain proxes prox_trace and prox_l1.  It is a library-only
+  reference, which the CLI and grids do not offer (simlab.VARIANTS).
 
 Every shrink is one grouped soft threshold, prox.tube_group_shrink: of the
 packed state's tubes, of the singular tubes, and of prox_l1's entries.
 
-The grouped objective of "frequency" and "naive", the polar trace norm,
-is neither a norm nor convex (see prox), and IALM's convergence theory
+The grouped objective of "polar" and "naive", the polar trace norm, is
+neither a norm nor convex (see prox), and IALM's convergence theory
 (Lin, Chen & Ma) covers only the convex tensor-RPCA objective.  So a polar
 solve's `converged` only means that its primal residual
 ||D - L - S|| / ||D|| fell below tol, not that L and S minimize it.
 
-A frequency or tensor-RPCA solve holds the data term D, the dual Y, one
+A polar or tensor-RPCA solve holds the data term D, the dual Y, one
 kernel buffer (hypermatrix.KernelBuffer) and L or S.  D enters the
 transform domain with no stack-sized temporary (TubeTransform.hat_state).
 The buffer's bytes are both the slice-SVD kernel's stacks of Fortran-ordered
@@ -83,7 +85,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,7 +98,8 @@ from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shri
 @dataclass
 class SolverConfig:
     """The settings of a solve: lambda = c / sqrt(max(l, m)), the stopping
-    rule (tol, max_iters), the growth rho_mu of mu, the variant, and the tube
+    rule (tol, max_iters), the growth rho_mu of mu, the variant (a key of
+    VARIANTS: "polar", "tensor-rpca" or "naive"), and the tube
     transform, a key of TubeTransform.NAMES or a tuple of ("dft" | "skew", k)
     factor pairs, for example (("dft", 2), ("dft", 3)) (see
     TubeTransform.from_name)."""
@@ -105,18 +108,17 @@ class SolverConfig:
     tol: float = 1e-7
     max_iters: int = 1000
     rho_mu: float = 1.5
-    variant: str = "frequency"
+    variant: str = "polar"
     transform: str | tuple[tuple[str, int], ...] = "dft"
 
     def __post_init__(self):
-        for name in ("c", "tol"):
+        for name, low in (("c", 0), ("tol", 0), ("rho_mu", 1)):
             value = getattr(self, name)
-            if not (value > 0) or not math.isfinite(value):
-                raise ValueError(f"{name} must be positive and finite")
+            # A bool is no number here: True would run as 1.
+            if isinstance(value, (bool, np.bool_)) or not (value > low) or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite and exceed {low}, got {value!r}")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        if not (self.rho_mu > 1) or not math.isfinite(self.rho_mu):
-            raise ValueError("rho_mu must be finite and exceed 1")
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not isinstance(self.transform, str):
@@ -175,9 +177,10 @@ def pcp_ialm(X, cfg=None):
     relative residual drops below cfg.tol.  cfg.variant picks the state and
     the pair of steps (see the module docstring).  Non-convergence is
     reported via the converged flag, not an exception; for the non-convex
-    polar objective that flag only certifies the residual.  X is only
+    polar objective that flag only certifies the residual.  Every variant
+    runs here: pcp_ialm(X, SolverConfig(variant="tensor-rpca")).  X is only
     read; a caller that holds no other reference to it hands it over, and
-    a frequency or tensor-RPCA solve frees it after its set-up, at every
+    a polar or tensor-RPCA solve frees it after its set-up, at every
     scale: an X whose largest coefficient is outside [2^-400, 2^400] is
     scaled once into a copy.  mu_history is scaled back: it holds inf
     where mu passes the largest float, for an X below about 1e-305.
@@ -287,24 +290,17 @@ def _tube_shrink(T, Z, lam, mu, plane_weights):
 
 
 # name -> (state: "packed", T.hat_state(X), or "coefficients", X.data; low-rank
-# step; sparse step).  Each step computes its own threshold and looks its prox
-# up in this module's globals when called: perfbench/tracer.py and tests replace them.
+# step; sparse step).  The names are the ones the CLI, a grid and report.json
+# use.  Each step computes its own threshold and looks its prox up in this
+# module's globals when called: perfbench/tracer.py and tests replace them.
 VARIANTS = {
-    "frequency": ("packed",
-                  lambda T, A, mu, w, counts: _svt(T, A, math.sqrt(T.n) / mu, True, w, counts),
-                  _tube_shrink),
-    "tensor_rpca": ("packed",
+    "polar": ("packed",
+              lambda T, A, mu, w, counts: _svt(T, A, math.sqrt(T.n) / mu, True, w, counts),
+              _tube_shrink),
+    "tensor-rpca": ("packed",
                     lambda T, A, mu, w, counts: _svt(T, A, 1.0 / mu, False, w, counts),
                     _tube_shrink),
     "naive": ("coefficients",
               lambda T, Z, mu, w, counts: _prox_trace(HyperMatrix(Z), 1.0 / mu, T, counts).data,
               lambda T, Z, lam, mu, w: _prox_l1(HyperMatrix(Z), lam / mu).data),
 }
-
-
-def tensor_rpca(X, cfg=None):
-    """The "tensor_rpca" variant: slice-wise singular value thresholding for
-    the low-rank step and polar's sparse step.  It is a tube-grouped hybrid,
-    not Lu et al.'s TRPCA, whose sparse term is the entrywise l1 at lambda =
-    1/sqrt(max(l, m) n) (see the module docstring)."""
-    return pcp_ialm(X, replace(cfg or SolverConfig(), variant="tensor_rpca"))

@@ -299,13 +299,13 @@ def test_criterion_5_solver_equivalence():
     with criterion(5, "solver equivalence", 300):
         rng = np.random.default_rng(105)
 
-        # Alg. naive vs frequency on 20 instances
+        # Alg. naive vs polar on 20 instances
         for n in (2, 4):
             for field in (REAL, COMPLEX):
                 for _ in range(5):
                     X = _synthetic_instance(rng, 40, 30, n, field, 3, 0.05)
                     naive = pcp_ialm(X, SolverConfig(variant="naive"))
-                    freq = pcp_ialm(X, SolverConfig(variant="frequency"))
+                    freq = pcp_ialm(X, SolverConfig(variant="polar"))
                     assert naive.iterations == freq.iterations
                     dl = hm.frobenius(naive.L - freq.L) / max(hm.frobenius(freq.L), 1e-12)
                     ds = hm.frobenius(naive.S - freq.S) / max(hm.frobenius(freq.S), 1e-12)

@@ -28,7 +28,6 @@ from polarpcp import (
     run_trial,
     singular_moduli,
     spectral_norm,
-    tensor_rpca,
     tsvd,
     write_csv,
     write_pht,
@@ -262,9 +261,9 @@ def _mixed_matrix(embedding, m=24):
 
 
 SOLVES = {
-    "frequency": lambda X: pcp_ialm(X),
+    "polar": lambda X: pcp_ialm(X),
     "naive": lambda X: pcp_ialm(X, SolverConfig(variant="naive")),
-    "tensor_rpca": lambda X: tensor_rpca(X),
+    "tensor-rpca": lambda X: pcp_ialm(X, SolverConfig(variant="tensor-rpca")),
     "tsvd": lambda X: tsvd(X),
 }
 
@@ -482,7 +481,7 @@ class TestLanes:
 
 
 class TestSolveScope:
-    @pytest.mark.parametrize("solve", ["frequency", "naive", "tensor_rpca"])
+    @pytest.mark.parametrize("solve", ["polar", "naive", "tensor-rpca"])
     def test_solve_pins_and_restores(self, controls, lanes, monkeypatch, solve):
         get, _ = controls
         seen = []
@@ -491,7 +490,7 @@ class TestSolveScope:
         assert seen and set(seen) == {1}
         assert get() == CALLER_THREADS
 
-    @pytest.mark.parametrize("solve", ["frequency", "naive", "tensor_rpca"])
+    @pytest.mark.parametrize("solve", ["polar", "naive", "tensor-rpca"])
     def test_count_restored_when_solve_raises(self, controls, lanes, monkeypatch, solve):
         get, _ = controls
         calls = []

@@ -6,8 +6,10 @@ import pytest
 
 import polarpcp.cli as cli
 import polarpcp.hypermatrix as hm
-from polarpcp import (HyperMatrix, TSVDFactors, TubeTransform, pcp_ialm, read_pht,
-                      reconstruct, singular_moduli, tsvd, write_pht)
+import polarpcp.simlab as simlab
+import polarpcp.solvers as solvers
+from polarpcp import (HyperMatrix, SolverConfig, TrialSpec, TSVDFactors, TubeTransform,
+                      pcp_ialm, read_pht, reconstruct, singular_moduli, tsvd, write_pht)
 from polarpcp.cli import main
 
 from helpers import (fft_overflow_instance, fft_overflow_representable, ldexp, overflow_instance,
@@ -117,6 +119,22 @@ class TestHelp:
             main([command, str(tmp_path / "x.pht"), "--transform", "skew_dft"])
         assert exc.value.code == 2
         assert "invalid choice: 'skew_dft'" in capsys.readouterr().err
+
+
+class TestOneVocabulary:
+    def test_variant_names_and_defaults_have_one_home(self):
+        # A grid's and the CLI's variants are solver rows under their own
+        # names, and the flags' defaults are the dataclasses' fields.
+        assert set(simlab.VARIANTS) <= set(solvers.VARIANTS)
+        parser = cli._build_parser()
+        for argv, defaults, names in (
+            (["decompose", "x.pht"], SolverConfig(), ("c", "tol", "max_iters", "transform",
+                                                      "variant")),
+            (["simulate"], TrialSpec(), ("m", "epsilons", "trials", "seed", "variant")),
+        ):
+            args = parser.parse_args(argv)
+            assert ({name: getattr(args, name) for name in names}
+                    == {name: getattr(defaults, name) for name in names})
 
 
 class TestOutputLocation:

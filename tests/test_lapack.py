@@ -11,7 +11,7 @@ import helpers
 import polarpcp._blas as _blas
 import polarpcp._lapack as _lapack
 import polarpcp.solvers as solvers
-from polarpcp import COMPLEX, REAL, SolverConfig, TubeTransform, pcp_ialm, prox_trace, tensor_rpca
+from polarpcp import COMPLEX, REAL, SolverConfig, TubeTransform, pcp_ialm, prox_trace
 from polarpcp.prox import shrink_singular_values
 
 from helpers import (
@@ -174,7 +174,7 @@ class TestKernel:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def _case(n, kind, variant="frequency"):
+def _case(n, kind, variant="polar"):
     return SolverConfig(transform=GROUP_FACTORS[n] if kind == "group" else kind, variant=variant)
 
 
@@ -238,14 +238,14 @@ _SOLVE_CASES = ([(n, kind, (14, 11)) for n in (1, 2, 3, 4, 6)
 
 @needs_routines
 class TestSolvesOnTheStagedKernel:
-    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor_rpca"])
+    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor-rpca"])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("n,kind,shape", _SOLVE_CASES, ids=str)
     def test_frequency_matches_reference(self, staged, n, kind, shape, field, grouped):
         rng = np.random.default_rng(300 + n)
         X, _, _ = low_rank_plus_sparse(rng, *shape, n, field, 2, 0.05)
-        cfg = _case(n, kind)
-        res = pcp_ialm(X, cfg) if grouped else tensor_rpca(X, cfg)
+        cfg = _case(n, kind, "polar" if grouped else "tensor-rpca")
+        res = pcp_ialm(X, cfg)
         _assert_close(res, ialm_frequency_reference(X, cfg, grouped), staged,
                       _on_direct_path(X, cfg))
 
@@ -280,7 +280,7 @@ def _output_bytes(result):
 
 class TestWithoutTheRoutines:
     @pytest.mark.parametrize("min_work", [0, None], ids=["all-large", "default"])
-    @pytest.mark.parametrize("variant", ["frequency", "tensor_rpca", "naive"])
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_solves_are_bitwise_the_parents(self, monkeypatch, parent_kernels, min_work,
                                             variant, field):

@@ -25,7 +25,6 @@ from polarpcp import (
 from polarpcp.simlab import (
     POLAR2BICOMPLEX,
     POLAR4COMPLEX,
-    SOLVER_VARIANTS,
     VARIANTS,
     TrialOutcome,
 )
@@ -183,6 +182,17 @@ class TestTrialSpec:
         with pytest.raises(ValueError):
             TrialSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rhos": (True,)}, {"rhos": (0.05, False)}, {"rhos": (np.True_,)},
+         {"epsilons": (True,)}, {"epsilons": (0.1, np.False_)}],
+        ids=repr,
+    )
+    def test_bool_density_or_threshold_rejected(self, kwargs):
+        # float(True) is 1.0: the grid would run a cell at density 1.
+        with pytest.raises(ValueError, match="is a bool"):
+            TrialSpec(m=10, **kwargs)
+
     @pytest.mark.parametrize("kwargs,what", [({"ranks": ()}, "rank"), ({"rhos": ()}, "density"),
                                              ({"epsilons": ()}, "threshold"),
                                              ({"embeddings": ()}, "embedding")], ids=repr)
@@ -224,7 +234,7 @@ class TestTrialSpec:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_solver_config_carries_the_variant(self, variant):
         cfg = TrialSpec(variant=variant).solver_config()
-        assert cfg == SolverConfig(variant=SOLVER_VARIANTS[variant])
+        assert cfg == SolverConfig(variant=variant)
 
 
 class TestRunTrial:

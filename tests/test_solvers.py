@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from polarpcp import (
     pcp_ialm,
     residual,
     singular_moduli,
-    tensor_rpca,
     tsvd,
 )
 from polarpcp.cli import main
@@ -115,7 +115,11 @@ class TestSolverConfig:
             {"transform": (("dft", 2.0),)}, {"transform": (("dft", True),)},
             {"transform": [("dft", 4)]}, {"transform": (("dft",),)},
             # Unhashable: a lookup in the table would raise TypeError.
-            {"variant": ["frequency"]}, {"variant": {}},
+            {"variant": ["polar"]}, {"variant": {}},
+            # A variant has one name: the old solver-side spellings are gone.
+            {"variant": "frequency"}, {"variant": "tensor_rpca"},
+            # A bool is no number: True would run as 1.
+            {"c": True}, {"tol": True}, {"rho_mu": True}, {"c": np.True_},
         ],
         ids=repr,
     )
@@ -200,7 +204,7 @@ class TestPcpIalm:
         rng = np.random.default_rng(4)
         X, _, _ = _low_rank_plus_sparse(rng, 25, 20, n, field, 2, 0.05)
         naive = pcp_ialm(X, SolverConfig(variant="naive"))
-        freq = pcp_ialm(X, SolverConfig(variant="frequency"))
+        freq = pcp_ialm(X, SolverConfig(variant="polar"))
         assert naive.iterations == freq.iterations
         assert naive.converged and freq.converged
         assert hm.frobenius(naive.L - freq.L) <= 1e-6 * hm.frobenius(freq.L)
@@ -257,9 +261,12 @@ class TestPcpIalm:
         assert residual(X, res.L, res.S) < 1e-7
 
 
+_TENSOR_RPCA = SolverConfig(variant="tensor-rpca")
+
+
 class TestTensorRpca:
     def test_zero_input(self):
-        res = tensor_rpca(HyperMatrix.zeros(3, 3, 2))
+        res = pcp_ialm(HyperMatrix.zeros(3, 3, 2), _TENSOR_RPCA)
         assert res.converged and res.iterations == 1
 
     def test_n1_bitwise_equal_to_pcp(self):
@@ -267,7 +274,7 @@ class TestTensorRpca:
         for field in (REAL, COMPLEX):
             X, _, _ = _low_rank_plus_sparse(rng, 20, 15, 1, field, 2, 0.05)
             a = pcp_ialm(X)
-            b = tensor_rpca(X)
+            b = pcp_ialm(X, _TENSOR_RPCA)
             assert np.array_equal(a.L.data, b.L.data)
             assert np.array_equal(a.S.data, b.S.data)
             assert a.iterations == b.iterations
@@ -275,16 +282,9 @@ class TestTensorRpca:
     def test_converges_on_synthetic(self):
         rng = np.random.default_rng(11)
         X, _, _ = _low_rank_plus_sparse(rng, 20, 20, 3, COMPLEX, 2, 0.05)
-        res = tensor_rpca(X)
+        res = pcp_ialm(X, _TENSOR_RPCA)
         assert res.converged
         assert residual(X, res.L, res.S) < 1e-7
-
-    def test_variant_dispatch(self):
-        rng = np.random.default_rng(12)
-        X, _, _ = _low_rank_plus_sparse(rng, 12, 10, 2, REAL, 1, 0.05)
-        via_cfg = pcp_ialm(X, SolverConfig(variant="tensor_rpca"))
-        direct = tensor_rpca(X)
-        assert np.array_equal(via_cfg.L.data, direct.L.data)
 
 
 _ORACLE_CASES = [
@@ -313,25 +313,25 @@ def _assert_matches_reference(res, ref, bitwise):
 
 
 class TestOneDriver:
-    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor_rpca"])
+    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor-rpca"])
     @pytest.mark.parametrize("transform,n,field", _ORACLE_CASES)
     def test_bitwise_equal_to_frequency_reference(self, transform, n, field, grouped):
         # Bitwise for complex tubes; real tubes are held to 1e-12 relative.
         rng = np.random.default_rng(_ORACLE_CASES.index((transform, n, field)))
         X, _, _ = _low_rank_plus_sparse(rng, 12, 10, n, field, 2, 0.05)
         cfg = SolverConfig(transform=transform)
-        res = pcp_ialm(X, cfg) if grouped else tensor_rpca(X, cfg)
+        res = pcp_ialm(X, cfg if grouped else replace(cfg, variant="tensor-rpca"))
         ref = ialm_frequency_reference(X, cfg, grouped)
         _assert_matches_reference(res, ref, bitwise=field == COMPLEX)
 
-    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor_rpca"])
+    @pytest.mark.parametrize("grouped", [True, False], ids=["polar", "tensor-rpca"])
     @pytest.mark.parametrize("kind", ["dft", "skew-dft", "group"])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_packed_real_state_matches_reference(self, n, kind, grouped):
         rng = np.random.default_rng(100 + n)
         X, _, _ = _low_rank_plus_sparse(rng, 14, 11, n, REAL, 2, 0.05)
         cfg = SolverConfig(transform=GROUP_FACTORS[n] if kind == "group" else kind)
-        res = pcp_ialm(X, cfg) if grouped else tensor_rpca(X, cfg)
+        res = pcp_ialm(X, cfg if grouped else replace(cfg, variant="tensor-rpca"))
         _assert_matches_reference(res, ialm_frequency_reference(X, cfg, grouped), bitwise=False)
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
@@ -452,10 +452,10 @@ class TestInstrumentation:
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("variant, traced", [
-        ("frequency", ("shrink_singular_values", "tube_group_shrink")),
-        ("tensor_rpca", ("shrink_singular_values", "tube_group_shrink")),
+        ("polar", ("shrink_singular_values", "tube_group_shrink")),
+        ("tensor-rpca", ("shrink_singular_values", "tube_group_shrink")),
         ("naive", ("_prox_trace",)),
-    ], ids=["frequency", "tensor_rpca", "naive"])
+    ], ids=["polar", "tensor-rpca", "naive"])
     def test_steps_call_the_traced_names(self, variant, traced, field, monkeypatch):
         # perfbench/tracer.py counts the proxes by replacing these names in
         # solvers: a step that bound them at import would count nothing.
@@ -476,10 +476,10 @@ class TestInstrumentation:
     def test_concurrent_solves_each_report_a_serial_solves_stats(self):
         rng = np.random.default_rng(15)
         X, _, _ = _low_rank_plus_sparse(rng, 15, 12, 3, REAL, 2, 0.05)
-        configs = {"frequency": SolverConfig(), "naive": SolverConfig(variant="naive")}
+        configs = {"polar": SolverConfig(), "naive": SolverConfig(variant="naive")}
 
         expected = {name: pcp_ialm(X, cfg).stats for name, cfg in configs.items()}
-        assert expected["frequency"] != expected["naive"]
+        assert expected["polar"] != expected["naive"]
 
         barrier = threading.Barrier(len(configs), timeout=60)
         seen = {name: [] for name in configs}
@@ -729,7 +729,7 @@ class TestExtremeScales:
         assert [A.tobytes() for A in measured] == [solved.tobytes()]
 
     @pytest.mark.parametrize("embedding", ["polar4complex", "polar2bicomplex"])
-    @pytest.mark.parametrize("variant", ["frequency", "tensor_rpca", "naive"])
+    @pytest.mark.parametrize("variant", solvers.VARIANTS)
     def test_largest_modulus_past_the_largest_float(self, capfd, embedding, variant):
         # Every coefficient is finite, but the largest modulus is inf: the
         # solve reads its exponent from the coefficients and runs at a scale
