@@ -123,8 +123,7 @@ def _cmd_decompose(args):
 
 def _cmd_tsvd(args):
     X = read_pht(args.input)
-    T = TubeTransform.from_name(args.transform, X.n)
-    factors = tsvd(X, T)
+    factors = tsvd(X, args.transform)
     if not np.isfinite(factors.moduli).all():   # strict JSON has no Infinity
         raise OverflowError("a singular-tube modulus is past the largest float")
     out = Path(args.out_dir)

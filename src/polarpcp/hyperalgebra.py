@@ -72,7 +72,7 @@ class PolarScalar:
     @classmethod
     def unit(cls, n, k=0, field=REAL):
         """The basis element e_k of K_n or CK_n (e_0 is the identity)."""
-        if not 0 <= k < n:
+        if not hm._is_int(k) or not 0 <= k < hm._check_int("n", n, 1):
             raise ValueError(f"unit index {k} out of range for n={n}")
         coeffs = np.zeros(n)
         coeffs[k] = 1.0

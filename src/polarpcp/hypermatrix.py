@@ -11,39 +11,39 @@ it.  The circulant Fourier transform (cft) block-diagonalizes the adjoint;
 its frontal blocks are exactly the unnormalized tube DFT values, so the
 matrix-free implementation is "transform every tube, regroup slices" and the
 dense permutation/Kronecker construction survives only as a test oracle.
-TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every
-t-SVD transform that is a Kronecker product of DFT and skew-DFT factors:
-the skew DFT, the group DFTs and their mixes.  A transform has one
-spelling, a key of TubeTransform.NAMES or its tuple of (kind, k) factor
-pairs, which TubeTransform.from_name alone resolves.  It transforms the last
-axis, where the tubes are, and is the one seam into the transform domain
-(hat, unhat), the owner of the packed state of real tubes, which only
-hat_state and unhat_state enter and leave, and the one slice-SVD kernel,
-which takes only packed states.  A state knows its kind, real or complex
-tubes, so no method takes a flag for it (see TubeTransform.hat_state),
-and a real-tube state's layout is one slot table built with the
-transform.  Every singular-tube shrink, in the solvers and in prox_trace,
-factors and rebuilds a packed state (svd_state, compose_state).  A solve
-keeps its state's matrices in a KernelBuffer, one allocation whose bytes
-are both the kernel's stacks of Fortran-ordered matrices
-(kernel_buffer(...).parts) and a C-ordered scratch state, so the kernel
-factors them where the solve wrote them; compose_state multiplies each
-product straight into the state it returns.  In both, one matrix is one
-task, and _blas.run_lanes decides where it runs.  The forward transform
-runs in place in its output; hat_state enters the transform domain through
-it, and unhat_state leaves it, in the same ROW_BLOCKS blocks of rows
-(entry for real tubes only), so neither builds a stack-sized temporary.
-Only a shrink's thin factorizations are staged: its matrices of at least
-_blas.LANE_MIN_WORK multiply-adds that LAPACK's gesdd bidiagonalizes as
-they are run gesdd's own stages (_lapack), numpy's singular values bit for
-bit and a back-transform of only the singular vectors the shrink keeps.
-Every other SVD is one np.linalg.svd call per matrix: a shrink's smaller
-matrices, those past gesdd's QR threshold or in need of scaling, and all
-of them on numpy builds without the ILP64 routines; the values-only SVDs
-of a solve's set-up, of inv and of spectral_norm, which read hat_state's
-packed state (a 1 x 1 matrix's inv reads the moduli of its spectrum); and
-slice_svd's full factorizations of the same packed state, through the
-same kernel, for the t-SVD and the singular-tube moduli.
+TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every t-SVD
+transform that is a Kronecker product of DFT and skew-DFT factors.  A
+transform argument is a key of TubeTransform.NAMES, a tuple of (kind, k)
+factor pairs or a TubeTransform of the tube length, and from_name alone
+resolves it; _check_int, _check_real and _require are the other checks of
+every public entry.  TubeTransform transforms the last axis, where the tubes
+are, and is the one seam into the transform domain (hat, unhat), the owner
+of the packed state of real tubes, which only hat_state and unhat_state
+enter and leave, and the one slice-SVD kernel, which takes only packed
+states.  A state knows its kind, real or complex tubes (see hat_state), and
+a real-tube state's layout is one slot table built with the transform.
+Every singular-tube shrink, in the solvers and in prox_trace, factors and
+rebuilds a packed state (svd_state, compose_state).  A solve keeps its
+state's matrices in a KernelBuffer, one allocation whose bytes are both the
+kernel's stacks of Fortran-ordered matrices (kernel_buffer(...).parts) and a
+C-ordered scratch state, so the kernel factors them where the solve wrote
+them; compose_state multiplies each product straight into the state it
+returns.  In both, one matrix is one task, and _blas.run_lanes decides where
+it runs.  The forward transform runs in place in its output; hat_state
+enters the transform domain through it, and unhat_state leaves it, in the
+same ROW_BLOCKS blocks of rows (entry for real tubes only), so neither
+builds a stack-sized temporary.  Only a shrink's thin factorizations are
+staged: its matrices of at least _blas.LANE_MIN_WORK multiply-adds that
+LAPACK's gesdd bidiagonalizes as they are run gesdd's own stages (_lapack),
+numpy's singular values bit for bit and a back-transform of only the
+singular vectors the shrink keeps.  Every other SVD is one np.linalg.svd
+call per matrix: a shrink's smaller matrices, those past gesdd's QR
+threshold or in need of scaling, and all of them on numpy builds without the
+ILP64 routines; the values-only SVDs of a solve's set-up, of inv and of
+spectral_norm, which read hat_state's packed state (a 1 x 1 matrix's inv
+reads the moduli of its spectrum); and slice_svd's full factorizations of
+the same packed state, through the same kernel, for the t-SVD and the
+singular-tube moduli.
 """
 
 from __future__ import annotations
@@ -112,6 +112,32 @@ def _ldexp(a, e):
 def _is_int(value):
     """True for an integer, numpy's included, that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name, value, low):
+    """int(value) for an integer >= low (see _is_int), else ValueError naming name."""
+    if not _is_int(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name, value, interval):
+    """float(value) for a real number in interval, "[0, 1]" or "(0, inf)":
+    a bracket closes its end.  Else ValueError naming name: a bool, a
+    non-real value (a str, a complex, None) and nan are in no interval."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value if interval[0] == "[" else low < value)
+            or not (value <= high if interval[-1] == "]" else value < high)):
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)
+
+
+def _require(cls, **arguments):
+    """TypeError naming the first of the keyword arguments that is not a cls."""
+    for name, value in arguments.items():
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
 
 
 class HyperMatrix:
@@ -293,9 +319,9 @@ class TubeTransform:
     matrix straight to and from it, and one slice-SVD kernel factors the
     matrices of that state.  A state's kind, real or complex tubes, is read
     from its data (see hat_state).  The tubes are on the last axis of every
-    array it transforms.  from_name is the one resolver of a spelling, a
-    key of NAMES or a tuple of factor pairs, and returns one shared instance
-    per transform, built complete, so lanes may share it.
+    array it transforms.  from_name resolves every transform argument: a
+    key of NAMES or a tuple of factor pairs to one shared instance, built
+    complete so lanes may share it, and a TubeTransform to itself.
     """
 
     __slots__ = ("n", "factors", "_lengths", "_real_slots")
@@ -321,21 +347,15 @@ class TubeTransform:
         self._real_slots = (tuple((int(pair[b]), b) for b in range(self.n) if pair[b] < b),
                             tuple((b,) for b in range(self.n) if pair[b] == b))
 
-    @staticmethod
-    def _length(n):
-        if not _is_int(n) or n < 1:
-            raise ValueError(f"transform length must be an integer >= 1, got {n!r}")
-        return int(n)
-
     @classmethod
     def _check(cls, factors):
         """factors, a non-empty tuple of ("dft" | "skew", k) pairs with each
         k an integer >= 1 and not a bool, with every k made an int."""
         if not isinstance(factors, tuple) or not factors or not all(
                 isinstance(f, tuple) and len(f) == 2 and f[0] in ("dft", "skew") for f in factors):
-            raise ValueError(f"factors {factors!r} must be a tuple of one or more "
+            raise ValueError(f"transform factors {factors!r} must be a tuple of one or more "
                              f"(kind, length) pairs of kind 'dft' or 'skew'")
-        return tuple((kind, cls._length(k)) for kind, k in factors)
+        return tuple((kind, _check_int("transform length", k, 1)) for kind, k in factors)
 
     @classmethod
     def dft(cls, n):
@@ -344,15 +364,20 @@ class TubeTransform:
 
     @classmethod
     def from_name(cls, name, n):
-        """The shared transform of length n that name spells: a key of NAMES
-        or a tuple of factor pairs (see _check) whose lengths multiply to n."""
-        n = cls._length(n)
+        """The transform of length n that name spells, a key of NAMES or a
+        tuple of factor pairs (see _check), as its shared instance, or name
+        itself for a TubeTransform of length n; another length is a
+        ValueError naming both.  Every transform argument resolves here."""
+        n = _check_int("transform length", n, 1)
         if isinstance(name, str) and name not in cls.NAMES:
             raise ValueError(f"unknown transform {name!r}")
-        factors = cls._check(cls.NAMES[name](n) if isinstance(name, str) else name)
+        factors = name.factors if isinstance(name, cls) else cls._check(
+            cls.NAMES[name](n) if isinstance(name, str) else name)
         product = math.prod(k for _, k in factors)
         if product != n:
             raise ValueError(f"transform {name} has product {product}, not the tube length {n}")
+        if isinstance(name, cls):
+            return name
         with cls._shared_lock:
             if factors not in cls._shared:
                 cls._shared[factors] = cls(factors)
@@ -712,6 +737,7 @@ def _row_blocks(x, stacks):
 
 def adjoint(A):
     """Dense ln x mn adjoint: block (i, k) is the circulant of entry A_ik."""
+    _require(HyperMatrix, A=A)
     l, m, n = A.data.shape
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     blocks = A.data[:, :, idx]            # (l, m, n, n)
@@ -725,8 +751,8 @@ def stride_permutation(m, s):
     Returns f with f[i] = i*s - (m-1)*floor(i*s/m); applying the permutation
     to a vector x yields x[f].  Requires s to divide m (s = m is allowed).
     """
-    if m < 1 or s < 1 or m % s != 0:
-        raise ValueError(f"invalid stride permutation size: m={m}, s={s}")
+    if _check_int("m", m, 1) % _check_int("s", s, 1) != 0:
+        raise ValueError(f"invalid stride permutation size: s={s} does not divide m={m}")
     i = np.arange(m)
     return i * s - (m - 1) * ((i * s) // m)
 
@@ -738,8 +764,7 @@ def cft(A, normalization=UNNORMALIZED):
     fft(A.data[i, k, :])[b].  Under "unitary" the blocks are divided by
     sqrt(n).
     """
-    if normalization not in (UNNORMALIZED, UNITARY):
-        raise ValueError(f"unknown normalization {normalization!r}")
+    _require(HyperMatrix, A=A)
     blocks = TubeTransform.dft(A.n).hat(A)
     if normalization == UNITARY:
         blocks = blocks / math.sqrt(A.n)
@@ -749,13 +774,14 @@ def cft(A, normalization=UNNORMALIZED):
 def icft(S, field):
     """Inverse circulant Fourier transform: the matrix of the given field
     whose cft is S; a real field keeps the real part, as unhat does."""
+    _require(SpectralMatrix, S=S)
     blocks = S.blocks
     if S.normalization == UNITARY:
         blocks = blocks * math.sqrt(S.n)
     return TubeTransform.dft(S.n).unhat(blocks, field)
 
 
-def matmul(A, B, transform=None):
+def matmul(A, B, transform="dft"):
     """Hypercomplex matrix product, computed blockwise in the transform domain.
 
     Under the default DFT, entry (i, k) equals sum_r A_ir * B_rk with the
@@ -763,11 +789,12 @@ def matmul(A, B, transform=None):
     of its algebra.  The slices multiply directly because the transform
     diagonalizes the tube product.
     """
+    _require(HyperMatrix, A=A, B=B)
     if A.m != B.l or A.n != B.n:
         raise ValueError(
             f"dimension mismatch: ({A.l}x{A.m}, n={A.n}) @ ({B.l}x{B.m}, n={B.n})"
         )
-    T = transform or TubeTransform.dft(A.n)
+    T = TubeTransform.from_name(transform, A.n)
     return T.unhat(T.hat(A) @ T.hat(B), promote_fields(A.field, B.field))
 
 
@@ -778,6 +805,7 @@ def inv(A):
     singular relative to its largest singular value, and ValueError when a
     coefficient is nan or infinite.
     """
+    _require(HyperMatrix, A=A)
     if A.l != A.m:
         raise ValueError("matrix inverse requires a square matrix")
     check_finite(A, "matrix inverse input")
@@ -801,6 +829,7 @@ def inv(A):
 def inner(A, B):
     """Frobenius inner product Re tr(A B*) = sum of Re(a conj(b)) over all
     coefficients; equals the dot product of the vec isomorphisms."""
+    _require(HyperMatrix, A=A, B=B)
     if A.data.shape != B.data.shape:
         raise ValueError(f"shape mismatch: {A.data.shape} vs {B.data.shape}")
     return float(np.real(np.sum(A.data * np.conj(B.data))))
@@ -808,6 +837,7 @@ def inner(A, B):
 
 def frobenius(A):
     """Frobenius norm: Euclidean norm of all coefficients."""
+    _require(HyperMatrix, A=A)
     A, e = _scaled(A)
     return _ldexp(float(np.linalg.norm(A.data)), e)
 
@@ -817,6 +847,7 @@ def unfold(A):
     (l x mn); complex field interleaves real and imaginary slabs per
     coefficient (l x 2mn), the order of the coefficients read as float64
     values.  The result never shares memory with A."""
+    _require(HyperMatrix, A=A)
     return np.transpose(A.data.view(np.float64), (0, 2, 1)).copy().reshape(A.l, -1)
 
 
@@ -825,20 +856,22 @@ def vec(A):
     return unfold(A).ravel(order="F")
 
 
-def spectral_norm(A, transform=None):
+def spectral_norm(A, transform="dft"):
     """Operator norm of the adjoint: the largest block singular value.
 
     With a non-default tube transform the blocks of that transform are used
     instead of the DFT blocks.  Raises ValueError on non-finite input.
     """
+    _require(HyperMatrix, A=A)
+    T = TubeTransform.from_name(transform, A.n)
     check_finite(A, "spectral_norm input")
     A, e = _scaled(A)
-    T = transform or TubeTransform.dft(A.n)
     return _ldexp(float(T.svd_state(T.hat_state(A), compute_uv=False).max()), e)
 
 
 def max_modulus(A):
     """Largest entry modulus, the hypercomplex max-norm."""
+    _require(HyperMatrix, A=A)
     A, e = _scaled(A)
     squares = np.square(A.data.real)
     if np.iscomplexobj(A.data):

@@ -36,7 +36,7 @@ import os
 import numpy as np
 
 from .hyperalgebra import COMPLEX, REAL
-from .hypermatrix import HyperMatrix
+from .hypermatrix import HyperMatrix, _require
 
 # Values formatted per step of the writer; bounds its per-chunk buffers.
 WRITE_CHUNK = 8192
@@ -67,8 +67,7 @@ class PhtFormatError(ValueError):
 
 def write_pht(A, path):
     """Write a HyperMatrix to PHT v1 text."""
-    if not isinstance(A, HyperMatrix):
-        raise TypeError(f"write_pht takes a HyperMatrix, not {type(A).__name__}")
+    _require(HyperMatrix, A=A)
     l, m, n = A.data.shape
     values, ends = A.data.reshape(-1), b"\n"
     if A.field != REAL:

@@ -37,7 +37,8 @@ import math
 import numpy as np
 
 from ._blas import owned_cores
-from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _scaled, check_finite
+from .hypermatrix import (HyperMatrix, TubeTransform, _check_real, _ldexp, _require, _scaled,
+                          check_finite)
 
 
 def _shrink_factors(norms, lam):
@@ -49,17 +50,12 @@ def _shrink_factors(norms, lam):
     return np.maximum(norms, 0.0, out=norms)
 
 
-def _check_threshold(lam):
-    """Reject a threshold that is not >= 0, NaN included; inf is allowed."""
-    if not lam >= 0:
-        raise ValueError(f"threshold must be nonnegative, got {lam!r}")
-
-
 def prox_l1(Z, lam):
     """Entrywise hypercomplex l1 prox: z -> (1 - lam/|z|)_+ z with |z| the
     entry modulus, the Euclidean norm of the entry's coefficients read as
     float64 values.  Raises ValueError on non-finite input."""
-    _check_threshold(lam)
+    _require(HyperMatrix, Z=Z)
+    _check_real("threshold lam", lam, "[0, inf]")
     check_finite(Z, "prox_l1 input")
     Z, e = _scaled(Z)
     return HyperMatrix(_ldexp(_prox_l1(Z, _ldexp(lam, -e)).data, e), Z.field)
@@ -119,7 +115,7 @@ def tube_group_shrink(stack, tau, weights=None):
     return np.multiply(stack, _shrink_factors(norms, tau)[np.newaxis], out=out)
 
 
-def prox_trace(Z, lam, transform=None):
+def prox_trace(Z, lam, transform="dft"):
     """Hypercomplex trace-norm prox: shrink every singular tube's modulus by
     lam and reconstruct.
 
@@ -131,11 +127,13 @@ def prox_trace(Z, lam, transform=None):
     transform divided by sqrt(n), so the grouped threshold carries a
     sqrt(n) factor.  Raises ValueError on non-finite input.
     """
-    _check_threshold(lam)
+    _require(HyperMatrix, Z=Z)
+    _check_real("threshold lam", lam, "[0, inf]")
+    T = TubeTransform.from_name(transform, Z.n)
     check_finite(Z, "prox_trace input")
     Z, e = _scaled(Z)
     with owned_cores():
-        out = _prox_trace(Z, _ldexp(lam, -e), transform or TubeTransform.dft(Z.n))
+        out = _prox_trace(Z, _ldexp(lam, -e), T)
     return HyperMatrix(_ldexp(out.data, e), Z.field)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._blas import run_lanes
 from .hyperalgebra import COMPLEX, REAL
-from .hypermatrix import HyperMatrix, _is_int
+from .hypermatrix import HyperMatrix, _check_int, _check_real, _is_int, _require
 from .solvers import SolverConfig, pcp_ialm
 
 POLAR4COMPLEX = "polar4complex"
@@ -42,6 +42,25 @@ PARTS = ("M1", "M2")
 VARIANTS = ("polar", "tensor-rpca")
 
 _GRID_FRACTIONS = tuple(round(0.02 * i, 2) for i in range(1, 11))
+
+
+# The per-value checks that TrialSpec, run_trial and gen_low_rank_sparse share.
+def _check_rank(r, m):
+    """int(r) for an integer rank r in (0, m]."""
+    if not _is_int(r) or not 0 < r <= m:
+        raise ValueError(f"rank r={r!r} is not an integer in (0, m={m}]")
+    return int(r)
+
+
+def _check_density(rho):
+    """float(rho) for a density rho in [0, 1]."""
+    return _check_real("density rho", rho, "[0, 1]")
+
+
+def _check_embedding(embedding):
+    if embedding not in EMBEDDINGS:
+        raise ValueError(f"unknown embedding {embedding!r}")
+    return embedding
 
 
 @dataclass(frozen=True)
@@ -58,42 +77,25 @@ class TrialSpec:
     variant: str = "polar"
 
     def __post_init__(self):
-        if not _is_int(self.m) or self.m < 1:
-            raise ValueError("m must be an integer >= 1")
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError("trials must be an integer >= 1")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+        for name, low in (("m", 1), ("trials", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
         if self.ranks is None:
             # Below m = 48 some fractions round to the same rank: keep one.
             object.__setattr__(self, "ranks", tuple(
                 dict.fromkeys(max(1, round(f * self.m)) for f in _GRID_FRACTIONS)))
         if self.rhos is None:
             object.__setattr__(self, "rhos", _GRID_FRACTIONS)
-        for r in self.ranks:
-            if not _is_int(r) or not 0 < r <= self.m:
-                raise ValueError(f"rank {r!r} is not an integer in (0, m={self.m}]")
+        object.__setattr__(self, "ranks", tuple(_check_rank(r, self.m) for r in self.ranks))
         if not self.ranks:
             raise ValueError("at least one rank is required")
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        if any(isinstance(v, (bool, np.bool_)) for v in (*self.rhos, *self.epsilons)):
-            raise ValueError("a density or threshold is a bool: True would run as 1.0")
-        object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
+        object.__setattr__(self, "rhos", tuple(_check_density(rho) for rho in self.rhos))
         if not self.rhos:
             raise ValueError("at least one density is required")
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        for rho in self.rhos:
-            if not 0.0 <= rho <= 1.0:
-                raise ValueError(f"density {rho} outside [0, 1]")
-        for eps in self.epsilons:
-            if not 0.0 < eps < 1.0:
-                raise ValueError(f"threshold {eps} outside (0, 1)")
+        object.__setattr__(self, "epsilons", tuple(
+            _check_real("threshold epsilon", eps, "(0, 1)") for eps in self.epsilons))
         if not self.epsilons:
             raise ValueError("at least one threshold is required")
-        for emb in self.embeddings:
-            if emb not in EMBEDDINGS:
-                raise ValueError(f"unknown embedding {emb!r}")
+        object.__setattr__(self, "embeddings", tuple(_check_embedding(e) for e in self.embeddings))
         if not self.embeddings:
             raise ValueError("at least one embedding is required")
         for what, values in (("rank", self.ranks), ("density", self.rhos),
@@ -132,10 +134,8 @@ def gen_low_rank_sparse(m, r, rho, seed):
     unit-modulus uniformly-phased values.  ``seed`` may be an integer or a
     numpy Generator.
     """
-    if m < 1 or not 0 < r <= m:
-        raise ValueError(f"invalid dimensions m={m}, r={r}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"density {rho} outside [0, 1]")
+    _check_rank(r, _check_int("m", m, 1))
+    _check_density(rho)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(2 * m)
     X = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) * scale
@@ -168,6 +168,7 @@ def embed(M1, M2, mode):
 def extract(H, mode):
     """Invert embed exactly: no arithmetic, so every value keeps its bits,
     signed zeros, infinities and nans included."""
+    _require(HyperMatrix, H=H)
     if mode == POLAR4COMPLEX:
         if H.field != REAL or H.n != 4:
             raise ValueError("polar4complex extraction needs a real 4-tube matrix")
@@ -198,6 +199,11 @@ def run_trial(spec, r, rho, embedding, trial):
     """Generate, embed, decompose, and score one trial.  Only the two
     low-rank truths are kept; the embedded matrix is handed to the solver,
     which frees it after its set-up."""
+    _require(TrialSpec, spec=spec)
+    _check_rank(r, spec.m)
+    _check_density(rho)
+    _check_embedding(embedding)
+    _check_int("trial", trial, 0)
     truths = []
 
     def draw(inst):
@@ -251,6 +257,7 @@ def run_grid(spec):
     stored and aggregated by cell and trial index, so the output does not
     depend on which lane ran which trial.
     """
+    _require(TrialSpec, spec=spec)
     cells = [
         (emb, r, rho) for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos
     ]
@@ -273,6 +280,7 @@ def run_grid(spec):
 
 def write_csv(grid, path):
     """Emit success counts, one row per (embedding, r, rho, epsilon, part)."""
+    _require(GridResult, grid=grid)
     spec = grid.spec
     rows = []
     for cell in grid.cells:

@@ -65,13 +65,13 @@ input's place, so a handed-over input is freed at every scale, and L, S and
 the mu history are scaled back exactly.
 
 SolverConfig holds only what a caller sets: c, tol, max_iters, rho_mu, the
-variant and the tube transform, a key of TubeTransform.NAMES or a tuple of
-(kind, k) factor pairs, which the solve resolves with
-TubeTransform.from_name.  lambda is c/sqrt(max(l, m)) with c = 1 by
-default; the dual variable starts at X / max(||X||_2, ||X||_inf / lambda)
-and mu grows geometrically by rho_mu from mu_0 = 1.25 / ||X||_2, which
-keeps sum mu_{k+1}/mu_k^2 finite as the convergence theory of the convex
-objective requires.
+variant and the tube transform, which the solve resolves with
+TubeTransform.from_name.  It is frozen: its fields are checked once, when
+it is built, and no assignment gets past them.  lambda is c/sqrt(max(l, m))
+with c = 1 by default; the dual variable starts at
+X / max(||X||_2, ||X||_inf / lambda) and mu grows geometrically by rho_mu
+from mu_0 = 1.25 / ||X||_2, which keeps sum mu_{k+1}/mu_k^2 finite as the
+convergence theory of the convex objective requires.
 
 A solve owns the cores: it runs with BLAS on one thread (the caller's count
 is restored when it returns or raises), and its slice SVDs and staged
@@ -91,18 +91,18 @@ import numpy as np
 
 from . import hypermatrix as hm
 from ._blas import owned_cores
-from .hypermatrix import HyperMatrix, TubeTransform, _is_int
+from .hypermatrix import HyperMatrix, TubeTransform, _check_int, _check_real, _require
 from .prox import _prox_l1, _prox_trace, shrink_singular_values, tube_group_shrink
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """The settings of a solve: lambda = c / sqrt(max(l, m)), the stopping
-    rule (tol, max_iters), the growth rho_mu of mu, the variant (a key of
-    VARIANTS: "polar", "tensor-rpca" or "naive"), and the tube
+    """The frozen settings of a solve: lambda = c / sqrt(max(l, m)), the
+    stopping rule (tol, max_iters), the growth rho_mu of mu, the variant (a
+    key of VARIANTS: "polar", "tensor-rpca" or "naive"), and the tube
     transform, a key of TubeTransform.NAMES or a tuple of ("dft" | "skew", k)
-    factor pairs, for example (("dft", 2), ("dft", 3)) (see
-    TubeTransform.from_name)."""
+    factor pairs such as (("dft", 2), ("dft", 3)) (see
+    TubeTransform.from_name).  Change one with dataclasses.replace."""
 
     c: float = 1.0
     tol: float = 1e-7
@@ -112,13 +112,9 @@ class SolverConfig:
     transform: str | tuple[tuple[str, int], ...] = "dft"
 
     def __post_init__(self):
-        for name, low in (("c", 0), ("tol", 0), ("rho_mu", 1)):
-            value = getattr(self, name)
-            # A bool is no number here: True would run as 1.
-            if isinstance(value, (bool, np.bool_)) or not (value > low) or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite and exceed {low}, got {value!r}")
-        if not _is_int(self.max_iters) or self.max_iters < 1:
-            raise ValueError("max_iters must be an integer >= 1")
+        for name, interval in (("c", "(0, inf)"), ("tol", "(0, inf)"), ("rho_mu", "(1, inf)")):
+            _check_real(name, getattr(self, name), interval)
+        _check_int("max_iters", self.max_iters, 1)
         if not isinstance(self.variant, str) or self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not isinstance(self.transform, str):
@@ -147,6 +143,7 @@ class PcpResult:
 def residual(X, L, S):
     """Relative feasibility residual ||X - L - S||_F / ||X||_F (absolute when
     X is zero)."""
+    _require(HyperMatrix, X=X, L=L, S=S)
     num = hm.frobenius(X - L - S)
     den = hm.frobenius(X)
     return num / den if den > 0 else num
@@ -154,8 +151,10 @@ def residual(X, L, S):
 
 def mu_schedule(X, cfg=None):
     """Geometric penalty sequence mu_0, mu_0*rho, mu_0*rho^2, ..."""
-    cfg = cfg or SolverConfig()
-    specnorm = hm.spectral_norm(X, TubeTransform.from_name(cfg.transform, X.n))
+    _require(HyperMatrix, X=X)
+    cfg = SolverConfig() if cfg is None else cfg
+    _require(SolverConfig, cfg=cfg)
+    specnorm = hm.spectral_norm(X, cfg.transform)
     if specnorm <= 0:
         raise ValueError("mu schedule undefined for a zero matrix")
     return _geometric(cfg, specnorm)
@@ -189,9 +188,9 @@ def pcp_ialm(X, cfg=None):
     the slice-SVD kernel factored in the loop and in the set-up, and the
     tube transforms (3, or 1 + 2 per iteration for "naive").
     """
-    cfg = cfg or SolverConfig()
-    if not isinstance(X, HyperMatrix):
-        raise TypeError("solver input must be a HyperMatrix")
+    _require(HyperMatrix, X=X)
+    cfg = SolverConfig() if cfg is None else cfg
+    _require(SolverConfig, cfg=cfg)
     hm.check_finite(X, "solver input")
     X, e = hm._scaled(X)   # solve X * 2^-e; a handed-over X is freed here
     lam = cfg.lam(X)

@@ -8,8 +8,8 @@ Z_f and a skew one the skew-circulant (planar) product.  So the tube DFT
 gives the circulant (polar n-complex) product, the skew DFT the
 skew-circulant one, and the DFT of a finite abelian group Z_f1 x ... x Z_fr
 that group's algebra; the Walsh-Hadamard transform has every factor 2.
-A transform is spelled by a key of TubeTransform.NAMES or by its tuple of
-(kind, k) factor pairs, and TubeTransform.from_name resolves either.
+Every transform= takes a key of TubeTransform.NAMES ("dft" by default), a
+tuple of (kind, k) factor pairs or a TubeTransform, which from_name resolves.
 
 Every transform is applied in the eigenvalue convention (unnormalized
 forward, exact inverse), which is the convention under which pointwise
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperalgebra import promote_fields
-from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _scaled, check_finite
+from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _require, _scaled, check_finite
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 
@@ -51,16 +51,17 @@ class TSVDFactors:
     moduli: np.ndarray | None = None
 
 
-def tsvd(A, transform=None):
+def tsvd(A, transform="dft"):
     """Decompose A = U * S * V^* in the transform's algebra.
 
     Each transform-domain slice is SVD'd with descending singular values and
     the tubes are paired by index across slices.  For real-field input the
     slice-SVD kernel's conjugate pairing makes the factors come out real.
     """
+    _require(HyperMatrix, A=A)
+    T = TubeTransform.from_name(transform, A.n)
     check_finite(A, "t-SVD input")
     A, e = _scaled(A)
-    T = transform or TubeTransform.dft(A.n)
     l, m, n = A.data.shape
     Uh, s, Vh = T.slice_svd(T.hat_state(A))
     # Each stack is freed before the next is built; Vh is conjugated in place.
@@ -75,12 +76,13 @@ def tsvd(A, transform=None):
     return TSVDFactors(U, S, V, T, _ldexp(_tube_moduli(s, n), e))
 
 
-def singular_moduli(A, transform=None):
+def singular_moduli(A, transform="dft"):
     """Moduli of the singular tubes, sorted descending (tsvd(A).moduli
     without the singular vectors)."""
+    _require(HyperMatrix, A=A)
+    T = TubeTransform.from_name(transform, A.n)
     check_finite(A, "t-SVD input")
     A, e = _scaled(A)
-    T = transform or TubeTransform.dft(A.n)
     return _ldexp(_tube_moduli(T.slice_svd(T.hat_state(A), compute_uv=False), T.n), e)
 
 
@@ -93,14 +95,16 @@ def _tube_moduli(svals, n):
 
 def reconstruct(F):
     """Multiply the factors back: U * S * V^* in the transform's algebra."""
+    _require(TSVDFactors, F=F)
     T = F.transform
     Lh = T.hat(F.U) @ T.hat(F.S) @ np.conj(np.transpose(T.hat(F.V), (0, 2, 1)))
     field = promote_fields(promote_fields(F.U.field, F.S.field), F.V.field)
     return T.unhat(Lh, field)
 
 
-def t_conj_transpose(A, transform=None):
+def t_conj_transpose(A, transform="dft"):
     """Conjugate transpose in the transform's algebra: slices are
     conjugate-transposed in the transform domain."""
-    T = transform or TubeTransform.dft(A.n)
+    _require(HyperMatrix, A=A)
+    T = TubeTransform.from_name(transform, A.n)
     return T.unhat(np.conj(np.transpose(T.hat(A), (0, 2, 1))), A.field)

@@ -108,7 +108,9 @@ class TestStridePermutation:
             assert sorted(f.tolist()) == list(range(m))
 
     def test_invalid_sizes(self):
-        for m, s in ((6, 4), (0, 1), (4, 0), (3, 2)):
+        # A bool or a float is no size: (True, True) gave [0], and
+        # (4.0, 2) a float index map.
+        for m, s in ((6, 4), (0, 1), (4, 0), (3, 2), (True, True), (4.0, 2), (4, 2.0)):
             with pytest.raises(ValueError):
                 stride_permutation(m, s)
 
@@ -573,7 +575,7 @@ class TestNonFiniteInput:
     def test_spectral_norm_raises_warns_and_prints_nothing(self, capfd, field, bad, shape):
         # nan used to fail in the SVD, and inf to warn in the fft first.
         A = _with_non_finite(random_hypermatrix(np.random.default_rng(18), *shape, field), bad)
-        for T in (None, TubeTransform.from_name("skew-dft", A.n)):
+        for T in ("dft", TubeTransform.from_name("skew-dft", A.n)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="non-finite"):

@@ -135,7 +135,7 @@ class TestProxL1:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_nan_threshold_rejected_inf_allowed(self, field):
         Z = random_hypermatrix(np.random.default_rng(5), 4, 3, 4, field)
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        with pytest.raises(ValueError, match=r"threshold lam must be a real number in \[0, inf\], got nan"):
             prox_l1(Z, math.nan)
         assert not prox_l1(Z, math.inf).data.any()
 
@@ -352,7 +352,7 @@ class TestProxTrace:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_nan_threshold_rejected_inf_allowed(self, field):
         Z = random_hypermatrix(np.random.default_rng(6), 4, 3, 4, field)
-        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        with pytest.raises(ValueError, match=r"threshold lam must be a real number in \[0, inf\], got nan"):
             prox_trace(Z, math.nan)
         assert not prox_trace(Z, math.inf).data.any()
 

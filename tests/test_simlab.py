@@ -75,6 +75,14 @@ class TestGenerator:
             gen_low_rank_sparse(10, 11, 0.1, 0)
         with pytest.raises(ValueError):
             gen_low_rank_sparse(10, 2, 1.5, 0)
+        # A bool is no density (True drew S0 at density 1), and m and r are
+        # integers (m = 10.5 failed inside numpy).
+        with pytest.raises(ValueError, match="density rho"):
+            gen_low_rank_sparse(10, 2, True, 0)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            gen_low_rank_sparse(10.5, 2, 0.1, 0)
+        with pytest.raises(ValueError, match="rank r=2.0"):
+            gen_low_rank_sparse(10, 2.0, 0.1, 0)
 
 
 class TestEmbedding:
@@ -190,7 +198,7 @@ class TestTrialSpec:
     )
     def test_bool_density_or_threshold_rejected(self, kwargs):
         # float(True) is 1.0: the grid would run a cell at density 1.
-        with pytest.raises(ValueError, match="is a bool"):
+        with pytest.raises(ValueError, match="must be a real number in .*, got (np.)?(True|False)"):
             TrialSpec(m=10, **kwargs)
 
     @pytest.mark.parametrize("kwargs,what", [({"ranks": ()}, "rank"), ({"rhos": ()}, "density"),

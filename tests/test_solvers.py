@@ -5,7 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -120,12 +120,22 @@ class TestSolverConfig:
             {"variant": "frequency"}, {"variant": "tensor_rpca"},
             # A bool is no number: True would run as 1.
             {"c": True}, {"tol": True}, {"rho_mu": True}, {"c": np.True_},
+            # Nor is a str, a complex or None: each failed in a comparison.
+            {"c": "1"}, {"tol": None}, {"rho_mu": 2j},
         ],
         ids=repr,
     )
     def test_rejects_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_is_frozen(self):
+        # An assignment would skip the checks: tol = True stopped a solve
+        # after one iteration, reported as converged.
+        cfg = SolverConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.tol = True
+        assert cfg.tol == 1e-7 and replace(cfg, tol=1e-6).tol == 1e-6
 
     def test_accepts_numpy_integer_max_iters(self):
         assert SolverConfig(max_iters=np.int64(7)).max_iters == 7
@@ -179,7 +189,7 @@ class TestSolverConfig:
 
 class TestPcpIalm:
     def test_rejects_an_array(self):
-        with raises_exactly(TypeError, "solver input must be a HyperMatrix"):
+        with raises_exactly(TypeError, "X must be a HyperMatrix, not ndarray"):
             pcp_ialm(np.zeros((2, 2, 2)))
 
     def test_zero_input(self):
