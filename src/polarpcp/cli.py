@@ -71,9 +71,9 @@ def _build_parser():
 def _cmd_simulate(args):
     spec = TrialSpec(
         m=args.m,
-        ranks=tuple(args.ranks) if args.ranks else None,
-        rhos=tuple(args.rhos) if args.rhos else None,
-        epsilons=tuple(args.epsilons),
+        ranks=args.ranks,
+        rhos=args.rhos,
+        epsilons=args.epsilons,
         embeddings=EMBEDDINGS if args.embedding == "both" else (args.embedding,),
         trials=args.trials,
         seed=args.seed,

@@ -134,10 +134,12 @@ def _check_real(name, value, interval):
 
 
 def _require(cls, **arguments):
-    """TypeError naming the first of the keyword arguments that is not a cls."""
+    """TypeError naming the first of the keyword arguments that is not a cls,
+    a class or a tuple of classes."""
     for name, value in arguments.items():
         if not isinstance(value, cls):
-            raise TypeError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+            kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+            raise TypeError(f"{name} must be a {kinds}, not {type(value).__name__}")
 
 
 class HyperMatrix:

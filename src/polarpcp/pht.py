@@ -59,6 +59,8 @@ _D16, _D17 = 10**16, 10**17
 #              and before the trailing zeros blanked, "e+XX" or "e-XXX",
 #              NUL, the line end.
 _ROW = 6
+# A PHT path is what open() takes, but a file descriptor.
+_PATH = (str, bytes, os.PathLike)
 
 
 class PhtFormatError(ValueError):
@@ -68,6 +70,7 @@ class PhtFormatError(ValueError):
 def write_pht(A, path):
     """Write a HyperMatrix to PHT v1 text."""
     _require(HyperMatrix, A=A)
+    _require(_PATH, path=path)
     l, m, n = A.data.shape
     values, ends = A.data.reshape(-1), b"\n"
     if A.field != REAL:
@@ -253,6 +256,7 @@ def _tables():
 
 def read_pht(path):
     """Read a PHT v1 file into a HyperMatrix."""
+    _require(_PATH, path=path)
     try:
         with open(path, "r", encoding="ascii") as fh:
             first = fh.readline()

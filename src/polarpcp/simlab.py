@@ -6,7 +6,8 @@ uniformly random unit-modulus phases), embeds the pair into one hypercomplex
 matrix, runs principal component pursuit with lambda = 1/sqrt(m), and calls
 a part recovered when the relative error of its low-rank estimate beats a
 threshold.  A grid runner sweeps (rank, density) cells and emits success
-fractions as CSV.
+fractions as CSV.  Both embeddings lay out the complex stack [M1, M2]:
+polar2bicomplex as complex 2-tubes, polar4complex as its float64 view.
 
 All randomness is derived from (base seed, embedding, rank, density, trial,
 instance) through counter-based Philox streams, so results are reproducible
@@ -36,6 +37,8 @@ from .solvers import SolverConfig, pcp_ialm
 POLAR4COMPLEX = "polar4complex"
 POLAR2BICOMPLEX = "polar2bicomplex"
 EMBEDDINGS = (POLAR4COMPLEX, POLAR2BICOMPLEX)
+# Each embedding's field and tube length, in the one layout of embed.
+_LAYOUTS = {POLAR4COMPLEX: (REAL, 4), POLAR2BICOMPLEX: (COMPLEX, 2)}
 PARTS = ("M1", "M2")
 # The rows of solvers.VARIANTS that a grid and the CLI offer; "naive" is a
 # library-only reference.
@@ -63,9 +66,26 @@ def _check_embedding(embedding):
     return embedding
 
 
+def _grid_axis(field, values, check, what):
+    """The tuple of check(v) for each v of TrialSpec's grid axis field, of
+    values each a what: any collection but a str, non-empty, no repeats."""
+    # np.iterable is False for a scalar, None and a 0-d array.
+    if isinstance(values, (str, bytes)) or not np.iterable(values):
+        raise TypeError(f"{field} must be a collection of values, not {type(values).__name__}")
+    axis = tuple(check(v) for v in values)
+    if not axis:
+        raise ValueError(f"at least one {what} is required")
+    if len(set(axis)) < len(axis):
+        # A repeated value would solve its cells again and repeat their rows.
+        raise ValueError(f"the {what} axis repeats a value: {axis}")
+    return axis
+
+
 @dataclass(frozen=True)
 class TrialSpec:
-    """Configuration of a phase-transition experiment."""
+    """Configuration of a phase-transition experiment.  Each grid axis
+    (ranks, rhos, epsilons, embeddings) takes any collection or iterator,
+    kept as a tuple; a str or a scalar is a TypeError."""
 
     m: int = 100
     ranks: tuple[int, ...] | None = None
@@ -79,30 +99,17 @@ class TrialSpec:
     def __post_init__(self):
         for name, low in (("m", 1), ("trials", 1), ("seed", 0)):
             _check_int(name, getattr(self, name), low)
-        if self.ranks is None:
-            # Below m = 48 some fractions round to the same rank: keep one.
-            object.__setattr__(self, "ranks", tuple(
-                dict.fromkeys(max(1, round(f * self.m)) for f in _GRID_FRACTIONS)))
-        if self.rhos is None:
-            object.__setattr__(self, "rhos", _GRID_FRACTIONS)
-        object.__setattr__(self, "ranks", tuple(_check_rank(r, self.m) for r in self.ranks))
-        if not self.ranks:
-            raise ValueError("at least one rank is required")
-        object.__setattr__(self, "rhos", tuple(_check_density(rho) for rho in self.rhos))
-        if not self.rhos:
-            raise ValueError("at least one density is required")
-        object.__setattr__(self, "epsilons", tuple(
-            _check_real("threshold epsilon", eps, "(0, 1)") for eps in self.epsilons))
-        if not self.epsilons:
-            raise ValueError("at least one threshold is required")
-        object.__setattr__(self, "embeddings", tuple(_check_embedding(e) for e in self.embeddings))
-        if not self.embeddings:
-            raise ValueError("at least one embedding is required")
-        for what, values in (("rank", self.ranks), ("density", self.rhos),
-                             ("threshold", self.epsilons), ("embedding", self.embeddings)):
-            if len(set(values)) < len(values):
-                # A repeated value would solve its cells again and repeat their rows.
-                raise ValueError(f"the {what} axis repeats a value: {values}")
+        # Below m = 48 some fractions round to the same rank: keep one.
+        ranks = self.ranks if self.ranks is not None else dict.fromkeys(
+            max(1, round(f * self.m)) for f in _GRID_FRACTIONS)
+        rhos = self.rhos if self.rhos is not None else _GRID_FRACTIONS
+        for field, values, check, what in (
+                ("ranks", ranks, lambda r: _check_rank(r, self.m), "rank"),
+                ("rhos", rhos, _check_density, "density"),
+                ("epsilons", self.epsilons,
+                 lambda eps: _check_real("threshold epsilon", eps, "(0, 1)"), "threshold"),
+                ("embeddings", self.embeddings, _check_embedding, "embedding")):
+            object.__setattr__(self, field, _grid_axis(field, values, check, what))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -150,35 +157,31 @@ def gen_low_rank_sparse(m, r, rho, seed):
 def embed(M1, M2, mode):
     """Combine two complex matrices into one hypercomplex matrix.
 
-    polar4complex stacks [Re M1, Im M1, Re M2, Im M2] as a real 4-tube;
-    polar2bicomplex stacks [M1, M2] as a complex 2-tube.
+    Both stack [M1, M2] along the tube: polar2bicomplex as complex 2-tubes,
+    polar4complex as their float64 view [Re M1, Im M1, Re M2, Im M2].  M1
+    and M2 are numeric matrices of one shape: bool or str is a TypeError.
     """
-    M1 = np.asarray(M1, dtype=np.complex128)
-    M2 = np.asarray(M2, dtype=np.complex128)
+    field, _ = _LAYOUTS[_check_embedding(mode)]
+    M1, M2 = np.asarray(M1), np.asarray(M2)
+    for name, M in (("M1", M1), ("M2", M2)):
+        if M.dtype.kind not in "iufc":   # a bool, str or object array
+            raise TypeError(f"{name} must be a numeric matrix, not {M.dtype}")
     if M1.shape != M2.shape or M1.ndim != 2:
         raise ValueError("embed expects two complex matrices of equal shape")
-    if mode == POLAR4COMPLEX:
-        data = np.stack([M1.real, M1.imag, M2.real, M2.imag], axis=2)
-        return HyperMatrix(data, REAL)
-    if mode == POLAR2BICOMPLEX:
-        return HyperMatrix(np.stack([M1, M2], axis=2), COMPLEX)
-    raise ValueError(f"unknown embedding {mode!r}")
+    data = np.stack([M1, M2], axis=2).astype(np.complex128, copy=False)
+    return HyperMatrix(data.view(np.float64) if field == REAL else data, field)
 
 
 def extract(H, mode):
-    """Invert embed exactly: no arithmetic, so every value keeps its bits,
+    """Invert embed exactly: both embeddings read H's data as the complex
+    stack [M1, M2], with no arithmetic, so every value keeps its bits,
     signed zeros, infinities and nans included."""
     _require(HyperMatrix, H=H)
-    if mode == POLAR4COMPLEX:
-        if H.field != REAL or H.n != 4:
-            raise ValueError("polar4complex extraction needs a real 4-tube matrix")
-        c = H.data.view(np.complex128)   # (Re M1, Im M1) and (Re M2, Im M2) pairs
-        return c[:, :, 0].copy(), c[:, :, 1].copy()
-    if mode == POLAR2BICOMPLEX:
-        if H.field != COMPLEX or H.n != 2:
-            raise ValueError("polar2bicomplex extraction needs a complex 2-tube matrix")
-        return H.data[:, :, 0].copy(), H.data[:, :, 1].copy()
-    raise ValueError(f"unknown embedding {mode!r}")
+    field, n = _LAYOUTS[_check_embedding(mode)]
+    if H.field != field or H.n != n:
+        raise ValueError(f"{mode} extraction needs a {field} {n}-tube matrix")
+    stack = H.data.view(np.complex128)
+    return stack[:, :, 0].copy(), stack[:, :, 1].copy()
 
 
 @dataclass(frozen=True)
@@ -282,23 +285,10 @@ def write_csv(grid, path):
     """Emit success counts, one row per (embedding, r, rho, epsilon, part)."""
     _require(GridResult, grid=grid)
     spec = grid.spec
-    rows = []
-    for cell in grid.cells:
-        for eps in spec.epsilons:
-            for part in PARTS:
-                rows.append(
-                    (
-                        cell.embedding,
-                        cell.r,
-                        cell.rho,
-                        eps,
-                        part,
-                        cell.successes(eps, part),
-                        spec.trials,
-                        spec.seed,
-                    )
-                )
-    rows.sort(key=lambda row: row[:5])
+    rows = sorted(((cell.embedding, cell.r, cell.rho, eps, part, cell.successes(eps, part),
+                    spec.trials, spec.seed)
+                   for cell in grid.cells for eps in spec.epsilons for part in PARTS),
+                  key=lambda row: row[:5])
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["embedding", "r", "rho", "epsilon", "part", "successes", "trials", "seed"])

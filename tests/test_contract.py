@@ -64,7 +64,8 @@ RECORDS = {"AngleSet", "GridResult", "PcpResult", "TSVDFactors",
 
 # Public name -> (call, the argument its message names) cases.  Each call
 # takes a directory it may write to.  An element of a tuple argument is
-# named by its own name: TrialSpec's rhos hold densities rho.
+# named by its own name (TrialSpec's rhos hold densities rho), and the
+# tuple by the field's.
 CASES = {
     "HyperMatrix": [
         (lambda tmp: HyperMatrix(np.zeros((2, 2))), "data"),
@@ -102,6 +103,9 @@ CASES = {
         (lambda tmp: TrialSpec(m=8, epsilons=(math.nan,)), "epsilon"),
         (lambda tmp: TrialSpec(m=8, embeddings=("octonion",)), "embedding"),
         (lambda tmp: TrialSpec(variant="naive"), "variant"),
+        (lambda tmp: TrialSpec(rhos=0.5), "rhos"),
+        (lambda tmp: TrialSpec(ranks=5), "ranks"),
+        (lambda tmp: TrialSpec(embeddings="polar4complex"), "embeddings"),
     ],
     "TubeTransform": [
         (lambda tmp: TubeTransform("dft"), "factors"),
@@ -114,7 +118,11 @@ CASES = {
         (lambda tmp: cft(ARRAY), "A"),
         (lambda tmp: cft(A, "orthonormal"), "normalization"),
     ],
-    "embed": [(lambda tmp: embed(ARRAY[..., 0], ARRAY[..., 1], "octonion"), "embedding")],
+    "embed": [
+        (lambda tmp: embed(ARRAY[..., 0], ARRAY[..., 1], "octonion"), "embedding"),
+        (lambda tmp: embed("x", "y", "polar4complex"), "M1"),
+        (lambda tmp: embed(ARRAY[..., 0] > 0, ARRAY[..., 1], "polar4complex"), "M1"),
+    ],
     "extract": [
         (lambda tmp: extract(ARRAY, "polar4complex"), "H"),
         (lambda tmp: extract(A, "octonion"), "embedding"),
@@ -157,7 +165,10 @@ CASES = {
         (lambda tmp: prox_trace(A, 1.0, "bogus"), "transform"),
         (lambda tmp: prox_trace(A, 1.0, SHORT), "transform"),
     ],
-    "read_pht": [(lambda tmp: read_pht(_text(tmp, "PHT 2 1 1 1 real\n0\n")), "bad.pht")],
+    "read_pht": [
+        (lambda tmp: read_pht(_text(tmp, "PHT 2 1 1 1 real\n0\n")), "bad.pht"),
+        (lambda tmp: read_pht(None), "path"),
+    ],
     "reconstruct": [(lambda tmp: reconstruct(A), "F")],
     "residual": [
         (lambda tmp: residual(ARRAY, A, A), "X"),
@@ -205,7 +216,10 @@ CASES = {
     "unfold": [(lambda tmp: unfold(ARRAY), "A")],
     "vec": [(lambda tmp: vec(ARRAY), "A")],
     "write_csv": [(lambda tmp: write_csv(None, tmp / "grid.csv"), "grid")],
-    "write_pht": [(lambda tmp: write_pht(ARRAY, tmp / "a.pht"), "A")],
+    "write_pht": [
+        (lambda tmp: write_pht(ARRAY, tmp / "a.pht"), "A"),
+        (lambda tmp: write_pht(A, None), "path"),
+    ],
 }
 
 

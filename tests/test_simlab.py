@@ -111,6 +111,18 @@ class TestEmbedding:
             R1, R2 = extract(embed(M1, M2, mode), mode)
         assert R1.tobytes() == M1.tobytes() and R2.tobytes() == M2.tobytes()
 
+    def test_polar4complex_is_the_written_out_stack(self):
+        # The float64 view of the stack [M1, M2] is [Re M1, Im M1, Re M2, Im M2],
+        # bit for bit, signed zeros, infinities and a NaN payload included.
+        planes = np.random.default_rng(4).standard_normal((4, 7, 9))
+        planes[0, 0, :3] = [-0.0, np.inf, -np.inf]
+        planes[3, -1, -2:] = [-0.0, -np.inf]
+        planes.view(np.uint64)[1, 2, 3] = 0x7FF8000000000ABC   # a NaN with a payload
+        M1, M2 = np.empty((2, 7, 9), complex)
+        M1.real, M1.imag, M2.real, M2.imag = planes
+        expected = np.stack([M1.real, M1.imag, M2.real, M2.imag], axis=2)
+        assert embed(M1, M2, POLAR4COMPLEX).data.tobytes() == expected.tobytes()
+
     def test_fields_and_tube_lengths(self):
         rng = np.random.default_rng(1)
         M1, M2 = self._pair(rng)
@@ -227,6 +239,15 @@ class TestTrialSpec:
         # and would run True as seed 1.
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             TrialSpec(seed=seed)
+
+    @pytest.mark.parametrize("collect", [list, np.array, lambda v: (x for x in v)],
+                             ids=["list", "array", "generator"])
+    def test_axis_takes_any_collection(self, collect):
+        spec = TrialSpec(m=10, ranks=collect([1, 2]), rhos=collect([0.05, 0.1]),
+                         epsilons=collect([0.1]), embeddings=collect([POLAR2BICOMPLEX]))
+        assert (spec.ranks, spec.rhos, spec.epsilons, spec.embeddings) == (
+            (1, 2), (0.05, 0.1), (0.1,), (POLAR2BICOMPLEX,))
+        assert type(spec.ranks[0]) is int and type(spec.rhos[0]) is float
 
     def test_accepts_numpy_integers(self):
         spec = TrialSpec(m=np.int64(10), ranks=(np.int64(2),), trials=np.int32(3))
