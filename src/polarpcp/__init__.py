@@ -1,14 +1,10 @@
 """Polar n-complex and n-bicomplex linear algebra, transform-parameterized
 t-SVD, hypercomplex proximity operators, and principal component pursuit."""
 
-from .hyperalgebra import (
+from .hyperalgebra import AngleSet, PolarScalar, SingularScalarError
+from .hypermatrix import (
     COMPLEX,
     REAL,
-    AngleSet,
-    PolarScalar,
-    SingularScalarError,
-)
-from .hypermatrix import (
     HyperMatrix,
     SpectralMatrix,
     adjoint,

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hyperalgebra import COMPLEX, REAL
-from .hypermatrix import HyperMatrix
+from .hypermatrix import COMPLEX, REAL, HyperMatrix
 from .pht import read_pht, write_pht
 from .simlab import EMBEDDINGS, VARIANTS, TrialSpec, run_grid, write_csv
 from .solvers import SolverConfig, pcp_ialm

@@ -5,8 +5,9 @@ cyclic units e_i e_k = e_{(i+k) mod n}; allowing complex coefficients gives
 the polar n-bicomplex algebra.  Multiplication is circular convolution of
 coefficient tubes, so every scalar is an n x n circulant, that is, a 1 x 1
 hypercomplex matrix: PolarScalar is that matrix and uses the algebra of
-hypermatrix, whose TubeTransform owns the DFT convention.  The angle
-decomposition alone uses the unitary DFT, the tube DFT divided by sqrt(n).
+hypermatrix, the base module, which holds the field vocabulary and whose
+TubeTransform owns the DFT convention.  The angle decomposition alone uses
+the unitary DFT, the tube DFT divided by sqrt(n).
 """
 
 from __future__ import annotations
@@ -16,27 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-REAL = "real"
-COMPLEX = "complex"
-
-# Relative threshold below which a spectrum value, or a singular value of
-# hypermatrix.inv's block spectrum, is treated as a zero divisor.
-SINGULAR_RTOL = 1e-12
+from . import hypermatrix as hm
 
 
 class SingularScalarError(ZeroDivisionError):
     """Raised when inverting a zero divisor (some DFT spectrum value vanishes)."""
-
-
-def _check_field(field):
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field!r}")
-    return field
-
-
-def promote_fields(a, b):
-    """Real with real stays real; anything involving complex is complex."""
-    return REAL if a == REAL and b == REAL else COMPLEX
 
 
 @dataclass(frozen=True)
@@ -64,13 +49,13 @@ class PolarScalar:
     __slots__ = ("_matrix",)
 
     def __init__(self, coeffs, field=None):
-        arr = np.array(coeffs)
+        arr = np.array(hm._numeric("coeffs", coeffs))
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a one-dimensional sequence with n >= 1 entries")
         self._matrix = hm.HyperMatrix(arr[np.newaxis, np.newaxis], field)
 
     @classmethod
-    def unit(cls, n, k=0, field=REAL):
+    def unit(cls, n, k=0, field=hm.REAL):
         """The basis element e_k of K_n or CK_n (e_0 is the identity)."""
         if not hm._is_int(k) or not 0 <= k < hm._check_int("n", n, 1):
             raise ValueError(f"unit index {k} out of range for n={n}")
@@ -79,7 +64,7 @@ class PolarScalar:
         return cls(coeffs, field)
 
     @classmethod
-    def one(cls, n, field=REAL):
+    def one(cls, n, field=hm.REAL):
         return cls.unit(n, 0, field)
 
     @property
@@ -167,7 +152,7 @@ class PolarScalar:
         atan2(sqrt(2)|A_1|, A_{n/2}).  Degenerate spectra fall back to the
         atan2 conventions (zero A_k gives phi_k = 0).
         """
-        if self.field != REAL:
+        if self.field != hm.REAL:
             raise ValueError("angles are defined for real-field scalars only")
         n = self.n
         A = self.spectrum / math.sqrt(n)
@@ -198,10 +183,5 @@ def inner(p, q):
     Real, symmetric, and bilinear over the reals; satisfies
     inner(p, p) == modulus(p)**2.
     """
-    if not isinstance(p, PolarScalar) or not isinstance(q, PolarScalar):
-        raise TypeError("inner expects two PolarScalar operands")
+    hm._require(PolarScalar, p=p, q=q)
     return hm.inner(p._matrix, q._matrix)
-
-
-# hypermatrix imports this module's names, so it is imported last.
-from . import hypermatrix as hm  # noqa: E402

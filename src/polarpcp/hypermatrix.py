@@ -1,5 +1,9 @@
 """Matrices over the polar n-complex and n-bicomplex algebras.
 
+The package's base module: it imports only _blas and _lapack of the
+package, and holds the field vocabulary (REAL, COMPLEX), SINGULAR_RTOL and
+every input check that public entries share.
+
 An l x m hypercomplex matrix is stored as an (l, m, n) coefficient tensor
 whose tube (i, k, :) holds the coefficients of entry A_ik.  The tube axis is
 the fastest-varying one so tube DFTs stay cache-local.
@@ -15,8 +19,7 @@ TubeTransform generalizes the tube DFT, the group DFT of Z_n, to every t-SVD
 transform that is a Kronecker product of DFT and skew-DFT factors.  A
 transform argument is a key of TubeTransform.NAMES, a tuple of (kind, k)
 factor pairs or a TubeTransform of the tube length, and from_name alone
-resolves it; _check_int, _check_real and _require are the other checks of
-every public entry.  TubeTransform transforms the last axis, where the tubes
+resolves it.  TubeTransform transforms the last axis, where the tubes
 are, and is the one seam into the transform domain (hat, unhat), the owner
 of the packed state of real tubes, which only hat_state and unhat_state
 enter and leave, and the one slice-SVD kernel, which takes only packed
@@ -53,13 +56,20 @@ import functools
 import itertools
 import math
 import numbers
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas, _lapack
-from .hyperalgebra import COMPLEX, REAL, SINGULAR_RTOL, PolarScalar, _check_field, promote_fields
+
+REAL = "real"
+COMPLEX = "complex"
+
+# Relative threshold below which a spectrum value, or a singular value of
+# inv's block spectrum, is treated as a zero divisor.
+SINGULAR_RTOL = 1e-12
 
 UNNORMALIZED = "unnormalized"
 UNITARY = "unitary"
@@ -133,6 +143,17 @@ def _check_real(name, value, interval):
     return float(value)
 
 
+def _check_field(field):
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {field!r}")
+    return field
+
+
+def promote_fields(a, b):
+    """Real with real stays real; anything involving complex is complex."""
+    return REAL if a == REAL and b == REAL else COMPLEX
+
+
 def _require(cls, **arguments):
     """TypeError naming the first of the keyword arguments that is not a cls,
     a class or a tuple of classes."""
@@ -142,13 +163,26 @@ def _require(cls, **arguments):
             raise TypeError(f"{name} must be a {kinds}, not {type(value).__name__}")
 
 
+# What open() takes as a path, but a file descriptor, which open() would close.
+_PATH = (str, bytes, os.PathLike)
+
+
+def _numeric(name, value):
+    """np.asarray(value) if its dtype is numeric (integer, float or complex),
+    else TypeError naming name and the dtype."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iufc":
+        raise TypeError(f"{name} must be numeric, not {arr.dtype}")
+    return arr
+
+
 class HyperMatrix:
     """l x m matrix of polar n-complex or n-bicomplex entries."""
 
     __slots__ = ("data", "field")
 
     def __init__(self, data, field=None):
-        arr = np.asarray(data)
+        arr = _numeric("data", data)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError("data must have shape (l, m, n) with l, m, n >= 1")
         if field is None:
@@ -192,9 +226,6 @@ class HyperMatrix:
     def shape(self):
         return self.data.shape[:2]
 
-    def entry(self, i, k):
-        return PolarScalar(self.data[i, k], self.field)
-
     def copy(self):
         return HyperMatrix(self.data.copy(), self.field)
 
@@ -203,9 +234,7 @@ class HyperMatrix:
 
     def _require_same_shape(self, other):
         if self.data.shape != other.data.shape:
-            raise ValueError(
-                f"shape mismatch: {self.data.shape} vs {other.data.shape}"
-            )
+            raise ValueError(f"shape mismatch: {self.data.shape} vs {other.data.shape}")
 
     def __add__(self, other):
         if not isinstance(other, HyperMatrix):
@@ -251,7 +280,7 @@ class HyperMatrix:
         return self.conj_transpose()
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralMatrix:
     """Transform-domain form of a hypercomplex matrix.
 
@@ -259,15 +288,16 @@ class SpectralMatrix:
     block-diagonalized adjoint.  normalization records whether the values are
     the raw tube-DFT values ("unnormalized", the circulant eigenvalues) or
     divided by sqrt(n) ("unitary"), so downstream scalings are applied
-    exactly once.
+    exactly once.  It is frozen: no assignment skips __post_init__'s checks.
     """
 
     blocks: np.ndarray
     normalization: str = UNNORMALIZED
 
     def __post_init__(self):
-        self.blocks = np.asarray(self.blocks, dtype=np.complex128)
-        if self.blocks.ndim != 3 or min(self.blocks.shape) < 1:
+        blocks = np.asarray(_numeric("blocks", self.blocks), np.complex128)
+        object.__setattr__(self, "blocks", blocks)
+        if blocks.ndim != 3 or min(blocks.shape) < 1:
             raise ValueError("blocks must have shape (n, l, m) with n, l, m >= 1")
         if self.normalization not in (UNNORMALIZED, UNITARY):
             raise ValueError(f"unknown normalization {self.normalization!r}")
@@ -832,8 +862,7 @@ def inner(A, B):
     """Frobenius inner product Re tr(A B*) = sum of Re(a conj(b)) over all
     coefficients; equals the dot product of the vec isomorphisms."""
     _require(HyperMatrix, A=A, B=B)
-    if A.data.shape != B.data.shape:
-        raise ValueError(f"shape mismatch: {A.data.shape} vs {B.data.shape}")
+    A._require_same_shape(B)
     return float(np.real(np.sum(A.data * np.conj(B.data))))
 
 

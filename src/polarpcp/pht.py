@@ -5,14 +5,14 @@ decimal digits; then l*m*n data lines in (i, k, t) lexicographic order,
 each holding ``re`` or ``re im`` with 17 significant digits (lossless for
 float64).
 
-The reader accepts whitespace-separated values (spaces or tabs, ``\\n`` or
-``\\r\\n`` line ends), skips blank lines, and requires exactly 1 value per
-non-blank line for a real tensor and 2 for a complex one, l*m*n lines in
-all.  A value is a decimal float, ``inf``/``infinity`` or ``nan`` with an
-optional sign, in any case.  Anything else raises ``PhtFormatError``: a
-comment, a comma, a hexadecimal float, a Python-only spelling such as
-``1_0`` (the writer never produces one), a missing or extra value, a
-non-ASCII byte.
+read_pht and write_pht take a path (hypermatrix._PATH), not a file
+descriptor.  The reader accepts whitespace-separated values (spaces or tabs,
+``\\n`` or ``\\r\\n`` line ends), skips blank lines, and requires exactly 1
+value per non-blank line for a real tensor and 2 for a complex one, l*m*n
+lines in all.  A value is a decimal float, ``inf``/``infinity`` or ``nan`` with
+an optional sign, in any case.  Anything else raises ``PhtFormatError``: a
+comment, a comma, a hexadecimal float, a Python-only spelling such as ``1_0``
+(the writer never produces one), a missing or extra value, a non-ASCII byte.
 
 The writer formats WRITE_CHUNK values at a time in numpy, and its bytes
 are those of CPython's ``'%.17g' % x`` for every value, with ``\\n`` line
@@ -35,8 +35,7 @@ import os
 
 import numpy as np
 
-from .hyperalgebra import COMPLEX, REAL
-from .hypermatrix import HyperMatrix, _require
+from .hypermatrix import _PATH, COMPLEX, REAL, HyperMatrix, _require
 
 # Values formatted per step of the writer; bounds its per-chunk buffers.
 WRITE_CHUNK = 8192
@@ -59,8 +58,6 @@ _D16, _D17 = 10**16, 10**17
 #              and before the trailing zeros blanked, "e+XX" or "e-XXX",
 #              NUL, the line end.
 _ROW = 6
-# A PHT path is what open() takes, but a file descriptor.
-_PATH = (str, bytes, os.PathLike)
 
 
 class PhtFormatError(ValueError):

@@ -10,13 +10,13 @@ fractions as CSV.  Both embeddings lay out the complex stack [M1, M2]:
 polar2bicomplex as complex 2-tubes, polar4complex as its float64 view.
 
 All randomness is derived from (base seed, embedding, rank, density, trial,
-instance) through counter-based Philox streams, so results are reproducible
-and independent of the lane count.  run_grid hands its trials to
-_blas.run_lanes, with no bound on their work, so they always run on the
+instance) through counter-based Philox streams, not OS entropy, so results
+are reproducible and independent of the lane count.  run_grid hands its trials
+to _blas.run_lanes, with no bound on their work, so they always run on the
 lanes: min(POLARPCP_THREADS, usable CPUs, trials) threads with BLAS on one
-thread, the caller's count restored when it returns or raises.  The count
-is process-wide, so other threads of the process also see single-threaded
-BLAS while a grid runs.  Each trial's slice SVDs stay on the trial's lane.
+thread, the caller's count restored when it returns or raises.  The count is
+process-wide, so other threads of the process also see single-threaded BLAS
+while a grid runs.  Each trial's slice SVDs stay on the trial's lane.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import run_lanes
-from .hyperalgebra import COMPLEX, REAL
-from .hypermatrix import HyperMatrix, _check_int, _check_real, _is_int, _require
+from .hypermatrix import (_PATH, COMPLEX, REAL, HyperMatrix, _check_int, _check_real, _is_int,
+                          _numeric, _require)
 from .solvers import SolverConfig, pcp_ialm
 
 POLAR4COMPLEX = "polar4complex"
@@ -138,12 +138,13 @@ def gen_low_rank_sparse(m, r, rho, seed):
 
     Returns (M, L0, S0) with L0 = X Y* for m x r complex-normal X, Y of total
     entry variance 1/m, and S0 supported on i.i.d. Bernoulli(rho) cells with
-    unit-modulus uniformly-phased values.  ``seed`` may be an integer or a
-    numpy Generator.
+    unit-modulus uniformly-phased values.  ``seed`` is a numpy Generator
+    or an integer >= 0, so every draw can be repeated.
     """
     _check_rank(r, _check_int("m", m, 1))
     _check_density(rho)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(_check_int("seed", seed, 0)))
     scale = 1.0 / math.sqrt(2 * m)
     X = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) * scale
     Y = (rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))) * scale
@@ -162,10 +163,7 @@ def embed(M1, M2, mode):
     and M2 are numeric matrices of one shape: bool or str is a TypeError.
     """
     field, _ = _LAYOUTS[_check_embedding(mode)]
-    M1, M2 = np.asarray(M1), np.asarray(M2)
-    for name, M in (("M1", M1), ("M2", M2)):
-        if M.dtype.kind not in "iufc":   # a bool, str or object array
-            raise TypeError(f"{name} must be a numeric matrix, not {M.dtype}")
+    M1, M2 = _numeric("M1", M1), _numeric("M2", M2)
     if M1.shape != M2.shape or M1.ndim != 2:
         raise ValueError("embed expects two complex matrices of equal shape")
     data = np.stack([M1, M2], axis=2).astype(np.complex128, copy=False)
@@ -284,6 +282,7 @@ def run_grid(spec):
 def write_csv(grid, path):
     """Emit success counts, one row per (embedding, r, rho, epsilon, part)."""
     _require(GridResult, grid=grid)
+    _require(_PATH, path=path)
     spec = grid.spec
     rows = sorted(((cell.embedding, cell.r, cell.rho, eps, part, cell.successes(eps, part),
                     spec.trials, spec.seed)

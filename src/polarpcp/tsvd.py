@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hyperalgebra import promote_fields
-from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _require, _scaled, check_finite
+from .hypermatrix import (HyperMatrix, TubeTransform, _ldexp, _require, _scaled, check_finite,
+                          promote_fields)
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 

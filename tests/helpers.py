@@ -46,13 +46,8 @@ import pytest
 
 import polarpcp.hypermatrix as hm
 from polarpcp import COMPLEX, REAL, HyperMatrix, PcpResult, PhtFormatError, PolarScalar, _blas
-from polarpcp.hyperalgebra import (
-    SINGULAR_RTOL,
-    AngleSet,
-    SingularScalarError,
-    _check_field,
-    promote_fields,
-)
+from polarpcp.hyperalgebra import AngleSet, SingularScalarError
+from polarpcp.hypermatrix import SINGULAR_RTOL, _check_field, promote_fields
 from polarpcp.prox import shrink_singular_values, tube_group_shrink
 from polarpcp.simlab import embed, gen_low_rank_sparse
 

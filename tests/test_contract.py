@@ -8,6 +8,7 @@ of the tube length, and a spelling gives the bytes of its instance.
 """
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import polarpcp
 from polarpcp import (
+    GridResult,
     HyperMatrix,
     PolarScalar,
     SolverConfig,
@@ -70,6 +72,9 @@ CASES = {
     "HyperMatrix": [
         (lambda tmp: HyperMatrix(np.zeros((2, 2))), "data"),
         (lambda tmp: HyperMatrix(ARRAY, "quaternion"), "field"),
+        (lambda tmp: HyperMatrix([[["1.5"]]]), "data"),
+        (lambda tmp: HyperMatrix([[[None]]]), "data"),
+        (lambda tmp: HyperMatrix(ARRAY > 0), "data"),
     ],
     "PolarScalar": [
         (lambda tmp: PolarScalar(np.zeros((2, 2))), "coeffs"),
@@ -77,6 +82,7 @@ CASES = {
         (lambda tmp: PolarScalar.unit(True), "n"),
         (lambda tmp: PolarScalar.unit(4, 1.0), "unit index"),
         (lambda tmp: PolarScalar.unit(4, True), "unit index"),
+        (lambda tmp: PolarScalar(["1", "2"]), "coeffs"),
     ],
     "SolverConfig": [
         (lambda tmp: SolverConfig(c="1"), "c"),
@@ -92,6 +98,7 @@ CASES = {
     "SpectralMatrix": [
         (lambda tmp: SpectralMatrix(np.zeros((2, 2))), "blocks"),
         (lambda tmp: SpectralMatrix(np.zeros((1, 2, 2)), "orthonormal"), "normalization"),
+        (lambda tmp: SpectralMatrix(np.array([[["1"]]])), "blocks"),
     ],
     "TrialSpec": [
         (lambda tmp: TrialSpec(m=2.5), "m"),
@@ -135,6 +142,10 @@ CASES = {
         (lambda tmp: gen_low_rank_sparse(10.5, 2, 0.1, 0), "m"),
         (lambda tmp: gen_low_rank_sparse(10, 2.0, 0.1, 0), "r"),
         (lambda tmp: gen_low_rank_sparse(10, 11, 0.1, 0), "r"),
+        (lambda tmp: gen_low_rank_sparse(10, 2, 0.1, None), "seed"),
+        (lambda tmp: gen_low_rank_sparse(10, 2, 0.1, True), "seed"),
+        (lambda tmp: gen_low_rank_sparse(10, 2, 0.1, -1), "seed"),
+        (lambda tmp: gen_low_rank_sparse(10, 2, 0.1, "x"), "seed"),
     ],
     "icft": [
         (lambda tmp: icft(ARRAY, "real"), "S"),
@@ -215,7 +226,11 @@ CASES = {
     ],
     "unfold": [(lambda tmp: unfold(ARRAY), "A")],
     "vec": [(lambda tmp: vec(ARRAY), "A")],
-    "write_csv": [(lambda tmp: write_csv(None, tmp / "grid.csv"), "grid")],
+    "write_csv": [
+        (lambda tmp: write_csv(None, tmp / "grid.csv"), "grid"),
+        (lambda tmp: write_csv(GridResult(SPEC, ()), None), "path"),
+        (lambda tmp: _csv_to_descriptor(tmp), "path"),
+    ],
     "write_pht": [
         (lambda tmp: write_pht(ARRAY, tmp / "a.pht"), "A"),
         (lambda tmp: write_pht(A, None), "path"),
@@ -227,6 +242,16 @@ def _text(tmp, text):
     path = tmp / "bad.pht"
     path.write_text(text, encoding="ascii")
     return path
+
+
+def _csv_to_descriptor(tmp):
+    """write_csv to a file descriptor of a file under tmp, which it must not
+    write to nor close."""
+    fd = os.open(tmp / "grid.csv", os.O_WRONLY | os.O_CREAT)
+    try:
+        write_csv(GridResult(SPEC, ()), fd)
+    finally:
+        os.close(fd)
 
 
 def test_every_public_callable_has_cases():

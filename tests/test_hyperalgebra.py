@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarpcp import COMPLEX, REAL, PolarScalar, SingularScalarError
-from polarpcp.hyperalgebra import SINGULAR_RTOL, inner
+from polarpcp.hyperalgebra import inner
+from polarpcp.hypermatrix import SINGULAR_RTOL
 
 from helpers import (
     ReferenceScalar,
@@ -335,7 +336,7 @@ class TestInputChecks:
         (lambda: PolarScalar.unit(3, 3), ValueError, "unit index 3 out of range for n=3"),
         (lambda: PolarScalar.unit(3, -1), ValueError, "unit index -1 out of range for n=3"),
         (lambda: inner(PolarScalar([1.0, 2.0]), 1.0), TypeError,
-         "inner expects two PolarScalar operands"),
+         "q must be a PolarScalar, not float"),
     ], ids=["2-d", "empty", "unit-past-n", "unit-negative", "inner-not-a-scalar"])
     def test_rejects(self, call, kind, message):
         with raises_exactly(kind, message):
@@ -354,7 +355,7 @@ class TestCoefficientsAreCopies:
     @pytest.mark.parametrize("field", FIELDS)
     def test_entry_does_not_alias_the_matrix(self, field):
         A = random_hypermatrix(np.random.default_rng(1), 2, 3, 4, field)
-        assert not np.shares_memory(A.entry(1, 2).coeffs, A.data)
+        assert not np.shares_memory(PolarScalar(A.data[1, 2], A.field).coeffs, A.data)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -401,7 +402,7 @@ class TestConstruction:
     def test_entry_roundtrip(self):
         rng = np.random.default_rng(19)
         A = random_hypermatrix(rng, 2, 3, 4, COMPLEX)
-        p = A.entry(1, 2)
+        p = PolarScalar(A.data[1, 2], A.field)
         assert isinstance(p, PolarScalar)
         assert np.array_equal(p.coeffs, A.data[1, 2])
 
@@ -446,6 +447,15 @@ class TestInputChecks:
     def test_rejects(self, call, kind, message):
         with raises_exactly(kind, message):
             call()
+
+    @pytest.mark.parametrize("field, value", [("normalization", "bogus"),
+                                              ("blocks", np.ones((4, 3, 2)))])
+    def test_spectral_matrix_is_frozen(self, field, value):
+        # An assignment would skip __post_init__'s checks.
+        S = cft(HyperMatrix(np.ones((3, 2, 4))), UNITARY)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(S, field, value)
+        assert S.normalization == UNITARY and S.blocks.dtype == np.complex128
 
 
 FIELDS = (REAL, COMPLEX)
