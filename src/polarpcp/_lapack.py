@@ -124,16 +124,17 @@ def factor(a):
     factored form for product.  a is left as it is.  Raises
     numpy.linalg.LinAlgError when a is not finite, where LAPACK would print
     an error."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
     return _factor(np.array(a, np.result_type(a, np.float64), order="F"))
 
 
 def _factor(x):
     """factor on a Fortran-ordered float64 or complex128 matrix x, which
-    the reflectors overwrite and the factored form keeps."""
+    the reflectors overwrite and the factored form keeps.  x must be
+    finite: the slice-SVD kernel stages only what direct's range test passed."""
     if x.dtype not in (np.float64, np.complex128) or not x.flags.f_contiguous:
         raise ValueError("_factor needs a Fortran-ordered float64 or complex128 matrix")
-    if not np.isfinite(x).all():
-        raise np.linalg.LinAlgError("SVD did not converge")
     l, m = x.shape
     r = min(l, m)
     s, e = np.empty(r), np.empty(max(r - 1, 1))

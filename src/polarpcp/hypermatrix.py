@@ -58,7 +58,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -84,24 +84,28 @@ ROW_BLOCKS = 16
 SAFE_RANGE = (2.0**-400, 2.0**400)
 
 
-def scale_exponent(a):
+def scale_exponent(a, what=None):
     """0 when top, the largest magnitude of a float64 array a or of the real
     and imaginary parts of a complex128 one, is in SAFE_RANGE, zero or not
     finite; otherwise the e for which top * 2^-e is in [1/2, 1).  It reads
-    a matrix's coefficients, at the entry of a function (see _scaled)."""
+    a matrix's coefficients, at the entry of a function (see _scaled).  Given
+    what, a nan or inf top (only such a value gives one) is a ValueError naming it."""
     values = a.view(np.float64)
     top = max(values.max(), -values.min())
+    if what is not None and not math.isfinite(top):
+        raise ValueError(f"{what} contains non-finite values")
     return 0 if top == 0 or SAFE_RANGE[0] <= top <= SAFE_RANGE[1] else math.frexp(top)[1]
 
 
-def _scaled(A):
-    """(A * 2^-e, e) with the e of scale_exponent(A.data): A itself when e
-    is 0, else a scaled copy.  Every function that reads a matrix's
+def _scaled(A, what=None):
+    """(A * 2^-e, e) with the e of scale_exponent(A.data, what): A itself
+    when e is 0, else a scaled copy.  Every function that reads a matrix's
     magnitude calls it once, at its entry, and runs on a matrix whose
     transforms, squares and sums of squares neither overflow nor
     underflow; every step commutes with a power-of-two scale, so it scales
-    its result back by 2^e (2^-e for an inverse), exactly."""
-    e = scale_exponent(A.data)
+    its result back by 2^e (2^-e for an inverse), exactly.  An entry that
+    needs finite input passes what, its name, and the same read checks it."""
+    e = scale_exponent(A.data, what)
     return (A if e == 0 else HyperMatrix(_ldexp(A.data.copy(), -e), A.field)), e
 
 
@@ -177,7 +181,9 @@ def _numeric(name, value):
 
 
 class HyperMatrix:
-    """l x m matrix of polar n-complex or n-bicomplex entries."""
+    """l x m matrix of polar n-complex or n-bicomplex entries.  Its data
+    and field cannot be rebound, so no assignment skips the constructor's
+    checks; the coefficients in data may be written."""
 
     __slots__ = ("data", "field")
 
@@ -196,8 +202,17 @@ class HyperMatrix:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
         else:
             arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        self.data = arr
-        self.field = field
+        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):   # pickle and copy through the constructor, not __setattr__
+        return HyperMatrix, (self.data, self.field)
 
     @classmethod
     def zeros(cls, l, m, n, field=REAL):
@@ -613,11 +628,11 @@ class TubeTransform:
 
         With thin factors asked for, a stack of matrices of at least
         _blas.LANE_MIN_WORK multiply-adds that gesdd factors without a QR
-        step or scaling (_lapack.direct) runs only gesdd's first two stages
-        (_lapack.factor), in the matrices of parts, which a KernelBuffer
-        holds for it (its parts): its U entry lists the matrices' factored
-        forms and its Vh entry is None.  Its singular values are
-        np.linalg.svd's bit for bit.
+        step or scaling (_lapack.direct, whose range test no nan or inf
+        passes) runs only gesdd's first two stages (_lapack._factor), in the
+        matrices of parts, which a KernelBuffer holds for it (its parts):
+        its U entry lists the matrices' factored forms and its Vh entry is
+        None.  Its singular values are np.linalg.svd's bit for bit.
         """
         l, m = parts[0].shape[1:]
         k = min(l, m)
@@ -840,8 +855,7 @@ def inv(A):
     _require(HyperMatrix, A=A)
     if A.l != A.m:
         raise ValueError("matrix inverse requires a square matrix")
-    check_finite(A, "matrix inverse input")
-    A, e = _scaled(A)
+    A, e = _scaled(A, "matrix inverse input")
     T = TubeTransform.dft(A.n)
     hat = T.hat(A)
     # One scope for the SVDs and the block inverse, so that BLAS runs both
@@ -895,8 +909,7 @@ def spectral_norm(A, transform="dft"):
     """
     _require(HyperMatrix, A=A)
     T = TubeTransform.from_name(transform, A.n)
-    check_finite(A, "spectral_norm input")
-    A, e = _scaled(A)
+    A, e = _scaled(A, "spectral_norm input")
     return _ldexp(float(T.svd_state(T.hat_state(A), compute_uv=False).max()), e)
 
 
@@ -909,9 +922,3 @@ def max_modulus(A):
         squares += np.square(A.data.imag)
     mods = squares.sum(axis=2)
     return _ldexp(float(np.sqrt(mods, out=mods).max()), e)
-
-
-def check_finite(A, what):
-    """Raise ValueError when a coefficient of A is nan or infinite."""
-    if not np.isfinite(A.data).all():
-        raise ValueError(f"{what} contains non-finite values")

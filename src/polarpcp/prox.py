@@ -37,8 +37,7 @@ import math
 import numpy as np
 
 from ._blas import owned_cores
-from .hypermatrix import (HyperMatrix, TubeTransform, _check_real, _ldexp, _require, _scaled,
-                          check_finite)
+from .hypermatrix import HyperMatrix, TubeTransform, _check_real, _ldexp, _require, _scaled
 
 
 def _shrink_factors(norms, lam):
@@ -56,8 +55,7 @@ def prox_l1(Z, lam):
     float64 values.  Raises ValueError on non-finite input."""
     _require(HyperMatrix, Z=Z)
     _check_real("threshold lam", lam, "[0, inf]")
-    check_finite(Z, "prox_l1 input")
-    Z, e = _scaled(Z)
+    Z, e = _scaled(Z, "prox_l1 input")
     return HyperMatrix(_ldexp(_prox_l1(Z, _ldexp(lam, -e)).data, e), Z.field)
 
 
@@ -130,8 +128,7 @@ def prox_trace(Z, lam, transform="dft"):
     _require(HyperMatrix, Z=Z)
     _check_real("threshold lam", lam, "[0, inf]")
     T = TubeTransform.from_name(transform, Z.n)
-    check_finite(Z, "prox_trace input")
-    Z, e = _scaled(Z)
+    Z, e = _scaled(Z, "prox_trace input")
     with owned_cores():
         out = _prox_trace(Z, _ldexp(lam, -e), T)
     return HyperMatrix(_ldexp(out.data, e), Z.field)

@@ -191,8 +191,7 @@ def pcp_ialm(X, cfg=None):
     _require(HyperMatrix, X=X)
     cfg = SolverConfig() if cfg is None else cfg
     _require(SolverConfig, cfg=cfg)
-    hm.check_finite(X, "solver input")
-    X, e = hm._scaled(X)   # solve X * 2^-e; a handed-over X is freed here
+    X, e = hm._scaled(X, "solver input")   # solve X * 2^-e; a handed-over X is freed here
     lam = cfg.lam(X)
     field = X.field
     # This solve's work, counted at its own calls: its stats.

@@ -31,17 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypermatrix import (HyperMatrix, TubeTransform, _ldexp, _require, _scaled, check_finite,
-                          promote_fields)
+from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _require, _scaled, promote_fields
 from .hypermatrix import matmul as t_matmul  # noqa: F401
 
 
-@dataclass
+@dataclass(frozen=True)
 class TSVDFactors:
     """t-SVD factor triple with an f-diagonal middle factor.
 
     moduli holds singular_moduli of the factored tensor when tsvd built the
     factors, from the slice singular values it computed; None otherwise.
+    transform is any transform argument of the factors' tube length, kept
+    as the TubeTransform that from_name resolves it to.  It is frozen: no
+    assignment skips these checks.
     """
 
     U: HyperMatrix
@@ -49,6 +51,13 @@ class TSVDFactors:
     V: HyperMatrix
     transform: TubeTransform
     moduli: np.ndarray | None = None
+
+    def __post_init__(self):
+        _require(HyperMatrix, U=self.U, S=self.S, V=self.V)
+        if not self.U.n == self.S.n == self.V.n:
+            raise ValueError(f"U, S and V must have one tube length, "
+                             f"got {self.U.n}, {self.S.n} and {self.V.n}")
+        object.__setattr__(self, "transform", TubeTransform.from_name(self.transform, self.U.n))
 
 
 def tsvd(A, transform="dft"):
@@ -60,8 +69,7 @@ def tsvd(A, transform="dft"):
     """
     _require(HyperMatrix, A=A)
     T = TubeTransform.from_name(transform, A.n)
-    check_finite(A, "t-SVD input")
-    A, e = _scaled(A)
+    A, e = _scaled(A, "t-SVD input")
     l, m, n = A.data.shape
     Uh, s, Vh = T.slice_svd(T.hat_state(A))
     # Each stack is freed before the next is built; Vh is conjugated in place.
@@ -81,8 +89,7 @@ def singular_moduli(A, transform="dft"):
     without the singular vectors)."""
     _require(HyperMatrix, A=A)
     T = TubeTransform.from_name(transform, A.n)
-    check_finite(A, "t-SVD input")
-    A, e = _scaled(A)
+    A, e = _scaled(A, "t-SVD input")
     return _ldexp(_tube_moduli(T.slice_svd(T.hat_state(A), compute_uv=False), T.n), e)
 
 

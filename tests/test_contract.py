@@ -23,6 +23,7 @@ from polarpcp import (
     SolverConfig,
     SpectralMatrix,
     TrialSpec,
+    TSVDFactors,
     TubeTransform,
     adjoint,
     cft,
@@ -58,11 +59,11 @@ A = HyperMatrix(np.random.default_rng(0).standard_normal((6, 5, 4)))
 ARRAY = A.data                     # a plain ndarray is no HyperMatrix
 SHORT = TubeTransform.dft(2)       # a transform of the wrong length for A
 SPEC = TrialSpec(m=8)
+F = tsvd(A)
 
 # The public names that are records the library builds and hands back, and
 # exceptions: nothing a caller passes them is checked.
-RECORDS = {"AngleSet", "GridResult", "PcpResult", "TSVDFactors",
-           "PhtFormatError", "SingularScalarError"}
+RECORDS = {"AngleSet", "GridResult", "PcpResult", "PhtFormatError", "SingularScalarError"}
 
 # Public name -> (call, the argument its message names) cases.  Each call
 # takes a directory it may write to.  An element of a tuple argument is
@@ -99,6 +100,13 @@ CASES = {
         (lambda tmp: SpectralMatrix(np.zeros((2, 2))), "blocks"),
         (lambda tmp: SpectralMatrix(np.zeros((1, 2, 2)), "orthonormal"), "normalization"),
         (lambda tmp: SpectralMatrix(np.array([[["1"]]])), "blocks"),
+    ],
+    # reconstruct reads what a caller passes it.
+    "TSVDFactors": [
+        (lambda tmp: TSVDFactors(F.U, F.S, F.V, "bogus"), "transform"),
+        (lambda tmp: TSVDFactors(F.U, F.S, F.V, SHORT), "transform"),
+        (lambda tmp: TSVDFactors(ARRAY, F.S, F.V, "dft"), "U"),
+        (lambda tmp: TSVDFactors(F.U, F.S, HyperMatrix(ARRAY[..., :2]), "dft"), "V"),
     ],
     "TrialSpec": [
         (lambda tmp: TrialSpec(m=2.5), "m"),

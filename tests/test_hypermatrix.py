@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -17,7 +18,12 @@ from polarpcp import (
     adjoint,
     cft,
     icft,
+    pcp_ialm,
+    prox_l1,
+    prox_trace,
+    singular_moduli,
     stride_permutation,
+    tsvd,
 )
 from polarpcp.hypermatrix import UNITARY, UNNORMALIZED
 from polarpcp.tsvd import TubeTransform
@@ -457,6 +463,22 @@ class TestInputChecks:
             setattr(S, field, value)
         assert S.normalization == UNITARY and S.blocks.dtype == np.complex128
 
+    @pytest.mark.parametrize("field, value", [("data", np.ones((3, 2, 4), bool)),
+                                              ("field", COMPLEX)])
+    def test_hyper_matrix_is_frozen(self, field, value):
+        # An assignment would skip the constructor's checks; the
+        # coefficients themselves may still be written.
+        A = HyperMatrix(np.random.default_rng(22).standard_normal((3, 2, 4)))
+        data = A.data
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(A, field, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(A, field)
+        assert A.data is data and A.field == REAL
+        A.data[0, 0, 0] = 2.0
+        B = pickle.loads(pickle.dumps(A))
+        assert B.data.tobytes() == A.data.tobytes() and B.field == REAL
+
 
 FIELDS = (REAL, COMPLEX)
 
@@ -568,7 +590,36 @@ def _with_non_finite(A, bad):
     return A
 
 
+# Every entry that needs finite input, with the name its message gives it.
+FINITE_ENTRIES = {
+    "inv": (hm.inv, "matrix inverse input"),
+    "spectral_norm": (hm.spectral_norm, "spectral_norm input"),
+    "prox_l1": (lambda A: prox_l1(A, 0.5), "prox_l1 input"),
+    "prox_trace": (lambda A: prox_trace(A, 0.5), "prox_trace input"),
+    "pcp_ialm": (pcp_ialm, "solver input"),
+    "tsvd": (tsvd, "t-SVD input"),
+    "singular_moduli": (singular_moduli, "t-SVD input"),
+}
+
+
 class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", list(FINITE_ENTRIES))
+    def test_each_entry_names_its_input(self, entry, field, bad):
+        call, what = FINITE_ENTRIES[entry]
+        A = _with_non_finite(random_hypermatrix(np.random.default_rng(23), 4, 4, 3, field), bad)
+        with raises_exactly(ValueError, f"{what} contains non-finite values"):
+            call(A)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_norms_pass_non_finite_input(self, field, bad):
+        A = _with_non_finite(random_hypermatrix(np.random.default_rng(23), 4, 4, 3, field), bad)
+        for norm in (hm.frobenius, hm.max_modulus):
+            got = norm(A)
+            assert (got == math.inf) if math.isinf(bad) else math.isnan(got), norm.__name__
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("size", [1, 3])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import importlib
 import math
@@ -18,6 +19,7 @@ from polarpcp import (
     REAL,
     HyperMatrix,
     PolarScalar,
+    TSVDFactors,
     TubeTransform,
     adjoint,
     reconstruct,
@@ -323,6 +325,14 @@ class TestReconstructAndTruncation:
             err2 = hm.frobenius(A - reconstruct(f_trunc)) ** 2
             assert err2 == pytest.approx(np.sum(mods[k:] ** 2), rel=1e-8)
 
+    def test_factors_are_frozen_and_resolve_their_transform(self):
+        f = tsvd(random_hypermatrix(np.random.default_rng(24), 3, 2, 4, REAL))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.transform = "dft"
+        spelled = TSVDFactors(f.U, f.S, f.V, "dft")
+        assert spelled.transform is f.transform
+        assert reconstruct(spelled).data.tobytes() == reconstruct(f).data.tobytes()
+
 
 class TestAlgebraOps:
     def test_t_matmul_dft_matches_matmul(self):
@@ -594,12 +604,15 @@ class TestTransformOverflow:
     def test_kernel_rejects_a_non_finite_state(self, bad):
         # No public function hands the kernel a non-finite slice of a finite
         # input, so the guard is called directly.  np.linalg.svd may spin
-        # forever on such a matrix: a subprocess under a timeout.
+        # forever on such a matrix: a subprocess under a timeout.  A 70x70
+        # matrix is large enough to be staged, but no nan or inf passes
+        # _lapack.direct's range test, so _lapack._factor never sees one.
         run = run_python(
             "import sys; import numpy as np; from polarpcp import TubeTransform\n"
             "T = TubeTransform.dft(4)\n"
             "for dtype in (float, complex):\n"
-            "    state = np.ones((4, 3, 2), dtype)\n"
+            "  for shape in ((4, 3, 2), (4, 70, 70)):\n"
+            "    state = np.ones(shape, dtype)\n"
             "    state[1, 2, 0] = float(sys.argv[1])\n"
             "    for run in (T.svd_state, T.slice_svd):\n"
             "        try:\n"
@@ -607,7 +620,7 @@ class TestTransformOverflow:
             "        except np.linalg.LinAlgError as exc:\n"
             "            print(exc)\n", bad)
         assert (run.returncode, run.stderr) == (0, "")
-        assert run.stdout == "SVD did not converge\n" * 4
+        assert run.stdout == "SVD did not converge\n" * 8
 
 
 class TestSlotTable:
