@@ -148,18 +148,13 @@ def _factor(x):
 
 
 def product(f, s, out=None):
-    """(U_k * s) @ Vh_k in C order for the k = len(s) leading singular
+    """(U_k * s) @ Vh_k in C order for the k = len(s) >= 0 leading singular
     values of a factored matrix f: gesdd's back-transform on k singular
-    vectors instead of min(l, m).  It is multiplied into out, an l x m
-    array of f's dtype, if one is given; out may be f's own reflectors,
-    which are read before it is written."""
+    vectors instead of min(l, m), which at k = 0 returns at once.  It is
+    multiplied into out, an l x m array of f's dtype, if one is given; out
+    may be f's own reflectors, which are read before it is written."""
     l, m = f.a.shape
     k, r = len(s), len(f.u)
-    if k == 0:
-        if out is None:
-            return np.zeros((l, m), f.a.dtype)
-        out[...] = 0
-        return out
     _, name, trans = _names(f.a.dtype)
     lwork = _mbr_lwork(f.a.dtype, l, m)
     work = np.empty(lwork, f.a.dtype)
@@ -168,6 +163,6 @@ def product(f, s, out=None):
     _call(name, b"Q", b"L", b"N", l, k, m, f.a, l, f.tauq, uk, l, work, lwork)
     vk = np.zeros((k, m), f.a.dtype, order="F")
     vk[:, :r] = f.vt[:k]
-    _call(name, b"P", b"R", trans, k, m, r, f.a, l, f.taup, vk, k, work, lwork)
+    _call(name, b"P", b"R", trans, k, m, r, f.a, l, f.taup, vk, max(k, 1), work, lwork)
     uk *= s
     return np.matmul(uk, vk, out=out)

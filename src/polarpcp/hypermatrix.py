@@ -284,11 +284,8 @@ class HyperMatrix:
         return matmul(self, other)
 
     def conj_transpose(self):
-        """Entry (i, k) of the result is the algebra conjugate of A_ki."""
-        # Conjugation reverses the tube indices 1..n-1 and conjugates values.
-        swapped = np.transpose(self.data, (1, 0, 2))
-        flipped = np.roll(swapped[:, :, ::-1], 1, axis=2)
-        return HyperMatrix(np.conj(flipped), self.field)
+        """Entry (i, k) is the tube-DFT algebra conjugate of A_ki: t_conj_transpose(self)."""
+        return t_conj_transpose(self)
 
     @property
     def H(self):
@@ -371,7 +368,7 @@ class TubeTransform:
     complete so lanes may share it, and a TubeTransform to itself.
     """
 
-    __slots__ = ("n", "factors", "_lengths", "_real_slots")
+    __slots__ = ("n", "factors", "_lengths", "_real_slots", "_conjugation")
 
     # The transform names, each mapped to its factors as a function of n.
     NAMES = {"dft": lambda n: (("dft", n),),
@@ -393,6 +390,10 @@ class TubeTransform:
         pair = self.conjugate_pairing()
         self._real_slots = (tuple((int(pair[b]), b) for b in range(self.n) if pair[b] < b),
                             tuple((b,) for b in range(self.n) if pair[b] == b))
+        multi = np.unravel_index(np.arange(self.n), self._lengths)
+        source = np.ravel_multi_index([-i % k for i, k in zip(multi, self._lengths)], self._lengths)
+        flips = sum((i > 0) & (kind == "skew") for i, (kind, _) in zip(multi, factors))
+        self._conjugation = (source, np.flatnonzero(flips % 2))   # see t_conj_transpose
 
     @classmethod
     def _check(cls, factors):
@@ -843,6 +844,17 @@ def matmul(A, B, transform="dft"):
         )
     T = TubeTransform.from_name(transform, A.n)
     return T.unhat(T.hat(A) @ T.hat(B), promote_fields(A.field, B.field))
+
+
+def t_conj_transpose(A, transform="dft"):
+    """Conjugate transpose in the transform's algebra, a signed permutation of
+    the coefficients: on each factor axis of length k, coefficient i is the
+    conjugate of coefficient -i mod k, negated once per skew axis where i > 0."""
+    _require(HyperMatrix, A=A)
+    source, negated = TubeTransform.from_name(transform, A.n)._conjugation
+    data = np.conj(np.transpose(A.data, (1, 0, 2))[:, :, source])
+    data[:, :, negated] = -data[:, :, negated]
+    return HyperMatrix(data, A.field)
 
 
 def inv(A):

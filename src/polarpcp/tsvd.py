@@ -21,8 +21,8 @@ tsvd and singular_moduli scale their input once, at their entry
 (hypermatrix._scaled), so neither the transform nor the squares of the
 singular values overflow or underflow, and scale S and the moduli back.
 
-``TubeTransform`` (the transform seam and slice-SVD kernel) and the blockwise
-product ``t_matmul`` live in ``hypermatrix`` and are re-exported here.
+``TubeTransform`` (the transform seam and slice-SVD kernel), the blockwise
+product ``t_matmul`` and ``t_conj_transpose`` are re-exported from ``hypermatrix``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypermatrix import HyperMatrix, TubeTransform, _ldexp, _require, _scaled, promote_fields
-from .hypermatrix import matmul as t_matmul  # noqa: F401
+from .hypermatrix import matmul as t_matmul, t_conj_transpose  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class TSVDFactors:
 
     moduli holds singular_moduli of the factored tensor when tsvd built the
     factors, from the slice singular values it computed; None otherwise.
-    transform is any transform argument of the factors' tube length, kept
-    as the TubeTransform that from_name resolves it to.  It is frozen: no
-    assignment skips these checks.
+    For an l x m S, U is l x l and V m x m.  transform is any transform
+    argument of the factors' tube length, kept as the TubeTransform that
+    from_name resolves it to.  It is frozen: no assignment skips these
+    checks.
     """
 
     U: HyperMatrix
@@ -57,6 +58,11 @@ class TSVDFactors:
         if not self.U.n == self.S.n == self.V.n:
             raise ValueError(f"U, S and V must have one tube length, "
                              f"got {self.U.n}, {self.S.n} and {self.V.n}")
+        l, m = self.S.shape
+        for name, factor, size in (("U", self.U, l), ("V", self.V, m)):
+            if factor.shape != (size, size):
+                raise ValueError(f"{name} must be {size} x {size} for S of shape {l} x {m}, "
+                                 f"got {factor.l} x {factor.m}")
         object.__setattr__(self, "transform", TubeTransform.from_name(self.transform, self.U.n))
 
 
@@ -107,11 +113,3 @@ def reconstruct(F):
     Lh = T.hat(F.U) @ T.hat(F.S) @ np.conj(np.transpose(T.hat(F.V), (0, 2, 1)))
     field = promote_fields(promote_fields(F.U.field, F.S.field), F.V.field)
     return T.unhat(Lh, field)
-
-
-def t_conj_transpose(A, transform="dft"):
-    """Conjugate transpose in the transform's algebra: slices are
-    conjugate-transposed in the transform domain."""
-    _require(HyperMatrix, A=A)
-    T = TubeTransform.from_name(transform, A.n)
-    return T.unhat(np.conj(np.transpose(T.hat(A), (0, 2, 1))), A.field)

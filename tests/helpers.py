@@ -26,7 +26,9 @@ rows at a time, with numpy's one-shot FFTs, and reference_unpack is the
 whole slice stack of a state, which the package only builds a block of
 rows at a time; reference_expand fills its partner slices.  They read
 the layout of a real-tube state from reference_split, which builds it
-from conjugate_pairing() alone.  ReferenceScalar is the standalone scalar
+from conjugate_pairing() alone.  reference_conj_transpose is the
+conjugate transpose as it stood before it became a signed permutation of
+the coefficients, through the transform domain.  ReferenceScalar is the standalone scalar
 arithmetic that PolarScalar had before it became the 1 x 1 HyperMatrix.
 raises_exactly expects an input check's exception type and message, and
 run_python runs code that could hang in a subprocess under a timeout.
@@ -427,6 +429,13 @@ def reference_unhat(T, blocks, field):
     inverse transform of the whole stack."""
     data = T.inverse(np.moveaxis(blocks, 0, 2))
     return HyperMatrix(data.real if field == REAL else data, field)
+
+
+def reference_conj_transpose(A, T):
+    """t_conj_transpose as it stood before it was a signed permutation of
+    the coefficients: the slices conjugate-transposed in the transform
+    domain, through hat and unhat."""
+    return T.unhat(np.conj(np.transpose(T.hat(A), (0, 2, 1))), A.field)
 
 
 def factored_slices(T, real):

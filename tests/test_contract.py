@@ -107,6 +107,9 @@ CASES = {
         (lambda tmp: TSVDFactors(F.U, F.S, F.V, SHORT), "transform"),
         (lambda tmp: TSVDFactors(ARRAY, F.S, F.V, "dft"), "U"),
         (lambda tmp: TSVDFactors(F.U, F.S, HyperMatrix(ARRAY[..., :2]), "dft"), "V"),
+        (lambda tmp: TSVDFactors(F.V, F.S, F.U, "dft"), "U"),
+        (lambda tmp: TSVDFactors(F.U, HyperMatrix(F.S.data.transpose(1, 0, 2)), F.V, "dft"), "U"),
+        (lambda tmp: TSVDFactors(F.U, F.S, F.U, "dft"), "V"),
     ],
     "TrialSpec": [
         (lambda tmp: TrialSpec(m=2.5), "m"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import pickle
 import warnings
@@ -273,6 +274,21 @@ class TestConjTranspose:
         B = random_hypermatrix(rng, 3, 3, 4, COMPLEX)
         A = B + B.conj_transpose()
         assert np.allclose(A.conj_transpose().data, A.data, atol=1e-14)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_special_values_keep_their_bytes(self, field):
+        # Regression guard: the tube DFT's conjugation, written out as the
+        # roll of the reversed tubes, moves -0.0, inf and nan bit for bit.
+        data = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.5] * 3,
+                        np.float64 if field == REAL else np.complex128)
+        if field == COMPLEX:
+            data.imag = np.roll(data.real, 3)
+        A = HyperMatrix(data.reshape(2, 3, 4), field)
+        want = np.conj(np.roll(np.transpose(A.data, (1, 0, 2))[:, :, ::-1], 1, axis=2))
+        assert A.H.data.tobytes() == np.ascontiguousarray(want).tobytes()
+        for i, k in itertools.product(range(2), range(3)):
+            p = PolarScalar(A.data[i, k], field)
+            assert p.conj().coeffs.tobytes() == want[k, i].tobytes()
 
 
 class TestNormsAndIsomorphisms:

@@ -109,6 +109,18 @@ class TestKernel:
         assert own.flags.c_contiguous and np.shares_memory(own, f.a)
         assert _lapack.product(f, s[:k], own) is own and own.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("l, m", [(9, 8), (8, 9), (8, 8)], ids=["tall", "wide", "square"])
+    def test_product_of_no_singular_value_is_positive_zero(self, complex_, l, m):
+        # Regression guard: a shrink that keeps nothing runs the same path.
+        a = _random(np.random.default_rng(7), l, m, complex_)
+        assert _lapack.direct(a[np.newaxis])
+        s, f = _lapack.factor(a)
+        out = np.full(a.shape, np.nan, a.dtype)
+        assert _lapack.product(f, s[:0], out) is out
+        assert out.tobytes() == np.zeros_like(a).tobytes()
+        assert _lapack.product(f, s[:0]).tobytes() == np.zeros_like(a).tobytes()
+
     # Past 128 columns ?gebrd reduces blocks of 32 with ?labrd, so the
     # largest cases check that its workspace gives gesdd's blocking.
     @pytest.mark.parametrize("complex_,short", [(False, 6), (False, 30), (False, 140),

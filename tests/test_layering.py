@@ -1,7 +1,10 @@
 """The layering of polarpcp's modules: hypermatrix is the base, which
-imports no module of the package above it, and the imports have no cycle."""
+imports no module of the package above it, the imports have no cycle, and
+the package imports nothing but the standard library and numpy, its one
+declared runtime dependency."""
 
 import ast
+import sys
 from pathlib import Path
 
 import polarpcp
@@ -47,3 +50,19 @@ def test_the_imports_have_no_cycle():
     assert set().union(*graph.values()) <= set(graph)
     for module in graph:
         visit(module)
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # Every CI job installs scipy, pytest and hypothesis before the package,
+    # so only this test sees an import of them under src/.
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

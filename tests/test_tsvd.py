@@ -37,6 +37,7 @@ from helpers import (
     ldexp,
     random_hypermatrix,
     reference_expand,
+    reference_conj_transpose,
     reference_hat,
     reference_pack,
     reference_parts,
@@ -180,6 +181,15 @@ class TestTubeTransform:
         assert tuple(TubeTransform.NAMES) == ("dft", "skew-dft", "wht")
         with pytest.raises(ValueError):
             TubeTransform.from_name("skew_dft", 3)
+
+
+def _refuse_transforms(monkeypatch):
+    """Make every TubeTransform.forward and inverse call raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tube transform was called")
+
+    monkeypatch.setattr(TubeTransform, "forward", refuse)
+    monkeypatch.setattr(TubeTransform, "inverse", refuse)
 
 
 def _transforms_for(n):
@@ -343,11 +353,30 @@ class TestAlgebraOps:
         # one blockwise product and one transform class, re-exported by tsvd
         assert t_matmul is hm.matmul
         assert importlib.import_module("polarpcp.tsvd").TubeTransform is hm.TubeTransform
+        assert importlib.import_module("polarpcp.tsvd").t_conj_transpose is hm.t_conj_transpose
 
     def test_t_conj_transpose_dft_matches(self):
         rng = np.random.default_rng(14)
         A = random_hypermatrix(rng, 3, 4, 5, COMPLEX)
-        assert np.allclose(t_conj_transpose(A).data, A.conj_transpose().data, atol=1e-12)
+        assert t_conj_transpose(A).data.tobytes() == A.conj_transpose().data.tobytes()
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("T", KRONECKER)
+    def test_conj_transpose_is_an_exact_signed_permutation(self, monkeypatch, T, field):
+        A = random_hypermatrix(np.random.default_rng(T.n), 3, 2, T.n, field)
+        want = reference_conj_transpose(A, T)
+        _refuse_transforms(monkeypatch)
+        B = t_conj_transpose(A, T)
+        assert B.field == field and B.data.shape == (2, 3, T.n)
+        assert t_conj_transpose(B, T).data.tobytes() == A.data.tobytes()
+        assert np.abs(B.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_conj_transpose_under_the_dft_is_h(self, monkeypatch, n, field):
+        A = random_hypermatrix(np.random.default_rng(n), 3, 2, n, field)
+        _refuse_transforms(monkeypatch)
+        assert t_conj_transpose(A).data.tobytes() == A.H.data.tobytes()
 
     def test_extended_von_neumann_inequality(self):
         rng = np.random.default_rng(15)
