@@ -6,11 +6,11 @@ wider than tall, and whose largest modulus needs no scaling, in three
 stages: a Householder bidiagonalization (?gebrd), the divide-and-conquer SVD
 of the real bidiagonal (dbdsdc; Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
 16, 1995), and the back-transform of all min(l, m) singular vectors by the
-reflectors (?ormbr, ?unmbr).  factor makes gesdd's first two calls, with
-workspace that gives the same blocking, so its singular values are
-np.linalg.svd's bit for bit: on a copy of its matrix, or, as _factor, on a
-Fortran-ordered matrix that its reflectors overwrite.  product makes the
-third on the k leading singular vectors only and returns U_k diag(s_k) Vh_k.
+reflectors (?ormbr, ?unmbr).  _factor, the one staged factorization, makes
+gesdd's first two calls, with workspace that gives the same blocking, so its
+singular values are np.linalg.svd's bit for bit, on a Fortran-ordered
+matrix that its reflectors overwrite.  product makes the third on the k
+leading singular vectors only and returns U_k diag(s_k) Vh_k.
 
 The routines are the ILP64 ones of the LAPACK that numpy.linalg loads
 (_blas.library()).  Where they are missing (Accelerate, for example),
@@ -118,21 +118,12 @@ def _mbr_lwork(dtype, l, m):
     return int(max(q[0].real, p[0].real))
 
 
-def factor(a):
-    """(s, f) of an l x m matrix on gesdd's direct path (see direct): its
-    singular values, bit for bit those of np.linalg.svd(a), and its
-    factored form for product.  a is left as it is.  Raises
-    numpy.linalg.LinAlgError when a is not finite, where LAPACK would print
-    an error."""
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return _factor(np.array(a, np.result_type(a, np.float64), order="F"))
-
-
 def _factor(x):
-    """factor on a Fortran-ordered float64 or complex128 matrix x, which
-    the reflectors overwrite and the factored form keeps.  x must be
-    finite: the slice-SVD kernel stages only what direct's range test passed."""
+    """(s, f) of an l x m Fortran-ordered float64 or complex128 matrix x on
+    gesdd's direct path (see direct): its singular values, bit for bit
+    those of np.linalg.svd(x), and its factored form for product, which
+    keeps x, overwritten by the reflectors.  x must be finite: the
+    slice-SVD kernel stages only what direct's range test passed."""
     if x.dtype not in (np.float64, np.complex128) or not x.flags.f_contiguous:
         raise ValueError("_factor needs a Fortran-ordered float64 or complex128 matrix")
     l, m = x.shape

@@ -144,8 +144,11 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # The output location is checked before any input is read or solved.
+        # The output location is checked before any input is read or solved:
+        # simulate's --out is a file in an existing directory.
         out_dir = Path(args.out).parent if args.command == "simulate" else Path(args.out_dir)
+        if args.command == "simulate" and Path(args.out).is_dir():
+            raise IsADirectoryError(f"not a file: {args.out}")
         if not out_dir.is_dir():
             raise NotADirectoryError(f"not an existing directory: {out_dir}")
         return args.run(args)

@@ -58,7 +58,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,12 +180,15 @@ def _numeric(name, value):
     return arr
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class HyperMatrix:
-    """l x m matrix of polar n-complex or n-bicomplex entries.  Its data
-    and field cannot be rebound, so no assignment skips the constructor's
-    checks; the coefficients in data may be written."""
+    """l x m matrix of polar n-complex or n-bicomplex entries.  It is a
+    frozen dataclass, so its data and field cannot be rebound and no
+    assignment skips the constructor's checks; the coefficients in data may
+    be written.  Pickle and copy restore the instance dict."""
 
-    __slots__ = ("data", "field")
+    data: np.ndarray
+    field: str
 
     def __init__(self, data, field=None):
         arr = _numeric("data", data)
@@ -202,17 +205,7 @@ class HyperMatrix:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
         else:
             arr = np.ascontiguousarray(arr, dtype=np.complex128)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):   # pickle and copy through the constructor, not __setattr__
-        return HyperMatrix, (self.data, self.field)
+        vars(self).update(data=arr, field=field)
 
     @classmethod
     def zeros(cls, l, m, n, field=REAL):
@@ -348,6 +341,7 @@ def _wht_factors(n):
     return (("dft", 2),) * (n.bit_length() - 1) or (("dft", 1),)
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class TubeTransform:
     """Invertible tube transform defining a t-SVD algebra: the Kronecker
     product of its factors, each a DFT ("dft", k) or a skew DFT
@@ -365,10 +359,12 @@ class TubeTransform:
     from its data (see hat_state).  The tubes are on the last axis of every
     array it transforms.  from_name resolves every transform argument: a
     key of NAMES or a tuple of factor pairs to one shared instance, built
-    complete so lanes may share it, and a TubeTransform to itself.
+    complete so lanes may share it, and a TubeTransform to itself.  It is a
+    frozen dataclass whose tables are immutable, so no caller can change a
+    shared instance; equality is identity.
     """
 
-    __slots__ = ("n", "factors", "_lengths", "_real_slots", "_conjugation")
+    factors: tuple
 
     # The transform names, each mapped to its factors as a function of n.
     NAMES = {"dft": lambda n: (("dft", n),),
@@ -381,19 +377,21 @@ class TubeTransform:
 
     def __init__(self, factors):
         factors = self._check(factors)
-        self.factors = factors
-        self._lengths = tuple(k for _, k in factors)
-        self.n = math.prod(self._lengths)
+        lengths = tuple(k for _, k in factors)
+        n = math.prod(lengths)
+        vars(self).update(factors=factors, _lengths=lengths, n=n)
         # The slot table of a real-tube state (see _slots), in the kernel's
         # order of matrices: the (source, partner) pairs of conjugate slices
         # in ascending partner order, then the self-paired planes (b,).
         pair = self.conjugate_pairing()
-        self._real_slots = (tuple((int(pair[b]), b) for b in range(self.n) if pair[b] < b),
-                            tuple((b,) for b in range(self.n) if pair[b] == b))
-        multi = np.unravel_index(np.arange(self.n), self._lengths)
-        source = np.ravel_multi_index([-i % k for i, k in zip(multi, self._lengths)], self._lengths)
+        multi = np.unravel_index(np.arange(n), lengths)
+        source = np.ravel_multi_index([-i % k for i, k in zip(multi, lengths)], lengths)
         flips = sum((i > 0) & (kind == "skew") for i, (kind, _) in zip(multi, factors))
-        self._conjugation = (source, np.flatnonzero(flips % 2))   # see t_conj_transpose
+        negated = np.flatnonzero(flips % 2)
+        source.flags.writeable = negated.flags.writeable = False
+        vars(self).update(_real_slots=(tuple((int(pair[b]), b) for b in range(n) if pair[b] < b),
+                                       tuple((b,) for b in range(n) if pair[b] == b)),
+                          _conjugation=(source, negated))   # see t_conj_transpose
 
     @classmethod
     def _check(cls, factors):

@@ -60,6 +60,13 @@ def _check_density(rho):
     return _check_real("density rho", rho, "[0, 1]")
 
 
+def _check_part(part):
+    """part, one of PARTS, else ValueError naming part."""
+    if part not in PARTS:
+        raise ValueError(f"part must be one of {PARTS}, got {part!r}")
+    return part
+
+
 def _check_embedding(embedding):
     if embedding not in EMBEDDINGS:
         raise ValueError(f"unknown embedding {embedding!r}")
@@ -112,11 +119,6 @@ class TrialSpec:
             object.__setattr__(self, field, _grid_axis(field, values, check, what))
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-
-    def solver_config(self):
-        """The configuration of every trial's solve: the defaults, with
-        self.variant."""
-        return SolverConfig(variant=self.variant)
 
 
 def _instance_rng(seed, embedding, r, rho, trial, instance):
@@ -190,7 +192,8 @@ class TrialOutcome:
     error_m2: float
 
     def error(self, part):
-        return self.error_m1 if part == "M1" else self.error_m2
+        """The error of part, "M1" or "M2"; any other part is a ValueError."""
+        return self.error_m1 if _check_part(part) == "M1" else self.error_m2
 
     def success(self, epsilon, part):
         return self.error(part) < epsilon
@@ -213,7 +216,7 @@ def run_trial(spec, r, rho, embedding, trial):
         truths.append(L0)
         return M
 
-    result = pcp_ialm(embed(draw(0), draw(1), embedding), spec.solver_config())
+    result = pcp_ialm(embed(draw(0), draw(1), embedding), SolverConfig(variant=spec.variant))
     (L1, L2), (L01, L02) = extract(result.L, embedding), truths
     e1 = np.linalg.norm(L1 - L01) / np.linalg.norm(L01)
     e2 = np.linalg.norm(L2 - L02) / np.linalg.norm(L02)
@@ -231,13 +234,34 @@ class CellResult:
     runtime: float
 
     def successes(self, epsilon, part):
+        _check_part(part)
         return sum(o.success(epsilon, part) for o in self.outcomes)
 
 
 @dataclass(frozen=True)
 class GridResult:
+    """The cells of a grid: exactly one CellResult of spec.trials
+    TrialOutcomes per (embedding, r, rho) of spec's grid, in any order.
+    write_csv reads what a caller passes it, so the constructor checks it:
+    a spec that is no TrialSpec or a cells that is no tuple is a TypeError,
+    and cells of another grid a ValueError naming cells."""
+
     spec: TrialSpec
     cells: tuple[CellResult, ...]
+
+    def __post_init__(self):
+        _require(TrialSpec, spec=self.spec)
+        _require(tuple, cells=self.cells)
+        spec = self.spec
+        grid = {(emb, r, rho) for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos}
+        if (len(self.cells) != len(grid)
+                or not all(isinstance(c, CellResult) and isinstance(c.outcomes, tuple)
+                           and len(c.outcomes) == spec.trials
+                           and all(isinstance(o, TrialOutcome) for o in c.outcomes)
+                           for c in self.cells)
+                or {(c.embedding, c.r, c.rho) for c in self.cells} != grid):
+            raise ValueError(f"cells must hold one CellResult of {spec.trials} TrialOutcomes "
+                             f"for each of the {len(grid)} (embedding, r, rho) of the spec's grid")
 
     def cell(self, embedding, r, rho):
         for c in self.cells:

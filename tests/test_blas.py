@@ -2,6 +2,7 @@
 around run_grid's trials, single solves and other public calls, and the
 lanes of run_lanes that they share."""
 
+import collections
 import functools
 import sys
 import threading
@@ -242,16 +243,17 @@ def _forbid_pool(monkeypatch):
 
 
 def _watch_svds(monkeypatch, hook):
-    """Call hook() before every SVD a solve runs: np.linalg.svd, and the
-    staged kernel's factor and product."""
-    def watching(fn):
+    """Call hook(name) before every SVD a solve runs, with the name of the
+    function it calls: np.linalg.svd's "svd", and the staged kernel's
+    "_factor" and "product"."""
+    def watching(name, fn):
         def watched(*args, **kwargs):
-            hook()
+            hook(name)
             return fn(*args, **kwargs)
         return watched
 
-    for owner, name in ((np.linalg, "svd"), (_lapack, "factor"), (_lapack, "product")):
-        monkeypatch.setattr(owner, name, watching(getattr(owner, name)))
+    for owner, name in ((np.linalg, "svd"), (_lapack, "_factor"), (_lapack, "product")):
+        monkeypatch.setattr(owner, name, watching(name, getattr(owner, name)))
 
 
 def _mixed_matrix(embedding, m=24):
@@ -472,11 +474,14 @@ class TestLanes:
 
     def test_solve_uses_lanes_and_stops_them(self, lanes, monkeypatch):
         X = _mixed_matrix(POLAR4COMPLEX, m=64)
-        threads = set()
+        threads = collections.defaultdict(set)   # watched name -> its threads
         before = threading.active_count()
-        _watch_svds(monkeypatch, lambda: threads.add(threading.get_ident()))
+        _watch_svds(monkeypatch, lambda name: threads[name].add(threading.get_ident()))
         pcp_ialm(X)
-        assert threading.get_ident() in threads and len(threads) == 2
+        # The shrinks' 64x64 matrices are factored in stages, on both lanes.
+        staged = threads["_factor"]
+        assert threading.get_ident() in staged and len(staged) == 2
+        assert set().union(*threads.values()) == staged
         assert threading.active_count() == before
 
 
@@ -485,7 +490,7 @@ class TestSolveScope:
     def test_solve_pins_and_restores(self, controls, lanes, monkeypatch, solve):
         get, _ = controls
         seen = []
-        _watch_svds(monkeypatch, lambda: seen.append(get()))
+        _watch_svds(monkeypatch, lambda name: seen.append(get()))
         SOLVES[solve](_mixed_matrix(POLAR4COMPLEX))
         assert seen and set(seen) == {1}
         assert get() == CALLER_THREADS
@@ -495,8 +500,8 @@ class TestSolveScope:
         get, _ = controls
         calls = []
 
-        def failing_svd():
-            calls.append(None)
+        def failing_svd(name):
+            calls.append(name)
             if len(calls) > 5:
                 raise RuntimeError("svd failed")
 
@@ -570,7 +575,7 @@ class TestGridOwnsTheCores:
 
         monkeypatch.setenv("POLARPCP_THREADS", threads)
         monkeypatch.setattr(simlab, "run_trial", recording_trial)
-        _watch_svds(monkeypatch, lambda: svd_threads.add(threading.get_ident()))
+        _watch_svds(monkeypatch, lambda name: svd_threads.add(threading.get_ident()))
         run_grid(_tiny_spec(m=24, embeddings=(POLAR4COMPLEX,), trials=3))
         assert svd_threads and svd_threads <= trial_threads
         monkeypatch.setenv("POLARPCP_THREADS", "2")

@@ -138,27 +138,30 @@ class TestOneVocabulary:
 
 
 class TestOutputLocation:
-    @pytest.mark.parametrize("argv, where", [
+    @pytest.mark.parametrize("argv, error", [
         (["simulate", "--m", "10", "--ranks", "1", "--rhos", "0.05", "--trials", "1",
-          "--out", "{missing}/r.csv"], "{missing}"),
-        (["decompose", "{input}", "--out-dir", "{missing}"], "{missing}"),
-        (["tsvd", "{input}", "--out-dir", "{missing}"], "{missing}"),
-        (["decompose", "{input}", "--out-dir", "{input}"], "{input}"),
-        (["tsvd", "{input}", "--out-dir", "{input}"], "{input}"),
-    ], ids=["simulate-missing", "decompose-missing", "tsvd-missing", "decompose-file", "tsvd-file"])
-    def test_checked_before_the_work(self, tmp_path, monkeypatch, capsys, argv, where):
-        # A missing directory, or a file where a directory is asked for, is
-        # an I/O error before any input is read or solved.
+          "--out", "{missing}/r.csv"], "not an existing directory: {missing}"),
+        (["decompose", "{input}", "--out-dir", "{missing}"],
+         "not an existing directory: {missing}"),
+        (["tsvd", "{input}", "--out-dir", "{missing}"], "not an existing directory: {missing}"),
+        (["decompose", "{input}", "--out-dir", "{input}"], "not an existing directory: {input}"),
+        (["tsvd", "{input}", "--out-dir", "{input}"], "not an existing directory: {input}"),
+        (["simulate", "--out", "{directory}"], "not a file: {directory}"),
+    ], ids=["simulate-missing", "decompose-missing", "tsvd-missing", "decompose-file", "tsvd-file",
+            "simulate-directory"])
+    def test_checked_before_the_work(self, tmp_path, monkeypatch, capsys, argv, error):
+        # A missing directory, a file where a directory is asked for, or a
+        # directory where a file is, is an I/O error before any input is
+        # read or solved.
         def fail(*args, **kwargs):
             raise AssertionError("called before the output location was checked")
 
         for name in ("read_pht", "pcp_ialm", "tsvd", "run_grid"):
             monkeypatch.setattr(cli, name, fail)
-        paths = {"missing": tmp_path / "missing", "input": _low_rank_pht(tmp_path)[0]}
+        paths = {"missing": tmp_path / "missing", "input": _low_rank_pht(tmp_path)[0],
+                 "directory": tmp_path}
         assert main([arg.format(**paths) for arg in argv]) == 3
-        assert capsys.readouterr().err == (
-            f"polarpcp: I/O error: not an existing directory: {where.format(**paths)}\n"
-        )
+        assert capsys.readouterr().err == f"polarpcp: I/O error: {error.format(**paths)}\n"
 
 
 class TestSimulate:

@@ -53,6 +53,7 @@ from polarpcp import (
     write_csv,
     write_pht,
 )
+from polarpcp.simlab import POLAR4COMPLEX, CellResult, TrialOutcome
 
 SOURCE = Path(polarpcp.__file__).resolve().parent
 A = HyperMatrix(np.random.default_rng(0).standard_normal((6, 5, 4)))
@@ -61,15 +62,41 @@ SHORT = TubeTransform.dft(2)       # a transform of the wrong length for A
 SPEC = TrialSpec(m=8)
 F = tsvd(A)
 
+
+def _cells(spec):
+    """One CellResult of spec.trials TrialOutcomes per cell of spec's grid."""
+    outcomes = (TrialOutcome(0.0, 0.0),) * spec.trials
+    return tuple(CellResult(emb, r, rho, outcomes, 0.0)
+                 for emb in spec.embeddings for r in spec.ranks for rho in spec.rhos)
+
+
+CELLS = _cells(SPEC)
+GRID = GridResult(SPEC, CELLS)
+
 # The public names that are records the library builds and hands back, and
 # exceptions: nothing a caller passes them is checked.
-RECORDS = {"AngleSet", "GridResult", "PcpResult", "PhtFormatError", "SingularScalarError"}
+RECORDS = {"AngleSet", "PcpResult", "PhtFormatError", "SingularScalarError"}
 
 # Public name -> (call, the argument its message names) cases.  Each call
 # takes a directory it may write to.  An element of a tuple argument is
 # named by its own name (TrialSpec's rhos hold densities rho), and the
 # tuple by the field's.
 CASES = {
+    # write_csv reads what a caller passes it.
+    "GridResult": [
+        (lambda tmp: GridResult("junk", CELLS), "spec"),
+        (lambda tmp: GridResult(SPEC, CELLS * 2), "cells"),
+        (lambda tmp: GridResult(SPEC, ()), "cells"),
+        (lambda tmp: GridResult(SPEC, list(CELLS)), "cells"),
+        (lambda tmp: GridResult(SPEC, CELLS[:-1] + CELLS[:1]), "cells"),
+        (lambda tmp: GridResult(SPEC, _cells(TrialSpec(m=8, trials=2))), "cells"),
+        (lambda tmp: GridResult(SPEC, _cells(TrialSpec(m=8, rhos=(0.5,)))), "cells"),
+        (lambda tmp: GridResult(SPEC, CELLS[:-1] + (CELLS[-1].outcomes[0],)), "cells"),
+        (lambda tmp: GRID.fraction(POLAR4COMPLEX, 1, 0.02, 0.1, "M3"), "part"),
+        (lambda tmp: CELLS[0].successes(0.1, "m1"), "part"),
+        (lambda tmp: TrialOutcome(0.1, 0.2).error("M3"), "part"),
+        (lambda tmp: TrialOutcome(0.1, 0.2).success(0.1, None), "part"),
+    ],
     "HyperMatrix": [
         (lambda tmp: HyperMatrix(np.zeros((2, 2))), "data"),
         (lambda tmp: HyperMatrix(ARRAY, "quaternion"), "field"),
@@ -239,7 +266,7 @@ CASES = {
     "vec": [(lambda tmp: vec(ARRAY), "A")],
     "write_csv": [
         (lambda tmp: write_csv(None, tmp / "grid.csv"), "grid"),
-        (lambda tmp: write_csv(GridResult(SPEC, ()), None), "path"),
+        (lambda tmp: write_csv(GRID, None), "path"),
         (lambda tmp: _csv_to_descriptor(tmp), "path"),
     ],
     "write_pht": [
@@ -260,7 +287,7 @@ def _csv_to_descriptor(tmp):
     write to nor close."""
     fd = os.open(tmp / "grid.csv", os.O_WRONLY | os.O_CREAT)
     try:
-        write_csv(GridResult(SPEC, ()), fd)
+        write_csv(GRID, fd)
     finally:
         os.close(fd)
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -494,6 +495,20 @@ class TestInputChecks:
         A.data[0, 0, 0] = 2.0
         B = pickle.loads(pickle.dumps(A))
         assert B.data.tobytes() == A.data.tobytes() and B.field == REAL
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_hyper_matrix_round_trips(self, field, how):
+        # Regression guard: pickle and copy restore the instance dict.
+        A = random_hypermatrix(np.random.default_rng(23), 3, 2, 4, field)
+        B = {"pickle": lambda: pickle.loads(pickle.dumps(A)), "copy": lambda: copy.copy(A),
+             "deepcopy": lambda: copy.deepcopy(A)}[how]()
+        assert type(B) is HyperMatrix and B is not A
+        assert B.field == field and B.data.dtype == A.data.dtype
+        assert B.data.tobytes() == A.data.tobytes()
+        assert (B.data is A.data) == (how == "copy")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            B.field = REAL
 
 
 FIELDS = (REAL, COMPLEX)

@@ -39,6 +39,12 @@ def _random(rng, l, m, complex_):
     return a + 1j * rng.standard_normal((l, m)) if complex_ else a
 
 
+def _factor(a):
+    """_lapack._factor on a Fortran-ordered copy of a, as the slice-SVD
+    kernel calls it."""
+    return _lapack._factor(np.array(a, order="F"))
+
+
 @st.composite
 def _direct_matrices(draw):
     """(a, k): a real or complex matrix on gesdd's direct path, wide, square
@@ -61,10 +67,8 @@ class TestKernel:
     @given(case=_direct_matrices())
     def test_matches_numpy_svd(self, case):
         a, k = case
-        before = a.copy()
-        s, f = _lapack.factor(a)
+        s, f = _factor(a)
         assert _lapack.direct(a[np.newaxis])
-        assert a.tobytes() == before.tobytes()
         assert s.tobytes() == np.linalg.svd(a)[1].tobytes()
         U, s_thin, Vh = np.linalg.svd(a, full_matrices=False)
         assert s.tobytes() == s_thin.tobytes()
@@ -72,17 +76,6 @@ class TestKernel:
         want = (U[:, :k] * s[:k]) @ Vh[:k]
         assert got.dtype == a.dtype and got.shape == a.shape and got.flags.c_contiguous
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_raises_and_prints_nothing(self, capfd, complex_, value):
-        # np.linalg.svd raises on NaN and returns NaN singular values on inf;
-        # solves never stage either (see test_direct_stops_where_gesdd_scales).
-        a = _random(np.random.default_rng(1), 9, 8, complex_)
-        a[4, 3] = value
-        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
-            _lapack.factor(a)
-        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     def test_in_place_step_overwrites_only_fortran_matrices(self, complex_):
@@ -93,13 +86,13 @@ class TestKernel:
         x = np.asfortranarray(a)
         s, f = _lapack._factor(x)
         assert f.a is x and x.tobytes() != np.asfortranarray(a).tobytes()
-        assert s.tobytes() == _lapack.factor(a)[0].tobytes()
+        assert s.tobytes() == np.linalg.svd(a, full_matrices=False)[1].tobytes()
 
     @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("k", [0, 3])
     def test_product_into_out_and_into_its_own_reflectors(self, complex_, k):
         a = _random(np.random.default_rng(6), 9, 8, complex_)
-        s, f = _lapack.factor(a)
+        s, f = _factor(a)
         want = _lapack.product(f, s[:k])
         out = np.empty(a.shape, a.dtype)
         assert _lapack.product(f, s[:k], out) is out and out.tobytes() == want.tobytes()
@@ -115,7 +108,7 @@ class TestKernel:
         # Regression guard: a shrink that keeps nothing runs the same path.
         a = _random(np.random.default_rng(7), l, m, complex_)
         assert _lapack.direct(a[np.newaxis])
-        s, f = _lapack.factor(a)
+        s, f = _factor(a)
         out = np.full(a.shape, np.nan, a.dtype)
         assert _lapack.product(f, s[:0], out) is out
         assert out.tobytes() == np.zeros_like(a).tobytes()
@@ -131,7 +124,7 @@ class TestKernel:
         for l, m in ((short, limit - 1), (limit - 1, short)):
             a = _random(rng, l, m, complex_)
             assert _lapack.direct(a[np.newaxis])
-            s, f = _lapack.factor(a)
+            s, f = _factor(a)
             U, s_ref, Vh = np.linalg.svd(a, full_matrices=False)
             assert s.tobytes() == s_ref.tobytes()
             k = short // 3

@@ -261,9 +261,19 @@ class TestTrialSpec:
             TrialSpec(**kwargs)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_solver_config_carries_the_variant(self, variant):
-        cfg = TrialSpec(variant=variant).solver_config()
-        assert cfg == SolverConfig(variant=variant)
+    def test_solver_config_carries_the_variant(self, monkeypatch, variant):
+        # A trial solves with the default settings and the spec's variant.
+        configs = []
+        solve = simlab.pcp_ialm
+
+        def spy(X, cfg):
+            configs.append(cfg)
+            return solve(X, cfg)
+
+        monkeypatch.setattr(simlab, "pcp_ialm", spy)
+        spec = TrialSpec(m=10, ranks=(1,), rhos=(0.05,), trials=1, variant=variant)
+        run_trial(spec, 1, 0.05, POLAR2BICOMPLEX, 0)
+        assert configs == [SolverConfig(variant=variant)]
 
 
 class TestRunTrial:
@@ -294,10 +304,21 @@ def _tiny_spec(**kw):
 
 class TestRunGrid:
     def test_missing_cell_is_a_key_error(self):
-        grid = simlab.GridResult(_tiny_spec(), ())
+        spec = _tiny_spec(embeddings=(POLAR2BICOMPLEX,))
+        outcomes = (TrialOutcome(0.0, 0.0),) * spec.trials
+        cell = simlab.CellResult(POLAR2BICOMPLEX, 1, 0.05, outcomes, 0.0)
+        grid = simlab.GridResult(spec, (cell,))
         with raises_exactly(KeyError, "('polar4complex', 1, 0.05)") as info:
             grid.cell(POLAR4COMPLEX, 1, 0.05)
         assert info.value.args == ((POLAR4COMPLEX, 1, 0.05),)
+
+    def test_cells_in_any_order(self):
+        # write_csv sorts its rows, so a grid's cells may come in any order.
+        spec = _tiny_spec(rhos=(0.05, 0.1))
+        outcomes = (TrialOutcome(0.0, 0.0),) * spec.trials
+        cells = tuple(simlab.CellResult(emb, 1, rho, outcomes, 0.0)
+                      for emb in spec.embeddings for rho in spec.rhos)
+        assert simlab.GridResult(spec, cells[::-1]).cells == cells[::-1]
 
     def test_row_arithmetic_and_fractions(self, tmp_path):
         spec = _tiny_spec()

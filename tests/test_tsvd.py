@@ -1,8 +1,10 @@
 import contextlib
+import copy
 import dataclasses
 import functools
 import importlib
 import math
+import pickle
 import sys
 import threading
 import warnings
@@ -342,6 +344,20 @@ class TestReconstructAndTruncation:
         spelled = TSVDFactors(f.U, f.S, f.V, "dft")
         assert spelled.transform is f.transform
         assert reconstruct(spelled).data.tobytes() == reconstruct(f).data.tobytes()
+
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_factors_round_trip(self, how):
+        # Regression guard: the factors, their moduli and their transform
+        # survive pickle and copy.
+        f = tsvd(random_hypermatrix(np.random.default_rng(25), 3, 2, 4, COMPLEX), "skew-dft")
+        g = {"pickle": lambda: pickle.loads(pickle.dumps(f)), "copy": lambda: copy.copy(f),
+             "deepcopy": lambda: copy.deepcopy(f)}[how]()
+        assert type(g) is TSVDFactors and g is not f
+        for got, want in ((g.U, f.U), (g.S, f.S), (g.V, f.V)):
+            assert got.field == want.field and got.data.tobytes() == want.data.tobytes()
+        assert g.moduli.tobytes() == f.moduli.tobytes()
+        assert g.transform.factors == (("skew", 4),) and g.transform.n == 4
+        assert reconstruct(g).data.tobytes() == reconstruct(f).data.tobytes()
 
 
 class TestAlgebraOps:
@@ -918,6 +934,26 @@ class TestRowBlockedEntry:
 
 
 class TestSharedTransforms:
+    @pytest.mark.parametrize("name, value", [("factors", (("skew", 4),)), ("n", 2),
+                                             ("_lengths", (2,)), ("_real_slots", ((), ())),
+                                             ("_conjugation", None), ("forward", None)])
+    def test_a_shared_instance_cannot_be_changed(self, name, value):
+        # Every caller and every lane holds the same instance.
+        T = TubeTransform.from_name("dft", 4)
+        A = random_hypermatrix(np.random.default_rng(26), 3, 2, 4, COMPLEX)
+        want = t_conj_transpose(A).data.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(T, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(T, name)
+        for table in T._conjugation:
+            with pytest.raises(ValueError, match="read-only"):
+                table[:] = 0
+        assert TubeTransform.from_name("dft", 4) is T
+        assert T.factors == (("dft", 4),) and T.n == 4
+        assert t_conj_transpose(A).data.tobytes() == want
+        assert T.hat(A).shape == (4, 3, 2)
+
     def test_named_constructors_share_one_instance(self):
         assert TubeTransform.dft(4) is TubeTransform.dft(4)
         assert TubeTransform.from_name("skew-dft", 4) is TubeTransform.from_name((("skew", 4),), 4)
